@@ -10,7 +10,6 @@ Markovian. This package computes it exactly (Volterra solutions and
 Lorentzian closed forms), operationally (channel-map enumeration), and
 experimentally (finite-count and visibility noise simulation).
 """
-from ._backend import USING_EXTENSION, backend_name
 from .bath import (
     BathKernel,
     LorentzianKernel,
@@ -89,12 +88,10 @@ __all__ = [
     "RateFunctions",
     "TabulatedKernel",
     "TwoTimeGrid",
-    "USING_EXTENSION",
     "angles_from_propagator",
     "apply_U_t",
     "apply_U_tau",
     "apply_visibility",
-    "backend_name",
     "backflow_probabilities",
     "build_table",
     "build_table_xzx",

@@ -3,7 +3,7 @@
 Subcommands reproduce the reference datasets from a declarative JSON
 config; ``validate`` runs the quick invariant suite. Physics parameters
 live in the config only; flags cover execution concerns (output directory,
-seed override, worker threads).
+seed override).
 """
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from ._backend import backend_name
 from .config import load_config, seeded
 from .errors import CpfsimError
 from .runs import (
@@ -50,20 +49,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, type=Path, help="JSON run config")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the noise seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
-    v = sub.add_parser("validate", help="run the quick invariant suite")
-    v.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
+    sub.add_parser("validate", help="run the quick invariant suite")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "validate":
-        print(f"backend: {backend_name()}")
         return 0 if run_validation() else 1
     try:
         cfg = seeded(load_config(args.config), args.seed)
-        path = _RUNNERS[args.command](cfg, args.out, threads=max(1, args.threads))
+        path = _RUNNERS[args.command](cfg, args.out)
     except CpfsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

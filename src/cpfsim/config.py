@@ -86,13 +86,6 @@ class RunConfig:
     units: str
     raw: dict  # canonical echo for dataset headers
 
-    @property
-    def times(self):
-        """Grid of absolute times corresponding to gamma*t in [0, t_max_gamma]."""
-        import numpy as np
-
-        return np.linspace(0.0, self.t_max_gamma / self.bath.gamma, self.points)
-
     def report_time(self, t: float) -> float:
         return t * self.bath.gamma if self.units == "gamma_t" else t
 

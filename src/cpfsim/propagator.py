@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import two_time_trapezoid, volterra_trapezoid
 from .bath import BathKernel, LorentzianKernel, eval_kernel_grid
 from .cpf import InitialState
 from .errors import (
@@ -168,6 +167,107 @@ def _steps_on_grid(t_target: float, h: float, what: str) -> int:
             f"{what} = {t_target:g} is not a whole number of steps h = {h:g}"
         )
     return n
+
+
+# Quadrature kernels on the uniform grid t_i = i h (both second order):
+#
+# * volterra_trapezoid: trapezoidal product integration of
+#   dG/dt = -int_0^t f(t-s) G(s) ds, G(0) = 1. The time derivative is
+#   stepped with the trapezoidal (Crank-Nicolson) rule and the convolution
+#   integral is evaluated with the trapezoidal rule at both endpoints; the
+#   implicit G_{i+1} term is solved for in closed form.
+# * two_time_trapezoid: tensor-product trapezoid for
+#   G2(t_i, tau_j) = int_0^{t_i} dt' int_0^{tau_j} dtau'
+#                    f(tau' + t') G(t_i - t') G(tau_j - tau'),
+#   factorised into two passes of 1-D convolutions (O(n m (n + m)) instead
+#   of the naive O(n^2 m^2)). Memory is O(n m).
+
+
+def volterra_trapezoid(f: np.ndarray, h: float) -> np.ndarray:
+    """Solve the convoluted propagator equation on the grid t_i = i h.
+
+    Parameters
+    ----------
+    f:
+        Kernel samples f(i h), i = 0..n, complex.
+    h:
+        Grid step, > 0.
+
+    Returns
+    -------
+    Complex array G(i h), i = 0..n, with G[0] = 1 exactly.
+    """
+    f = np.ascontiguousarray(f, dtype=complex)
+    n = f.shape[0] - 1
+    G = np.empty(n + 1, dtype=complex)
+    G[0] = 1.0
+    if n == 0:
+        return G
+    fr = f[::-1]
+    gw = np.empty(n + 1, dtype=complex)  # G with the k=0 trapezoid half-weight
+    gw[0] = 0.5
+    I_prev = 0.0 + 0.0j  # trapezoidal convolution integral at step i
+    denom = 1.0 + h * h * f[0] / 4.0
+    hh = 0.5 * h * h
+    for i in range(n):
+        # P = sum_{k=0..i} c_k f[i+1-k] G[k], c_0 = 1/2, c_k = 1 otherwise
+        P = np.dot(fr[n - i - 1 : n], gw[: i + 1])
+        G_next = (G[i] - 0.5 * h * I_prev - hh * P) / denom
+        G[i + 1] = G_next
+        gw[i + 1] = G_next
+        I_prev = h * (P + 0.5 * f[0] * G_next)
+    return G
+
+
+def two_time_trapezoid(
+    f: np.ndarray, G_t: np.ndarray, G_tau: np.ndarray, h: float
+) -> np.ndarray:
+    """Tensor-product trapezoid of the double convolution on aligned grids.
+
+    Parameters
+    ----------
+    f:
+        Kernel samples f(i h), i = 0..n+m (needed up to t_max + tau_max).
+    G_t, G_tau:
+        Propagator samples on the t axis (0..n) and tau axis (0..m).
+    h:
+        Common grid step of all three sample arrays.
+
+    Returns
+    -------
+    Complex array of shape (n+1, m+1); first row and column are exactly 0
+    (empty integration range).
+    """
+    f = np.ascontiguousarray(f, dtype=complex)
+    G_t = np.ascontiguousarray(G_t, dtype=complex)
+    G_tau = np.ascontiguousarray(G_tau, dtype=complex)
+    n = G_t.shape[0] - 1
+    m = G_tau.shape[0] - 1
+    if f.shape[0] < n + m + 1:
+        raise ValueError(f"kernel samples cover {f.shape[0] - 1} steps, need {n + m}")
+
+    # Stage 1 (inner t' integral for every tau' offset l):
+    # H[i, l] = h [ sum_{k=0..i} f[k+l] G_t[i-k] - f[l] G_t[i]/2 - f[i+l] G_t[0]/2 ]
+    H = np.empty((n + 1, m + 1), dtype=complex)
+    for l in range(m + 1):
+        H[:, l] = np.convolve(f[l : l + n + 1], G_t)[: n + 1]
+    H -= 0.5 * np.outer(G_t, f[: m + 1])
+    hankel = f[np.arange(n + 1)[:, None] + np.arange(m + 1)[None, :]]
+    H -= (0.5 * G_t[0]) * hankel
+    H *= h
+    H[0, :] = 0.0
+
+    # Stage 2 (outer tau' integral for every t row):
+    # G2[i, j] = h [ sum_{l=0..j} H[i,l] G_tau[j-l] - H[i,0] G_tau[j]/2 - H[i,j] G_tau[0]/2 ]
+    G2 = np.empty((n + 1, m + 1), dtype=complex)
+    for i in range(n + 1):
+        G2[i, :] = np.convolve(H[i, :], G_tau)[: m + 1]
+    G2 -= 0.5 * np.outer(H[:, 0], G_tau)
+    G2 -= (0.5 * G_tau[0]) * H
+    G2 *= h
+    G2[:, 0] = 0.0
+    G2[0, :] = 0.0
+    return G2
 
 
 def solve_volterra(
@@ -311,6 +411,9 @@ def rates_from_G(G: PropagatorGrid) -> RateFunctions:
             idx = int(np.argmax(sign_change)) + 1
             raise PropagatorZeroCrossingError(index=idx, t=idx * G.t_step)
     log_g = np.log(v)
+    # the principal log jumps by 2 pi across the branch cut; unwrap only the
+    # phase so a rotating complex G gives a finite frequency shift
+    log_g = log_g.real + 1j * np.unwrap(log_g.imag)
     h = G.t_step
     d = np.empty_like(log_g)
     d[1:-1] = (log_g[2:] - log_g[:-2]) / (2.0 * h)

@@ -9,9 +9,8 @@ eight-entry probability tables; they must agree to 1e-9 in every row.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -78,43 +77,28 @@ def _appendix_d_blocks(cfg: RunConfig):
     return blocks
 
 
-def _map_points(fn: Callable, items: Sequence, threads: int) -> list:
-    """Apply a pure function over sweep points, preserving grid order."""
-    if threads <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _equal_times_row(
+def _cpf_pair(
     scheme: MeasurementScheme,
     state: InitialState,
     y: int,
     g_t: complex,
+    g_tau: complex,
     g2: complex,
-    t_report: float,
-    p_label: Optional[float],
-    ratio_label: Optional[float],
-) -> dict:
-    if y == +1:
-        closed = cpf_y_plus(scheme).value
-        table = cpf_from_table(build_table(scheme, state, g_t, g_t, g2, +1)).value
-    else:
-        closed = cpf_closed_form(scheme, state, g_t, g2).value
-        table = cpf_from_table(build_table(scheme, state, g_t, g_t, g2, -1)).value
-    return {
-        "scheme": scheme.value,
-        "y": y,
-        "p": p_label,
-        "gamma_tau_c": ratio_label,
-        "t": t_report,
-        "tau": t_report,
-        "cpf_closed": closed,
-        "cpf_table": table,
-    }
+) -> tuple[float, float]:
+    """(closed-form, table) CPF of one point; NaN for both where the
+    conditioning outcome y has zero probability."""
+    try:
+        if y == +1:
+            closed = cpf_y_plus(scheme).value
+        else:
+            closed = cpf_closed_form(scheme, state, g_t, g2).value
+        table = cpf_from_table(build_table(scheme, state, g_t, g_tau, g2, y)).value
+    except ConditioningImpossibleError:
+        closed = table = float("nan")
+    return closed, table
 
 
-def run_figure2(cfg: RunConfig, out_dir: Path, threads: int = 1) -> Path:
+def run_figure2(cfg: RunConfig, out_dir: Path) -> Path:
     """Equal-times correlation curves for the reference (scheme, bath, state)
     combinations, conditioned on y = -1, over gamma*t in [0, t_max_gamma]."""
     combos = _figure2_combos(cfg)
@@ -124,14 +108,22 @@ def run_figure2(cfg: RunConfig, out_dir: Path, threads: int = 1) -> Path:
         tau_c = 1.0
         gamma = ratio / tau_c
         state = InitialState.from_population(p)
-        times = gamma_t / gamma
-
-        def point(t, scheme=scheme, state=state, gamma=gamma, tau_c=tau_c, ratio=ratio, p=p):
+        for t in gamma_t / gamma:
             g_t = complex(lorentzian_G(gamma, tau_c, t))
             g2 = complex(lorentzian_G_two_time(gamma, tau_c, t, t))
-            return _equal_times_row(scheme, state, cfg.y, g_t, g2, t * gamma, p, ratio)
-
-        rows.extend(_map_points(point, times, threads))
+            closed, table = _cpf_pair(scheme, state, cfg.y, g_t, g_t, g2)
+            rows.append(
+                {
+                    "scheme": scheme.value,
+                    "y": cfg.y,
+                    "p": p,
+                    "gamma_tau_c": ratio,
+                    "t": t * gamma,
+                    "tau": t * gamma,
+                    "cpf_closed": closed,
+                    "cpf_table": table,
+                }
+            )
     return write_dataset(out_dir / "figure2.csv", CURVE_FIELDS, rows, cfg.raw)
 
 
@@ -151,15 +143,14 @@ def _figure2_combos(cfg: RunConfig):
     return tuple(combos)
 
 
-def run_appendix_d(cfg: RunConfig, out_dir: Path, threads: int = 1) -> Path:
+def run_appendix_d(cfg: RunConfig, out_dir: Path) -> Path:
     """Noise-study datasets: visibility matrix, the weak-memory case, and
     the y = +1 starvation case, all with Monte Carlo statistics."""
     if cfg.noise is None:
         raise ValidationError("config: noise: block required for appendix-d runs")
     gamma_t = np.linspace(0.0, cfg.t_max_gamma, cfg.points)
-
-    def block(spec):
-        scheme, ratio, p, y, visibility = spec
+    rows: list[dict] = []
+    for scheme, ratio, p, y, visibility in _appendix_d_blocks(cfg):
         tau_c = 1.0
         gamma = ratio / tau_c
         state = InitialState.from_population(p)
@@ -167,7 +158,7 @@ def run_appendix_d(cfg: RunConfig, out_dir: Path, threads: int = 1) -> Path:
         points = run_noise_study(
             state, scheme, LorentzianKernel(gamma, tau_c), gamma_t / gamma, noise, y=y
         )
-        return [
+        rows.extend(
             {
                 "scheme": scheme.value,
                 "y": y,
@@ -184,15 +175,11 @@ def run_appendix_d(cfg: RunConfig, out_dir: Path, threads: int = 1) -> Path:
                 "seed": noise.seed,
             }
             for pt in points
-        ]
-
-    rows: list[dict] = []
-    for chunk in _map_points(block, _appendix_d_blocks(cfg), threads):
-        rows.extend(chunk)
+        )
     return write_dataset(out_dir / "appendix_d.csv", NOISE_FIELDS, rows, cfg.raw)
 
 
-def run_witness_comparison(cfg: RunConfig, out_dir: Path, threads: int = 1) -> Path:
+def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
     """The central contrast in one table: per t, the non-operational
     witnesses (decay rate gamma(t), survival |G(t)|^2) next to the
     operational CPF(t, t) of both schemes.
@@ -306,7 +293,7 @@ def run_validation(writer: Callable[[str], None] = print) -> bool:
     return ok
 
 
-def run_sweep(cfg: RunConfig, out_dir: Path, threads: int = 1) -> Path:
+def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
     """Generic sweep over the configured schemes and grid, for analytic or
     tabulated baths. Tabulated baths run through the numerical pipeline
     (Volterra solve plus two-time quadrature) on the same grid."""
@@ -337,9 +324,7 @@ def run_sweep(cfg: RunConfig, out_dir: Path, threads: int = 1) -> Path:
     p_label = abs(cfg.state.a) ** 2
     rows = []
     for scheme in cfg.schemes:
-
-        def point(ij, scheme=scheme):
-            i, j = ij
+        for i, j in pairs:
             g_t = complex(g_vals[i])
             g_tau = complex(g_vals[j])
             if g2_surface is not None:
@@ -348,29 +333,17 @@ def run_sweep(cfg: RunConfig, out_dir: Path, threads: int = 1) -> Path:
                 g2 = complex(
                     lorentzian_G_two_time(gamma, cfg.bath.tau_c, times[i], times[j])
                 )
-            try:
-                if cfg.y == +1:
-                    closed = cpf_y_plus(scheme).value
-                    table = cpf_from_table(
-                        build_table(scheme, cfg.state, g_t, g_tau, g2, +1)
-                    ).value
-                else:
-                    closed = cpf_closed_form(scheme, cfg.state, g_t, g2).value
-                    table = cpf_from_table(
-                        build_table(scheme, cfg.state, g_t, g_tau, g2, -1)
-                    ).value
-            except ConditioningImpossibleError:
-                closed = table = float("nan")
-            return {
-                "scheme": scheme.value,
-                "y": cfg.y,
-                "p": p_label,
-                "gamma_tau_c": ratio_label,
-                "t": cfg.report_time(times[i]),
-                "tau": cfg.report_time(times[j]),
-                "cpf_closed": closed,
-                "cpf_table": table,
-            }
-
-        rows.extend(_map_points(point, pairs, threads))
+            closed, table = _cpf_pair(scheme, cfg.state, cfg.y, g_t, g_tau, g2)
+            rows.append(
+                {
+                    "scheme": scheme.value,
+                    "y": cfg.y,
+                    "p": p_label,
+                    "gamma_tau_c": ratio_label,
+                    "t": cfg.report_time(times[i]),
+                    "tau": cfg.report_time(times[j]),
+                    "cpf_closed": closed,
+                    "cpf_table": table,
+                }
+            )
     return write_dataset(out_dir / "sweep.csv", CURVE_FIELDS, rows, cfg.raw)

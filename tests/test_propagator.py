@@ -18,6 +18,7 @@ from cpfsim import (
     rho_t,
     solve_volterra,
 )
+from cpfsim.propagator import two_time_trapezoid, volterra_trapezoid
 from cpfsim.errors import (
     ConditioningImpossibleError,
     CoarseStepWarning,
@@ -292,6 +293,16 @@ class TestRates:
             rates_from_G(grid)
         assert abs(excinfo.value.t - 3 * np.pi / 2) < 0.02
 
+    def test_complex_G_phase_unwrapped(self):
+        # G = e^{-t/2 - 3 i t} winds through the branch cut of the principal
+        # log several times; the rates must stay gamma = 1/2, omega = 3
+        h = 0.01
+        ts = np.arange(0, 5 + h / 2, h)
+        grid = PropagatorGrid(t_step=h, values=np.exp(-ts / 2 - 3j * ts))
+        rates = rates_from_G(grid)
+        assert np.max(np.abs(rates.gamma_t - 0.5)) < 1e-9
+        assert np.max(np.abs(rates.omega_t - 3.0)) < 1e-9
+
     def test_rate_round_trip(self):
         # integrate gamma(t) + i omega(t) back to G, gamma tau_c = 0.4
         gamma, tau_c = 0.4, 1.0
@@ -362,3 +373,20 @@ class TestGridTypes:
         surface = compute_G_two_time(k, grid, 1.0, 1.0)
         path2 = write_two_time_csv(surface, tmp_path / "g2.csv")
         assert path2.read_text().splitlines()[2] == "t,tau,re,im"
+
+
+def test_short_inputs():
+    f = np.array([0.5 + 0j])
+    assert volterra_trapezoid(f, 0.01)[0] == 1.0
+    G = np.array([1.0 + 0j])
+    out = two_time_trapezoid(np.array([0.5 + 0j]), G, G, 0.01)
+    assert out.shape == (1, 1)
+    assert out[0, 0] == 0.0
+
+
+def test_kernel_length_validation():
+    h = 0.01
+    f = 0.5 * np.exp(-np.arange(501) * h).astype(complex)
+    G = volterra_trapezoid(f[:301], h)
+    with pytest.raises(ValueError):
+        two_time_trapezoid(f[:400], G, G, h)  # needs 601 samples
