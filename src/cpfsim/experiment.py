@@ -39,12 +39,7 @@ from .cpf import (
     cpf_from_table,
 )
 from .errors import ConditioningImpossibleError, NoDataError, ValidationError
-from .propagator import (
-    compute_G_two_time,
-    lorentzian_G,
-    lorentzian_G_two_time,
-    solve_volterra,
-)
+from .propagator import lorentzian_G, lorentzian_G_two_time, solve_two_time_rows
 
 _OUTCOMES = (+1, -1)
 _CELL_ORDER = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))  # fixed draw order
@@ -175,12 +170,11 @@ def _propagator_values(
     if t_step is None:
         raise ValidationError("tabulated kernels need an explicit t_step")
     t_max = float(np.max(times))
-    grid = solve_volterra(kernel, t_max, t_step)
-    surface = compute_G_two_time(kernel, grid, t_max, t_max)
     idx = np.asarray(np.rint(times / t_step), dtype=int)
-    if np.max(np.abs(idx * t_step - times)) > 1e-9 * max(1.0, t_max):
-        raise ValidationError("study times must lie on the integration grid")
-    return grid.values[idx], surface.values[idx, idx]
+    if np.min(idx) < 0 or np.max(np.abs(idx * t_step - times)) > 1e-9 * max(1.0, t_max):
+        raise ValidationError("study times must be >= 0 and lie on the integration grid")
+    grid, g2_rows = solve_two_time_rows(kernel, t_max, t_step, idx)
+    return grid.values[idx], g2_rows[np.arange(idx.size), idx]
 
 
 def run_noise_study(

@@ -179,8 +179,14 @@ def _steps_on_grid(t_target: float, h: float, what: str) -> int:
 # * two_time_trapezoid: tensor-product trapezoid for
 #   G2(t_i, tau_j) = int_0^{t_i} dt' int_0^{tau_j} dtau'
 #                    f(tau' + t') G(t_i - t') G(tau_j - tau'),
-#   factorised into two passes of 1-D convolutions (O(n m (n + m)) instead
-#   of the naive O(n^2 m^2)). Memory is O(n m).
+#   factorised into two 1-D convolutions per t row, each one FFT product of
+#   length L ~ max(n + m, 2 m). Only the requested rows are computed: P rows
+#   cost O(P (n + m) log(n + m)) time. Rows go through the FFTs in blocks of
+#   at most _FFT_BLOCK_BYTES per (rows x L) complex array, so the working
+#   memory is a few such blocks plus the (P, m + 1) result.
+
+# Size of one (rows x FFT length) complex block of two_time_trapezoid.
+_FFT_BLOCK_BYTES = 16 * 2**20
 
 
 def volterra_trapezoid(f: np.ndarray, h: float) -> np.ndarray:
@@ -219,8 +225,18 @@ def volterra_trapezoid(f: np.ndarray, h: float) -> np.ndarray:
     return G
 
 
+def _row_indices(rows, n: int) -> np.ndarray:
+    idx = np.asarray(rows)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise ValueError("rows must be a 1-D sequence of integer t indices")
+    idx = idx.astype(np.intp)
+    if idx.size and (idx.min() < 0 or idx.max() > n):
+        raise ValueError(f"rows must lie in [0, {n}]")
+    return idx
+
+
 def two_time_trapezoid(
-    f: np.ndarray, G_t: np.ndarray, G_tau: np.ndarray, h: float
+    f: np.ndarray, G_t: np.ndarray, G_tau: np.ndarray, h: float, rows=None
 ) -> np.ndarray:
     """Tensor-product trapezoid of the double convolution on aligned grids.
 
@@ -232,12 +248,17 @@ def two_time_trapezoid(
         Propagator samples on the t axis (0..n) and tau axis (0..m).
     h:
         Common grid step of all three sample arrays.
+    rows:
+        Integer t indices in [0, n] to compute, in any order; None for all
+        n + 1 rows.
 
     Returns
     -------
-    Complex array of shape (n+1, m+1); first row and column are exactly 0
-    (empty integration range).
+    Complex array of shape (len(rows), m+1), row k holding G2(rows[k] h, j h);
+    the t = 0 row and the tau = 0 column are exactly 0 (empty integration
+    range).
     """
+    fft = np.fft  # numpy loads its fft module on first use, not at import
     f = np.ascontiguousarray(f, dtype=complex)
     G_t = np.ascontiguousarray(G_t, dtype=complex)
     G_tau = np.ascontiguousarray(G_tau, dtype=complex)
@@ -245,29 +266,69 @@ def two_time_trapezoid(
     m = G_tau.shape[0] - 1
     if f.shape[0] < n + m + 1:
         raise ValueError(f"kernel samples cover {f.shape[0] - 1} steps, need {n + m}")
+    idx = np.arange(n + 1) if rows is None else _row_indices(rows, n)
+    G2 = np.empty((idx.size, m + 1), dtype=complex)
 
-    # Stage 1 (inner t' integral for every tau' offset l):
-    # H[i, l] = h [ sum_{k=0..i} f[k+l] G_t[i-k] - f[l] G_t[i]/2 - f[i+l] G_t[0]/2 ]
-    H = np.empty((n + 1, m + 1), dtype=complex)
-    for l in range(m + 1):
-        H[:, l] = np.convolve(f[l : l + n + 1], G_t)[: n + 1]
-    H -= 0.5 * np.outer(G_t, f[: m + 1])
-    hankel = f[np.arange(n + 1)[:, None] + np.arange(m + 1)[None, :]]
-    H -= (0.5 * G_t[0]) * hankel
-    H *= h
-    H[0, :] = 0.0
+    # Row i needs (G_t[:i+1] * f)[i + l] for l = 0..m, which only reads
+    # f[:i+m+1], and the causal part of H[i, :] * G_tau, which needs 2m + 1
+    # points: a circular convolution of length L has no wrap-around in either.
+    # The next power of two, at most twice that, keeps the FFTs fast.
+    top = int(idx.max(initial=0))
+    L = 1 << max(top + m, 2 * m).bit_length()
+    f_hat = fft.fft(f[:L], L)
+    G_tau_hat = fft.fft(G_tau, L)
+    G_t_pad = np.zeros(L, dtype=complex)
+    G_t_pad[: top + 1] = G_t[: top + 1]
+    f_windows = np.lib.stride_tricks.sliding_window_view(f[: top + m + 1], m + 1)
+    lag = np.arange(L)
+    block = max(1, _FFT_BLOCK_BYTES // (16 * L))
+    for start in range(0, idx.size, block):
+        i = idx[start : start + block]
+        b = np.arange(i.size)
 
-    # Stage 2 (outer tau' integral for every t row):
-    # G2[i, j] = h [ sum_{l=0..j} H[i,l] G_tau[j-l] - H[i,0] G_tau[j]/2 - H[i,j] G_tau[0]/2 ]
-    G2 = np.empty((n + 1, m + 1), dtype=complex)
-    for i in range(n + 1):
-        G2[i, :] = np.convolve(H[i, :], G_tau)[: m + 1]
-    G2 -= 0.5 * np.outer(H[:, 0], G_tau)
-    G2 -= (0.5 * G_tau[0]) * H
-    G2 *= h
-    G2[:, 0] = 0.0
-    G2[0, :] = 0.0
+        # Stage 1 (inner t' integral for every tau' offset l):
+        # H[i, l] = h [ sum_{k=0..i} f[k+l] G_t[i-k] - f[l] G_t[i]/2 - f[i+l] G_t[0]/2 ]
+        spec = fft.fft(np.where(lag <= i[:, None], G_t_pad, 0.0), axis=1)
+        spec *= f_hat
+        conv = fft.ifft(spec, axis=1)
+        H = np.lib.stride_tricks.sliding_window_view(conv, m + 1, axis=1)[b, i]
+        H -= 0.5 * G_t[i, None] * f[: m + 1]
+        H -= (0.5 * G_t[0]) * f_windows[i]
+        H *= h
+        H[i == 0] = 0.0
+
+        # Stage 2 (outer tau' integral for every t row):
+        # G2[i, j] = h [ sum_{l=0..j} H[i,l] G_tau[j-l] - H[i,0] G_tau[j]/2 - H[i,j] G_tau[0]/2 ]
+        spec = fft.fft(H, L, axis=1)
+        spec *= G_tau_hat
+        out = fft.ifft(spec, axis=1)[:, : m + 1]
+        out -= 0.5 * H[:, :1] * G_tau
+        out -= (0.5 * G_tau[0]) * H
+        out *= h
+        out[:, 0] = 0.0
+        out[i == 0] = 0.0
+        G2[start : start + i.size] = out
     return G2
+
+
+def _volterra_steps(
+    kernel: BathKernel, t_max: float, t_step: float, strict: bool
+) -> int:
+    """Number of steps of the Volterra grid, after the step checks of
+    :func:`solve_volterra` (the warning points at that function's caller)."""
+    if not (t_step > 0):
+        raise ValidationError(f"t_step must be > 0, got {t_step}")
+    if t_max < t_step:
+        raise ValidationError(f"t_max = {t_max:g} must be >= t_step = {t_step:g}")
+    if isinstance(kernel, LorentzianKernel) and t_step > kernel.tau_c / 4:
+        msg = (
+            f"t_step = {t_step:g} > tau_c/4 = {kernel.tau_c / 4:g}: "
+            "step too coarse to resolve the kernel"
+        )
+        if strict:
+            raise ValidationError(msg)
+        warnings.warn(msg, CoarseStepWarning, stacklevel=3)
+    return _steps_on_grid(t_max, t_step, "t_max")
 
 
 def solve_volterra(
@@ -280,22 +341,27 @@ def solve_volterra(
     kernel decay: with ``strict`` this is rejected, otherwise a
     :class:`CoarseStepWarning` is attached to the computation.
     """
-    if not (t_step > 0):
-        raise ValidationError(f"t_step must be > 0, got {t_step}")
-    if t_max < t_step:
-        raise ValidationError(f"t_max = {t_max:g} must be >= t_step = {t_step:g}")
-    if isinstance(kernel, LorentzianKernel) and t_step > kernel.tau_c / 4:
-        msg = (
-            f"t_step = {t_step:g} > tau_c/4 = {kernel.tau_c / 4:g}: "
-            "step too coarse to resolve the kernel"
-        )
-        if strict:
-            raise ValidationError(msg)
-        warnings.warn(msg, CoarseStepWarning, stacklevel=2)
-    n = _steps_on_grid(t_max, t_step, "t_max")
+    n = _volterra_steps(kernel, t_max, t_step, strict)
     f = eval_kernel_grid(kernel, np.arange(n + 1) * t_step)
     values = volterra_trapezoid(f, t_step)
     return PropagatorGrid(t_step=t_step, values=values)
+
+
+def solve_two_time_rows(
+    kernel: BathKernel, t_max: float, t_step: float, rows
+) -> tuple[PropagatorGrid, np.ndarray]:
+    """G(t) on [0, t_max] and G2(t_i, tau_j) on the requested t rows only.
+
+    The numerical route for a kernel without closed forms. The kernel is
+    sampled once on [0, 2 t_max]; the first half drives the Volterra solve
+    (as :func:`solve_volterra`, same checks and warning), all of it the
+    two-time quadrature. Row k of the returned (len(rows), n+1) array holds
+    G2(rows[k] t_step, j t_step), j = 0..n, with n = t_max / t_step.
+    """
+    n = _volterra_steps(kernel, t_max, t_step, strict=False)
+    f = eval_kernel_grid(kernel, np.arange(2 * n + 1) * t_step)
+    grid = PropagatorGrid(t_step=t_step, values=volterra_trapezoid(f[: n + 1], t_step))
+    return grid, two_time_trapezoid(f, grid.values, grid.values, t_step, rows=rows)
 
 
 def lorentzian_G(gamma: float, tau_c: float, t) -> np.ndarray | float:

@@ -37,6 +37,7 @@ from .propagator import (
     lorentzian_G,
     lorentzian_G_two_time,
     rates_from_G,
+    solve_two_time_rows,
     solve_volterra,
 )
 
@@ -96,6 +97,16 @@ def _cpf_pair(
     except ConditioningImpossibleError:
         closed = table = float("nan")
     return closed, table
+
+
+def _closed_or_nan(
+    scheme: MeasurementScheme, state: InitialState, g_t: complex, g2: complex
+) -> float:
+    """Closed-form CPF of one point; NaN where y = -1 has zero probability."""
+    try:
+        return cpf_closed_form(scheme, state, g_t, g2).value
+    except ConditioningImpossibleError:
+        return float("nan")
 
 
 def run_figure2(cfg: RunConfig, out_dir: Path) -> Path:
@@ -215,8 +226,8 @@ def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
                 "t": cfg.report_time(t),
                 "rate_gamma": rates.gamma_t[i],
                 "g_abs2": abs(g_t) ** 2,
-                "cpf_zzz": cpf_closed_form(MeasurementScheme.ZZZ, state, g_t, g2).value,
-                "cpf_xzx": cpf_closed_form(MeasurementScheme.XZX, state, g_t, g2).value,
+                "cpf_zzz": _closed_or_nan(MeasurementScheme.ZZZ, state, g_t, g2),
+                "cpf_xzx": _closed_or_nan(MeasurementScheme.XZX, state, g_t, g2),
                 "warning": warning if i == keep - 1 else "",
             }
         )
@@ -307,15 +318,15 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
         g_vals = np.asarray(lorentzian_G(gamma, tau_c, times), dtype=complex)
         g2_surface = None
     else:
-        kernel = cfg.bath.make_kernel()
         # integrate on a substep of the output grid no coarser than the
-        # default 1/(100 gamma), then subsample back to the output points
+        # default 1/(100 gamma); G2 is computed on the output rows only and
+        # both are subsampled back to the output points
         refine = max(1, int(np.ceil(h * 100.0 * gamma)))
-        h_int = h / refine
-        grid = solve_volterra(kernel, times[-1], h_int)
+        grid, g2_rows = solve_two_time_rows(
+            cfg.bath.make_kernel(), times[-1], h / refine, range(0, n * refine + 1, refine)
+        )
         g_vals = grid.values[::refine]
-        surface = compute_G_two_time(kernel, grid, times[-1], times[-1])
-        g2_surface = surface.values[::refine, ::refine]
+        g2_surface = g2_rows[:, ::refine]
     pairs = (
         [(i, i) for i in range(n + 1)]
         if cfg.equal_times

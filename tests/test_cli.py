@@ -225,6 +225,18 @@ class TestWitness:
         reported = float(warning.rsplit("=", 1)[1])
         assert reported == pytest.approx(3 * np.pi / 2, abs=0.15)
 
+    def test_impossible_conditioning_gives_nan(self, tmp_path):
+        # p = 1: at t = 0 the z-z-z outcome y = -1 has zero probability, so
+        # that value is NaN instead of aborting the run; x-z-x stays defined
+        cfg = write_config(tmp_path, {"state": {"p": 1.0}})
+        rc = main(["witness", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        _, rows = read_rows(tmp_path / "out" / "witness.csv")
+        assert float(rows[0]["t"]) == 0.0
+        assert rows[0]["cpf_zzz"] == "nan"
+        assert np.isfinite(float(rows[0]["cpf_xzx"]))
+        assert all(r["cpf_zzz"] != "nan" for r in rows[1:])
+
 
 class TestSweep:
     def test_equal_times_analytic(self, tmp_path):
@@ -237,7 +249,7 @@ class TestSweep:
             if r["cpf_closed"] != "nan":
                 assert abs(float(r["cpf_closed"]) - float(r["cpf_table"])) <= 1e-9
 
-    def test_threads_do_not_change_output(self, tmp_path):
+    def test_rerun_is_byte_identical(self, tmp_path):
         # reruns of one sweep are byte-identical
         cfg = write_config(tmp_path)
         main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "a")])
@@ -246,7 +258,9 @@ class TestSweep:
             tmp_path / "b" / "sweep.csv"
         ).read_bytes()
 
-    def test_tabulated_kernel_pipeline(self, tmp_path):
+    @staticmethod
+    def lorentzian_kernel_csv(tmp_path):
+        """The gamma = tau_c = 1 Lorentzian kernel tabulated at h = 0.05."""
         import cpfsim
 
         h = 0.05
@@ -256,10 +270,15 @@ class TestSweep:
         kpath.write_text(
             "t,re\n" + "\n".join(f"{t:.10g},{v.real:.10g}" for t, v in zip(ts, vals)) + "\n"
         )
+        return {"gamma": 1.0, "kernel_csv": str(kpath), "time_unit": "seconds"}
+
+    def test_tabulated_kernel_pipeline(self, tmp_path):
+        import cpfsim
+
         cfg = write_config(
             tmp_path,
             {
-                "bath": {"gamma": 1.0, "kernel_csv": str(kpath), "time_unit": "seconds"},
+                "bath": self.lorentzian_kernel_csv(tmp_path),
                 "schemes": ["zzz"],
                 "grid": {"t_max_gamma": 5.0, "points": 101, "equal_times": True},
             },
@@ -273,6 +292,37 @@ class TestSweep:
             g2 = float(cpfsim.lorentzian_G_two_time(1.0, 1.0, t, t))
             expect = cpfsim.cpf_zzz(cpfsim.InitialState.from_population(0.8), g_t, g2).value
             assert float(r["cpf_closed"]) == pytest.approx(expect, abs=2e-3)
+
+    def test_tabulated_kernel_full_grid(self, tmp_path):
+        # the 2D numerical pipeline: G2 on the output rows of the refined
+        # grid, subsampled to the output columns
+        import cpfsim
+
+        cfg = write_config(
+            tmp_path,
+            {
+                "bath": self.lorentzian_kernel_csv(tmp_path),
+                "grid": {"t_max_gamma": 4.0, "points": 5, "equal_times": False},
+            },
+        )
+        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        _, rows = read_rows(tmp_path / "out" / "sweep.csv")
+        assert len(rows) == 2 * 25
+        state = cpfsim.InitialState.from_population(0.8)
+        peak = 0.0
+        for r in rows:
+            t, tau = float(r["t"]), float(r["tau"])
+            if t == 0.0:
+                continue
+            g_t = float(cpfsim.lorentzian_G(1.0, 1.0, t))
+            g2 = float(cpfsim.lorentzian_G_two_time(1.0, 1.0, t, tau))
+            scheme = cpfsim.MeasurementScheme(r["scheme"])
+            expect = cpfsim.cpf_closed_form(scheme, state, g_t, g2).value
+            peak = max(peak, abs(expect))
+            assert float(r["cpf_closed"]) == pytest.approx(expect, abs=2e-3)
+            assert float(r["cpf_table"]) == pytest.approx(expect, abs=2e-3)
+        assert peak > 0.05
 
     def test_full_grid_mode(self, tmp_path):
         cfg = write_config(

@@ -253,3 +253,8 @@ class TestNoiseStudy:
         )
         for pt_tab, pt_ana in zip(points, analytic):
             assert pt_tab.ideal == pytest.approx(pt_ana.ideal, abs=1e-4)
+        for bad in ([-1.0, 2.0], [1.0, 2.01]):
+            with pytest.raises(ValidationError, match="integration grid"):
+                run_noise_study(
+                    state, MeasurementScheme.ZZZ, tab, np.array(bad), cfg, t_step=h
+                )

@@ -18,7 +18,8 @@ from cpfsim import (
     rho_t,
     solve_volterra,
 )
-from cpfsim.propagator import two_time_trapezoid, volterra_trapezoid
+from cpfsim import propagator
+from cpfsim.propagator import solve_two_time_rows, two_time_trapezoid, volterra_trapezoid
 from cpfsim.errors import (
     ConditioningImpossibleError,
     CoarseStepWarning,
@@ -390,3 +391,111 @@ def test_kernel_length_validation():
     G = volterra_trapezoid(f[:301], h)
     with pytest.raises(ValueError):
         two_time_trapezoid(f[:400], G, G, h)  # needs 601 samples
+
+
+def _two_time_reference(
+    f: np.ndarray, G_t: np.ndarray, G_tau: np.ndarray, h: float
+) -> np.ndarray:
+    """The direct np.convolve form of two_time_trapezoid: the full surface,
+    O(n m (n + m)), kept as the reference the FFT kernel is checked against."""
+    f = np.ascontiguousarray(f, dtype=complex)
+    G_t = np.ascontiguousarray(G_t, dtype=complex)
+    G_tau = np.ascontiguousarray(G_tau, dtype=complex)
+    n = G_t.shape[0] - 1
+    m = G_tau.shape[0] - 1
+    if f.shape[0] < n + m + 1:
+        raise ValueError(f"kernel samples cover {f.shape[0] - 1} steps, need {n + m}")
+
+    # Stage 1 (inner t' integral for every tau' offset l):
+    # H[i, l] = h [ sum_{k=0..i} f[k+l] G_t[i-k] - f[l] G_t[i]/2 - f[i+l] G_t[0]/2 ]
+    H = np.empty((n + 1, m + 1), dtype=complex)
+    for l in range(m + 1):
+        H[:, l] = np.convolve(f[l : l + n + 1], G_t)[: n + 1]
+    H -= 0.5 * np.outer(G_t, f[: m + 1])
+    hankel = f[np.arange(n + 1)[:, None] + np.arange(m + 1)[None, :]]
+    H -= (0.5 * G_t[0]) * hankel
+    H *= h
+    H[0, :] = 0.0
+
+    # Stage 2 (outer tau' integral for every t row):
+    # G2[i, j] = h [ sum_{l=0..j} H[i,l] G_tau[j-l] - H[i,0] G_tau[j]/2 - H[i,j] G_tau[0]/2 ]
+    G2 = np.empty((n + 1, m + 1), dtype=complex)
+    for i in range(n + 1):
+        G2[i, :] = np.convolve(H[i, :], G_tau)[: m + 1]
+    G2 -= 0.5 * np.outer(H[:, 0], G_tau)
+    G2 -= (0.5 * G_tau[0]) * H
+    G2 *= h
+    G2[:, 0] = 0.0
+    G2[0, :] = 0.0
+    return G2
+
+
+# The FFT kernel reorders the sums of the reference; bound set from float64
+# epsilon (2.2e-16) times the O(100) terms per sum, before any measurement.
+FFT_REL_TOL = 1e-13
+
+
+def _kernel_problem(n, m, rotating=False, h=0.01):
+    """Kernel samples on 0..n+m and the solved G on both axes."""
+    t = np.arange(n + m + 1) * h
+    f = 0.5 * np.exp(-t - (4j * t if rotating else 0.0))
+    G = volterra_trapezoid(f[: max(n, m) + 1], h)
+    return f, G[: n + 1], G[: m + 1], h
+
+
+class TestTwoTimeKernel:
+    @pytest.mark.parametrize(
+        "n, m, rotating",
+        [(120, 120, False), (150, 47, False), (40, 133, False), (700, 333, True)],
+    )
+    def test_matches_reference(self, n, m, rotating):
+        f, G_t, G_tau, h = _kernel_problem(n, m, rotating)
+        ref = _two_time_reference(f, G_t, G_tau, h)
+        out = two_time_trapezoid(f, G_t, G_tau, h)
+        assert out.shape == (n + 1, m + 1)
+        assert np.max(np.abs(out - ref)) <= FFT_REL_TOL * np.max(np.abs(ref))
+        assert np.all(out[0, :] == 0) and np.all(out[:, 0] == 0)
+        if rotating:
+            assert np.max(np.abs(ref.imag)) > 0.1 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("rotating", [False, True])
+    def test_row_subset_matches_reference(self, rotating):
+        n, m = 90, 61
+        f, G_t, G_tau, h = _kernel_problem(n, m, rotating)
+        ref = _two_time_reference(f, G_t, G_tau, h)
+        rows = [n, 0, 17, 17, 3, 0, n - 1]
+        out = two_time_trapezoid(f, G_t, G_tau, h, rows=rows)
+        assert out.shape == (len(rows), m + 1)
+        assert np.max(np.abs(out - ref[rows])) <= FFT_REL_TOL * np.max(np.abs(ref))
+        assert np.all(out[1] == 0) and np.all(out[:, 0] == 0)
+        # only the rows up to the largest requested one are read
+        low = two_time_trapezoid(f, G_t, G_tau, h, rows=range(0, 31, 5))
+        assert np.max(np.abs(low - ref[0:31:5])) <= FFT_REL_TOL * np.max(np.abs(ref))
+        assert two_time_trapezoid(f, G_t, G_tau, h, rows=[]).shape == (0, m + 1)
+
+    def test_one_row_per_block(self, monkeypatch):
+        f, G_t, G_tau, h = _kernel_problem(50, 50, rotating=True)
+        ref = _two_time_reference(f, G_t, G_tau, h)
+        monkeypatch.setattr(propagator, "_FFT_BLOCK_BYTES", 1)
+        out = two_time_trapezoid(f, G_t, G_tau, h, rows=[50, 0, 25])
+        assert np.max(np.abs(out - ref[[50, 0, 25]])) <= FFT_REL_TOL * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "rows", [[-1], [0, 11], [1.5], np.array([0.0, 2.0]), [[0, 1]], [True]]
+    )
+    def test_bad_rows_rejected(self, rows):
+        f, G_t, G_tau, h = _kernel_problem(10, 5)
+        with pytest.raises(ValueError):
+            two_time_trapezoid(f, G_t, G_tau, h, rows=rows)
+
+    def test_solve_rows_matches_full_pipeline(self):
+        k = LorentzianKernel(1.0, 1.0)
+        grid = solve_volterra(k, 2.0, 0.01)
+        surface = compute_G_two_time(k, grid, 2.0, 2.0)
+        rows = range(0, 201, 20)
+        row_grid, g2_rows = solve_two_time_rows(k, 2.0, 0.01, rows)
+        assert np.array_equal(row_grid.values, grid.values)
+        assert g2_rows.shape == (11, 201)
+        assert np.max(np.abs(g2_rows - surface.values[::20])) <= FFT_REL_TOL * np.max(
+            np.abs(surface.values)
+        )
