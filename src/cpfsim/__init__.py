@@ -36,15 +36,9 @@ from .cpf import (
     MeasurementScheme,
     ProbabilityTable,
     build_table,
-    build_table_xzx,
-    build_table_yzy,
-    build_table_zzz,
     cpf_closed_form,
     cpf_from_table,
-    cpf_xzx,
     cpf_y_plus,
-    cpf_yzy,
-    cpf_zzz,
 )
 from .experiment import (
     CountsTable,
@@ -94,17 +88,11 @@ __all__ = [
     "apply_visibility",
     "backflow_probabilities",
     "build_table",
-    "build_table_xzx",
-    "build_table_yzy",
-    "build_table_zzz",
     "compute_G_two_time",
     "conditional_table",
     "cpf_closed_form",
     "cpf_from_table",
-    "cpf_xzx",
     "cpf_y_plus",
-    "cpf_yzy",
-    "cpf_zzz",
     "estimate_cpf",
     "eval_kernel",
     "eval_kernel_grid",

@@ -36,6 +36,20 @@ from .experiment import ExperimentConfig
 
 _UNITS = ("gamma_t", "absolute")
 
+# Reference equal-times curves of figure2: (scheme, gamma tau_c, excited
+# population p), ordered from the strongest positive to the strongest
+# negative correlation; a "combos" list in the config replaces them.
+FIGURE2_COMBOS = (
+    (MeasurementScheme.ZZZ, 1.0, 0.8),
+    (MeasurementScheme.ZZZ, 0.5, 0.8),
+    (MeasurementScheme.XZX, 0.5, 1.0),
+    (MeasurementScheme.XZX, 1.0, 1.0),
+)
+
+# Visibility matrix of the coherent-scheme noise blocks of appendix-d; a
+# "visibilities" list in the config replaces it.
+DEFAULT_VISIBILITIES = (1.0, 0.9, 0.8)
+
 
 def _fail(field: str, message: str):
     raise ValidationError(f"config: {field}: {message}")
@@ -51,6 +65,13 @@ def _number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(field, f"expected a number, got {value!r}")
     return float(value)
+
+
+def _fraction(value, field: str) -> float:
+    number = _number(value, field)
+    if not (0.0 <= number <= 1.0):
+        _fail(field, "must lie in [0, 1]")
+    return number
 
 
 @dataclass(frozen=True)
@@ -84,6 +105,8 @@ class RunConfig:
     equal_times: bool
     noise: Optional[ExperimentConfig]
     units: str
+    combos: tuple[tuple[MeasurementScheme, float, float], ...]
+    visibilities: tuple[float, ...]
     raw: dict  # canonical echo for dataset headers
 
     def report_time(self, t: float) -> float:
@@ -118,10 +141,7 @@ def _parse_state(block, field: str) -> InitialState:
     if not isinstance(block, dict):
         _fail(field, "expected an object")
     if "p" in block:
-        p = _number(block["p"], f"{field}.p")
-        if not (0.0 <= p <= 1.0):
-            _fail(f"{field}.p", "must lie in [0, 1]")
-        return InitialState.from_population(p)
+        return InitialState.from_population(_fraction(block["p"], f"{field}.p"))
     if "a" in block and "b" in block:
 
         def as_complex(v, name):
@@ -145,13 +165,41 @@ def _parse_schemes(value, field: str) -> tuple[MeasurementScheme, ...]:
         value = [value]
     if not isinstance(value, list) or not value:
         _fail(field, "expected a non-empty list of scheme names")
-    schemes = []
-    for name in value:
-        try:
-            schemes.append(MeasurementScheme(str(name).lower()))
-        except ValueError:
-            _fail(field, f"unknown scheme {name!r}; valid: zzz, xzx, yzy")
-    return tuple(schemes)
+    return tuple(_scheme(name, field) for name in value)
+
+
+def _scheme(name, field: str) -> MeasurementScheme:
+    try:
+        return MeasurementScheme(str(name).lower())
+    except ValueError:
+        _fail(field, f"unknown scheme {name!r}; valid: zzz, xzx, yzy")
+
+
+def _parse_combos(value, field: str) -> tuple[tuple[MeasurementScheme, float, float], ...]:
+    if value is None:
+        return FIGURE2_COMBOS
+    if not isinstance(value, list):
+        _fail(field, "expected a list of {scheme, gamma_tau_c, p} objects")
+    combos = []
+    for k, item in enumerate(value):
+        where = f"{field}[{k}]"
+        if not isinstance(item, dict):
+            _fail(where, "expected an object with scheme, gamma_tau_c and p")
+        scheme = _scheme(_require(item, "scheme", where), f"{where}.scheme")
+        ratio = _number(_require(item, "gamma_tau_c", where), f"{where}.gamma_tau_c")
+        if ratio <= 0:
+            _fail(f"{where}.gamma_tau_c", "must be > 0")
+        p = _fraction(_require(item, "p", where), f"{where}.p")
+        combos.append((scheme, ratio, p))
+    return tuple(combos)
+
+
+def _parse_visibilities(value, field: str) -> tuple[float, ...]:
+    if value is None:
+        return DEFAULT_VISIBILITIES
+    if not isinstance(value, list):
+        _fail(field, "expected a list of numbers in [0, 1]")
+    return tuple(_fraction(v, f"{field}[{k}]") for k, v in enumerate(value))
 
 
 def _parse_noise(block, field: str) -> ExperimentConfig:
@@ -198,6 +246,8 @@ def parse_config(document: dict) -> RunConfig:
     units = document.get("units", "gamma_t")
     if units not in _UNITS:
         _fail("units", f"must be one of {_UNITS}, got {units!r}")
+    combos = _parse_combos(document.get("combos"), "combos")
+    visibilities = _parse_visibilities(document.get("visibilities"), "visibilities")
     return RunConfig(
         bath=bath,
         state=state,
@@ -208,6 +258,8 @@ def parse_config(document: dict) -> RunConfig:
         equal_times=equal_times,
         noise=noise,
         units=units,
+        combos=combos,
+        visibilities=visibilities,
         raw=document,
     )
 

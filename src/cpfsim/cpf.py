@@ -13,15 +13,18 @@ the joint conditional table P(z, x | y).
 
 Two independent routes are provided and cross-asserted in the test suite:
 
-* the explicit eight-entry tables (``build_table_*``), which are what the
+* the explicit eight-entry tables (``table_probs``), which are what the
   experiment estimates from coincidence counts, and
-* the reduced closed forms (``cpf_zzz``, ``cpf_xzx``, ``cpf_yzy``), all
-  proportional to the two-time memory object G2(t, tau).
+* the reduced closed forms (``closed_values``), all proportional to the
+  two-time memory object G2(t, tau).
 
-Conditioning on y = +1 gives exactly zero for every scheme. Conditioning
-outcomes whose probability vanishes raise
-:class:`ConditioningImpossibleError` rather than silently returning a
-number: the corresponding estimator would have zero counts.
+Both are NumPy expressions broadcast over arrays of propagator values, so a
+whole (t, tau) grid is one call; a point whose conditioning outcome has zero
+probability comes back as NaN, since its estimator would have zero counts.
+``build_table``, ``cpf_closed_form`` and ``cpf_from_table`` are the
+one-point API over them: there such a point raises
+:class:`ConditioningImpossibleError` rather than returning a number.
+Conditioning on y = +1 gives exactly zero for every scheme.
 """
 from __future__ import annotations
 
@@ -42,6 +45,8 @@ _OUTCOMES = (+1, -1)
 _CELLS = tuple((z, x) for z in _OUTCOMES for x in _OUTCOMES)
 _DENOM_TOL = 1e-12
 _ENTRY_TOL = 1e-9  # defensive slack for analytically-in-range entries
+_CPF_TOL = 1e-12
+_IMPOSSIBLE = "P(y=-1) ~ 0: system cannot be found decayed (e.g. t = 0 with b = 0)"
 
 
 class MeasurementScheme(Enum):
@@ -119,176 +124,137 @@ class CpfResult:
     tau: Optional[float] = None
 
     def __post_init__(self):
-        if abs(self.value) > 1.0 + 1e-12:
+        if abs(self.value) > 1.0 + _CPF_TOL:
             raise ValidationError(
                 f"|CPF| = {abs(self.value):g} > 1 is impossible for +-1 outcomes"
             )
+
+
+def _covariance(p):
+    """<O_z O_x> - <O_z><O_x> of the cells P(z, x) in _CELLS order.
+
+    ``p`` is a 4-sequence of floats, evaluated in plain Python arithmetic,
+    or an array of shape (..., 4).
+    """
+    p0, p1, p2, p3 = np.moveaxis(p, -1, 0) if isinstance(p, np.ndarray) else p
+    return (((p0 - p1) - p2) + p3) - ((p0 + p1) - (p2 + p3)) * ((p0 + p2) - (p1 + p3))
+
+
+def _bounded(values: np.ndarray) -> np.ndarray:
+    """``values``, after checking |CPF| <= 1 wherever they are numbers."""
+    magnitude = np.abs(values)
+    if np.any(magnitude > 1.0 + _CPF_TOL):
+        raise ValidationError(
+            f"|CPF| = {np.nanmax(magnitude):g} > 1 is impossible for +-1 outcomes"
+        )
+    return values
 
 
 def cpf_from_table(
     tbl: ProbabilityTable, t: Optional[float] = None, tau: Optional[float] = None
 ) -> CpfResult:
     """CPF correlation <O_z O_x>_y - <O_z>_y <O_x>_y from the table entries."""
-    mean_zx = sum(z * x * tbl.p(z, x) for z, x in _CELLS)
-    mean_z = sum(z * tbl.p_z(z) for z in _OUTCOMES)
-    mean_x = sum(x * tbl.p_x(x) for x in _OUTCOMES)
-    return CpfResult(
-        value=mean_zx - mean_z * mean_x, y=tbl.y, scheme=tbl.scheme, t=t, tau=tau
-    )
+    value = _covariance([tbl.entries[cell] for cell in _CELLS])
+    return CpfResult(value=value, y=tbl.y, scheme=tbl.scheme, t=t, tau=tau)
 
 
-def _clamp_entry(p: float, where: str) -> float:
-    if p < -_ENTRY_TOL or p > 1.0 + _ENTRY_TOL:
-        raise InternalConsistencyError(f"{where}: entry {p!r} outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
+def table_correlation(probs: np.ndarray) -> np.ndarray:
+    """CPF correlation of tables of shape (..., 4) from ``table_probs``."""
+    return _bounded(_covariance(probs))
 
 
-def build_table_zzz(
-    state: InitialState, G_t: complex, G_tau: complex, G_two: complex, y: int
-) -> ProbabilityTable:
-    """Joint conditional table for the z-z-z scheme.
+def _decay_probability(state: InitialState, G_t) -> np.ndarray:
+    """z-z-z P(y = -1) = (1 - |G(t)|^2)|a|^2 + |b|^2, the probability of
+    finding the system decayed at t; NaN where it vanishes."""
+    denom = (1.0 - np.abs(G_t) ** 2) * abs(state.a) ** 2 + abs(state.b) ** 2
+    return np.where(denom > _DENOM_TOL, denom, np.nan)
 
-    For y = +1 the past is pinned to x = +1 and the future entries are
-    |G(tau)|^2 and 1 - |G(tau)|^2. For y = -1 all entries share the
-    normalization D = (1 - |G(t)|^2)|a|^2 + |b|^2, the probability of
-    finding the system decayed at t.
+
+def _entries(where: str, cells, shape, possible=True) -> np.ndarray:
+    """Stack the four cell values along a last axis, check that every entry
+    of a possible point lies in [0, 1] up to _ENTRY_TOL and clamp it there;
+    the rows of impossible points are NaN."""
+    p = np.stack([np.broadcast_to(c, shape) for c in cells], axis=-1)
+    possible = np.broadcast_to(possible, shape)[..., None]
+    bad = possible & ~((p >= -_ENTRY_TOL) & (p <= 1.0 + _ENTRY_TOL))
+    if np.any(bad):
+        raise InternalConsistencyError(f"{where}: entry {float(p[bad][0])!r} outside [0, 1]")
+    return np.where(possible, np.clip(p, 0.0, 1.0), np.nan)
+
+
+def table_probs(
+    scheme: MeasurementScheme, state: InitialState, y: int, G_t, G_tau, G_two
+) -> np.ndarray:
+    """Joint conditional tables P(z, x | y) over broadcast propagator values,
+    shape (..., 4) with the cells in _CELLS order.
+
+    z-z-z: for y = +1 the past is pinned to x = +1 and the future entries
+    are |G(tau)|^2 and 1 - |G(tau)|^2; for y = -1 all entries share the
+    normalization D = P(y = -1), and points with D ~ 0 are NaN rows.
+    x-z-x and y-z-y: the past outcome carries weight w(x) = P(x), which is
+    |a + x b|^2 / 2 for x-z-x and |a - i x b|^2 / 2 = (1 - 2 x Im(a b*)) / 2
+    for y-z-y, independent of y. For y = +1 the table is the z-independent
+    w(x)/2; for y = -1 it is w(x) [1 - zx kappa] / 2 with the interference
+    term kappa = 2 Re G2 / (2 - |G(t)|^2).
     """
     if y not in _OUTCOMES:
         raise ValidationError(f"y must be +1 or -1, got {y}")
-    g_t2 = abs(complex(G_t)) ** 2
-    if y == +1:
-        g_tau2 = abs(complex(G_tau)) ** 2
-        entries = {
-            (+1, +1): _clamp_entry(g_tau2, "zzz y=+1"),
-            (+1, -1): 0.0,
-            (-1, +1): _clamp_entry(1.0 - g_tau2, "zzz y=+1"),
-            (-1, -1): 0.0,
-        }
-        return ProbabilityTable(scheme=MeasurementScheme.ZZZ, y=+1, entries=entries)
-    a2 = abs(state.a) ** 2
-    b2 = abs(state.b) ** 2
-    denom = (1.0 - g_t2) * a2 + b2
-    if denom <= _DENOM_TOL:
-        raise ConditioningImpossibleError(
-            "P(y=-1) ~ 0: system cannot be found decayed (e.g. t = 0 with b = 0)"
+    where = f"{scheme.value} y={y:+d}"
+    shape = np.broadcast_shapes(np.shape(G_t), np.shape(G_tau), np.shape(G_two))
+    if scheme is MeasurementScheme.ZZZ:
+        if y == +1:
+            g_tau2 = np.abs(G_tau) ** 2
+            return _entries(where, (g_tau2, 0.0, 1.0 - g_tau2, 0.0), shape)
+        a2 = abs(state.a) ** 2
+        b2 = abs(state.b) ** 2
+        denom = _decay_probability(state, G_t)
+        g_two2 = np.abs(G_two) ** 2
+        cells = (
+            g_two2 * a2 / denom,
+            0.0,
+            (1.0 - g_two2 - np.abs(G_t) ** 2) * a2 / denom,
+            b2 / denom,
         )
-    g_two2 = abs(complex(G_two)) ** 2
-    entries = {
-        (+1, +1): _clamp_entry(g_two2 * a2 / denom, "zzz y=-1"),
-        (+1, -1): 0.0,
-        (-1, +1): _clamp_entry((1.0 - g_two2 - g_t2) * a2 / denom, "zzz y=-1"),
-        (-1, -1): _clamp_entry(b2 / denom, "zzz y=-1"),
-    }
-    return ProbabilityTable(scheme=MeasurementScheme.ZZZ, y=-1, entries=entries)
-
-
-def _coherent_table(
-    scheme: MeasurementScheme,
-    past_weights: dict[int, float],
-    G_t: complex,
-    G_two: complex,
-    y: int,
-) -> ProbabilityTable:
-    """Shared x-z-x / y-z-y table: P(z,x|y) = w(x) [1 - zx kappa] / 2 for
-    y = -1, and z-independent w(x)/2 for y = +1, where w(x) = P(x) and
-    kappa = 2 Re G2 / (2 - |G(t)|^2)."""
+        return _entries(where, cells, shape, possible=~np.isnan(denom))
+    if scheme is MeasurementScheme.XZX:
+        weights = {x: abs(state.a + x * state.b) ** 2 / 2.0 for x in _OUTCOMES}
+    else:
+        weights = {x: abs(state.a - 1j * x * state.b) ** 2 / 2.0 for x in _OUTCOMES}
     if y == +1:
-        entries = {
-            (z, x): _clamp_entry(past_weights[x] / 2.0, f"{scheme.value} y=+1")
-            for z, x in _CELLS
-        }
-        return ProbabilityTable(scheme=scheme, y=+1, entries=entries)
-    g_t2 = abs(complex(G_t)) ** 2
-    interference = 2.0 * complex(G_two).real
-    if abs(interference) > 2.0 - g_t2 + _ENTRY_TOL:
+        return _entries(where, [weights[x] / 2.0 for _, x in _CELLS], shape)
+    g_t2, interference = np.broadcast_arrays(np.abs(G_t) ** 2, 2.0 * np.real(G_two))
+    excess = np.abs(interference) > 2.0 - g_t2 + _ENTRY_TOL
+    if np.any(excess):
         raise InternalConsistencyError(
-            f"|2 Re G2| = {abs(interference):g} exceeds 2 - |G|^2 = {2.0 - g_t2:g}"
+            f"|2 Re G2| = {abs(interference[excess][0]):g} exceeds "
+            f"2 - |G|^2 = {2.0 - g_t2[excess][0]:g}"
         )
     kappa = interference / (2.0 - g_t2)
-    entries = {
-        (z, x): _clamp_entry(
-            past_weights[x] * (1.0 - z * x * kappa) / 2.0, f"{scheme.value} y=-1"
-        )
-        for z, x in _CELLS
-    }
-    return ProbabilityTable(scheme=scheme, y=-1, entries=entries)
+    cells = [weights[x] * (1.0 - z * x * kappa) / 2.0 for z, x in _CELLS]
+    return _entries(where, cells, shape)
 
 
-def build_table_xzx(
-    state: InitialState, G_t: complex, G_two: complex, y: int
-) -> ProbabilityTable:
-    """Joint conditional table for the x-z-x scheme.
+def closed_values(
+    scheme: MeasurementScheme, state: InitialState, G_t, G_two
+) -> np.ndarray:
+    """Closed-form y = -1 correlation over broadcast propagator values; NaN
+    where y = -1 has zero probability.
 
-    The past outcome carries weight P(x) = |a + x b|^2 / 2, independent of
-    y; only the y = -1 future acquires the interference term in Re G2.
+    z-z-z: 4 |a|^2 |b|^2 |G2|^2 / D^2 with D = P(y = -1); non-negative,
+    quadratic in G2. x-z-x: -(1 - (2 Re(a b*))^2) Re G2 / (1 - |G(t)|^2 / 2),
+    linear in Re G2 with opposite sign, and the denominator never falls
+    below 1/2. y-z-y: as x-z-x with Im(a b*).
     """
-    if y not in _OUTCOMES:
-        raise ValidationError(f"y must be +1 or -1, got {y}")
-    weights = {x: abs(state.a + x * state.b) ** 2 / 2.0 for x in _OUTCOMES}
-    return _coherent_table(MeasurementScheme.XZX, weights, G_t, G_two, y)
-
-
-def build_table_yzy(
-    state: InitialState, G_t: complex, G_two: complex, y: int
-) -> ProbabilityTable:
-    """Joint conditional table for the y-z-y scheme.
-
-    Identical interference structure to x-z-x with past weights
-    P(x) = |a - i x b|^2 / 2 = (1 - 2 x Im(a b*)) / 2.
-    """
-    if y not in _OUTCOMES:
-        raise ValidationError(f"y must be +1 or -1, got {y}")
-    weights = {x: abs(state.a - 1j * x * state.b) ** 2 / 2.0 for x in _OUTCOMES}
-    return _coherent_table(MeasurementScheme.YZY, weights, G_t, G_two, y)
-
-
-def cpf_zzz(
-    state: InitialState,
-    G_t: complex,
-    G_two: complex,
-    t: Optional[float] = None,
-    tau: Optional[float] = None,
-) -> CpfResult:
-    """Closed-form z-z-z correlation at y = -1; non-negative, quadratic in G2."""
-    a2 = abs(state.a) ** 2
-    b2 = abs(state.b) ** 2
-    g_t2 = abs(complex(G_t)) ** 2
-    denom = (1.0 - g_t2) * a2 + b2
-    if denom <= _DENOM_TOL:
-        raise ConditioningImpossibleError(
-            "P(y=-1) ~ 0: system cannot be found decayed (e.g. t = 0 with b = 0)"
-        )
-    value = (4.0 * a2 * b2 / denom**2) * abs(complex(G_two)) ** 2
-    return CpfResult(value=value, y=-1, scheme=MeasurementScheme.ZZZ, t=t, tau=tau)
-
-
-def cpf_xzx(
-    state: InitialState,
-    G_t: complex,
-    G_two: complex,
-    t: Optional[float] = None,
-    tau: Optional[float] = None,
-) -> CpfResult:
-    """Closed-form x-z-x correlation at y = -1; linear in Re G2 with
-    opposite sign. The denominator 1 - |G|^2/2 never falls below 1/2."""
-    prefactor = 1.0 - (2.0 * (state.a * np.conj(state.b)).real) ** 2
-    denom = 1.0 - abs(complex(G_t)) ** 2 / 2.0
-    value = -(prefactor / denom) * complex(G_two).real
-    return CpfResult(value=value, y=-1, scheme=MeasurementScheme.XZX, t=t, tau=tau)
-
-
-def cpf_yzy(
-    state: InitialState,
-    G_t: complex,
-    G_two: complex,
-    t: Optional[float] = None,
-    tau: Optional[float] = None,
-) -> CpfResult:
-    """Closed-form y-z-y correlation at y = -1: as x-z-x with Im(a b*)."""
-    prefactor = 1.0 - (2.0 * (state.a * np.conj(state.b)).imag) ** 2
-    denom = 1.0 - abs(complex(G_t)) ** 2 / 2.0
-    value = -(prefactor / denom) * complex(G_two).real
-    return CpfResult(value=value, y=-1, scheme=MeasurementScheme.YZY, t=t, tau=tau)
+    if scheme is MeasurementScheme.ZZZ:
+        a2 = abs(state.a) ** 2
+        b2 = abs(state.b) ** 2
+        denom = _decay_probability(state, G_t)
+        return _bounded((4.0 * a2 * b2 / denom**2) * np.abs(G_two) ** 2)
+    overlap = state.a * np.conj(state.b)
+    coherence = overlap.real if scheme is MeasurementScheme.XZX else overlap.imag
+    prefactor = 1.0 - (2.0 * coherence) ** 2
+    denom = 1.0 - np.abs(G_t) ** 2 / 2.0
+    return _bounded(-(prefactor / denom) * np.real(G_two))
 
 
 def cpf_y_plus(
@@ -310,12 +276,11 @@ def cpf_closed_form(
     t: Optional[float] = None,
     tau: Optional[float] = None,
 ) -> CpfResult:
-    """Dispatch to the y = -1 closed form of the given scheme."""
-    if scheme is MeasurementScheme.ZZZ:
-        return cpf_zzz(state, G_t, G_two, t=t, tau=tau)
-    if scheme is MeasurementScheme.XZX:
-        return cpf_xzx(state, G_t, G_two, t=t, tau=tau)
-    return cpf_yzy(state, G_t, G_two, t=t, tau=tau)
+    """The y = -1 closed form of the given scheme at one point."""
+    value = float(closed_values(scheme, state, G_t, G_two))
+    if math.isnan(value):
+        raise ConditioningImpossibleError(_IMPOSSIBLE)
+    return CpfResult(value=value, y=-1, scheme=scheme, t=t, tau=tau)
 
 
 def build_table(
@@ -326,9 +291,8 @@ def build_table(
     G_two: complex,
     y: int,
 ) -> ProbabilityTable:
-    """Dispatch to the table builder of the given scheme."""
-    if scheme is MeasurementScheme.ZZZ:
-        return build_table_zzz(state, G_t, G_tau, G_two, y)
-    if scheme is MeasurementScheme.XZX:
-        return build_table_xzx(state, G_t, G_two, y)
-    return build_table_yzy(state, G_t, G_two, y)
+    """The joint conditional table of the given scheme at one point."""
+    probs = table_probs(scheme, state, y, G_t, G_tau, G_two).tolist()
+    if math.isnan(probs[0]):
+        raise ConditioningImpossibleError(_IMPOSSIBLE)
+    return ProbabilityTable(scheme=scheme, y=y, entries=dict(zip(_CELLS, probs)))

@@ -31,6 +31,8 @@ import numpy as np
 
 from .bath import BathKernel, LorentzianKernel
 from .cpf import (
+    _CELLS,
+    _OUTCOMES,
     CpfResult,
     InitialState,
     MeasurementScheme,
@@ -40,9 +42,6 @@ from .cpf import (
 )
 from .errors import ConditioningImpossibleError, NoDataError, ValidationError
 from .propagator import lorentzian_G, lorentzian_G_two_time, solve_two_time_rows
-
-_OUTCOMES = (+1, -1)
-_CELL_ORDER = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))  # fixed draw order
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,7 @@ class CountsTable:
     counts: Mapping[tuple[int, int], int]
 
     def __post_init__(self):
-        if set(self.counts.keys()) != set(_CELL_ORDER):
+        if set(self.counts.keys()) != set(_CELLS):
             raise ValidationError("counts must cover exactly the four (z, x) cells")
         counts = {k: int(v) for k, v in self.counts.items()}
         if any(v < 0 for v in counts.values()):
@@ -112,7 +111,7 @@ def sample_counts(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     counts = {
-        cell: int(rng.poisson(cfg.total_counts * tbl.p(*cell))) for cell in _CELL_ORDER
+        cell: int(rng.poisson(cfg.total_counts * tbl.p(*cell))) for cell in _CELLS
     }
     return CountsTable(scheme=tbl.scheme, y=tbl.y, counts=counts)
 
@@ -125,7 +124,7 @@ def estimate_cpf(
     total = counts.total
     if total == 0:
         raise NoDataError("no coincidences registered; cannot estimate")
-    entries = {cell: counts.counts[cell] / total for cell in _CELL_ORDER}
+    entries = {cell: counts.counts[cell] / total for cell in _CELLS}
     tbl = ProbabilityTable(scheme=counts.scheme, y=counts.y, entries=entries)
     return cpf_from_table(tbl, t=t, tau=tau)
 

@@ -35,9 +35,11 @@ def format_value(v) -> str:
 def write_dataset(
     path: Union[str, Path],
     fieldnames: Sequence[str],
-    rows: Iterable[Mapping[str, object]],
+    rows: Iterable[Sequence[object]],
     config_echo: Mapping[str, object],
 ) -> Path:
+    """Write ``rows``, each a sequence of values in ``fieldnames`` order,
+    below the version and config-echo header."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -50,16 +52,13 @@ def write_dataset(
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fieldnames)
         for row in rows:
-            writer.writerow([format_value(row.get(name)) for name in fieldnames])
+            writer.writerow(map(format_value, row))
     return path
 
 
 def write_propagator_csv(grid: PropagatorGrid, path: Union[str, Path]) -> Path:
     """Long-format export: t, re, im."""
-    rows = (
-        {"t": t, "re": v.real, "im": v.imag}
-        for t, v in zip(grid.times, grid.values)
-    )
+    rows = ((t, v.real, v.imag) for t, v in zip(grid.times, grid.values))
     return write_dataset(path, ["t", "re", "im"], rows, {"t_step": grid.t_step})
 
 
@@ -70,7 +69,7 @@ def write_two_time_csv(grid: TwoTimeGrid, path: Union[str, Path]) -> Path:
         for i, t in enumerate(grid.t_times):
             for j, tau in enumerate(grid.tau_times):
                 v = grid.values[i, j]
-                yield {"t": t, "tau": tau, "re": v.real, "im": v.imag}
+                yield t, tau, v.real, v.imag
 
     return write_dataset(
         path,
@@ -84,8 +83,5 @@ def write_joint_csv(
     joint: Mapping[tuple[int, int, int], float], path: Union[str, Path]
 ) -> Path:
     """Audit export of an enumerated joint distribution: x, y, z, probability."""
-    rows = (
-        {"x": x, "y": y, "z": z, "probability": p}
-        for (x, y, z), p in sorted(joint.items(), reverse=True)
-    )
+    rows = ((x, y, z, p) for (x, y, z), p in sorted(joint.items(), reverse=True))
     return write_dataset(path, ["x", "y", "z", "probability"], rows, {})

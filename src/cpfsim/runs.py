@@ -9,6 +9,7 @@ eight-entry probability tables; they must agree to 1e-9 in every row.
 from __future__ import annotations
 
 import dataclasses
+from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
@@ -19,16 +20,13 @@ from .config import RunConfig
 from .cpf import (
     InitialState,
     MeasurementScheme,
-    build_table,
+    closed_values,
     cpf_closed_form,
     cpf_from_table,
-    cpf_y_plus,
+    table_correlation,
+    table_probs,
 )
-from .errors import (
-    ConditioningImpossibleError,
-    PropagatorZeroCrossingError,
-    ValidationError,
-)
+from .errors import PropagatorZeroCrossingError, ValidationError
 from .experiment import run_noise_study
 from .io import write_dataset
 from .propagator import (
@@ -48,28 +46,12 @@ NOISE_FIELDS = [
 ]
 WITNESS_FIELDS = ["t", "rate_gamma", "g_abs2", "cpf_zzz", "cpf_xzx", "warning"]
 
-# Reference equal-times curves: (scheme, gamma tau_c, excited population p),
-# ordered from the strongest positive to the strongest negative correlation.
-FIGURE2_COMBOS = (
-    (MeasurementScheme.ZZZ, 1.0, 0.8),
-    (MeasurementScheme.ZZZ, 0.5, 0.8),
-    (MeasurementScheme.XZX, 0.5, 1.0),
-    (MeasurementScheme.XZX, 1.0, 1.0),
-)
-
-# Default visibility matrix of the coherent-scheme noise blocks; a
-# "visibilities" list in the config overrides it.
-DEFAULT_VISIBILITIES = (1.0, 0.9, 0.8)
-
 
 def _appendix_d_blocks(cfg: RunConfig):
     """Noise-study blocks: (scheme, gamma tau_c, p, y, visibility): the
     visibility matrix for x-z-x, the incoherent z-z-z reference, the
     weak-memory case, and the count-starved y = +1 case."""
-    visibilities = tuple(
-        float(v) for v in cfg.raw.get("visibilities", DEFAULT_VISIBILITIES)
-    )
-    blocks = [(MeasurementScheme.XZX, 1.0, 1.0, -1, v) for v in visibilities]
+    blocks = [(MeasurementScheme.XZX, 1.0, 1.0, -1, v) for v in cfg.visibilities]
     blocks += [
         (MeasurementScheme.ZZZ, 1.0, 0.8, -1, 1.0),
         (MeasurementScheme.ZZZ, 0.1, 0.8, -1, 1.0),
@@ -78,80 +60,38 @@ def _appendix_d_blocks(cfg: RunConfig):
     return blocks
 
 
-def _cpf_pair(
-    scheme: MeasurementScheme,
-    state: InitialState,
-    y: int,
-    g_t: complex,
-    g_tau: complex,
-    g2: complex,
-) -> tuple[float, float]:
-    """(closed-form, table) CPF of one point; NaN for both where the
-    conditioning outcome y has zero probability."""
-    try:
-        if y == +1:
-            closed = cpf_y_plus(scheme).value
-        else:
-            closed = cpf_closed_form(scheme, state, g_t, g2).value
-        table = cpf_from_table(build_table(scheme, state, g_t, g_tau, g2, y)).value
-    except ConditioningImpossibleError:
-        closed = table = float("nan")
-    return closed, table
+def _cpf_columns(
+    scheme: MeasurementScheme, state: InitialState, y: int, g_t, g_tau, g2
+) -> tuple[np.ndarray, np.ndarray]:
+    """(closed-form, table) CPF of one scheme over broadcast propagator
+    arrays; NaN in both where the conditioning outcome y has zero probability."""
+    table = table_correlation(table_probs(scheme, state, y, g_t, g_tau, g2))
+    if y == +1:
+        return np.zeros_like(table), table
+    return closed_values(scheme, state, g_t, g2), table
 
 
-def _closed_or_nan(
-    scheme: MeasurementScheme, state: InitialState, g_t: complex, g2: complex
-) -> float:
-    """Closed-form CPF of one point; NaN where y = -1 has zero probability."""
-    try:
-        return cpf_closed_form(scheme, state, g_t, g2).value
-    except ConditioningImpossibleError:
-        return float("nan")
+def _curve_rows(scheme, y, p, ratio, t, tau, closed, table):
+    """CURVE_FIELDS rows of one scheme, from arrays of one shape."""
+    columns = (a.ravel().tolist() for a in (t, tau, closed, table))
+    return zip(repeat(scheme.value), repeat(y), repeat(p), repeat(ratio), *columns)
 
 
 def run_figure2(cfg: RunConfig, out_dir: Path) -> Path:
     """Equal-times correlation curves for the reference (scheme, bath, state)
     combinations, conditioned on y = -1, over gamma*t in [0, t_max_gamma]."""
-    combos = _figure2_combos(cfg)
     gamma_t = np.linspace(0.0, cfg.t_max_gamma, cfg.points)
-    rows: list[dict] = []
-    for scheme, ratio, p in combos:
+    rows: list[tuple] = []
+    for scheme, ratio, p in cfg.combos:
         tau_c = 1.0
         gamma = ratio / tau_c
+        t = gamma_t / gamma
+        g_t = lorentzian_G(gamma, tau_c, t)
+        g2 = lorentzian_G_two_time(gamma, tau_c, t, t)
         state = InitialState.from_population(p)
-        for t in gamma_t / gamma:
-            g_t = complex(lorentzian_G(gamma, tau_c, t))
-            g2 = complex(lorentzian_G_two_time(gamma, tau_c, t, t))
-            closed, table = _cpf_pair(scheme, state, cfg.y, g_t, g_t, g2)
-            rows.append(
-                {
-                    "scheme": scheme.value,
-                    "y": cfg.y,
-                    "p": p,
-                    "gamma_tau_c": ratio,
-                    "t": t * gamma,
-                    "tau": t * gamma,
-                    "cpf_closed": closed,
-                    "cpf_table": table,
-                }
-            )
+        closed, table = _cpf_columns(scheme, state, cfg.y, g_t, g_t, g2)
+        rows += _curve_rows(scheme, cfg.y, p, ratio, t * gamma, t * gamma, closed, table)
     return write_dataset(out_dir / "figure2.csv", CURVE_FIELDS, rows, cfg.raw)
-
-
-def _figure2_combos(cfg: RunConfig):
-    extra = cfg.raw.get("combos")
-    if extra is None:
-        return FIGURE2_COMBOS
-    combos = []
-    for item in extra:
-        combos.append(
-            (
-                MeasurementScheme(str(item["scheme"]).lower()),
-                float(item["gamma_tau_c"]),
-                float(item["p"]),
-            )
-        )
-    return tuple(combos)
 
 
 def run_appendix_d(cfg: RunConfig, out_dir: Path) -> Path:
@@ -160,7 +100,7 @@ def run_appendix_d(cfg: RunConfig, out_dir: Path) -> Path:
     if cfg.noise is None:
         raise ValidationError("config: noise: block required for appendix-d runs")
     gamma_t = np.linspace(0.0, cfg.t_max_gamma, cfg.points)
-    rows: list[dict] = []
+    rows: list[tuple] = []
     for scheme, ratio, p, y, visibility in _appendix_d_blocks(cfg):
         tau_c = 1.0
         gamma = ratio / tau_c
@@ -170,21 +110,11 @@ def run_appendix_d(cfg: RunConfig, out_dir: Path) -> Path:
             state, scheme, LorentzianKernel(gamma, tau_c), gamma_t / gamma, noise, y=y
         )
         rows.extend(
-            {
-                "scheme": scheme.value,
-                "y": y,
-                "p": p,
-                "gamma_tau_c": ratio,
-                "N": noise.total_counts,
-                "V": visibility,
-                "t": pt.t * gamma,
-                "ideal": pt.ideal,
-                "degraded_ideal": pt.degraded_ideal,
-                "mc_mean": pt.mc_mean,
-                "mc_std": pt.mc_std,
-                "n_replicas": pt.n_replicas,
-                "seed": noise.seed,
-            }
+            (
+                scheme.value, y, p, ratio, noise.total_counts, visibility,
+                pt.t * gamma, pt.ideal, pt.degraded_ideal, pt.mc_mean, pt.mc_std,
+                pt.n_replicas, noise.seed,
+            )
             for pt in points
         )
     return write_dataset(out_dir / "appendix_d.csv", NOISE_FIELDS, rows, cfg.raw)
@@ -215,22 +145,21 @@ def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
         keep = max(exc.index, 3)
         rates = rates_from_G(PropagatorGrid(t_step=h, values=g_vals[:keep]))
         warning = f"truncated: G(t) crosses zero near gamma*t = {exc.t * gamma:.6g}"
-    state = cfg.state
-    rows = []
-    for i in range(keep):
-        t = times[i]
-        g_t = complex(g_vals[i])
-        g2 = complex(lorentzian_G_two_time(gamma, tau_c, t, t))
-        rows.append(
-            {
-                "t": cfg.report_time(t),
-                "rate_gamma": rates.gamma_t[i],
-                "g_abs2": abs(g_t) ** 2,
-                "cpf_zzz": _closed_or_nan(MeasurementScheme.ZZZ, state, g_t, g2),
-                "cpf_xzx": _closed_or_nan(MeasurementScheme.XZX, state, g_t, g2),
-                "warning": warning if i == keep - 1 else "",
-            }
-        )
+    t = times[:keep]
+    g_t = g_vals[:keep]
+    g2 = lorentzian_G_two_time(gamma, tau_c, t, t)
+    cpf = [
+        _cpf_columns(scheme, cfg.state, -1, g_t, g_t, g2)[0].tolist()
+        for scheme in (MeasurementScheme.ZZZ, MeasurementScheme.XZX)
+    ]
+    warnings = [""] * (keep - 1) + [warning]
+    rows = zip(
+        cfg.report_time(t).tolist(),
+        rates.gamma_t[:keep].tolist(),
+        (np.abs(g_t) ** 2).tolist(),
+        *cpf,
+        warnings,
+    )
     return write_dataset(out_dir / "witness.csv", WITNESS_FIELDS, rows, cfg.raw)
 
 
@@ -312,11 +241,16 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
     n = cfg.points - 1
     h = cfg.t_max_gamma / gamma / n
     times = np.arange(n + 1) * h
+    # (t, tau) index pairs of the output rows, tau fastest
+    if cfg.equal_times:
+        i = j = np.arange(n + 1)
+    else:
+        i, j = np.indices((n + 1, n + 1)).reshape(2, -1)
     ratio_label = cfg.bath.tau_c * gamma if cfg.bath.is_analytic else None
     if cfg.bath.is_analytic:
         tau_c = cfg.bath.tau_c
-        g_vals = np.asarray(lorentzian_G(gamma, tau_c, times), dtype=complex)
-        g2_surface = None
+        g_vals = lorentzian_G(gamma, tau_c, times)
+        g2 = lorentzian_G_two_time(gamma, tau_c, times[i], times[j])
     else:
         # integrate on a substep of the output grid no coarser than the
         # default 1/(100 gamma); G2 is computed on the output rows only and
@@ -326,35 +260,11 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
             cfg.bath.make_kernel(), times[-1], h / refine, range(0, n * refine + 1, refine)
         )
         g_vals = grid.values[::refine]
-        g2_surface = g2_rows[:, ::refine]
-    pairs = (
-        [(i, i) for i in range(n + 1)]
-        if cfg.equal_times
-        else [(i, j) for i in range(n + 1) for j in range(n + 1)]
-    )
+        g2 = g2_rows[:, ::refine][i, j]
     p_label = abs(cfg.state.a) ** 2
-    rows = []
+    t = cfg.report_time(times)
+    rows: list[tuple] = []
     for scheme in cfg.schemes:
-        for i, j in pairs:
-            g_t = complex(g_vals[i])
-            g_tau = complex(g_vals[j])
-            if g2_surface is not None:
-                g2 = complex(g2_surface[i, j])
-            else:
-                g2 = complex(
-                    lorentzian_G_two_time(gamma, cfg.bath.tau_c, times[i], times[j])
-                )
-            closed, table = _cpf_pair(scheme, cfg.state, cfg.y, g_t, g_tau, g2)
-            rows.append(
-                {
-                    "scheme": scheme.value,
-                    "y": cfg.y,
-                    "p": p_label,
-                    "gamma_tau_c": ratio_label,
-                    "t": cfg.report_time(times[i]),
-                    "tau": cfg.report_time(times[j]),
-                    "cpf_closed": closed,
-                    "cpf_table": table,
-                }
-            )
+        closed, table = _cpf_columns(scheme, cfg.state, cfg.y, g_vals[i], g_vals[j], g2)
+        rows += _curve_rows(scheme, cfg.y, p_label, ratio_label, t[i], t[j], closed, table)
     return write_dataset(out_dir / "sweep.csv", CURVE_FIELDS, rows, cfg.raw)

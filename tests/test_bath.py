@@ -1,4 +1,6 @@
 """Bath kernel: closed form values, weight conservation, tabulation."""
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -136,3 +138,22 @@ def test_kernel_csv_requires_header(tmp_path):
     path.write_text("0.0,1.0\n1.0,0.5\n")
     with pytest.raises(ValidationError, match="header"):
         load_kernel_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row", ["0.5", "0.5,1.0,0.0,9.0", "0.5,abc", "0.5,1.0,x"],
+    ids=["one-column", "four-columns", "non-numeric-re", "non-numeric-im"],
+)
+def test_kernel_csv_malformed_row_names_path_and_line(tmp_path, row):
+    path = tmp_path / "kernel.csv"
+    path.write_text(f"t,re\n0.0,1.0\n{row}\n1.0,0.5\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:3: "):
+        load_kernel_csv(path)
+
+
+def test_kernel_csv_skips_blank_lines_and_loads_complex_values(tmp_path):
+    path = tmp_path / "kernel.csv"
+    path.write_text("t,re,im\n\n0.0,1.0,0.0\n  ,\n1.0,0.5,-0.25\n\n")
+    k = load_kernel_csv(path)
+    assert k.times.tolist() == [0.0, 1.0]
+    assert k.values.tolist() == [1.0 + 0.0j, 0.5 - 0.25j]

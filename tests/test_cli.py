@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from cpfsim.cli import main
-from cpfsim.config import load_config, parse_config
+from cpfsim.config import DEFAULT_VISIBILITIES, FIGURE2_COMBOS, load_config, parse_config
+from cpfsim.cpf import MeasurementScheme
 from cpfsim.errors import ValidationError
 
 BASE_CONFIG = {
@@ -46,6 +47,52 @@ class TestConfig:
         assert cfg.points == 101
         assert cfg.y == -1
         assert cfg.noise is None
+        assert cfg.combos == FIGURE2_COMBOS
+        assert cfg.visibilities == DEFAULT_VISIBILITIES
+
+    def test_combos_and_visibilities_parsed(self):
+        cfg = parse_config(
+            {
+                "bath": {"gamma": 1.0, "tau_c": 1.0},
+                "combos": [{"scheme": "XZX", "gamma_tau_c": 2, "p": 1}],
+                "visibilities": [0.5, 1],
+            }
+        )
+        assert cfg.combos == ((MeasurementScheme.XZX, 2.0, 1.0),)
+        assert cfg.visibilities == (0.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"combos": [{"scheme": "zzz", "p": 0.8}]}, r"combos\[0\]\.gamma_tau_c: missing"),
+            (
+                {"combos": [{"scheme": "abc", "gamma_tau_c": 1.0, "p": 0.8}]},
+                r"combos\[0\]\.scheme: unknown scheme",
+            ),
+            (
+                {"combos": {"scheme": "zzz", "gamma_tau_c": 1.0, "p": 0.8}},
+                "combos: expected a list",
+            ),
+            ({"visibilities": ["x"]}, r"visibilities\[0\]: expected a number"),
+            (
+                {"combos": [{"scheme": "zzz", "gamma_tau_c": 0.0, "p": 0.8}]},
+                r"combos\[0\]\.gamma_tau_c: must be > 0",
+            ),
+            (
+                {
+                    "combos": [
+                        {"scheme": "zzz", "gamma_tau_c": 1.0, "p": 0.8},
+                        {"scheme": "zzz", "gamma_tau_c": 1.0, "p": 1.5},
+                    ]
+                },
+                r"combos\[1\]\.p: must lie in \[0, 1\]",
+            ),
+            ({"visibilities": [0.9, 1.2]}, r"visibilities\[1\]: must lie in \[0, 1\]"),
+        ],
+    )
+    def test_combos_and_visibilities_validated(self, overrides, message):
+        with pytest.raises(ValidationError, match=r"^config: " + message):
+            parse_config({"bath": {"gamma": 1.0, "tau_c": 1.0}, **overrides})
 
     def test_field_identified_errors(self):
         with pytest.raises(ValidationError, match="bath.gamma"):
@@ -121,6 +168,13 @@ class TestFigure2:
         assert len(rows) == 21
         assert float(rows[0]["t"]) == 0.0
         assert (rows[0]["cpf_closed"], rows[0]["cpf_table"]) == ("nan", "nan")
+
+    def test_malformed_combo_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"combos": [{"scheme": "zzz", "p": 0.8}]})
+        rc = main(["figure2", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "error: config: combos[0].gamma_tau_c" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -290,7 +344,9 @@ class TestSweep:
             t = float(r["t"])
             g_t = float(cpfsim.lorentzian_G(1.0, 1.0, t))
             g2 = float(cpfsim.lorentzian_G_two_time(1.0, 1.0, t, t))
-            expect = cpfsim.cpf_zzz(cpfsim.InitialState.from_population(0.8), g_t, g2).value
+            expect = cpfsim.cpf_closed_form(
+                cpfsim.MeasurementScheme.ZZZ, cpfsim.InitialState.from_population(0.8), g_t, g2
+            ).value
             assert float(r["cpf_closed"]) == pytest.approx(expect, abs=2e-3)
 
     def test_tabulated_kernel_full_grid(self, tmp_path):

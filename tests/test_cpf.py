@@ -6,18 +6,21 @@ from cpfsim import (
     InitialState,
     MeasurementScheme,
     ProbabilityTable,
-    build_table_xzx,
-    build_table_yzy,
-    build_table_zzz,
+    build_table,
+    cpf_closed_form,
     cpf_from_table,
-    cpf_xzx,
     cpf_y_plus,
-    cpf_yzy,
-    cpf_zzz,
     lorentzian_G,
     lorentzian_G_two_time,
 )
-from cpfsim.errors import ConditioningImpossibleError, ValidationError
+from cpfsim.cpf import closed_values, table_correlation, table_probs
+from cpfsim.errors import (
+    ConditioningImpossibleError,
+    InternalConsistencyError,
+    ValidationError,
+)
+
+ZZZ, XZX, YZY = MeasurementScheme.ZZZ, MeasurementScheme.XZX, MeasurementScheme.YZY
 
 # Frozen from the high-precision closed-form substitution (see test_propagator):
 EXP_MINUS_HALF_PI = 0.20787957635076193
@@ -39,39 +42,40 @@ def random_table_inputs(rng):
 class TestTableBuilders:
     def test_zzz_y_minus_entries_pure_excited(self):
         g_t, g2 = 0.5, 0.3
-        tbl = build_table_zzz(InitialState(1.0, 0.0), g_t, 0.4, g2, y=-1)
+        tbl = build_table(ZZZ, InitialState(1.0, 0.0), g_t, 0.4, g2, y=-1)
         assert tbl.p(+1, -1) == 0.0
         assert tbl.p(-1, -1) == 0.0
         assert tbl.p(+1, +1) == pytest.approx(g2**2 / (1 - g_t**2), abs=1e-15)
 
     def test_zzz_t_zero_degenerates_to_past_minus(self):
-        tbl = build_table_zzz(InitialState.from_population(0.8), 1.0, 0.7, 0.0, y=-1)
+        tbl = build_table(ZZZ, InitialState.from_population(0.8), 1.0, 0.7, 0.0, y=-1)
         assert tbl.p(-1, -1) == pytest.approx(1.0)
         assert tbl.p(+1, +1) == 0.0
         assert tbl.p(-1, +1) == 0.0
 
     def test_zzz_y_plus_entries(self):
         g_tau = 0.6
-        tbl = build_table_zzz(InitialState.from_population(0.8), 0.5, g_tau, 0.2, y=+1)
+        tbl = build_table(ZZZ, InitialState.from_population(0.8), 0.5, g_tau, 0.2, y=+1)
         assert tbl.p(+1, +1) == pytest.approx(g_tau**2)
         assert tbl.p(-1, +1) == pytest.approx(1 - g_tau**2)
         assert tbl.p_x(-1) == 0.0
 
     def test_zzz_conditioning_impossible(self):
         with pytest.raises(ConditioningImpossibleError):
-            build_table_zzz(InitialState(1.0, 0.0), 1.0, 1.0, 0.0, y=-1)
+            build_table(ZZZ, InitialState(1.0, 0.0), 1.0, 1.0, 0.0, y=-1)
 
     def test_xzx_y_plus_is_z_independent(self):
         state = InitialState.from_population(0.7)
-        tbl = build_table_xzx(state, 0.5, 0.2, y=+1)
+        tbl = build_table(XZX, state, 0.5, 0.5, 0.2, y=+1)
         for x in (+1, -1):
             expected = abs(state.a + x * state.b) ** 2 / 4
             assert tbl.p(+1, x) == pytest.approx(expected, abs=1e-15)
             assert tbl.p(-1, x) == pytest.approx(expected, abs=1e-15)
 
     def test_xzx_frozen_interference_coefficient(self):
-        tbl = build_table_xzx(
-            InitialState(1.0, 0.0), EXP_MINUS_HALF_PI, TWO_EXP_MINUS_PI, y=-1
+        tbl = build_table(
+            XZX, InitialState(1.0, 0.0), EXP_MINUS_HALF_PI, EXP_MINUS_HALF_PI,
+            TWO_EXP_MINUS_PI, y=-1,
         )
         for z in (+1, -1):
             for x in (+1, -1):
@@ -80,7 +84,7 @@ class TestTableBuilders:
 
     def test_xzx_markov_limit_factorizes(self):
         state = InitialState.from_population(0.6)
-        tbl = build_table_xzx(state, 0.5, 0.0, y=-1)
+        tbl = build_table(XZX, state, 0.5, 0.5, 0.0, y=-1)
         assert cpf_from_table(tbl).value == pytest.approx(0.0, abs=1e-15)
 
     def test_tables_normalized(self):
@@ -89,9 +93,9 @@ class TestTableBuilders:
             state, g_t, g2 = random_table_inputs(rng)
             for y in (+1, -1):
                 for builder in (
-                    lambda: build_table_zzz(state, g_t, g_t, g2, y),
-                    lambda: build_table_xzx(state, g_t, g2, y),
-                    lambda: build_table_yzy(state, g_t, g2, y),
+                    lambda: build_table(ZZZ, state, g_t, g_t, g2, y),
+                    lambda: build_table(XZX, state, g_t, g_t, g2, y),
+                    lambda: build_table(YZY, state, g_t, g_t, g2, y),
                 ):
                     tbl = builder()
                     total = sum(tbl.p(z, x) for z in (+1, -1) for x in (+1, -1))
@@ -99,21 +103,80 @@ class TestTableBuilders:
                     assert tbl.p_z(+1) + tbl.p_z(-1) == pytest.approx(1.0, abs=1e-10)
 
 
+class TestArrayCore:
+    CELLS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+
+    @staticmethod
+    def batch(rng):
+        """G(t) of shape (5, 1), G(tau) of shape (1, 4) and G2 of shape (5, 4)
+        inside the probability bound; row 0 is t = 0 (G = 1, so G2 = 0)."""
+        g_t = rng.uniform(0.0, 0.999, size=(5, 1))
+        g_t[0, 0] = 1.0
+        g_tau = rng.uniform(0.0, 0.999, size=(1, 4))
+        g2 = rng.uniform(-1.0, 1.0, size=(5, 4)) * np.sqrt(1 - g_t * g_t) * 0.999
+        return g_t, g_tau, g2
+
+    def test_batch_matches_per_point_calls(self):
+        # p = 1 at t = 0 leaves y = -1 impossible under z-z-z: those points
+        # are NaN in the batch where the one-point call raises
+        g_t, g_tau, g2 = self.batch(np.random.default_rng(31))
+        impossible = 0
+        for p in (1.0, 0.7):
+            state = InitialState.from_population(p)
+            for scheme in MeasurementScheme:
+                closed = closed_values(scheme, state, g_t, g2)
+                assert closed.shape == (5, 4)
+                for y in (+1, -1):
+                    probs = table_probs(scheme, state, y, g_t, g_tau, g2)
+                    assert probs.shape == (5, 4, 4)
+                    table = table_correlation(probs)
+                    for i, j in np.ndindex(5, 4):
+                        point = (g_t[i, 0], g_tau[0, j], g2[i, j])
+                        try:
+                            tbl = build_table(scheme, state, *point, y)
+                        except ConditioningImpossibleError:
+                            impossible += 1
+                            assert np.isnan(probs[i, j]).all()
+                            assert np.isnan(table[i, j])
+                        else:
+                            assert probs[i, j].tolist() == [tbl.p(*c) for c in self.CELLS]
+                            assert table[i, j] == cpf_from_table(tbl).value
+                        if y == +1:
+                            continue
+                        try:
+                            value = cpf_closed_form(scheme, state, point[0], point[2]).value
+                        except ConditioningImpossibleError:
+                            assert np.isnan(closed[i, j])
+                        else:
+                            assert closed[i, j] == value
+        assert impossible == 4  # z-z-z, p = 1, y = -1: the t = 0 row
+
+    def test_one_bad_point_raises(self):
+        g_t, g_tau, g2 = self.batch(np.random.default_rng(32))
+        state = InitialState.from_population(0.7)
+        bad = g2.copy()
+        bad[3, 2] = 1.5  # |G2|^2 > 1 - |G|^2 and |2 Re G2| > 2 - |G|^2
+        for scheme in MeasurementScheme:
+            table_probs(scheme, state, -1, g_t, g_tau, g2)
+            with pytest.raises(InternalConsistencyError):
+                table_probs(scheme, state, -1, g_t, g_tau, bad)
+
+
 class TestClosedFormIdentity:
     def test_zzz_table_equals_closed_form(self):
         rng = np.random.default_rng(7)
         for _ in range(1000):
             state, g_t, g2 = random_table_inputs(rng)
-            via_table = cpf_from_table(build_table_zzz(state, g_t, g_t, g2, -1)).value
-            closed = cpf_zzz(state, g_t, g2).value
+            via_table = cpf_from_table(build_table(ZZZ, state, g_t, g_t, g2, -1)).value
+            closed = cpf_closed_form(ZZZ, state, g_t, g2).value
             assert abs(via_table - closed) < 1e-12
 
     def test_xzx_table_equals_closed_form(self):
         rng = np.random.default_rng(8)
         for _ in range(1000):
             state, g_t, g2 = random_table_inputs(rng)
-            via_table = cpf_from_table(build_table_xzx(state, g_t, g2, -1)).value
-            closed = cpf_xzx(state, g_t, g2).value
+            via_table = cpf_from_table(build_table(XZX, state, g_t, g_t, g2, -1)).value
+            closed = cpf_closed_form(XZX, state, g_t, g2).value
             assert abs(via_table - closed) < 1e-12
 
     def test_yzy_table_equals_closed_form_complex_states(self):
@@ -125,8 +188,8 @@ class TestClosedFormIdentity:
             state = InitialState(a / norm, b / norm)
             g_t = rng.uniform(0.0, 0.999)
             g2 = rng.uniform(-1.0, 1.0) * np.sqrt(1 - g_t * g_t) * 0.999
-            via_table = cpf_from_table(build_table_yzy(state, g_t, g2, -1)).value
-            closed = cpf_yzy(state, g_t, g2).value
+            via_table = cpf_from_table(build_table(YZY, state, g_t, g_t, g2, -1)).value
+            closed = cpf_closed_form(YZY, state, g_t, g2).value
             assert abs(via_table - closed) < 1e-12
 
     def test_main_text_sum_form_identity(self):
@@ -134,7 +197,7 @@ class TestClosedFormIdentity:
         rng = np.random.default_rng(10)
         for _ in range(200):
             state, g_t, g2 = random_table_inputs(rng)
-            tbl = build_table_xzx(state, g_t, g2, -1)
+            tbl = build_table(XZX, state, g_t, g_t, g2, -1)
             explicit = sum(
                 z * x * (tbl.p(z, x) - tbl.p_z(z) * tbl.p_x(x))
                 for z in (+1, -1)
@@ -146,48 +209,45 @@ class TestClosedFormIdentity:
 class TestClosedFormValues:
     def test_zzz_frozen_value(self):
         state = InitialState.from_population(0.8)
-        assert cpf_zzz(state, EXP_MINUS_HALF_PI, TWO_EXP_MINUS_PI).value == pytest.approx(
-            CPF_ZZZ_P08, abs=1e-15
-        )
+        value = cpf_closed_form(ZZZ, state, EXP_MINUS_HALF_PI, TWO_EXP_MINUS_PI).value
+        assert value == pytest.approx(CPF_ZZZ_P08, abs=1e-15)
 
     def test_xzx_frozen_value(self):
         state = InitialState.from_population(1.0)
-        assert cpf_xzx(state, EXP_MINUS_HALF_PI, TWO_EXP_MINUS_PI).value == pytest.approx(
-            CPF_XZX_P1, abs=1e-15
-        )
+        value = cpf_closed_form(XZX, state, EXP_MINUS_HALF_PI, TWO_EXP_MINUS_PI).value
+        assert value == pytest.approx(CPF_XZX_P1, abs=1e-15)
 
     def test_zzz_vanishes_for_pure_preparations(self):
-        assert cpf_zzz(InitialState(1.0, 0.0), 0.5, 0.3).value == 0.0
+        assert cpf_closed_form(ZZZ, InitialState(1.0, 0.0), 0.5, 0.3).value == 0.0
 
     def test_zzz_conditioning_impossible_at_t0_pure(self):
         with pytest.raises(ConditioningImpossibleError):
-            cpf_zzz(InitialState(1.0, 0.0), 1.0, 0.0)
+            cpf_closed_form(ZZZ, InitialState(1.0, 0.0), 1.0, 0.0)
 
     def test_xzx_vanishing_prefactor(self):
         s = InitialState(1 / np.sqrt(2), 1 / np.sqrt(2))  # 2 Re(ab*) = 1
-        assert cpf_xzx(s, 0.5, 0.3).value == pytest.approx(0.0, abs=1e-15)
+        assert cpf_closed_form(XZX, s, 0.5, 0.3).value == pytest.approx(0.0, abs=1e-15)
 
     def test_yzy_vanishing_prefactor_complex(self):
         s = InitialState(1 / np.sqrt(2), 1j / np.sqrt(2))  # 2 Im(ab*) = -1
         assert abs(2 * (s.a * np.conj(s.b)).imag) == pytest.approx(1.0)
-        assert cpf_yzy(s, 0.5, 0.3).value == pytest.approx(0.0, abs=1e-15)
+        assert cpf_closed_form(YZY, s, 0.5, 0.3).value == pytest.approx(0.0, abs=1e-15)
 
     def test_yzy_equals_xzx_for_pure_excited(self):
         s = InitialState.from_population(1.0)
-        assert cpf_yzy(s, EXP_MINUS_HALF_PI, TWO_EXP_MINUS_PI).value == pytest.approx(
-            CPF_XZX_P1, abs=1e-15
-        )
+        value = cpf_closed_form(YZY, s, EXP_MINUS_HALF_PI, TWO_EXP_MINUS_PI).value
+        assert value == pytest.approx(CPF_XZX_P1, abs=1e-15)
 
     def test_yzy_real_state_has_unit_prefactor(self):
         s = InitialState.from_population(0.7)  # real a, b: Im(ab*) = 0
         g_t, g2 = 0.4, 0.2
         expected = -g2 / (1 - g_t**2 / 2)
-        assert cpf_yzy(s, g_t, g2).value == pytest.approx(expected, abs=1e-15)
+        assert cpf_closed_form(YZY, s, g_t, g2).value == pytest.approx(expected, abs=1e-15)
 
     def test_markov_limit_zero(self):
         s = InitialState.from_population(0.8)
-        assert cpf_zzz(s, 0.5, 0.0).value == 0.0
-        assert cpf_xzx(s, 0.5, 0.0).value == 0.0
+        assert cpf_closed_form(ZZZ, s, 0.5, 0.0).value == 0.0
+        assert cpf_closed_form(XZX, s, 0.5, 0.0).value == 0.0
 
     def test_y_plus_exactly_zero(self):
         for scheme in MeasurementScheme:
@@ -201,18 +261,18 @@ class TestStructure:
         for t, tau in [(0.0, 2.0), (2.0, 0.0), (0.0, 0.0)]:
             g_t = float(lorentzian_G(gamma, tau_c, t))
             g2 = float(lorentzian_G_two_time(gamma, tau_c, t, tau))
-            assert abs(cpf_zzz(state, g_t, g2).value) <= 1e-12
-            assert abs(cpf_xzx(state, g_t, g2).value) <= 1e-12
-            assert abs(cpf_yzy(state, g_t, g2).value) <= 1e-12
+            assert abs(cpf_closed_form(ZZZ, state, g_t, g2).value) <= 1e-12
+            assert abs(cpf_closed_form(XZX, state, g_t, g2).value) <= 1e-12
+            assert abs(cpf_closed_form(YZY, state, g_t, g2).value) <= 1e-12
 
     def test_sign_structure(self):
         # zzz >= 0 always; xzx <= 0 wherever Re G2 >= 0
         rng = np.random.default_rng(12)
         for _ in range(500):
             state, g_t, g2 = random_table_inputs(rng)
-            assert cpf_zzz(state, g_t, g2).value >= 0.0
+            assert cpf_closed_form(ZZZ, state, g_t, g2).value >= 0.0
             if g2 >= 0:
-                assert cpf_xzx(state, g_t, g2).value <= 0.0
+                assert cpf_closed_form(XZX, state, g_t, g2).value <= 0.0
 
     def test_magnitude_ordering_pure_excited(self):
         # |zzz| <= |xzx| for p=1, backed by |G2|^2 <= |Re G2| on the grid
@@ -223,8 +283,8 @@ class TestStructure:
             g_t = float(lorentzian_G(gamma, tau_c, t))
             g2 = float(lorentzian_G_two_time(gamma, tau_c, t, t))
             assert g2**2 <= abs(g2) + 1e-15
-            assert abs(cpf_zzz(state, g_t, g2).value) <= abs(
-                cpf_xzx(state, g_t, g2).value
+            assert abs(cpf_closed_form(ZZZ, state, g_t, g2).value) <= abs(
+                cpf_closed_form(XZX, state, g_t, g2).value
             ) + 1e-15
 
     def test_weak_coupling_small(self):
@@ -235,8 +295,8 @@ class TestStructure:
             for t in ts[1:]:
                 g_t = float(lorentzian_G(gamma, tau_c, t))
                 g2 = float(lorentzian_G_two_time(gamma, tau_c, t, t))
-                assert abs(cpf_zzz(state, g_t, g2).value) <= 0.01
-                assert abs(cpf_xzx(state, g_t, g2).value) <= 0.01
+                assert abs(cpf_closed_form(ZZZ, state, g_t, g2).value) <= 0.01
+                assert abs(cpf_closed_form(XZX, state, g_t, g2).value) <= 0.01
 
 
 class TestValidation:

@@ -9,8 +9,7 @@ from cpfsim import (
     LorentzianKernel,
     MeasurementScheme,
     apply_visibility,
-    build_table_xzx,
-    build_table_zzz,
+    build_table,
     cpf_from_table,
     estimate_cpf,
     run_noise_study,
@@ -18,9 +17,11 @@ from cpfsim import (
 )
 from cpfsim.errors import NoDataError, ValidationError
 
+ZZZ, XZX = MeasurementScheme.ZZZ, MeasurementScheme.XZX
+
 
 def xzx_table(p=1.0, g_t=0.5, g2=0.3, y=-1):
-    return build_table_xzx(InitialState.from_population(p), g_t, g2, y)
+    return build_table(XZX, InitialState.from_population(p), g_t, g_t, g2, y)
 
 
 class TestVisibility:
@@ -30,7 +31,7 @@ class TestVisibility:
         assert out.entries == tbl.entries
 
     def test_zzz_untouched_by_any_visibility(self):
-        tbl = build_table_zzz(InitialState.from_population(0.8), 0.5, 0.5, 0.3, -1)
+        tbl = build_table(ZZZ, InitialState.from_population(0.8), 0.5, 0.5, 0.3, -1)
         out = apply_visibility(tbl, 0.5, MeasurementScheme.ZZZ)
         assert out.entries == tbl.entries
 
@@ -66,7 +67,7 @@ class TestVisibility:
 
 class TestCounts:
     def test_zero_probability_cell_never_fires(self):
-        tbl = build_table_zzz(InitialState(1.0, 0.0), 0.5, 0.5, 0.3, -1)
+        tbl = build_table(ZZZ, InitialState(1.0, 0.0), 0.5, 0.5, 0.3, -1)
         cfg = ExperimentConfig(total_counts=10000, seed=1)
         rng = np.random.default_rng(1)
         for _ in range(50):
