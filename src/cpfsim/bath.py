@@ -118,10 +118,13 @@ def load_kernel_csv(path: Union[str, Path], time_scale: float = 1.0) -> Tabulate
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        # (physical line number, row) of the non-blank rows
+        rows = [
+            (reader.line_num, row) for row in reader if row and any(c.strip() for c in row)
+        ]
     if not rows:
         raise ValidationError(f"{path}: empty kernel file")
-    header = rows[0]
+    header = rows[0][1]
     try:
         float(header[0])
     except ValueError:
@@ -129,7 +132,7 @@ def load_kernel_csv(path: Union[str, Path], time_scale: float = 1.0) -> Tabulate
     else:
         raise ValidationError(f"{path}: header row required, found numeric first row")
     times, values = [], []
-    for ln, row in enumerate(rows[1:], start=2):
+    for ln, row in rows[1:]:
         if len(row) not in (2, 3):
             raise ValidationError(f"{path}:{ln}: expected 2 or 3 columns, got {len(row)}")
         try:

@@ -163,11 +163,26 @@ def table_correlation(probs: np.ndarray) -> np.ndarray:
     return _bounded(_covariance(probs))
 
 
-def _decay_probability(state: InitialState, G_t) -> np.ndarray:
-    """z-z-z P(y = -1) = (1 - |G(t)|^2)|a|^2 + |b|^2, the probability of
-    finding the system decayed at t; NaN where it vanishes."""
-    denom = (1.0 - np.abs(G_t) ** 2) * abs(state.a) ** 2 + abs(state.b) ** 2
-    return np.where(denom > _DENOM_TOL, denom, np.nan)
+def conditioning_probability(
+    scheme: MeasurementScheme, state: InitialState, y: int, G_t
+) -> np.ndarray:
+    """P(y) of the intermediate outcome over an array of G(t); NaN where it
+    vanishes, since no table can then be conditioned on y.
+
+    z-z-z: P(y = +1) = |G(t)|^2 |a|^2 and P(y = -1) = (1 - |G(t)|^2)|a|^2 +
+    |b|^2, the probability of finding the system decayed at t. x-z-x and
+    y-z-y: the past measurement leaves the excited population at one half,
+    so P(y = +1) = |G(t)|^2 / 2 and P(y = -1) = 1 - |G(t)|^2 / 2 >= 1/2.
+    """
+    if y not in _OUTCOMES:
+        raise ValidationError(f"y must be +1 or -1, got {y}")
+    g_t2 = np.abs(G_t) ** 2
+    if scheme is MeasurementScheme.ZZZ:
+        a2 = abs(state.a) ** 2
+        p = g_t2 * a2 if y == +1 else (1.0 - g_t2) * a2 + abs(state.b) ** 2
+    else:
+        p = g_t2 / 2.0 if y == +1 else 1.0 - g_t2 / 2.0
+    return np.where(p > _DENOM_TOL, p, np.nan)
 
 
 def _entries(where: str, cells, shape, possible=True) -> np.ndarray:
@@ -207,7 +222,7 @@ def table_probs(
             return _entries(where, (g_tau2, 0.0, 1.0 - g_tau2, 0.0), shape)
         a2 = abs(state.a) ** 2
         b2 = abs(state.b) ** 2
-        denom = _decay_probability(state, G_t)
+        denom = conditioning_probability(scheme, state, -1, G_t)
         g_two2 = np.abs(G_two) ** 2
         cells = (
             g_two2 * a2 / denom,
@@ -248,12 +263,12 @@ def closed_values(
     if scheme is MeasurementScheme.ZZZ:
         a2 = abs(state.a) ** 2
         b2 = abs(state.b) ** 2
-        denom = _decay_probability(state, G_t)
+        denom = conditioning_probability(scheme, state, -1, G_t)
         return _bounded((4.0 * a2 * b2 / denom**2) * np.abs(G_two) ** 2)
     overlap = state.a * np.conj(state.b)
     coherence = overlap.real if scheme is MeasurementScheme.XZX else overlap.imag
     prefactor = 1.0 - (2.0 * coherence) ** 2
-    denom = 1.0 - np.abs(G_t) ** 2 / 2.0
+    denom = conditioning_probability(scheme, state, -1, G_t)
     return _bounded(-(prefactor / denom) * np.real(G_two))
 
 

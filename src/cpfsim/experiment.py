@@ -15,33 +15,42 @@ Two imperfections are modeled, and only these two:
   (t, tau) setting, so the budget reaching the y-conditioned table is
   total_counts * P(y); as the excited-state probability dies out the
   y = +1 tables starve and their estimates degrade, which is the observed
-  growth of the error bars.
+  growth of the error bars. To first order the estimator's stddev is
+  sqrt(Var_P[(z - <z>)(x - <x>)] / budget) (:func:`predicted_std`).
 
-All randomness flows from a single recorded seed through spawned
-per-point / per-replica streams, so studies are exactly reproducible and
-safely parallelizable.
+All randomness flows from a single recorded seed under the RNG contract
+``rng v2 per-point-block`` (:data:`RNG_CONTRACT`): a study of n points
+spawns n children of ``SeedSequence(seed)``, and point k draws all its
+replicas as one (replicas, 4) Poisson block from one ``Generator`` built
+on child k, cells in ``_CELLS`` order. A point's counts depend only on the
+seed, n and k, so studies are exactly reproducible.
 """
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .bath import BathKernel, LorentzianKernel
 from .cpf import (
     _CELLS,
-    _OUTCOMES,
     CpfResult,
     InitialState,
     MeasurementScheme,
     ProbabilityTable,
-    build_table,
-    cpf_from_table,
+    conditioning_probability,
+    table_correlation,
+    table_probs,
 )
-from .errors import ConditioningImpossibleError, NoDataError, ValidationError
+from .errors import NoDataError, ValidationError
 from .propagator import lorentzian_G, lorentzian_G_two_time, solve_two_time_rows
+
+RNG_CONTRACT = "rng v2 per-point-block"
+# the outcomes z and x of each cell, in _CELLS order
+_Z = np.array([z for z, _ in _CELLS], dtype=float)
+_X = np.array([x for _, x in _CELLS], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -83,6 +92,17 @@ class CountsTable:
         return sum(self.counts.values())
 
 
+def degrade_probs(
+    probs: np.ndarray, visibility: float, scheme: MeasurementScheme
+) -> np.ndarray:
+    """V * P + (1 - V) * P(x) / 2 over tables of shape (..., 4) in _CELLS
+    order; z-z-z tables are returned unchanged."""
+    if scheme is MeasurementScheme.ZZZ or visibility == 1.0:
+        return probs
+    p_x = probs[..., :2] + probs[..., 2:]  # P(x = +1), P(x = -1)
+    return visibility * probs + (1.0 - visibility) * np.concatenate([p_x, p_x], axis=-1) / 2.0
+
+
 def apply_visibility(
     tbl: ProbabilityTable, visibility: float, scheme: MeasurementScheme
 ) -> ProbabilityTable:
@@ -93,12 +113,55 @@ def apply_visibility(
         raise ValidationError(f"table is for {tbl.scheme}, not {scheme}")
     if scheme is MeasurementScheme.ZZZ or visibility == 1.0:
         return tbl
-    entries = {
-        (z, x): visibility * tbl.p(z, x) + (1.0 - visibility) * tbl.p_x(x) / 2.0
-        for z in _OUTCOMES
-        for x in _OUTCOMES
-    }
-    return ProbabilityTable(scheme=tbl.scheme, y=tbl.y, entries=entries)
+    probs = degrade_probs(np.array([tbl.entries[c] for c in _CELLS]), visibility, scheme)
+    return ProbabilityTable(scheme=tbl.scheme, y=tbl.y, entries=dict(zip(_CELLS, probs.tolist())))
+
+
+def _poisson_block(rng: np.random.Generator, means: np.ndarray, replicas: int) -> np.ndarray:
+    """(replicas, 4) independent Poisson counts around the four cell means,
+    drawn row by row in _CELLS order."""
+    return rng.poisson(means, size=(replicas, 4))
+
+
+def draw_counts(
+    probs: np.ndarray, budgets: np.ndarray, replicas: int, seed: int
+) -> Iterator[np.ndarray]:
+    """Counts of a study of n points under ``rng v2 per-point-block``: yields
+    one (replicas, 4) block per point, in order. Point k draws
+    Poisson(budgets[k] * probs[k]) in one call from a Generator on child k
+    of ``SeedSequence(seed).spawn(n)``; a point whose budget is not > 0
+    (NaN included) draws nothing and yields zero counts.
+    """
+    children = np.random.SeedSequence(seed).spawn(len(probs))
+    for p, budget, child in zip(probs, budgets, children):
+        if budget > 0.0:
+            yield _poisson_block(np.random.default_rng(child), budget * p, replicas)
+        else:
+            yield np.zeros((replicas, 4), dtype=np.int64)
+
+
+def estimate_block(counts) -> np.ndarray:
+    """The experimental estimator over counts of shape (..., 4): normalize
+    each table to its total and evaluate the correlation on it. Tables
+    without a coincidence give no estimate: NaN."""
+    counts = np.asarray(counts)
+    if np.any(counts < 0):
+        raise ValidationError("counts must be non-negative")
+    total = counts.sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        return table_correlation(counts / total)
+
+
+def predicted_std(probs: np.ndarray, budget) -> np.ndarray:
+    """First-order stddev of the estimator for tables of shape (..., 4) at an
+    expected conditioned total ``budget``: the estimator is a sample
+    covariance over ~budget coincidences, so its variance is
+    Var_P[(z - <z>)(x - <x>)] / budget. NaN where the budget is not > 0."""
+    dev = (_Z - (probs @ _Z)[..., None]) * (_X - (probs @ _X)[..., None])
+    var = np.sum(probs * dev**2, axis=-1) - np.sum(probs * dev, axis=-1) ** 2
+    budget = np.asarray(budget, dtype=float)
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(np.maximum(var, 0.0) / np.where(budget > 0.0, budget, np.nan))
 
 
 def sample_counts(
@@ -110,10 +173,9 @@ def sample_counts(
     total_counts * P(z, x | y), in a fixed cell order for reproducibility."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    counts = {
-        cell: int(rng.poisson(cfg.total_counts * tbl.p(*cell))) for cell in _CELLS
-    }
-    return CountsTable(scheme=tbl.scheme, y=tbl.y, counts=counts)
+    means = cfg.total_counts * np.array([tbl.entries[c] for c in _CELLS])
+    counts = _poisson_block(rng, means, 1)[0].tolist()
+    return CountsTable(scheme=tbl.scheme, y=tbl.y, counts=dict(zip(_CELLS, counts)))
 
 
 def estimate_cpf(
@@ -121,12 +183,10 @@ def estimate_cpf(
 ) -> CpfResult:
     """The experimental estimator: normalize counts to a probability table
     and evaluate the correlation on it."""
-    total = counts.total
-    if total == 0:
+    value = float(estimate_block([counts.counts[c] for c in _CELLS]))
+    if math.isnan(value):
         raise NoDataError("no coincidences registered; cannot estimate")
-    entries = {cell: counts.counts[cell] / total for cell in _CELLS}
-    tbl = ProbabilityTable(scheme=counts.scheme, y=counts.y, entries=entries)
-    return cpf_from_table(tbl, t=t, tau=tau)
+    return CpfResult(value=value, y=counts.y, scheme=counts.scheme, t=t, tau=tau)
 
 
 @dataclass(frozen=True)
@@ -139,20 +199,9 @@ class NoisePoint:
     degraded_ideal: float
     mc_mean: float
     mc_std: float
+    predicted_std: float
     n_replicas: int
     flagged: bool  # no replica produced data (count starvation)
-
-
-def _condition_probability(
-    scheme: MeasurementScheme, state: InitialState, G_t: complex, y: int
-) -> float:
-    """P(y) for the budget split across the two detector pairs."""
-    g_t2 = abs(complex(G_t)) ** 2
-    if scheme is MeasurementScheme.ZZZ:
-        p_plus = g_t2 * abs(state.a) ** 2
-    else:
-        p_plus = g_t2 / 2.0
-    return p_plus if y == +1 else 1.0 - p_plus
 
 
 def _propagator_values(
@@ -188,47 +237,32 @@ def run_noise_study(
     """Monte Carlo study of the estimator along the equal-times diagonal.
 
     For each t in ``times``: the ideal correlation, the visibility-degraded
-    ideal, and mean/stddev of the finite-count estimates over
-    ``cfg.replicas`` independent replicas. Points where conditioning is
-    impossible or every replica starves are flagged (NaN statistics).
+    ideal, mean/stddev of the finite-count estimates over ``cfg.replicas``
+    replicas drawn by :func:`draw_counts`, and the first-order stddev
+    :func:`predicted_std`. Replicas without a coincidence are dropped.
+    Points where conditioning is impossible or every replica starves are
+    flagged (NaN statistics).
     """
     times = np.asarray(times, dtype=float)
     g_vals, g2_vals = _propagator_values(kernel, times, t_step)
-    root = np.random.SeedSequence(cfg.seed)
-    point_seeds = root.spawn(len(times))
-    points: list[NoisePoint] = []
-    for k, t in enumerate(times):
-        g_t, g2_t = complex(g_vals[k]), complex(g2_vals[k])
-        try:
-            table = build_table(scheme, state, g_t, g_t, g2_t, y)
-        except ConditioningImpossibleError:
-            points.append(
-                NoisePoint(t, t, np.nan, np.nan, np.nan, np.nan, 0, flagged=True)
-            )
-            continue
-        ideal = 0.0 if y == +1 else cpf_from_table(table).value
-        degraded_table = apply_visibility(table, cfg.visibility, scheme)
-        degraded_ideal = 0.0 if y == +1 else cpf_from_table(degraded_table).value
-        budget = cfg.total_counts * _condition_probability(scheme, state, g_t, y)
-        estimates: list[float] = []
-        if budget > 0.0:
-            replica_cfg = dataclasses.replace(cfg, total_counts=budget)
-            for seed in point_seeds[k].spawn(cfg.replicas):
-                rng = np.random.default_rng(seed)
-                sampled = sample_counts(degraded_table, replica_cfg, rng=rng)
-                try:
-                    estimates.append(estimate_cpf(sampled).value)
-                except NoDataError:
-                    continue
-        if estimates:
-            arr = np.asarray(estimates)
-            mc_mean = float(np.mean(arr))
-            mc_std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-            points.append(
-                NoisePoint(t, t, ideal, degraded_ideal, mc_mean, mc_std, arr.size, False)
-            )
-        else:
-            points.append(
-                NoisePoint(t, t, ideal, degraded_ideal, np.nan, np.nan, 0, flagged=True)
-            )
-    return points
+    probs = table_probs(scheme, state, y, g_vals, g_vals, g2_vals)
+    degraded = degrade_probs(probs, cfg.visibility, scheme)
+    if y == +1:  # the past decouples from the future exactly (cpf_y_plus)
+        ideal = degraded_ideal = np.zeros(times.size)
+    else:
+        ideal, degraded_ideal = table_correlation(probs), table_correlation(degraded)
+    budget = cfg.total_counts * conditioning_probability(scheme, state, y, g_vals)
+    mc_mean, mc_std = np.full(times.size, np.nan), np.full(times.size, np.nan)
+    n_replicas = np.zeros(times.size, dtype=int)
+    for k, counts in enumerate(draw_counts(degraded, budget, cfg.replicas, cfg.seed)):
+        estimates = estimate_block(counts)
+        estimates = estimates[~np.isnan(estimates)]
+        n_replicas[k] = estimates.size
+        if estimates.size:
+            mc_mean[k] = np.mean(estimates)
+            mc_std[k] = np.std(estimates, ddof=1) if estimates.size > 1 else 0.0
+    columns = (
+        times, times, ideal, degraded_ideal, mc_mean, mc_std,
+        predicted_std(degraded, budget), n_replicas, n_replicas == 0,
+    )
+    return [NoisePoint(*row) for row in zip(*(c.tolist() for c in columns))]

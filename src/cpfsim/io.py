@@ -1,8 +1,9 @@
 """Deterministic CSV output.
 
 Every dataset starts with a comment header block carrying the package
-version and a canonical (sorted-keys) echo of the generating config, so a
-rerun with an identical config is byte-identical. Dialect: comma separator,
+version, a canonical (sorted-keys) echo of the generating config and any
+further deterministic run facts, such as the RNG contract, so a rerun with
+an identical config is byte-identical. Dialect: comma separator,
 '.' decimal point, one header row, UTF-8, LF line endings.
 """
 from __future__ import annotations
@@ -37,9 +38,11 @@ def write_dataset(
     fieldnames: Sequence[str],
     rows: Iterable[Sequence[object]],
     config_echo: Mapping[str, object],
+    comments: Sequence[str] = (),
 ) -> Path:
     """Write ``rows``, each a sequence of values in ``fieldnames`` order,
-    below the version and config-echo header."""
+    below the version and config-echo header and one '# ' line per entry
+    of ``comments``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -49,6 +52,7 @@ def write_dataset(
             + json.dumps(config_echo, sort_keys=True, separators=(",", ":"))
             + "\n"
         )
+        fh.writelines(f"# {line}\n" for line in comments)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fieldnames)
         for row in rows:

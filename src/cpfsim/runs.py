@@ -27,7 +27,7 @@ from .cpf import (
     table_probs,
 )
 from .errors import PropagatorZeroCrossingError, ValidationError
-from .experiment import run_noise_study
+from .experiment import RNG_CONTRACT, run_noise_study
 from .io import write_dataset
 from .propagator import (
     PropagatorGrid,
@@ -42,7 +42,7 @@ from .propagator import (
 CURVE_FIELDS = ["scheme", "y", "p", "gamma_tau_c", "t", "tau", "cpf_closed", "cpf_table"]
 NOISE_FIELDS = [
     "scheme", "y", "p", "gamma_tau_c", "N", "V", "t",
-    "ideal", "degraded_ideal", "mc_mean", "mc_std", "n_replicas", "seed",
+    "ideal", "degraded_ideal", "mc_mean", "mc_std", "predicted_std", "n_replicas", "seed",
 ]
 WITNESS_FIELDS = ["t", "rate_gamma", "g_abs2", "cpf_zzz", "cpf_xzx", "warning"]
 
@@ -96,7 +96,8 @@ def run_figure2(cfg: RunConfig, out_dir: Path) -> Path:
 
 def run_appendix_d(cfg: RunConfig, out_dir: Path) -> Path:
     """Noise-study datasets: visibility matrix, the weak-memory case, and
-    the y = +1 starvation case, all with Monte Carlo statistics."""
+    the y = +1 starvation case, all with Monte Carlo statistics next to
+    the first-order stddev; the header names the RNG contract."""
     if cfg.noise is None:
         raise ValidationError("config: noise: block required for appendix-d runs")
     gamma_t = np.linspace(0.0, cfg.t_max_gamma, cfg.points)
@@ -113,11 +114,13 @@ def run_appendix_d(cfg: RunConfig, out_dir: Path) -> Path:
             (
                 scheme.value, y, p, ratio, noise.total_counts, visibility,
                 pt.t * gamma, pt.ideal, pt.degraded_ideal, pt.mc_mean, pt.mc_std,
-                pt.n_replicas, noise.seed,
+                pt.predicted_std, pt.n_replicas, noise.seed,
             )
             for pt in points
         )
-    return write_dataset(out_dir / "appendix_d.csv", NOISE_FIELDS, rows, cfg.raw)
+    return write_dataset(
+        out_dir / "appendix_d.csv", NOISE_FIELDS, rows, cfg.raw, comments=[RNG_CONTRACT]
+    )
 
 
 def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:

@@ -141,13 +141,21 @@ def test_kernel_csv_requires_header(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "row", ["0.5", "0.5,1.0,0.0,9.0", "0.5,abc", "0.5,1.0,x"],
-    ids=["one-column", "four-columns", "non-numeric-re", "non-numeric-im"],
+    "text, line",
+    [
+        ("t,re\n0.0,1.0\n0.5\n1.0,0.5\n", 3),
+        ("t,re\n0.0,1.0\n0.5,1.0,0.0,9.0\n1.0,0.5\n", 3),
+        ("t,re\n0.0,1.0\n0.5,abc\n1.0,0.5\n", 3),
+        ("t,re\n0.0,1.0\n0.5,1.0,x\n1.0,0.5\n", 3),
+        # the line of the file, not the count of non-blank rows
+        ("t,re\n\n0,1\n1,2,3,4\n", 4),
+    ],
+    ids=["one-column", "four-columns", "non-numeric-re", "non-numeric-im", "after-blank-line"],
 )
-def test_kernel_csv_malformed_row_names_path_and_line(tmp_path, row):
+def test_kernel_csv_malformed_row_names_path_and_line(tmp_path, text, line):
     path = tmp_path / "kernel.csv"
-    path.write_text(f"t,re\n0.0,1.0\n{row}\n1.0,0.5\n")
-    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:3: "):
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:{line}: "):
         load_kernel_csv(path)
 
 

@@ -1,12 +1,15 @@
 """Config parsing, dataset runners, CLI subcommands, determinism."""
 import json
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
+from cpfsim import lorentzian_G, lorentzian_G_two_time
 from cpfsim.cli import main
 from cpfsim.config import DEFAULT_VISIBILITIES, FIGURE2_COMBOS, load_config, parse_config
-from cpfsim.cpf import MeasurementScheme
+from cpfsim.cpf import InitialState, MeasurementScheme, conditioning_probability, table_probs
+from cpfsim.experiment import degrade_probs
 from cpfsim.errors import ValidationError
 
 BASE_CONFIG = {
@@ -35,8 +38,9 @@ def read_rows(path):
     lines = path.read_text(encoding="utf-8").split("\n")
     assert lines[0].startswith("# cpfsim ")
     assert lines[1].startswith("# config ")
-    header = lines[2].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[3:] if line]
+    body = [line for line in lines[2:] if not line.startswith("# ")]
+    header = body[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in body[1:] if line]
     return header, rows
 
 
@@ -198,10 +202,12 @@ class TestAppendixD:
     def test_blocks_and_columns(self, tmp_path):
         rc = main(["appendix-d", "--config", str(self.cfg_path(tmp_path)), "--out", str(tmp_path / "out")])
         assert rc == 0
-        header, rows = read_rows(tmp_path / "out" / "appendix_d.csv")
+        path = tmp_path / "out" / "appendix_d.csv"
+        assert path.read_text(encoding="utf-8").split("\n")[2] == "# rng v2 per-point-block"
+        header, rows = read_rows(path)
         assert header == [
-            "scheme", "y", "p", "gamma_tau_c", "N", "V", "t",
-            "ideal", "degraded_ideal", "mc_mean", "mc_std", "n_replicas", "seed",
+            "scheme", "y", "p", "gamma_tau_c", "N", "V", "t", "ideal", "degraded_ideal",
+            "mc_mean", "mc_std", "predicted_std", "n_replicas", "seed",
         ]
         blocks = {(r["scheme"], r["y"], r["V"], r["gamma_tau_c"]) for r in rows}
         assert ("xzx", "-1", "1", "1") in blocks
@@ -220,6 +226,8 @@ class TestAppendixD:
                 )
 
     def test_y_plus_block_mean_null_growing_std(self, tmp_path):
+        # the standard error comes from the noise model's first-order stddev,
+        # not from the scatter of the same 40 replicas whose mean is tested
         main(["appendix-d", "--config", str(self.cfg_path(tmp_path)), "--out", str(tmp_path / "out")])
         _, rows = read_rows(tmp_path / "out" / "appendix_d.csv")
         block = [r for r in rows if r["y"] == "1" and r["mc_std"] not in ("nan", "")]
@@ -227,8 +235,57 @@ class TestAppendixD:
         assert stds[-1] > stds[0]
         for r in block:
             if float(r["t"]) > 0:
-                se = float(r["mc_std"]) / np.sqrt(int(r["n_replicas"]))
+                se = float(r["predicted_std"]) / np.sqrt(int(r["n_replicas"]))
                 assert abs(float(r["mc_mean"])) < 4 * max(se, 1e-12)
+
+    def test_replica_std_matches_predicted_std(self, tmp_path):
+        """mc_std / predicted_std against the scatter of a sample stddev.
+
+        For R near-Gaussian replicas (R - 1) s^2 / sigma^2 is chi-square with
+        R - 1 degrees of freedom; the bounds are its two-sided quantiles
+        (Wilson-Hilferty) at a family-wise false-alarm rate of 1e-3,
+        Bonferroni over the rows tested. Rows are tested where the
+        conditioned budget N P(y) is at least 1000 and every nonzero cell
+        expects at least 10 counts: below that a cell that rarely fires
+        dominates the scatter, the estimator is far from Gaussian (its
+        excess kurtosis is up to 1 / min cell mean) and a first-order stddev
+        does not describe it.
+        """
+        cfg = write_config(
+            tmp_path,
+            {
+                "grid": {"t_max_gamma": 5.0, "points": 21, "equal_times": True},
+                "noise": {"total_counts": 10000, "visibility": 1.0, "replicas": 400, "seed": 5},
+            },
+        )
+        main(["appendix-d", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        _, rows = read_rows(tmp_path / "out" / "appendix_d.csv")
+        tested = []
+        for r in rows:
+            gamma = float(r["gamma_tau_c"])  # tau_c = 1
+            t = float(r["t"]) / gamma
+            scheme = MeasurementScheme(r["scheme"])
+            state = InitialState.from_population(float(r["p"]))
+            g, g2 = lorentzian_G(gamma, 1.0, t), lorentzian_G_two_time(gamma, 1.0, t, t)
+            budget = float(r["N"]) * float(conditioning_probability(scheme, state, int(r["y"]), g))
+            means = budget * degrade_probs(
+                table_probs(scheme, state, int(r["y"]), g, g, g2), float(r["V"]), scheme
+            )
+            if r["n_replicas"] == "0" or budget < 1000 or np.min(means[means > 0]) < 10:
+                continue
+            if float(r["predicted_std"]) == 0.0:  # e.g. t = 0: every replica estimates 0
+                assert float(r["mc_std"]) <= 1e-12
+                continue
+            tested.append((float(r["mc_std"]) / float(r["predicted_std"]), int(r["n_replicas"])))
+        assert len(tested) >= 50
+        tail = 1e-3 / (2 * len(tested))
+        for ratio, n in tested:
+            k = n - 1
+            lo, hi = (
+                np.sqrt((1 - 2 / (9 * k) + z * np.sqrt(2 / (9 * k))) ** 3)
+                for z in (NormalDist().inv_cdf(tail), NormalDist().inv_cdf(1 - tail))
+            )
+            assert lo <= ratio <= hi, f"mc_std / predicted_std = {ratio:.3f} outside [{lo:.3f}, {hi:.3f}]"
 
     def test_seed_override_and_determinism(self, tmp_path):
         cfg = self.cfg_path(tmp_path)

@@ -12,10 +12,14 @@ from cpfsim import (
     build_table,
     cpf_from_table,
     estimate_cpf,
+    lorentzian_G,
+    lorentzian_G_two_time,
     run_noise_study,
     sample_counts,
 )
+from cpfsim.cpf import conditioning_probability, table_probs
 from cpfsim.errors import NoDataError, ValidationError
+from cpfsim.experiment import draw_counts, estimate_block, predicted_std
 
 ZZZ, XZX = MeasurementScheme.ZZZ, MeasurementScheme.XZX
 
@@ -259,3 +263,60 @@ class TestNoiseStudy:
                 run_noise_study(
                     state, MeasurementScheme.ZZZ, tab, np.array(bad), cfg, t_step=h
                 )
+
+
+class TestBlockDraw:
+    """The rng v2 per-point-block contract and the one sampling path."""
+
+    def test_stream_is_pinned(self):
+        # x-z-x, p = 1, gamma = tau_c = 1, gamma t = 1 and 2, N = 1000,
+        # 3 replicas, seed 2024: a change of these counts is a change of the
+        # RNG contract and must be versioned in the appendix-d header
+        state = InitialState.from_population(1.0)
+        times = np.array([1.0, 2.0])
+        kernel = LorentzianKernel(1.0, 1.0)
+        g = lorentzian_G(1.0, 1.0, times)
+        probs = table_probs(XZX, state, -1, g, g, lorentzian_G_two_time(1.0, 1.0, times, times))
+        budget = 1000 * conditioning_probability(XZX, state, -1, g)
+        counts = np.stack(list(draw_counts(probs, budget, 3, 2024)))
+        assert counts.tolist() == [
+            [[128, 192, 198, 119], [116, 189, 212, 127], [140, 205, 222, 140]],
+            [[152, 242, 267, 188], [192, 237, 259, 176], [166, 280, 265, 145]],
+        ]
+        cfg = ExperimentConfig(total_counts=1000, replicas=3, seed=2024)
+        points = run_noise_study(state, XZX, kernel, times, cfg)
+        for pt, est in zip(points, estimate_block(counts)):
+            assert pt.mc_mean == pytest.approx(np.mean(est), rel=1e-14)
+            assert pt.mc_std == pytest.approx(np.std(est, ddof=1), rel=1e-12)
+
+    def test_one_point_wrappers_share_the_draw(self):
+        tbl = xzx_table(p=0.8)
+        probs = np.array([tbl.entries[cell] for cell in tbl.entries])
+        (block,) = draw_counts(probs[None, :], [500.0], 4, 9)
+        rng = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0])
+        cfg = ExperimentConfig(total_counts=500)
+        for row in block:
+            counts = sample_counts(tbl, cfg, rng=rng)
+            assert [counts.counts[cell] for cell in tbl.entries] == row.tolist()
+            assert estimate_cpf(counts).value == float(estimate_block(row))
+
+    def test_starved_points_draw_nothing_and_are_dropped(self):
+        counts = np.stack(list(draw_counts(np.full((3, 4), 0.25), [np.nan, 0.0, 1e-3], 5, 1)))
+        assert not counts[:2].any()
+        estimates = estimate_block(counts)
+        assert np.isnan(estimates[:2]).all()
+        assert np.isnan(estimates[2]).sum() == np.sum(counts[2].sum(axis=-1) == 0)
+        with pytest.raises(ValidationError, match="non-negative"):
+            estimate_block([1, -1, 0, 0])
+
+    def test_predicted_std_is_first_order_variance(self):
+        # Var_P[(z - <z>)(x - <x>)] / budget against an explicit sum over cells
+        tbl = xzx_table(p=0.7, g_t=0.6, g2=-0.4)
+        cells = list(tbl.entries)
+        mean_z = sum(z * tbl.p(z, x) for z, x in cells)
+        mean_x = sum(x * tbl.p(z, x) for z, x in cells)
+        dev = {(z, x): (z - mean_z) * (x - mean_x) for z, x in cells}
+        var = sum(tbl.p(*c) * dev[c] ** 2 for c in cells) - sum(tbl.p(*c) * dev[c] for c in cells) ** 2
+        probs = np.array([tbl.entries[c] for c in cells])
+        assert float(predicted_std(probs, 2500.0)) == pytest.approx(np.sqrt(var / 2500.0), rel=1e-12)
+        assert np.isnan(predicted_std(np.stack([probs, probs]), np.array([0.0, np.nan]))).all()
