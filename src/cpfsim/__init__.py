@@ -53,11 +53,10 @@ from .propagator import (
     DensityMatrix,
     PropagatorGrid,
     RateFunctions,
-    TwoTimeGrid,
     backflow_probabilities,
-    compute_G_two_time,
     lorentzian_G,
     lorentzian_G_two_time,
+    propagators,
     rates_from_G,
     rho_t,
     solve_volterra,
@@ -81,14 +80,12 @@ __all__ = [
     "PropagatorGrid",
     "RateFunctions",
     "TabulatedKernel",
-    "TwoTimeGrid",
     "angles_from_propagator",
     "apply_U_t",
     "apply_U_tau",
     "apply_visibility",
     "backflow_probabilities",
     "build_table",
-    "compute_G_two_time",
     "conditional_table",
     "cpf_closed_form",
     "cpf_from_table",
@@ -102,6 +99,7 @@ __all__ = [
     "markovian_limit_kernel",
     "prepare_joint",
     "project",
+    "propagators",
     "rates_from_G",
     "rho_t",
     "run_noise_study",

@@ -24,7 +24,8 @@ probability comes back as NaN, since its estimator would have zero counts.
 ``build_table``, ``cpf_closed_form`` and ``cpf_from_table`` are the
 one-point API over them: there such a point raises
 :class:`ConditioningImpossibleError` rather than returning a number.
-Conditioning on y = +1 gives exactly zero for every scheme.
+Conditioning on y = +1 gives exactly zero for every scheme, wherever y = +1
+can occur.
 """
 from __future__ import annotations
 
@@ -46,7 +47,10 @@ _CELLS = tuple((z, x) for z in _OUTCOMES for x in _OUTCOMES)
 _DENOM_TOL = 1e-12
 _ENTRY_TOL = 1e-9  # defensive slack for analytically-in-range entries
 _CPF_TOL = 1e-12
-_IMPOSSIBLE = "P(y=-1) ~ 0: system cannot be found decayed (e.g. t = 0 with b = 0)"
+_IMPOSSIBLE = {
+    -1: "P(y=-1) ~ 0: system cannot be found decayed (e.g. t = 0 with b = 0)",
+    +1: "P(y=+1) ~ 0: system cannot be found excited (G(t) = 0, or a = 0 under z-z-z)",
+}
 
 
 class MeasurementScheme(Enum):
@@ -201,11 +205,12 @@ def table_probs(
     scheme: MeasurementScheme, state: InitialState, y: int, G_t, G_tau, G_two
 ) -> np.ndarray:
     """Joint conditional tables P(z, x | y) over broadcast propagator values,
-    shape (..., 4) with the cells in _CELLS order.
+    shape (..., 4) with the cells in _CELLS order; points where y has zero
+    probability (:func:`conditioning_probability`) are NaN rows.
 
     z-z-z: for y = +1 the past is pinned to x = +1 and the future entries
     are |G(tau)|^2 and 1 - |G(tau)|^2; for y = -1 all entries share the
-    normalization D = P(y = -1), and points with D ~ 0 are NaN rows.
+    normalization D = P(y = -1).
     x-z-x and y-z-y: the past outcome carries weight w(x) = P(x), which is
     |a + x b|^2 / 2 for x-z-x and |a - i x b|^2 / 2 = (1 - 2 x Im(a b*)) / 2
     for y-z-y, independent of y. For y = +1 the table is the z-independent
@@ -216,13 +221,14 @@ def table_probs(
         raise ValidationError(f"y must be +1 or -1, got {y}")
     where = f"{scheme.value} y={y:+d}"
     shape = np.broadcast_shapes(np.shape(G_t), np.shape(G_tau), np.shape(G_two))
+    denom = conditioning_probability(scheme, state, y, G_t)
+    possible = ~np.isnan(denom)
     if scheme is MeasurementScheme.ZZZ:
         if y == +1:
             g_tau2 = np.abs(G_tau) ** 2
-            return _entries(where, (g_tau2, 0.0, 1.0 - g_tau2, 0.0), shape)
+            return _entries(where, (g_tau2, 0.0, 1.0 - g_tau2, 0.0), shape, possible)
         a2 = abs(state.a) ** 2
         b2 = abs(state.b) ** 2
-        denom = conditioning_probability(scheme, state, -1, G_t)
         g_two2 = np.abs(G_two) ** 2
         cells = (
             g_two2 * a2 / denom,
@@ -230,13 +236,13 @@ def table_probs(
             (1.0 - g_two2 - np.abs(G_t) ** 2) * a2 / denom,
             b2 / denom,
         )
-        return _entries(where, cells, shape, possible=~np.isnan(denom))
+        return _entries(where, cells, shape, possible)
     if scheme is MeasurementScheme.XZX:
         weights = {x: abs(state.a + x * state.b) ** 2 / 2.0 for x in _OUTCOMES}
     else:
         weights = {x: abs(state.a - 1j * x * state.b) ** 2 / 2.0 for x in _OUTCOMES}
     if y == +1:
-        return _entries(where, [weights[x] / 2.0 for _, x in _CELLS], shape)
+        return _entries(where, [weights[x] / 2.0 for _, x in _CELLS], shape, possible)
     g_t2, interference = np.broadcast_arrays(np.abs(G_t) ** 2, 2.0 * np.real(G_two))
     excess = np.abs(interference) > 2.0 - g_t2 + _ENTRY_TOL
     if np.any(excess):
@@ -246,7 +252,7 @@ def table_probs(
         )
     kappa = interference / (2.0 - g_t2)
     cells = [weights[x] * (1.0 - z * x * kappa) / 2.0 for z, x in _CELLS]
-    return _entries(where, cells, shape)
+    return _entries(where, cells, shape, possible)
 
 
 def closed_values(
@@ -294,7 +300,7 @@ def cpf_closed_form(
     """The y = -1 closed form of the given scheme at one point."""
     value = float(closed_values(scheme, state, G_t, G_two))
     if math.isnan(value):
-        raise ConditioningImpossibleError(_IMPOSSIBLE)
+        raise ConditioningImpossibleError(_IMPOSSIBLE[-1])
     return CpfResult(value=value, y=-1, scheme=scheme, t=t, tau=tau)
 
 
@@ -309,5 +315,5 @@ def build_table(
     """The joint conditional table of the given scheme at one point."""
     probs = table_probs(scheme, state, y, G_t, G_tau, G_two).tolist()
     if math.isnan(probs[0]):
-        raise ConditioningImpossibleError(_IMPOSSIBLE)
+        raise ConditioningImpossibleError(_IMPOSSIBLE[y])
     return ProbabilityTable(scheme=scheme, y=y, entries=dict(zip(_CELLS, probs)))

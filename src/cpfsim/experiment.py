@@ -33,7 +33,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .bath import BathKernel, LorentzianKernel
+from .bath import BathKernel
 from .cpf import (
     _CELLS,
     CpfResult,
@@ -45,7 +45,7 @@ from .cpf import (
     table_probs,
 )
 from .errors import NoDataError, ValidationError
-from .propagator import lorentzian_G, lorentzian_G_two_time, solve_two_time_rows
+from .propagator import propagators
 
 RNG_CONTRACT = "rng v2 per-point-block"
 # the outcomes z and x of each cell, in _CELLS order
@@ -204,27 +204,6 @@ class NoisePoint:
     flagged: bool  # no replica produced data (count starvation)
 
 
-def _propagator_values(
-    kernel: BathKernel, times: np.ndarray, t_step: Optional[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """G(t_i) and the equal-times diagonal G2(t_i, t_i) for the study grid."""
-    if isinstance(kernel, LorentzianKernel):
-        g = np.asarray(lorentzian_G(kernel.gamma, kernel.tau_c, times), dtype=complex)
-        g2 = np.asarray(
-            lorentzian_G_two_time(kernel.gamma, kernel.tau_c, times, times),
-            dtype=complex,
-        )
-        return g, g2
-    if t_step is None:
-        raise ValidationError("tabulated kernels need an explicit t_step")
-    t_max = float(np.max(times))
-    idx = np.asarray(np.rint(times / t_step), dtype=int)
-    if np.min(idx) < 0 or np.max(np.abs(idx * t_step - times)) > 1e-9 * max(1.0, t_max):
-        raise ValidationError("study times must be >= 0 and lie on the integration grid")
-    grid, g2_rows = solve_two_time_rows(kernel, t_max, t_step, idx)
-    return grid.values[idx], g2_rows[np.arange(idx.size), idx]
-
-
 def run_noise_study(
     state: InitialState,
     scheme: MeasurementScheme,
@@ -244,13 +223,12 @@ def run_noise_study(
     flagged (NaN statistics).
     """
     times = np.asarray(times, dtype=float)
-    g_vals, g2_vals = _propagator_values(kernel, times, t_step)
+    g_vals, _, g2_vals = propagators(kernel, times, times, t_step)
     probs = table_probs(scheme, state, y, g_vals, g_vals, g2_vals)
     degraded = degrade_probs(probs, cfg.visibility, scheme)
+    ideal, degraded_ideal = table_correlation(probs), table_correlation(degraded)
     if y == +1:  # the past decouples from the future exactly (cpf_y_plus)
-        ideal = degraded_ideal = np.zeros(times.size)
-    else:
-        ideal, degraded_ideal = table_correlation(probs), table_correlation(degraded)
+        ideal = degraded_ideal = np.where(np.isnan(ideal), np.nan, 0.0)
     budget = cfg.total_counts * conditioning_probability(scheme, state, y, g_vals)
     mc_mean, mc_std = np.full(times.size, np.nan), np.full(times.size, np.nan)
     n_replicas = np.zeros(times.size, dtype=int)

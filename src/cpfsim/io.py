@@ -16,7 +16,6 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from . import __version__
-from .propagator import PropagatorGrid, TwoTimeGrid
 
 
 def format_value(v) -> str:
@@ -58,34 +57,3 @@ def write_dataset(
         for row in rows:
             writer.writerow(map(format_value, row))
     return path
-
-
-def write_propagator_csv(grid: PropagatorGrid, path: Union[str, Path]) -> Path:
-    """Long-format export: t, re, im."""
-    rows = ((t, v.real, v.imag) for t, v in zip(grid.times, grid.values))
-    return write_dataset(path, ["t", "re", "im"], rows, {"t_step": grid.t_step})
-
-
-def write_two_time_csv(grid: TwoTimeGrid, path: Union[str, Path]) -> Path:
-    """Long-format export: t, tau, re, im."""
-
-    def rows():
-        for i, t in enumerate(grid.t_times):
-            for j, tau in enumerate(grid.tau_times):
-                v = grid.values[i, j]
-                yield t, tau, v.real, v.imag
-
-    return write_dataset(
-        path,
-        ["t", "tau", "re", "im"],
-        rows(),
-        {"t_step": grid.t_step, "tau_step": grid.tau_step},
-    )
-
-
-def write_joint_csv(
-    joint: Mapping[tuple[int, int, int], float], path: Union[str, Path]
-) -> Path:
-    """Audit export of an enumerated joint distribution: x, y, z, probability."""
-    rows = ((x, y, z, p) for (x, y, z), p in sorted(joint.items(), reverse=True))
-    return write_dataset(path, ["x", "y", "z", "probability"], rows, {})

@@ -26,12 +26,15 @@ Born-Markov regime, even where G(t) decays monotonically.
 
 Numerical quadrature is trapezoidal product integration with a fixed step
 (second order); the step is kept common between G, G2 and the probability
-tables so the correlation layer operates on aligned grids.
+tables so the correlation layer operates on aligned grids. Callers get all
+three from :func:`propagators`, which picks the closed forms or the
+quadrature by kernel type.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -77,34 +80,6 @@ class PropagatorGrid:
     @property
     def t_max(self) -> float:
         return (self.values.size - 1) * self.t_step
-
-
-@dataclass(frozen=True)
-class TwoTimeGrid:
-    """G2(t, tau) on the product grid (i * t_step, j * tau_step)."""
-
-    t_step: float
-    tau_step: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if not (self.t_step > 0 and self.tau_step > 0):
-            raise ValidationError("steps must be > 0")
-        if values.ndim != 2:
-            raise ValidationError("values must be a 2-D array")
-        if np.any(values[0, :] != 0) or np.any(values[:, 0] != 0):
-            raise ValidationError("G2 must vanish exactly on the t = 0 and tau = 0 edges")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def t_times(self) -> np.ndarray:
-        return np.arange(self.values.shape[0]) * self.t_step
-
-    @property
-    def tau_times(self) -> np.ndarray:
-        return np.arange(self.values.shape[1]) * self.tau_step
 
 
 @dataclass(frozen=True)
@@ -311,9 +286,7 @@ def two_time_trapezoid(
     return G2
 
 
-def _volterra_steps(
-    kernel: BathKernel, t_max: float, t_step: float, strict: bool
-) -> int:
+def _volterra_steps(kernel: BathKernel, t_max: float, t_step: float) -> int:
     """Number of steps of the Volterra grid, after the step checks of
     :func:`solve_volterra` (the warning points at that function's caller)."""
     if not (t_step > 0):
@@ -321,44 +294,43 @@ def _volterra_steps(
     if t_max < t_step:
         raise ValidationError(f"t_max = {t_max:g} must be >= t_step = {t_step:g}")
     if isinstance(kernel, LorentzianKernel) and t_step > kernel.tau_c / 4:
-        msg = (
+        warnings.warn(
             f"t_step = {t_step:g} > tau_c/4 = {kernel.tau_c / 4:g}: "
-            "step too coarse to resolve the kernel"
+            "step too coarse to resolve the kernel",
+            CoarseStepWarning,
+            stacklevel=3,
         )
-        if strict:
-            raise ValidationError(msg)
-        warnings.warn(msg, CoarseStepWarning, stacklevel=3)
     return _steps_on_grid(t_max, t_step, "t_max")
 
 
-def solve_volterra(
-    kernel: BathKernel, t_max: float, t_step: float, strict: bool = False
-) -> PropagatorGrid:
+def solve_volterra(kernel: BathKernel, t_max: float, t_step: float) -> PropagatorGrid:
     """Solve the convoluted propagator equation on [0, t_max].
 
     Trapezoidal product integration, global error O(t_step^2). For
     Lorentzian kernels a step coarser than tau_c / 4 cannot resolve the
-    kernel decay: with ``strict`` this is rejected, otherwise a
-    :class:`CoarseStepWarning` is attached to the computation.
+    kernel decay: a :class:`CoarseStepWarning` is attached to the
+    computation (``warnings.simplefilter("error", CoarseStepWarning)``
+    turns it into an error).
     """
-    n = _volterra_steps(kernel, t_max, t_step, strict)
+    n = _volterra_steps(kernel, t_max, t_step)
     f = eval_kernel_grid(kernel, np.arange(n + 1) * t_step)
     values = volterra_trapezoid(f, t_step)
     return PropagatorGrid(t_step=t_step, values=values)
 
 
 def solve_two_time_rows(
-    kernel: BathKernel, t_max: float, t_step: float, rows
+    kernel: BathKernel, t_max: float, t_step: float, rows=None
 ) -> tuple[PropagatorGrid, np.ndarray]:
     """G(t) on [0, t_max] and G2(t_i, tau_j) on the requested t rows only.
 
     The numerical route for a kernel without closed forms. The kernel is
     sampled once on [0, 2 t_max]; the first half drives the Volterra solve
     (as :func:`solve_volterra`, same checks and warning), all of it the
-    two-time quadrature. Row k of the returned (len(rows), n+1) array holds
-    G2(rows[k] t_step, j t_step), j = 0..n, with n = t_max / t_step.
+    two-time quadrature, error O(t_step^2). Row k of the returned
+    (len(rows), n+1) array holds G2(rows[k] t_step, j t_step), j = 0..n,
+    with n = t_max / t_step; ``rows`` None gives all n + 1 rows.
     """
-    n = _volterra_steps(kernel, t_max, t_step, strict=False)
+    n = _volterra_steps(kernel, t_max, t_step)
     f = eval_kernel_grid(kernel, np.arange(2 * n + 1) * t_step)
     grid = PropagatorGrid(t_step=t_step, values=volterra_trapezoid(f[: n + 1], t_step))
     return grid, two_time_trapezoid(f, grid.values, grid.values, t_step, rows=rows)
@@ -423,24 +395,36 @@ def lorentzian_G_two_time(gamma: float, tau_c: float, t, tau) -> np.ndarray | fl
     return out if out.ndim else float(out)
 
 
-def compute_G_two_time(
-    kernel: BathKernel, G: PropagatorGrid, t_max: float, tau_max: float
-) -> TwoTimeGrid:
-    """Tensor-product trapezoid quadrature of G2 reusing the solved G grid.
+def propagators(
+    kernel: BathKernel, t, tau, t_step: Optional[float] = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G(t), G(tau) and G2(t, tau) over broadcast time arrays.
 
-    Both axes use G.t_step; the kernel must be evaluable on
-    [0, t_max + tau_max]. Error O(t_step^2).
+    The one place that chooses how they are computed: a Lorentzian kernel
+    uses the closed forms (real values), any other kernel
+    :func:`solve_two_time_rows` on the grid of step ``t_step`` (complex
+    values), on which every time must lie. The quadrature solves only the
+    distinct t rows of G2.
     """
-    h = G.t_step
-    n = _steps_on_grid(t_max, h, "t_max")
-    m = _steps_on_grid(tau_max, h, "tau_max")
-    if max(n, m) > G.values.size - 1:
-        raise GridMismatchError(
-            f"G grid covers {G.t_max:g} but max(t_max, tau_max) = {max(t_max, tau_max):g}"
+    t, tau = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(tau, dtype=float))
+    if isinstance(kernel, LorentzianKernel):
+        gamma, tau_c = kernel.gamma, kernel.tau_c
+        return (
+            lorentzian_G(gamma, tau_c, t),
+            lorentzian_G(gamma, tau_c, tau),
+            lorentzian_G_two_time(gamma, tau_c, t, tau),
         )
-    f = eval_kernel_grid(kernel, np.arange(n + m + 1) * h)
-    values = two_time_trapezoid(f, G.values[: n + 1], G.values[: m + 1], h)
-    return TwoTimeGrid(t_step=h, tau_step=h, values=values)
+    if t_step is None:
+        raise ValidationError("tabulated kernels need an explicit t_step")
+    times = np.stack([t, tau])
+    t_max = float(np.max(times))
+    idx = np.asarray(np.rint(times / t_step), dtype=int)
+    if np.min(idx) < 0 or np.max(np.abs(idx * t_step - times)) > 1e-9 * max(1.0, t_max):
+        raise ValidationError("times must be >= 0 and lie on the integration grid")
+    i, j = idx
+    rows, row_of = np.unique(i, return_inverse=True)
+    grid, g2_rows = solve_two_time_rows(kernel, t_max, t_step, rows)
+    return grid.values[i], grid.values[j], g2_rows[row_of.reshape(i.shape), j]
 
 
 def rho_t(state: InitialState, G_val: complex) -> DensityMatrix:

@@ -31,9 +31,9 @@ from .experiment import RNG_CONTRACT, run_noise_study
 from .io import write_dataset
 from .propagator import (
     PropagatorGrid,
-    compute_G_two_time,
     lorentzian_G,
     lorentzian_G_two_time,
+    propagators,
     rates_from_G,
     solve_two_time_rows,
     solve_volterra,
@@ -66,8 +66,8 @@ def _cpf_columns(
     """(closed-form, table) CPF of one scheme over broadcast propagator
     arrays; NaN in both where the conditioning outcome y has zero probability."""
     table = table_correlation(table_probs(scheme, state, y, g_t, g_tau, g2))
-    if y == +1:
-        return np.zeros_like(table), table
+    if y == +1:  # the past decouples from the future exactly (cpf_y_plus)
+        return np.where(np.isnan(table), np.nan, 0.0), table
     return closed_values(scheme, state, g_t, g2), table
 
 
@@ -86,8 +86,7 @@ def run_figure2(cfg: RunConfig, out_dir: Path) -> Path:
         tau_c = 1.0
         gamma = ratio / tau_c
         t = gamma_t / gamma
-        g_t = lorentzian_G(gamma, tau_c, t)
-        g2 = lorentzian_G_two_time(gamma, tau_c, t, t)
+        g_t, _, g2 = propagators(LorentzianKernel(gamma, tau_c), t, t)
         state = InitialState.from_population(p)
         closed, table = _cpf_columns(scheme, state, cfg.y, g_t, g_t, g2)
         rows += _curve_rows(scheme, cfg.y, p, ratio, t * gamma, t * gamma, closed, table)
@@ -135,11 +134,10 @@ def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
     if not cfg.bath.is_analytic:
         raise ValidationError("config: bath: witness comparison needs an analytic bath")
     gamma = cfg.bath.gamma
-    tau_c = cfg.bath.tau_c
     n = cfg.points - 1
     h = cfg.t_max_gamma / gamma / n
     times = np.arange(n + 1) * h
-    g_vals = np.asarray(lorentzian_G(gamma, tau_c, times), dtype=complex)
+    g_vals, _, g2 = propagators(cfg.bath.make_kernel(), times, times)
     warning = ""
     try:
         rates = rates_from_G(PropagatorGrid(t_step=h, values=g_vals))
@@ -150,9 +148,8 @@ def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
         warning = f"truncated: G(t) crosses zero near gamma*t = {exc.t * gamma:.6g}"
     t = times[:keep]
     g_t = g_vals[:keep]
-    g2 = lorentzian_G_two_time(gamma, tau_c, t, t)
     cpf = [
-        _cpf_columns(scheme, cfg.state, -1, g_t, g_t, g2)[0].tolist()
+        _cpf_columns(scheme, cfg.state, -1, g_t, g_t, g2[:keep])[0].tolist()
         for scheme in (MeasurementScheme.ZZZ, MeasurementScheme.XZX)
     ]
     warnings = [""] * (keep - 1) + [warning]
@@ -191,14 +188,13 @@ def run_validation(writer: Callable[[str], None] = print) -> bool:
 
     # Two-time quadrature against the closed form
     gamma = 1.0 / tau_c
-    grid = solve_volterra(LorentzianKernel(gamma, tau_c), 5.0 * tau_c, tau_c / 100)
-    surface = compute_G_two_time(
-        LorentzianKernel(gamma, tau_c), grid, 5.0 * tau_c, 5.0 * tau_c
+    grid, surface = solve_two_time_rows(
+        LorentzianKernel(gamma, tau_c), 5.0 * tau_c, tau_c / 100
     )
     ref = lorentzian_G_two_time(
         gamma, tau_c, grid.times[:, None], grid.times[None, :]
     )
-    err = float(np.max(np.abs(surface.values - ref)))
+    err = float(np.max(np.abs(surface - ref)))
     checks.append((f"two-time quadrature vs closed form (max err {err:.2e} <= 1e-5)", err <= 1e-5))
 
     # Channel-map oracle vs closed forms and y = +1 nullity
@@ -225,7 +221,7 @@ def run_validation(writer: Callable[[str], None] = print) -> bool:
 
     # Probability bound on the numerical grids
     viol = float(
-        np.max(np.abs(surface.values) ** 2 - (1.0 - np.abs(grid.values[:, None]) ** 2))
+        np.max(np.abs(surface) ** 2 - (1.0 - np.abs(grid.values[:, None]) ** 2))
     )
     checks.append((f"probability bound |G2|^2 <= 1 - |G|^2 (excess {viol:.2e} <= 1e-9)", viol <= 1e-9))
 
@@ -250,24 +246,14 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
     else:
         i, j = np.indices((n + 1, n + 1)).reshape(2, -1)
     ratio_label = cfg.bath.tau_c * gamma if cfg.bath.is_analytic else None
-    if cfg.bath.is_analytic:
-        tau_c = cfg.bath.tau_c
-        g_vals = lorentzian_G(gamma, tau_c, times)
-        g2 = lorentzian_G_two_time(gamma, tau_c, times[i], times[j])
-    else:
-        # integrate on a substep of the output grid no coarser than the
-        # default 1/(100 gamma); G2 is computed on the output rows only and
-        # both are subsampled back to the output points
-        refine = max(1, int(np.ceil(h * 100.0 * gamma)))
-        grid, g2_rows = solve_two_time_rows(
-            cfg.bath.make_kernel(), times[-1], h / refine, range(0, n * refine + 1, refine)
-        )
-        g_vals = grid.values[::refine]
-        g2 = g2_rows[:, ::refine][i, j]
+    # a tabulated kernel is integrated on a substep of the output grid no
+    # coarser than the default 1/(100 gamma)
+    refine = max(1, int(np.ceil(h * 100.0 * gamma)))
+    g_t, g_tau, g2 = propagators(cfg.bath.make_kernel(), times[i], times[j], h / refine)
     p_label = abs(cfg.state.a) ** 2
     t = cfg.report_time(times)
     rows: list[tuple] = []
     for scheme in cfg.schemes:
-        closed, table = _cpf_columns(scheme, cfg.state, cfg.y, g_vals[i], g_vals[j], g2)
+        closed, table = _cpf_columns(scheme, cfg.state, cfg.y, g_t, g_tau, g2)
         rows += _curve_rows(scheme, cfg.y, p_label, ratio_label, t[i], t[j], closed, table)
     return write_dataset(out_dir / "sweep.csv", CURVE_FIELDS, rows, cfg.raw)

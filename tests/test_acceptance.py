@@ -18,7 +18,6 @@ from cpfsim import (
     MeasurementScheme,
     angles_from_propagator,
     build_table,
-    compute_G_two_time,
     conditional_table,
     cpf_closed_form,
     cpf_from_table,
@@ -33,6 +32,7 @@ from cpfsim import (
 from cpfsim.cli import main
 from cpfsim.cpf import conditioning_probability, table_probs
 from cpfsim.experiment import draw_counts, estimate_block, predicted_std
+from cpfsim.propagator import solve_two_time_rows
 
 TAU_C = 1.0
 SCHEMES = list(MeasurementScheme)
@@ -73,11 +73,10 @@ def test_criterion_02_two_time_agreement():
         gamma = 1.0 / TAU_C
         k = LorentzianKernel(gamma, TAU_C)
         start = time.perf_counter()
-        grid = solve_volterra(k, 5.0 * TAU_C, TAU_C / 100)
-        surface = compute_G_two_time(k, grid, 5.0 * TAU_C, 5.0 * TAU_C)
+        grid, surface = solve_two_time_rows(k, 5.0 * TAU_C, TAU_C / 100)
         elapsed = time.perf_counter() - start
         idx = np.arange(1, 51) * 10  # 50 x 50 output grid over (0, 5 tau_c]
-        sub = surface.values[np.ix_(idx, idx)]
+        sub = surface[np.ix_(idx, idx)]
         t_sub = grid.times[idx]
         ref = lorentzian_G_two_time(gamma, TAU_C, t_sub[:, None], t_sub[None, :])
         err = np.max(np.abs(sub - ref))

@@ -297,16 +297,3 @@ class TestSequence:
         sys_env = np.array([[a[1], a[3]], [a[0], a[2]]])  # rows: up, down
         reduced = sys_env @ sys_env.conj().T
         assert np.allclose(reduced, rho_t(state, g_t).matrix, atol=1e-12)
-
-    def test_joint_csv_export(self, tmp_path):
-        from cpfsim.io import write_joint_csv
-
-        joint = simulate_sequence(
-            InitialState.from_population(0.8),
-            MeasurementScheme.ZZZ,
-            angles_from_propagator(0.5, 0.5, 0.3),
-        )
-        path = write_joint_csv(joint, tmp_path / "joint.csv")
-        lines = path.read_text().splitlines()
-        assert lines[2] == "x,y,z,probability"
-        assert len(lines) == 3 + 8

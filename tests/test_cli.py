@@ -437,6 +437,51 @@ class TestSweep:
             assert float(r["cpf_table"]) == pytest.approx(expect, abs=2e-3)
         assert peak > 0.05
 
+    def test_tabulated_full_grid_solves_distinct_rows(self, tmp_path, monkeypatch):
+        # a 2D sweep of (n+1)^2 points integrates G2 on its n+1 distinct t
+        # rows only: output step 1, integration step 1/100
+        from cpfsim import propagator
+
+        calls = []
+        quadrature = propagator.two_time_trapezoid
+
+        def spy(f, G_t, G_tau, h, rows=None):
+            calls.append(np.asarray(rows).tolist())
+            return quadrature(f, G_t, G_tau, h, rows=rows)
+
+        monkeypatch.setattr(propagator, "two_time_trapezoid", spy)
+        cfg = write_config(
+            tmp_path,
+            {
+                "bath": self.lorentzian_kernel_csv(tmp_path),
+                "schemes": ["zzz"],
+                "grid": {"t_max_gamma": 4.0, "points": 5, "equal_times": False},
+            },
+        )
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_rows(tmp_path / "out" / "sweep.csv")
+        assert len(rows) == 25
+        assert calls == [[0, 100, 200, 300, 400]]
+
+    def test_y_plus_impossible_conditioning_gives_nan(self, tmp_path):
+        # p = 0 under z-z-z: the system is never excited, so y = +1 has zero
+        # probability at every t and both routes are NaN
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "bath": {"gamma": 1, "tau_c": 1},
+                    "state": {"p": 0},
+                    "schemes": ["zzz"],
+                    "y": 1,
+                    "grid": {"t_max_gamma": 1, "points": 3},
+                }
+            )
+        )
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_rows(tmp_path / "out" / "sweep.csv")
+        assert [(r["cpf_closed"], r["cpf_table"]) for r in rows] == [("nan", "nan")] * 3
+
     def test_full_grid_mode(self, tmp_path):
         cfg = write_config(
             tmp_path,

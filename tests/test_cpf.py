@@ -4,6 +4,9 @@ import pytest
 
 from cpfsim import (
     InitialState,
+    angles_from_propagator,
+    conditional_table,
+    simulate_sequence,
     MeasurementScheme,
     ProbabilityTable,
     build_table,
@@ -63,6 +66,20 @@ class TestTableBuilders:
     def test_zzz_conditioning_impossible(self):
         with pytest.raises(ConditioningImpossibleError):
             build_table(ZZZ, InitialState(1.0, 0.0), 1.0, 1.0, 0.0, y=-1)
+
+    @pytest.mark.parametrize(
+        "scheme, p, g_t", [(ZZZ, 0.0, 0.5), (XZX, 0.8, 0.0), (YZY, 0.8, 0.0)]
+    )
+    def test_y_plus_conditioning_impossible(self, scheme, p, g_t):
+        # P(y = +1) = 0 (never excited under z-z-z at p = 0, or G(t) = 0):
+        # no table exists, as in the channel-map oracle
+        state = InitialState.from_population(p)
+        assert np.isnan(table_probs(scheme, state, +1, g_t, 0.6, 0.0)).all()
+        with pytest.raises(ConditioningImpossibleError, match=r"P\(y=\+1\)"):
+            build_table(scheme, state, g_t, 0.6, 0.0, y=+1)
+        joint = simulate_sequence(state, scheme, angles_from_propagator(g_t, 0.6, 0.0))
+        with pytest.raises(ConditioningImpossibleError):
+            conditional_table(joint, scheme, +1)
 
     def test_xzx_y_plus_is_z_independent(self):
         state = InitialState.from_population(0.7)

@@ -1,5 +1,7 @@
 """Propagator layer: Volterra solver vs closed forms, two-time object,
 rates, density matrix, backflow."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,11 @@ from cpfsim import (
     PropagatorGrid,
     TabulatedKernel,
     backflow_probabilities,
-    compute_G_two_time,
     eval_kernel_grid,
     lorentzian_G,
     lorentzian_G_two_time,
     markovian_limit_kernel,
+    propagators,
     rates_from_G,
     rho_t,
     solve_volterra,
@@ -36,6 +38,14 @@ EXP_MINUS_TWO = 0.1353352832366127       # e^{-2}
 TWO_OVER_E = 0.7357588823428846          # 2 e^{-1}
 # |G2|^2/(1-|G|^2) at gamma tau_c = 1, t = tau = pi tau_c:
 P_REEXCITE = 0.007807148399647461
+
+
+def tabulated_lorentzian(t_end, h=0.01):
+    """The gamma = tau_c = 1 Lorentzian kernel as a tabulated one, sampled
+    every h up to t_end: a kernel without closed forms whose propagators
+    are known."""
+    ts = np.arange(0, t_end + h / 2, h)
+    return TabulatedKernel(times=ts, values=eval_kernel_grid(LorentzianKernel(1.0, 1.0), ts))
 
 
 class TestLorentzianClosedForm:
@@ -115,8 +125,10 @@ class TestVolterraSolver:
         k = LorentzianKernel(1.0, 1.0)
         with pytest.warns(CoarseStepWarning):
             solve_volterra(k, 5.0, 0.5)
-        with pytest.raises(ValidationError):
-            solve_volterra(k, 5.0, 0.5, strict=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CoarseStepWarning)
+            with pytest.raises(CoarseStepWarning):
+                solve_volterra(k, 5.0, 0.5)
 
     def test_grid_validation(self):
         k = LorentzianKernel(1.0, 1.0)
@@ -147,35 +159,54 @@ class TestTwoTime:
         tau_c = 1.0
         gamma = ratio / tau_c
         k = LorentzianKernel(gamma, tau_c)
-        grid = solve_volterra(k, 5.0 * tau_c, tau_c / 100)
-        surface = compute_G_two_time(k, grid, 5.0 * tau_c, 5.0 * tau_c)
+        grid, surface = solve_two_time_rows(k, 5.0 * tau_c, tau_c / 100)
         ref = lorentzian_G_two_time(gamma, tau_c, grid.times[:, None], grid.times[None, :])
-        assert np.max(np.abs(surface.values - ref)) <= 1e-5
+        assert np.max(np.abs(surface - ref)) <= 1e-5
 
     def test_edges_are_exactly_zero(self):
-        k = LorentzianKernel(1.0, 1.0)
-        grid = solve_volterra(k, 2.0, 0.02)
-        surface = compute_G_two_time(k, grid, 2.0, 1.0)
-        assert np.all(surface.values[0, :] == 0)
-        assert np.all(surface.values[:, 0] == 0)
+        _, surface = solve_two_time_rows(LorentzianKernel(1.0, 1.0), 2.0, 0.02)
+        assert np.all(surface[0, :] == 0)
+        assert np.all(surface[:, 0] == 0)
 
     def test_rectangular_grids(self):
-        k = LorentzianKernel(1.0, 1.0)
-        grid = solve_volterra(k, 3.0, 0.01)
-        surface = compute_G_two_time(k, grid, 3.0, 1.5)
-        assert surface.values.shape == (301, 151)
-        ref = lorentzian_G_two_time(
-            1.0, 1.0, surface.t_times[:, None], surface.tau_times[None, :]
+        # broadcast (t, tau) arrays of a non-Lorentzian kernel go through the
+        # quadrature on the given step
+        h = 0.01
+        t = np.arange(301)[:, None] * h
+        tau = np.arange(151)[None, :] * h
+        g_t, g_tau, g2 = propagators(tabulated_lorentzian(6.0), t, tau, h)
+        assert g_t.shape == g_tau.shape == g2.shape == (301, 151)
+        assert np.max(np.abs(g_t - lorentzian_G(1.0, 1.0, t))) <= 1e-5
+        assert np.max(np.abs(g_tau - lorentzian_G(1.0, 1.0, tau))) <= 1e-5
+        assert np.max(np.abs(g2 - lorentzian_G_two_time(1.0, 1.0, t, tau))) <= 1e-5
+
+    def test_propagators_route_by_kernel(self):
+        t = np.array([0.0, 0.5, 2.0, 2.0])
+        tau = np.array([1.0, 0.0, 1.5, 2.0])
+        g_t, g_tau, g2 = propagators(LorentzianKernel(1.0, 1.0), t, tau)
+        assert np.array_equal(g_t, lorentzian_G(1.0, 1.0, t))
+        assert np.array_equal(g_tau, lorentzian_G(1.0, 1.0, tau))
+        assert np.array_equal(g2, lorentzian_G_two_time(1.0, 1.0, t, tau))
+        num = propagators(tabulated_lorentzian(4.0), t, tau, 0.01)
+        for a, b in zip(num, (g_t, g_tau, g2)):
+            assert a.dtype == complex
+            assert np.max(np.abs(a - b)) <= 1e-5
+        # scalars broadcast to 0-d results
+        assert propagators(LorentzianKernel(1.0, 1.0), np.pi, np.pi)[2] == pytest.approx(
+            TWO_EXP_MINUS_PI, abs=1e-15
         )
-        assert np.max(np.abs(surface.values - ref)) <= 1e-5
 
     def test_grid_mismatch_rejected(self):
         k = LorentzianKernel(1.0, 1.0)
-        grid = solve_volterra(k, 2.0, 0.02)
         with pytest.raises(GridMismatchError):
-            compute_G_two_time(k, grid, 4.0, 1.0)  # beyond solved range
-        with pytest.raises(GridMismatchError):
-            compute_G_two_time(k, grid, 1.003, 1.0)  # off-grid t_max
+            solve_two_time_rows(k, 1.003, 0.02)  # off-grid t_max
+        tab = tabulated_lorentzian(4.0)
+        with pytest.raises(ValidationError, match="integration grid"):
+            propagators(tab, 1.003, 1.0, 0.02)  # off-grid time
+        with pytest.raises(ValidationError, match="integration grid"):
+            propagators(tab, -0.02, 1.0, 0.02)  # negative time
+        with pytest.raises(ValidationError, match="t_step"):
+            propagators(tab, 1.0, 1.0)  # no step for the quadrature
 
     def test_markov_limit_vanishes_monotonically(self):
         sups = []
@@ -183,18 +214,16 @@ class TestTwoTime:
             k = markovian_limit_kernel(1.0, 1.0, eps)
             h = k.tau_c / 25
             t_max = 200 * h  # covers the sup of the two-time surface
-            grid = solve_volterra(k, t_max, h)
-            surface = compute_G_two_time(k, grid, t_max, t_max)
-            sups.append(np.max(np.abs(surface.values)))
+            _, surface = solve_two_time_rows(k, t_max, h)
+            sups.append(np.max(np.abs(surface)))
         assert sups[0] > sups[1] > sups[2]
         assert sups[2] < 5e-3
 
     def test_delta_like_kernel_suppressed(self):
         k = markovian_limit_kernel(1.0, 1.0, 1e-3)
         h = k.tau_c / 25
-        grid = solve_volterra(k, 200 * h, h)
-        surface = compute_G_two_time(k, grid, 200 * h, 200 * h)
-        assert np.max(np.abs(surface.values)) < 1e-2
+        _, surface = solve_two_time_rows(k, 200 * h, h)
+        assert np.max(np.abs(surface)) < 1e-2
 
     def test_probability_bound(self):
         tau_c = 1.0
@@ -204,18 +233,16 @@ class TestTwoTime:
             t_max = min(5.0 / gamma, 8.0 * tau_c)
             h = tau_c / 100
             t_max = round(t_max / h) * h
-            grid = solve_volterra(k, t_max, h)
-            surface = compute_G_two_time(k, grid, t_max, t_max)
-            excess = np.abs(surface.values) ** 2 - (
+            grid, surface = solve_two_time_rows(k, t_max, h)
+            excess = np.abs(surface) ** 2 - (
                 1.0 - np.abs(grid.values[:, None]) ** 2
             )
             assert np.max(excess) <= 1e-9
 
     def test_two_time_real_for_real_kernel(self):
         k = LorentzianKernel(1.0, 1.0)
-        grid = solve_volterra(k, 3.0, 0.01)
-        surface = compute_G_two_time(k, grid, 3.0, 3.0)
-        assert np.max(np.abs(surface.values.imag)) < 1e-12
+        _, surface = solve_two_time_rows(k, 3.0, 0.01)
+        assert np.max(np.abs(surface.imag)) < 1e-12
 
 
 class TestDensityMatrix:
@@ -362,19 +389,6 @@ class TestGridTypes:
         with pytest.raises(ValidationError):
             PropagatorGrid(t_step=0.1, values=np.array([1.0, 1.5], dtype=complex))
 
-    def test_propagator_csv_export(self, tmp_path):
-        from cpfsim.io import write_propagator_csv, write_two_time_csv
-
-        k = LorentzianKernel(1.0, 1.0)
-        grid = solve_volterra(k, 1.0, 0.1)
-        path = write_propagator_csv(grid, tmp_path / "g.csv")
-        lines = path.read_text().splitlines()
-        assert lines[2] == "t,re,im"
-        assert lines[3].startswith("0,1,")
-        surface = compute_G_two_time(k, grid, 1.0, 1.0)
-        path2 = write_two_time_csv(surface, tmp_path / "g2.csv")
-        assert path2.read_text().splitlines()[2] == "t,tau,re,im"
-
 
 def test_short_inputs():
     f = np.array([0.5 + 0j])
@@ -491,11 +505,11 @@ class TestTwoTimeKernel:
     def test_solve_rows_matches_full_pipeline(self):
         k = LorentzianKernel(1.0, 1.0)
         grid = solve_volterra(k, 2.0, 0.01)
-        surface = compute_G_two_time(k, grid, 2.0, 2.0)
+        _, surface = solve_two_time_rows(k, 2.0, 0.01)
         rows = range(0, 201, 20)
         row_grid, g2_rows = solve_two_time_rows(k, 2.0, 0.01, rows)
         assert np.array_equal(row_grid.values, grid.values)
         assert g2_rows.shape == (11, 201)
-        assert np.max(np.abs(g2_rows - surface.values[::20])) <= FFT_REL_TOL * np.max(
-            np.abs(surface.values)
+        assert np.max(np.abs(g2_rows - surface[::20])) <= FFT_REL_TOL * np.max(
+            np.abs(surface)
         )
