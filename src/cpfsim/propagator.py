@@ -404,7 +404,8 @@ def propagators(
     uses the closed forms (real values), any other kernel
     :func:`solve_two_time_rows` on the grid of step ``t_step`` (complex
     values), on which every time must lie. The quadrature solves only the
-    distinct t rows of G2.
+    distinct t rows of G2; empty or all-zero times need no solve, since
+    G(0) = 1 and G2(0, 0) = 0.
     """
     t, tau = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(tau, dtype=float))
     if isinstance(kernel, LorentzianKernel):
@@ -417,6 +418,8 @@ def propagators(
     if t_step is None:
         raise ValidationError("tabulated kernels need an explicit t_step")
     times = np.stack([t, tau])
+    if not np.any(times):
+        return np.ones(t.shape, complex), np.ones(t.shape, complex), np.zeros(t.shape, complex)
     t_max = float(np.max(times))
     idx = np.asarray(np.rint(times / t_step), dtype=int)
     if np.min(idx) < 0 or np.max(np.abs(idx * t_step - times)) > 1e-9 * max(1.0, t_max):

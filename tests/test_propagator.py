@@ -196,6 +196,20 @@ class TestTwoTime:
             TWO_EXP_MINUS_PI, abs=1e-15
         )
 
+    @pytest.mark.parametrize("tabulated", [False, True])
+    def test_degenerate_times(self, tabulated):
+        # both routes return values for empty and all-zero time arrays
+        kernel = tabulated_lorentzian(1.0) if tabulated else LorentzianKernel(1.0, 1.0)
+        empty = propagators(kernel, np.zeros((0, 3)), np.zeros(3), 0.01)
+        assert [a.shape for a in empty] == [(0, 3)] * 3
+        g_t, g_tau, g2 = propagators(kernel, np.zeros(4), 0.0, 0.01)
+        assert g_t.shape == g_tau.shape == g2.shape == (4,)
+        assert np.array_equal(g_t, np.ones(4))
+        assert np.array_equal(g_tau, np.ones(4))
+        assert np.array_equal(g2, np.zeros(4))
+        if tabulated:
+            assert all(a.dtype == complex for a in (*empty, g_t, g_tau, g2))
+
     def test_grid_mismatch_rejected(self):
         k = LorentzianKernel(1.0, 1.0)
         with pytest.raises(GridMismatchError):
