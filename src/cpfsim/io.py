@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import csv
 import json
-from itertools import islice
+import os
+from collections.abc import Iterable, Mapping, Sequence
+from io import StringIO
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -20,8 +22,8 @@ from . import __version__
 
 
 # Rows are formatted and written this many at a time: large enough that the
-# per-block overhead vanishes, small enough that the formatted strings of a
-# block stay a few MB (formatting a whole sweep at once grows peak RSS by
+# per-chunk overhead vanishes, small enough that the formatted strings of a
+# chunk stay a few MB (formatting a whole sweep at once grows peak RSS by
 # two thirds).
 _BLOCK_ROWS = 4096
 
@@ -42,54 +44,131 @@ def format_value(v) -> str:
     return str(v)
 
 
-def _format_column(column: Sequence[object]) -> Sequence[str]:
-    """``format_value`` of every cell of one column. Columns of one exact
-    type take a fast path with the same bytes: '%.12g' prints NaN of either
-    sign as 'nan', exactly as ``format_value`` does."""
-    types = set(map(type, column))
-    if types == {float}:
-        return ["%.12g" % v for v in column]
-    if types == {str}:
-        return column
-    if types == {int}:
-        return [str(v) for v in column]
-    return [format_value(v) for v in column]
+def _csv_cell(text: str, alone: bool) -> str:
+    """``text`` as ``csv.writer`` writes it in one cell of a row. The csv
+    module of the running Python decides the quoting, whose rules differ
+    between versions (3.11 leaves a bare '\\r' unquoted). ``alone`` is a
+    row of one field, where an empty cell is written as '""'."""
+    buf = StringIO()
+    # a second, empty field keeps an empty text from being quoted
+    csv.writer(buf, lineterminator="\n").writerow([text] if alone else [text, ""])
+    return buf.getvalue()[: -1 if alone else -2]
+
+
+def _is_column(entry) -> bool:
+    return isinstance(entry, np.ndarray) or (
+        isinstance(entry, Sequence) and not isinstance(entry, (str, bytes))
+    )
+
+
+def _conversion(column) -> str:
+    """The printf conversion of one column: '%.12g' for floats and '%d' for
+    integers, which print what ``format_value`` prints for them (NaN of
+    either sign as 'nan'), and '%s' over formatted, quoted text otherwise."""
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind
+    else:
+        types = set(map(type, column))
+        kind = "f" if types == {float} else "i" if types == {int} else "O"
+    return {"f": "%.12g", "i": "%d", "u": "%d"}.get(kind, "%s")
+
+
+def _chunk(column, conversion: str, start: int, stop: int, alone: bool) -> list:
+    """Rows [start, stop) of one column, as the arguments of its conversion."""
+    cells = column[start:stop]
+    if isinstance(cells, np.ndarray):
+        # tolist gives the Python bool, int or float that format_value
+        # prints as it prints the NumPy scalar; other dtypes stay scalars
+        cells = cells.tolist() if cells.dtype.kind in "biuf" else list(cells)
+    if conversion != "%s":
+        return cells
+    if set(map(type, cells)) != {str}:
+        cells = list(map(format_value, cells))
+    quoted = {text: _csv_cell(text, alone) for text in set(cells)}
+    return [quoted[text] for text in cells]
+
+
+def _block_layout(index: int, block: Sequence, fieldnames: Sequence[str]):
+    """(row template, rows, columns) of one block. A scalar entry is baked
+    into the template; each column entry adds one conversion to it."""
+    if len(block) != len(fieldnames):
+        unmatched = (
+            f"none for field {fieldnames[len(block)]!r}"
+            if len(block) < len(fieldnames)
+            else f"{len(block) - len(fieldnames)} beyond the last field"
+        )
+        raise ValueError(
+            f"block {index} has {len(block)} entries for {len(fieldnames)} fields: {unmatched}"
+        )
+    alone = len(fieldnames) == 1
+    parts, columns, n_rows = [], [], None
+    for name, entry in zip(fieldnames, block):
+        if not _is_column(entry):
+            parts.append(_csv_cell(format_value(entry), alone).replace("%", "%%"))
+            continue
+        if isinstance(entry, np.ndarray) and entry.ndim != 1:
+            raise ValueError(f"block {index} field {name!r}: a column must be 1-D")
+        if n_rows is None:
+            n_rows = len(entry)
+        elif len(entry) != n_rows:
+            raise ValueError(
+                f"block {index} field {name!r} has {len(entry)} values, expected {n_rows}"
+            )
+        conversion = _conversion(entry)
+        parts.append(conversion)
+        columns.append((entry, conversion))
+    if n_rows is None:
+        raise ValueError(f"block {index} has no column entry to set its number of rows")
+    return ",".join(parts) + "\n", n_rows, columns
 
 
 def write_dataset(
     path: Union[str, Path],
     fieldnames: Sequence[str],
-    rows: Iterable[Sequence[object]],
+    blocks: Iterable[Sequence[object]],
     config_echo: Mapping[str, object],
     comments: Sequence[str] = (),
 ) -> Path:
-    """Write ``rows``, each a sequence of values in ``fieldnames`` order,
-    below the version and config-echo header and one '# ' line per entry
-    of ``comments``. Cells are formatted a column at a time, in blocks of
-    rows. A row whose length is not ``len(fieldnames)`` raises
-    ``ValueError`` and leaves the file incomplete."""
+    """Write ``blocks`` below the version and config-echo header and one
+    '# ' line per entry of ``comments``.
+
+    Each block has one entry per field, in ``fieldnames`` order: a scalar,
+    written in every row of the block, or a 1-D array or sequence with one
+    value per row. Every column entry of a block has the same length, and
+    at least one entry is a column. A block that breaks this raises
+    ``ValueError`` naming the block and the field. Cells are the text of
+    ``format_value``, quoted as ``csv.writer`` quotes them.
+
+    The file is written to a temporary file beside ``path`` and renamed
+    onto ``path`` only when complete: on any error the temporary file is
+    removed and a file already at ``path`` is left as it was.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    width = len(fieldnames)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# cpfsim {__version__}\n")
-        fh.write(
-            "# config "
-            + json.dumps(config_echo, sort_keys=True, separators=(",", ":"))
-            + "\n"
-        )
-        fh.writelines(f"# {line}\n" for line in comments)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
-        rows = iter(rows)
-        start = 0
-        while block := list(islice(rows, _BLOCK_ROWS)):
-            if set(map(len, block)) != {width}:
-                k = next(k for k, row in enumerate(block) if len(row) != width)
-                raise ValueError(
-                    f"data row {start + k} has {len(block[k])} values, expected {width}"
-                )
-            columns = [_format_column(column) for column in zip(*block)]
-            writer.writerows(zip(*columns))
-            start += len(block)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            _write(fh, fieldnames, blocks, config_echo, comments)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
+
+
+def _write(fh, fieldnames, blocks, config_echo, comments) -> None:
+    fh.write(f"# cpfsim {__version__}\n")
+    fh.write(
+        "# config "
+        + json.dumps(config_echo, sort_keys=True, separators=(",", ":"))
+        + "\n"
+    )
+    fh.writelines(f"# {line}\n" for line in comments)
+    csv.writer(fh, lineterminator="\n").writerow(fieldnames)
+    alone = len(fieldnames) == 1
+    for index, block in enumerate(blocks):
+        template, n_rows, columns = _block_layout(index, block, fieldnames)
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n_rows)
+            lists = [_chunk(c, conv, start, stop, alone) for c, conv in columns]
+            fh.write("".join(template % row for row in zip(*lists)))

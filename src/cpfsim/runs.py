@@ -9,7 +9,6 @@ eight-entry probability tables; they must agree to 1e-9 in every row.
 from __future__ import annotations
 
 import dataclasses
-from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
@@ -72,16 +71,16 @@ def _cpf_columns(
 
 
 def _curve_rows(scheme, y, p, ratio, t, tau, closed, table):
-    """CURVE_FIELDS rows of one scheme, from arrays of one shape."""
-    columns = (a.ravel().tolist() for a in (t, tau, closed, table))
-    return zip(repeat(scheme.value), repeat(y), repeat(p), repeat(ratio), *columns)
+    """The CURVE_FIELDS block of one scheme: the labels as scalars, then
+    1-D arrays of one length."""
+    return (scheme.value, y, p, ratio, t, tau, closed, table)
 
 
 def run_figure2(cfg: RunConfig, out_dir: Path) -> Path:
     """Equal-times correlation curves for the reference (scheme, bath, state)
     combinations, conditioned on y = -1, over gamma*t in [0, t_max_gamma]."""
     gamma_t = np.linspace(0.0, cfg.t_max_gamma, cfg.points)
-    rows: list[tuple] = []
+    blocks = []
     for scheme, ratio, p in cfg.combos:
         tau_c = 1.0
         gamma = ratio / tau_c
@@ -89,8 +88,8 @@ def run_figure2(cfg: RunConfig, out_dir: Path) -> Path:
         g_t, _, g2 = propagators(LorentzianKernel(gamma, tau_c), t, t)
         state = InitialState.from_population(p)
         closed, table = _cpf_columns(scheme, state, cfg.y, g_t, g_t, g2)
-        rows += _curve_rows(scheme, cfg.y, p, ratio, t * gamma, t * gamma, closed, table)
-    return write_dataset(out_dir / "figure2.csv", CURVE_FIELDS, rows, cfg.raw)
+        blocks.append(_curve_rows(scheme, cfg.y, p, ratio, t * gamma, t * gamma, closed, table))
+    return write_dataset(out_dir / "figure2.csv", CURVE_FIELDS, blocks, cfg.raw)
 
 
 def run_appendix_d(cfg: RunConfig, out_dir: Path) -> Path:
@@ -100,7 +99,7 @@ def run_appendix_d(cfg: RunConfig, out_dir: Path) -> Path:
     if cfg.noise is None:
         raise ValidationError("config: noise: block required for appendix-d runs")
     gamma_t = np.linspace(0.0, cfg.t_max_gamma, cfg.points)
-    rows: list[tuple] = []
+    blocks = []
     for scheme, ratio, p, y, visibility in _appendix_d_blocks(cfg):
         tau_c = 1.0
         gamma = ratio / tau_c
@@ -109,16 +108,18 @@ def run_appendix_d(cfg: RunConfig, out_dir: Path) -> Path:
         points = run_noise_study(
             state, scheme, LorentzianKernel(gamma, tau_c), gamma_t / gamma, noise, y=y
         )
-        rows.extend(
-            (
-                scheme.value, y, p, ratio, noise.total_counts, visibility,
-                pt.t * gamma, pt.ideal, pt.degraded_ideal, pt.mc_mean, pt.mc_std,
-                pt.predicted_std, pt.n_replicas, noise.seed,
+        stats = (
+            [getattr(pt, name) for pt in points]
+            for name in (
+                "ideal", "degraded_ideal", "mc_mean", "mc_std", "predicted_std", "n_replicas",
             )
-            for pt in points
         )
+        blocks.append((
+            scheme.value, y, p, ratio, noise.total_counts, visibility,
+            [pt.t * gamma for pt in points], *stats, noise.seed,
+        ))
     return write_dataset(
-        out_dir / "appendix_d.csv", NOISE_FIELDS, rows, cfg.raw, comments=[RNG_CONTRACT]
+        out_dir / "appendix_d.csv", NOISE_FIELDS, blocks, cfg.raw, comments=[RNG_CONTRACT]
     )
 
 
@@ -149,18 +150,12 @@ def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
     t = times[:keep]
     g_t = g_vals[:keep]
     cpf = [
-        _cpf_columns(scheme, cfg.state, -1, g_t, g_t, g2[:keep])[0].tolist()
+        _cpf_columns(scheme, cfg.state, -1, g_t, g_t, g2[:keep])[0]
         for scheme in (MeasurementScheme.ZZZ, MeasurementScheme.XZX)
     ]
     warnings = [""] * (keep - 1) + [warning]
-    rows = zip(
-        cfg.report_time(t).tolist(),
-        rates.gamma_t[:keep].tolist(),
-        (np.abs(g_t) ** 2).tolist(),
-        *cpf,
-        warnings,
-    )
-    return write_dataset(out_dir / "witness.csv", WITNESS_FIELDS, rows, cfg.raw)
+    block = (cfg.report_time(t), rates.gamma_t[:keep], np.abs(g_t) ** 2, *cpf, warnings)
+    return write_dataset(out_dir / "witness.csv", WITNESS_FIELDS, [block], cfg.raw)
 
 
 def run_validation(writer: Callable[[str], None] = print) -> bool:
@@ -252,8 +247,11 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
     g_t, g_tau, g2 = propagators(cfg.bath.make_kernel(), times[i], times[j], h / refine)
     p_label = abs(cfg.state.a) ** 2
     t = cfg.report_time(times)
-    rows: list[tuple] = []
-    for scheme in cfg.schemes:
-        closed, table = _cpf_columns(scheme, cfg.state, cfg.y, g_t, g_tau, g2)
-        rows += _curve_rows(scheme, cfg.y, p_label, ratio_label, t[i], t[j], closed, table)
-    return write_dataset(out_dir / "sweep.csv", CURVE_FIELDS, rows, cfg.raw)
+    blocks = [
+        _curve_rows(
+            scheme, cfg.y, p_label, ratio_label, t[i], t[j],
+            *_cpf_columns(scheme, cfg.state, cfg.y, g_t, g_tau, g2),
+        )
+        for scheme in cfg.schemes
+    ]
+    return write_dataset(out_dir / "sweep.csv", CURVE_FIELDS, blocks, cfg.raw)

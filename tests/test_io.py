@@ -1,4 +1,4 @@
-"""The column-wise CSV writer writes the bytes of the per-cell reference."""
+"""The block CSV writer writes the bytes of the per-cell reference."""
 import csv
 import json
 from pathlib import Path
@@ -13,10 +13,18 @@ from cpfsim.io import format_value, write_dataset
 FIELDS = ["mixed", "text", "flag", "count", "x", "y"]
 ECHO = {"grid": {"points": 3}, "bath": {"gamma": 1.0}}
 SPECIALS = [float("nan"), -float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16]
+# every scalar type a runner writes, and text that csv must quote or that a
+# printf template must escape
+SCALARS = [
+    None, True, False, np.bool_(True), np.bool_(False), 0, -7, 10**20, np.int64(2**62),
+    np.int32(-3), 0.1, -0.0, float("nan"), np.float64(2.5), np.float32(0.1),
+    "zzz", "a,b", 'say "hi"', "two\nlines", "cr\ronly", " leading space", "100%",
+    "%s%%d%", "",
+]
 
 
 def _write_dataset_reference(path, fieldnames, rows, config_echo, comments=()):
-    """The per-row loop the column-wise writer replaced: one ``format_value``
+    """The per-row loop the block writer replaced: one ``format_value``
     call per cell."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -35,76 +43,183 @@ def _write_dataset_reference(path, fieldnames, rows, config_echo, comments=()):
     return path
 
 
-def _mixed_rows():
-    """Every cell type a runner writes, mixed within columns and alone."""
-    mixed = [None, "s", True, np.int64(3), np.float64("nan"), -0.0]
-    texts = ["zzz", "a,b", 'say "hi"', "two\nlines", ""]
-    flags = [True, False, np.bool_(True), np.bool_(False), None]
-    counts = [0, -7, np.int64(2**62), 10**20, np.int32(-3)]
-    xs = [0.1, *SPECIALS, np.float64(2.5), np.float64("nan"), 1 / 3]
-    rows = []
-    for k, x in enumerate(xs):
-        rows.append((
-            mixed[k % 6], texts[k % 5], flags[k % 5], counts[k % 5], x, float(np.float64(x)) * 2,
-        ))
-    return rows
+def _rows(blocks):
+    """The rows a block stands for: each scalar repeated, each column
+    indexed (an array yields NumPy scalars)."""
+    for block in blocks:
+        columns = [e for e in block if isinstance(e, (np.ndarray, list, tuple))]
+        for k in range(len(columns[0])):
+            yield tuple(e[k] if isinstance(e, (np.ndarray, list, tuple)) else e for e in block)
 
 
-def _assert_same_bytes(tmp_path, fieldnames, rows, comments=()):
-    rows = list(rows)
-    new = write_dataset(tmp_path / "new.csv", fieldnames, iter(rows), ECHO, comments)
-    ref = _write_dataset_reference(tmp_path / "ref.csv", fieldnames, rows, ECHO, comments)
+def _assert_same_bytes(tmp_path, fieldnames, blocks, comments=()):
+    blocks = list(blocks)
+    new = write_dataset(tmp_path / "new.csv", fieldnames, iter(blocks), ECHO, comments)
+    ref = _write_dataset_reference(
+        tmp_path / "ref.csv", fieldnames, _rows(blocks), ECHO, comments
+    )
     assert new.read_bytes() == ref.read_bytes()
     return new.read_bytes()
 
 
+def _mixed_columns():
+    """Columns whose cells mix types: the '%s' path, cell by cell."""
+    mixed = [None, "s", True, np.int64(3), np.float64("nan"), -0.0]
+    texts = ["zzz", "a,b", 'say "hi"', "two\nlines", "", "cr\ronly", "5%"]
+    flags = [True, False, np.bool_(True), np.bool_(False), None]
+    counts = [0, -7, np.int64(2**62), 10**20, np.int32(-3)]
+    xs = [0.1, *SPECIALS, np.float64(2.5), np.float64("nan"), 1 / 3]
+    n = len(xs)
+    return [
+        [mixed[k % 6] for k in range(n)],
+        [texts[k % 7] for k in range(n)],
+        [flags[k % 5] for k in range(n)],
+        [counts[k % 5] for k in range(n)],
+        xs,
+        [float(np.float64(x)) * 2 for x in xs],
+    ]
+
+
 class TestSameBytes:
     def test_mixed_columns(self, tmp_path):
-        data = _assert_same_bytes(tmp_path, FIELDS, _mixed_rows())
+        data = _assert_same_bytes(tmp_path, FIELDS, [_mixed_columns()])
         assert b'"a,b"' in data and b'"say ""hi"""' in data and b'"two\nlines"' in data
 
+    def test_scalar_entries(self, tmp_path):
+        # each scalar baked into a block's template, in every position,
+        # next to one array column
+        x = np.array([0.5, -1.25, np.nan])
+        blocks = []
+        for value in SCALARS:
+            for field in range(len(FIELDS)):
+                block = [value] * len(FIELDS)
+                block[field] = x
+                blocks.append(block)
+        data = _assert_same_bytes(tmp_path, FIELDS, blocks)
+        assert b',"a,b",' in data and b",100%," in data and b",%s%%d%," in data
+
     def test_uniform_columns(self, tmp_path):
-        # one exact type per column: the str, int and float fast paths, and
-        # np.float64 columns, which take the per-cell path
+        # one array dtype or one Python type per column
         rng = np.random.default_rng(5)
-        xs = rng.normal(size=50).tolist()
-        rows = [
-            ("xzx", k, x, np.float64(x), x if k % 2 else np.float64(x), None)
-            for k, x in enumerate(xs)
+        xs = rng.normal(size=50)
+        columns = [
+            [np.array([*SPECIALS, *xs]), np.array([*SPECIALS, *xs]).tolist(),
+             np.arange(-3, 54), np.arange(57, dtype=np.uint8),
+             np.array([*SPECIALS, *xs], dtype=np.float32),
+             np.array(["zzz", 1, None, 2.5, "a,b", np.nan, True] * 8 + [-0.0], dtype=object)],
+            [np.arange(57) % 2 == 0, [k for k in range(57)], ["xzx", 'q"'] * 28 + [""],
+             np.array(["yzy", " s", "t\r"] * 19), [np.float64(v) for v in xs] + [0.0] * 7,
+             xs.tolist() + [1e16] * 7],
+            # dtypes whose tolist() prints otherwise than their NumPy scalars
+            [np.array(["2020-01-01T12:00"] * 3, dtype="M8[ns]"), "s", 1,
+             np.array([1 + 2j, np.nan, -0.5j]), 2.0, None],
         ]
-        _assert_same_bytes(tmp_path, FIELDS, rows)
+        _assert_same_bytes(tmp_path, FIELDS, columns)
 
     def test_header_only(self, tmp_path):
         data = _assert_same_bytes(tmp_path, FIELDS, [])
         assert data.decode().splitlines()[-1] == ",".join(FIELDS)
+        empty = ["zzz", np.array([]), [], np.array([], dtype=int), 0.5, None]
+        assert _assert_same_bytes(tmp_path, FIELDS, [empty, empty]) == data
 
     def test_generator_rows_and_comments(self, tmp_path):
-        rows = (("s", k, k / 7, None, True, float(k)) for k in range(20))
-        data = _assert_same_bytes(tmp_path, FIELDS, rows, comments=["rng v2 per-point-block"])
+        blocks = (
+            ("s", np.arange(k, k + 5), np.arange(5) / 7, None, True, float(k)) for k in range(4)
+        )
+        data = _assert_same_bytes(tmp_path, FIELDS, blocks, comments=["rng v2 per-point-block"])
         assert b"\n# rng v2 per-point-block\n" in data
+
+    def test_one_field(self, tmp_path):
+        # csv quotes a lone empty cell ('""') so that the row is not blank
+        blocks = [
+            [["", "a", None, 1.5]], [np.array(["", "b"], dtype=object)], [[None, ""]],
+            [np.array([np.nan, 2.0])],
+        ]
+        data = _assert_same_bytes(tmp_path, ["only"], blocks)
+        assert data.endswith(b'\nonly\n""\na\n""\n1.5\n""\nb\n""\n""\nnan\n2\n')
 
     @pytest.mark.parametrize("n_rows", [1, 3, 4, 7, 9, 10])
     def test_rows_span_blocks(self, tmp_path, monkeypatch, n_rows):
-        # block edges inside and at the end of the data, and a column whose
-        # type changes from one block to the next
+        # chunk edges inside and at the end of a block, in blocks of
+        # different lengths and column types
         monkeypatch.setattr(io, "_BLOCK_ROWS", 3)
-        rows = (_mixed_rows() * 2)[:n_rows]
-        rows = [(*row[:5], k if k >= 4 else float(k)) for k, row in enumerate(rows)]
-        _assert_same_bytes(tmp_path, FIELDS, rows)
+        columns = [column[:n_rows] for column in _mixed_columns()]
+        blocks = [
+            columns,
+            ["zzz", *columns[1:3], np.arange(n_rows), np.arange(n_rows) / 3, 0.25],
+            [None, "%", True, 3, np.arange(n_rows + 2) / 7, np.arange(n_rows + 2) * 1.5],
+        ]
+        _assert_same_bytes(tmp_path, FIELDS, blocks)
 
-    def test_float_fast_path_matches_format_value(self):
+    def test_float_fast_path_matches_format_value(self, tmp_path):
         bits = np.random.default_rng(8).integers(0, 2**64, size=10**5, dtype=np.uint64)
         values = [*bits.view(np.float64).tolist(), *SPECIALS]
         assert ["%.12g" % v for v in values] == [format_value(v) for v in values]
-        assert io._format_column(values) == [format_value(v) for v in values]
+        array = np.array(values)
+        _assert_same_bytes(tmp_path, ["x", "y"], [[array, values]])
 
 
 class TestRaggedRows:
-    @pytest.mark.parametrize("bad", [("a", 1), ("a", 1, 2.0, None, True, 0.5, "extra")])
+    @pytest.mark.parametrize("bad", [("x", np.zeros(2)), ("count", [1, 2, 3, 4])])
     def test_wrong_length_raises(self, tmp_path, monkeypatch, bad):
         monkeypatch.setattr(io, "_BLOCK_ROWS", 3)
-        good = ("a", 1, 2.0, None, True, 0.5)
-        rows = [good] * 4 + [bad, good]
-        msg = f"data row 4 has {len(bad)} values, expected 6"
+        name, column = bad
+        good = ["a", [1, 2, 3], np.ones(3), None, True, np.full(3, 0.5)]
+        broken = list(good)
+        broken[FIELDS.index(name)] = column
+        msg = f"block 2 field '{name}' has {len(column)} values, expected 3"
         with pytest.raises(ValueError, match=msg):
-            write_dataset(tmp_path / "out.csv", FIELDS, rows, ECHO)
+            write_dataset(tmp_path / "out.csv", FIELDS, [good, good, broken, good], ECHO)
+
+    @pytest.mark.parametrize(
+        "width, msg",
+        [(5, "block 1 has 5 entries for 6 fields: none for field 'y'"),
+         (7, "block 1 has 7 entries for 6 fields: 1 beyond the last field")],
+    )
+    def test_wrong_width_raises(self, tmp_path, width, msg):
+        good = ["a", 1, 2.0, None, True, np.arange(4.0)]
+        broken = [*good[:5], np.arange(4.0), "extra"][:width]
+        with pytest.raises(ValueError, match=msg):
+            write_dataset(tmp_path / "out.csv", FIELDS, [good, broken], ECHO)
+
+    def test_block_without_column_raises(self, tmp_path):
+        with pytest.raises(ValueError, match="block 0 has no column entry"):
+            write_dataset(tmp_path / "out.csv", ["a", "b"], [["s", 1.0]], ECHO)
+
+    def test_two_dimensional_column_raises(self, tmp_path):
+        with pytest.raises(ValueError, match="block 0 field 'b': a column must be 1-D"):
+            write_dataset(tmp_path / "out.csv", ["a", "b"], [["s", np.ones((2, 2))]], ECHO)
+
+
+class TestAtomicWrite:
+    def _blocks_then(self, error):
+        yield ["a", np.arange(10.0)]
+        yield ["b", np.arange(10.0)]
+        raise error
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_error_mid_write_leaves_no_partial_file(self, tmp_path, monkeypatch, existing):
+        # two blocks are formatted and written before the error
+        monkeypatch.setattr(io, "_BLOCK_ROWS", 3)
+        target = tmp_path / "out" / "data.csv"
+        if existing:
+            target.parent.mkdir()
+            target.write_bytes(b"previous dataset\n")
+        with pytest.raises(RuntimeError, match="runner failed"):
+            write_dataset(target, ["s", "x"], self._blocks_then(RuntimeError("runner failed")), ECHO)
+        assert sorted(p.name for p in target.parent.iterdir()) == (["data.csv"] if existing else [])
+        if existing:
+            assert target.read_bytes() == b"previous dataset\n"
+
+    def test_ragged_block_leaves_no_partial_file(self, tmp_path):
+        blocks = [["a", np.arange(5.0)], ["b", np.arange(5.0)], [np.arange(2.0), np.arange(3.0)]]
+        with pytest.raises(ValueError, match="block 2 field 'x'"):
+            write_dataset(tmp_path / "data.csv", ["s", "x"], blocks, ECHO)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_success_replaces_target(self, tmp_path):
+        target = tmp_path / "data.csv"
+        target.write_bytes(b"previous dataset\n")
+        write_dataset(target, ["s", "x"], [["a", [1.5]]], ECHO)
+        assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+        assert target.read_bytes().endswith(b"s,x\na,1.5\n")
