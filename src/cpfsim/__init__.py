@@ -19,17 +19,6 @@ from .bath import (
     load_kernel_csv,
     markovian_limit_kernel,
 )
-from .channel import (
-    ChannelAngles,
-    JointState,
-    angles_from_propagator,
-    apply_U_t,
-    apply_U_tau,
-    conditional_table,
-    prepare_joint,
-    project,
-    simulate_sequence,
-)
 from .cpf import (
     CpfResult,
     InitialState,
@@ -63,6 +52,29 @@ from .propagator import (
 )
 
 __version__ = "0.1.0"
+
+# The channel-map oracle is imported on first use (PEP 562): only `validate`
+# and the tests need it, so the other subcommands start without it.
+_CHANNEL_NAMES = frozenset({
+    "ChannelAngles",
+    "JointState",
+    "angles_from_propagator",
+    "apply_U_t",
+    "apply_U_tau",
+    "conditional_table",
+    "prepare_joint",
+    "project",
+    "simulate_sequence",
+})
+
+
+def __getattr__(name):
+    if name in _CHANNEL_NAMES:
+        from . import channel
+
+        return getattr(channel, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BathKernel",

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Union
+from typing import NoReturn, Optional, Union
 
 import numpy as np
 
@@ -98,6 +99,22 @@ def eval_kernel_grid(kernel: BathKernel, ts: np.ndarray) -> np.ndarray:
     raise ValidationError(f"unknown kernel type {type(kernel).__name__}")
 
 
+def decay_time(kernel: BathKernel) -> Optional[float]:
+    """Time in which |f| falls to |f(0)|/e: tau_c for a Lorentzian kernel;
+    for a tabulated one the first such crossing of |f| interpolated linearly
+    between samples, or None if |f(0)| = 0 or |f| stays above it."""
+    if isinstance(kernel, LorentzianKernel):
+        return kernel.tau_c
+    mag = np.abs(kernel.values)
+    level = mag[0] / np.e
+    below = np.flatnonzero(mag <= level)
+    if mag[0] == 0 or not below.size:
+        return None
+    k = int(below[0])
+    t0, t1 = kernel.times[k - 1 : k + 1]
+    return float(t0 + (t1 - t0) * (mag[k - 1] - level) / (mag[k - 1] - mag[k]))
+
+
 def markovian_limit_kernel(gamma: float, tau_c: float, epsilon: float) -> LorentzianKernel:
     """Shrink the correlation time by ``epsilon`` at fixed integrated weight.
 
@@ -112,35 +129,53 @@ def markovian_limit_kernel(gamma: float, tau_c: float, epsilon: float) -> Lorent
 def load_kernel_csv(path: Union[str, Path], time_scale: float = 1.0) -> TabulatedKernel:
     """Load a tabulated kernel from CSV: time, real part, optional imaginary part.
 
-    A header row is required. ``time_scale`` multiplies the time column,
-    e.g. 1/gamma when the file declares times in units of 1/gamma.
+    A header row is required; rows whose cells are all blank are skipped.
+    ``time_scale`` multiplies the time column, e.g. 1/gamma when the file
+    declares times in units of 1/gamma. A malformed row raises
+    :class:`ValidationError` naming the file and its physical line.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        # (physical line number, row) of the non-blank rows
-        rows = [
-            (reader.line_num, row) for row in reader if row and any(c.strip() for c in row)
-        ]
+        rows = [row for row in csv.reader(fh) if any(map(str.strip, row))]
     if not rows:
         raise ValidationError(f"{path}: empty kernel file")
-    header = rows[0][1]
     try:
-        float(header[0])
+        float(rows[0][0])
     except ValueError:
         pass  # non-numeric first cell: header present, as required
     else:
         raise ValidationError(f"{path}: header row required, found numeric first row")
-    times, values = [], []
+    body = rows[1:]
+    width = np.fromiter(map(len, body), dtype=np.intp, count=len(body))
+    if np.any((width < 2) | (width > 3)):
+        _raise_first_bad_row(path)
+    try:
+        cells = np.fromiter(
+            map(float, chain.from_iterable(body)), dtype=float, count=int(width.sum())
+        )
+    except ValueError:
+        _raise_first_bad_row(path)
+    # row k starts at cell first[k]: time, real part, then the imaginary
+    # part where the row has three cells
+    first = np.cumsum(width) - width
+    three = width == 3
+    im = np.zeros(len(body))
+    im[three] = cells[first[three] + 2]
+    times = cells[first] * time_scale
+    return TabulatedKernel(times=times, values=cells[first + 1] + 1j * im)
+
+
+def _raise_first_bad_row(path: Path) -> NoReturn:
+    """Raise the error of the first malformed data row, by physical line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if any(map(str.strip, row))]
     for ln, row in rows[1:]:
         if len(row) not in (2, 3):
             raise ValidationError(f"{path}:{ln}: expected 2 or 3 columns, got {len(row)}")
-        try:
-            t = float(row[0])
-            re = float(row[1])
-            im = float(row[2]) if len(row) == 3 else 0.0
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{ln}: {exc}") from exc
-        times.append(t * time_scale)
-        values.append(re + 1j * im)
-    return TabulatedKernel(times=np.array(times), values=np.array(values))
+        for cell in row:
+            try:
+                float(cell)
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{ln}: {exc}") from exc
+    raise AssertionError(f"{path}: no malformed row found")  # unreachable

@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bath import BathKernel, LorentzianKernel, eval_kernel_grid
+from .bath import BathKernel, LorentzianKernel, decay_time, eval_kernel_grid
 from .cpf import InitialState
 from .errors import (
     ConditioningImpossibleError,
@@ -150,18 +150,30 @@ def _steps_on_grid(t_target: float, h: float, what: str) -> int:
 #   dG/dt = -int_0^t f(t-s) G(s) ds, G(0) = 1. The time derivative is
 #   stepped with the trapezoidal (Crank-Nicolson) rule and the convolution
 #   integral is evaluated with the trapezoidal rule at both endpoints; the
-#   implicit G_{i+1} term is solved for in closed form.
+#   implicit G_{i+1} term is solved for in closed form. The history sum of
+#   each step is accumulated as in Hairer, Lubich & Schlichte, SIAM J. Sci.
+#   Stat. Comput. 6, 532 (1985): the steps of each leaf of _VOLTERRA_LEAF
+#   are solved together as one triangular Toeplitz system, and each
+#   completed dyadic block of steps is handed to the equally long block
+#   after it by one FFT product. O(n log^2 n) time instead of the O(n^2) of
+#   the direct sum, same weights.
 # * two_time_trapezoid: tensor-product trapezoid for
 #   G2(t_i, tau_j) = int_0^{t_i} dt' int_0^{tau_j} dtau'
 #                    f(tau' + t') G(t_i - t') G(tau_j - tau'),
-#   factorised into two 1-D convolutions per t row, each one FFT product of
-#   length L ~ max(n + m, 2 m). Only the requested rows are computed: P rows
-#   cost O(P (n + m) log(n + m)) time. Rows go through the FFTs in blocks of
-#   at most _FFT_BLOCK_BYTES per (rows x L) complex array, so the working
-#   memory is a few such blocks plus the (P, m + 1) result.
+#   at the requested (i, j) pairs only, factorised into two 1-D
+#   convolutions per distinct t row i, each one FFT product. A row is
+#   integrated up to the largest tau index jmax asked of it, with the FFT
+#   length L the next power of two above max(i + jmax, 2 jmax); rows of
+#   equal L go through the FFTs together, in blocks of at most
+#   _FFT_BLOCK_BYTES per (rows x L) complex array, so the working memory
+#   is a few such blocks plus the result. The t = 0 row and the tau = 0
+#   column are exactly 0 (empty integration range) and are not integrated.
 
 # Size of one (rows x FFT length) complex block of two_time_trapezoid.
 _FFT_BLOCK_BYTES = 16 * 2**20
+# Steps solved together per leaf of volterra_trapezoid; a power of two, so
+# that every block handed on is one and its FFT length too.
+_VOLTERRA_LEAF = 64
 
 
 def volterra_trapezoid(f: np.ndarray, h: float) -> np.ndarray:
@@ -178,112 +190,181 @@ def volterra_trapezoid(f: np.ndarray, h: float) -> np.ndarray:
     -------
     Complex array G(i h), i = 0..n, with G[0] = 1 exactly.
     """
+    fft = np.fft  # numpy loads its fft module on first use, not at import
     f = np.ascontiguousarray(f, dtype=complex)
     n = f.shape[0] - 1
-    G = np.empty(n + 1, dtype=complex)
-    G[0] = 1.0
+    G = np.ones(n + 1, dtype=complex)
     if n == 0:
         return G
-    fr = f[::-1]
-    gw = np.empty(n + 1, dtype=complex)  # G with the k=0 trapezoid half-weight
+    # Step p needs the history sum P[p] = sum_{k=0..p-1} c_k f[p-k] G[k],
+    # c_0 = 1/2 and c_k = 1 otherwise; gw is G with that half-weight at
+    # k = 0. P holds the part of each sum from the blocks solved so far,
+    # starting with k = 0.
+    size = _VOLTERRA_LEAF
+    while size < n:
+        size *= 2
+    gw = np.zeros(size + 1, dtype=complex)
     gw[0] = 0.5
-    I_prev = 0.0 + 0.0j  # trapezoidal convolution integral at step i
-    denom = 1.0 + h * h * f[0] / 4.0
+    P = np.zeros(size + 1, dtype=complex)
+    P[1 : n + 1] = 0.5 * f[1:]
+    f0 = complex(f[0])
     hh = 0.5 * h * h
-    for i in range(n):
-        # P = sum_{k=0..i} c_k f[i+1-k] G[k], c_0 = 1/2, c_k = 1 otherwise
-        P = np.dot(fr[n - i - 1 : n], gw[: i + 1])
-        G_next = (G[i] - 0.5 * h * I_prev - hh * P) / denom
-        G[i + 1] = G_next
-        gw[i + 1] = G_next
-        I_prev = h * (P + 0.5 * f[0] * G_next)
+    # The steps
+    #   G[p] (1 + h^2 f[0]/4) = G[p-1] - (h/2) I[p-1] - (h^2/2) P[p],
+    #   I[p] = h (P[p] + f[0] G[p] / 2),  I[0] = 0,
+    # of one leaf p = lo..lo+w-1 are linear in its G values x: with
+    # P[lo+q] = a[q] + sum_{r<q} f[q-r] x[r], they read M x = b for a lower
+    # triangular Toeplitz M, the same for every leaf, with first column mc.
+    # x is then b convolved with u, the power-series inverse of mc. Every
+    # leaf reuses u, so its rounding errors would add up from leaf to leaf:
+    # it is computed in extended precision and rounded once.
+    w = min(_VOLTERRA_LEAF, n)
+    ext = np.clongdouble
+    h_ext = np.longdouble(h)
+    f_ext = f[:w].astype(ext)
+    mc = np.empty(w, dtype=ext)
+    mc[0] = 1 + h_ext * h_ext * f_ext[0] / 4
+    mc[1:] = h_ext * h_ext / 2 * (f_ext[1:] + f_ext[:-1])
+    if w > 1:  # x[q-1] enters once more through G[p-1] and I[p-1]
+        mc[1] = h_ext * h_ext / 2 * f_ext[1] - (1 - h_ext * h_ext * f_ext[0] / 4)
+    u = np.empty(w, dtype=ext)
+    u[0] = 1 / mc[0]
+    for k in range(1, w):
+        u[k] = -np.sum(mc[k:0:-1] * u[:k]) / mc[0]
+    u = u.astype(complex)
+    f_hat = {}  # FFT of f[:2 half] per handed-on block length
+    G_prev = 1.0 + 0.0j
+    I_prev = 0.0 + 0.0j
+    for leaf, lo in enumerate(range(1, n + 1, _VOLTERRA_LEAF), start=1):
+        hi = min(lo + _VOLTERRA_LEAF, n + 1)
+        a = P[lo:hi]
+        b = a.copy()
+        b[1:] += a[:-1]
+        b *= -hh
+        b[0] += G_prev - 0.5 * h * I_prev
+        x = np.convolve(u[: hi - lo], b)[: hi - lo]
+        gw[lo:hi] = x
+        G_prev = complex(x[-1])
+        P_last = complex(a[-1] + np.dot(f[hi - lo - 1 : 0 : -1], x[:-1]))
+        I_prev = h * (P_last + 0.5 * f0 * G_prev)
+        if hi > n:
+            break
+        # The leaves just solved close a dyadic block of `half` steps that is
+        # the left half of a block twice as long: add its terms to the sums
+        # of the right half, one circular convolution of length 2 half.
+        half = _VOLTERRA_LEAF * (leaf & -leaf)
+        if half not in f_hat:
+            f_hat[half] = fft.fft(f[: 2 * half], 2 * half)
+        conv = fft.ifft(fft.fft(gw[hi - half : hi], 2 * half) * f_hat[half])
+        P[hi : hi + half] += conv[half:]
+    G[1:] = gw[1 : n + 1]
     return G
 
 
-def _row_indices(rows, n: int) -> np.ndarray:
-    idx = np.asarray(rows)
-    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
-        raise ValueError("rows must be a 1-D sequence of integer t indices")
-    idx = idx.astype(np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() > n):
-        raise ValueError(f"rows must lie in [0, {n}]")
-    return idx
+def _pair_indices(i, j, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    i, j = np.broadcast_arrays(np.asarray(i), np.asarray(j))
+    for name, idx, top in (("i", i, n), ("j", j, m)):
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"{name} must hold integer grid indices")
+        if idx.size and (idx.min() < 0 or idx.max() > top):
+            raise ValueError(f"{name} must lie in [0, {top}]")
+    return i.astype(np.intp), j.astype(np.intp)
 
 
 def two_time_trapezoid(
-    f: np.ndarray, G_t: np.ndarray, G_tau: np.ndarray, h: float, rows=None
+    f: np.ndarray, G_t: np.ndarray, G_tau: np.ndarray, h: float, i, j
 ) -> np.ndarray:
-    """Tensor-product trapezoid of the double convolution on aligned grids.
+    """Tensor-product trapezoid of the double convolution at (t, tau) pairs.
 
     Parameters
     ----------
     f:
-        Kernel samples f(i h), i = 0..n+m (needed up to t_max + tau_max).
+        Kernel samples f(k h), k = 0.. at least max(i + j).
     G_t, G_tau:
         Propagator samples on the t axis (0..n) and tau axis (0..m).
     h:
         Common grid step of all three sample arrays.
-    rows:
-        Integer t indices in [0, n] to compute, in any order; None for all
-        n + 1 rows.
+    i, j:
+        Integer t indices in [0, n] and tau indices in [0, m], broadcast
+        against each other; pairs may repeat and come in any order.
 
     Returns
     -------
-    Complex array of shape (len(rows), m+1), row k holding G2(rows[k] h, j h);
-    the t = 0 row and the tau = 0 column are exactly 0 (empty integration
-    range).
+    Complex array of the broadcast shape of (i, j), holding
+    G2(i h, j h); exactly 0 where i = 0 or j = 0 (empty integration range).
     """
-    fft = np.fft  # numpy loads its fft module on first use, not at import
+    fft = np.fft
     f = np.ascontiguousarray(f, dtype=complex)
     G_t = np.ascontiguousarray(G_t, dtype=complex)
     G_tau = np.ascontiguousarray(G_tau, dtype=complex)
-    n = G_t.shape[0] - 1
-    m = G_tau.shape[0] - 1
-    if f.shape[0] < n + m + 1:
-        raise ValueError(f"kernel samples cover {f.shape[0] - 1} steps, need {n + m}")
-    idx = np.arange(n + 1) if rows is None else _row_indices(rows, n)
-    G2 = np.empty((idx.size, m + 1), dtype=complex)
+    i, j = _pair_indices(i, j, G_t.shape[0] - 1, G_tau.shape[0] - 1)
+    need = int(np.max(i + j, initial=0))
+    if f.shape[0] < need + 1:
+        raise ValueError(f"kernel samples cover {f.shape[0] - 1} steps, need {need}")
+    G2 = np.zeros(i.size, dtype=complex)
+    live = np.flatnonzero((i > 0) & (j > 0))
+    pair_i = i.reshape(-1)[live]
+    pair_j = j.reshape(-1)[live]
 
-    # Row i needs (G_t[:i+1] * f)[i + l] for l = 0..m, which only reads
-    # f[:i+m+1], and the causal part of H[i, :] * G_tau, which needs 2m + 1
-    # points: a circular convolution of length L has no wrap-around in either.
-    # The next power of two, at most twice that, keeps the FFTs fast.
-    top = int(idx.max(initial=0))
-    L = 1 << max(top + m, 2 * m).bit_length()
-    f_hat = fft.fft(f[:L], L)
-    G_tau_hat = fft.fft(G_tau, L)
-    G_t_pad = np.zeros(L, dtype=complex)
-    G_t_pad[: top + 1] = G_t[: top + 1]
-    f_windows = np.lib.stride_tricks.sliding_window_view(f[: top + m + 1], m + 1)
-    lag = np.arange(L)
-    block = max(1, _FFT_BLOCK_BYTES // (16 * L))
-    for start in range(0, idx.size, block):
-        i = idx[start : start + block]
-        b = np.arange(i.size)
+    # Row i needs (G_t[:i+1] * f)[i + l] for l = 0..jmax, which only reads
+    # f[:i+jmax+1], and the causal part of H[i, :] * G_tau up to jmax, which
+    # needs 2 jmax + 1 points: a circular convolution of length L has no
+    # wrap-around in either. Rows are taken in order of L, then of i.
+    rows, row_of = np.unique(pair_i, return_inverse=True)
+    jmax = np.zeros(rows.size, dtype=np.intp)
+    np.maximum.at(jmax, row_of, pair_j)
+    # 2**e with span = mantissa * 2**e, mantissa in [0.5, 1): the next power
+    # of two above span, as int(span).bit_length() gives it
+    L_row = np.left_shift(1, np.frexp(np.maximum(rows + jmax, 2 * jmax))[1])
+    order = np.lexsort((rows, L_row))
+    rank = np.empty(rows.size, dtype=np.intp)
+    rank[order] = np.arange(rows.size)
+    pair_rank = rank[row_of]
+    pair_order = np.argsort(pair_rank, kind="stable")
+    pair_rank = pair_rank[pair_order]
+    groups = np.flatnonzero(np.diff(L_row[order], prepend=0, append=0))
+    for g_start, g_stop in zip(groups[:-1], groups[1:]):
+        L = int(L_row[order[g_start]])
+        J = int(jmax[order[g_start:g_stop]].max())
+        f_hat = fft.fft(f[:L], L)
+        G_tau_hat = fft.fft(G_tau[: J + 1], L)
+        G_t_pad = np.zeros(L, dtype=complex)
+        G_t_pad[: min(G_t.shape[0], L)] = G_t[:L]
+        lag = np.arange(L)
+        l = np.arange(J + 1)
+        block = max(1, _FFT_BLOCK_BYTES // (16 * L))
+        for start in range(g_start, g_stop, block):
+            stop = min(start + block, g_stop)
+            r = rows[order[start:stop], None]
+            jm = jmax[order[start:stop], None]
+            at = r + l  # where l <= jm, at < L and f covers it
 
-        # Stage 1 (inner t' integral for every tau' offset l):
-        # H[i, l] = h [ sum_{k=0..i} f[k+l] G_t[i-k] - f[l] G_t[i]/2 - f[i+l] G_t[0]/2 ]
-        spec = fft.fft(np.where(lag <= i[:, None], G_t_pad, 0.0), axis=1)
-        spec *= f_hat
-        conv = fft.ifft(spec, axis=1)
-        H = np.lib.stride_tricks.sliding_window_view(conv, m + 1, axis=1)[b, i]
-        H -= 0.5 * G_t[i, None] * f[: m + 1]
-        H -= (0.5 * G_t[0]) * f_windows[i]
-        H *= h
-        H[i == 0] = 0.0
+            # Stage 1 (inner t' integral for every tau' offset l):
+            # H[i, l] = h [ sum_{k=0..i} f[k+l] G_t[i-k] - f[l] G_t[i]/2 - f[i+l] G_t[0]/2 ]
+            spec = fft.fft(np.where(lag <= r, G_t_pad, 0.0), axis=1)
+            spec *= f_hat
+            conv = fft.ifft(spec, axis=1)
+            H = np.take_along_axis(conv, np.minimum(at, L - 1), axis=1)
+            H -= 0.5 * G_t[r] * f[: J + 1]
+            H -= (0.5 * G_t[0]) * f[np.minimum(at, f.shape[0] - 1)]
+            H *= h
+            # beyond jm, H is undefined; stage 2 is causal and L > 2 J, so it
+            # would reach the output up to jm only through FFT rounding
+            H[l > jm] = 0.0
 
-        # Stage 2 (outer tau' integral for every t row):
-        # G2[i, j] = h [ sum_{l=0..j} H[i,l] G_tau[j-l] - H[i,0] G_tau[j]/2 - H[i,j] G_tau[0]/2 ]
-        spec = fft.fft(H, L, axis=1)
-        spec *= G_tau_hat
-        out = fft.ifft(spec, axis=1)[:, : m + 1]
-        out -= 0.5 * H[:, :1] * G_tau
-        out -= (0.5 * G_tau[0]) * H
-        out *= h
-        out[:, 0] = 0.0
-        out[i == 0] = 0.0
-        G2[start : start + i.size] = out
-    return G2
+            # Stage 2 (outer tau' integral for every t row):
+            # G2[i, j] = h [ sum_{l=0..j} H[i,l] G_tau[j-l] - H[i,0] G_tau[j]/2 - H[i,j] G_tau[0]/2 ]
+            spec = fft.fft(H, L, axis=1)
+            spec *= G_tau_hat
+            out = fft.ifft(spec, axis=1)[:, : J + 1]
+            out -= 0.5 * H[:, :1] * G_tau[: J + 1]
+            out -= (0.5 * G_tau[0]) * H
+            out *= h
+
+            a, b = np.searchsorted(pair_rank, (start, stop))
+            sel = pair_order[a:b]
+            G2[live[sel]] = out[pair_rank[a:b] - start, pair_j[sel]]
+    return G2.reshape(i.shape)
 
 
 def _volterra_steps(kernel: BathKernel, t_max: float, t_step: float) -> int:
@@ -293,10 +374,11 @@ def _volterra_steps(kernel: BathKernel, t_max: float, t_step: float) -> int:
         raise ValidationError(f"t_step must be > 0, got {t_step}")
     if t_max < t_step:
         raise ValidationError(f"t_max = {t_max:g} must be >= t_step = {t_step:g}")
-    if isinstance(kernel, LorentzianKernel) and t_step > kernel.tau_c / 4:
+    decay = decay_time(kernel)
+    if decay is not None and t_step > decay / 4:
         warnings.warn(
-            f"t_step = {t_step:g} > tau_c/4 = {kernel.tau_c / 4:g}: "
-            "step too coarse to resolve the kernel",
+            f"t_step = {t_step:g} > {decay / 4:g}, a quarter of the time in which "
+            "|f| falls by 1/e: step too coarse to resolve the kernel",
             CoarseStepWarning,
             stacklevel=3,
         )
@@ -306,11 +388,12 @@ def _volterra_steps(kernel: BathKernel, t_max: float, t_step: float) -> int:
 def solve_volterra(kernel: BathKernel, t_max: float, t_step: float) -> PropagatorGrid:
     """Solve the convoluted propagator equation on [0, t_max].
 
-    Trapezoidal product integration, global error O(t_step^2). For
-    Lorentzian kernels a step coarser than tau_c / 4 cannot resolve the
-    kernel decay: a :class:`CoarseStepWarning` is attached to the
-    computation (``warnings.simplefilter("error", CoarseStepWarning)``
-    turns it into an error).
+    Trapezoidal product integration, global error O(t_step^2). A step
+    coarser than a quarter of the kernel's 1/e decay time (tau_c / 4 for a
+    Lorentzian kernel, see :func:`cpfsim.bath.decay_time`) cannot resolve
+    the kernel: a :class:`CoarseStepWarning` is attached to the computation
+    (``warnings.simplefilter("error", CoarseStepWarning)`` turns it into an
+    error).
     """
     n = _volterra_steps(kernel, t_max, t_step)
     f = eval_kernel_grid(kernel, np.arange(n + 1) * t_step)
@@ -318,22 +401,23 @@ def solve_volterra(kernel: BathKernel, t_max: float, t_step: float) -> Propagato
     return PropagatorGrid(t_step=t_step, values=values)
 
 
-def solve_two_time_rows(
-    kernel: BathKernel, t_max: float, t_step: float, rows=None
+def solve_two_time_pairs(
+    kernel: BathKernel, t_max: float, t_step: float, i, j
 ) -> tuple[PropagatorGrid, np.ndarray]:
-    """G(t) on [0, t_max] and G2(t_i, tau_j) on the requested t rows only.
+    """G(t) on [0, t_max] and G2(i t_step, j t_step) at the integer pairs
+    (i, j) only.
 
     The numerical route for a kernel without closed forms. The kernel is
     sampled once on [0, 2 t_max]; the first half drives the Volterra solve
     (as :func:`solve_volterra`, same checks and warning), all of it the
-    two-time quadrature, error O(t_step^2). Row k of the returned
-    (len(rows), n+1) array holds G2(rows[k] t_step, j t_step), j = 0..n,
-    with n = t_max / t_step; ``rows`` None gives all n + 1 rows.
+    two-time quadrature, error O(t_step^2). ``i`` and ``j`` are broadcast
+    against each other and must lie in [0, t_max / t_step]; pass
+    ``idx[:, None], idx`` for a whole surface.
     """
     n = _volterra_steps(kernel, t_max, t_step)
     f = eval_kernel_grid(kernel, np.arange(2 * n + 1) * t_step)
     grid = PropagatorGrid(t_step=t_step, values=volterra_trapezoid(f[: n + 1], t_step))
-    return grid, two_time_trapezoid(f, grid.values, grid.values, t_step, rows=rows)
+    return grid, two_time_trapezoid(f, grid.values, grid.values, t_step, i, j)
 
 
 def lorentzian_G(gamma: float, tau_c: float, t) -> np.ndarray | float:
@@ -402,10 +486,10 @@ def propagators(
 
     The one place that chooses how they are computed: a Lorentzian kernel
     uses the closed forms (real values), any other kernel
-    :func:`solve_two_time_rows` on the grid of step ``t_step`` (complex
-    values), on which every time must lie. The quadrature solves only the
-    distinct t rows of G2; empty or all-zero times need no solve, since
-    G(0) = 1 and G2(0, 0) = 0.
+    :func:`solve_two_time_pairs` on the grid of step ``t_step`` (complex
+    values), on which every time must lie. The quadrature computes G2 at
+    the given (t, tau) pairs only; empty or all-zero times need no solve,
+    since G(0) = 1 and G2(0, 0) = 0.
     """
     t, tau = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(tau, dtype=float))
     if isinstance(kernel, LorentzianKernel):
@@ -425,9 +509,8 @@ def propagators(
     if np.min(idx) < 0 or np.max(np.abs(idx * t_step - times)) > 1e-9 * max(1.0, t_max):
         raise ValidationError("times must be >= 0 and lie on the integration grid")
     i, j = idx
-    rows, row_of = np.unique(i, return_inverse=True)
-    grid, g2_rows = solve_two_time_rows(kernel, t_max, t_step, rows)
-    return grid.values[i], grid.values[j], g2_rows[row_of.reshape(i.shape), j]
+    grid, g2 = solve_two_time_pairs(kernel, t_max, t_step, i, j)
+    return grid.values[i], grid.values[j], g2
 
 
 def rho_t(state: InitialState, G_val: complex) -> DensityMatrix:

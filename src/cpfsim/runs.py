@@ -34,7 +34,7 @@ from .propagator import (
     lorentzian_G_two_time,
     propagators,
     rates_from_G,
-    solve_two_time_rows,
+    solve_two_time_pairs,
     solve_volterra,
 )
 
@@ -181,10 +181,11 @@ def run_validation(writer: Callable[[str], None] = print) -> bool:
         )
     checks.append((f"volterra vs closed form (max err {worst:.2e} <= 1e-5)", worst <= 1e-5))
 
-    # Two-time quadrature against the closed form
+    # Two-time quadrature against the closed form, on the whole surface
     gamma = 1.0 / tau_c
-    grid, surface = solve_two_time_rows(
-        LorentzianKernel(gamma, tau_c), 5.0 * tau_c, tau_c / 100
+    idx = np.arange(501)  # the grid points of [0, 5 tau_c]
+    grid, surface = solve_two_time_pairs(
+        LorentzianKernel(gamma, tau_c), 5.0 * tau_c, tau_c / 100, idx[:, None], idx
     )
     ref = lorentzian_G_two_time(
         gamma, tau_c, grid.times[:, None], grid.times[None, :]

@@ -32,7 +32,7 @@ from cpfsim import (
 from cpfsim.cli import main
 from cpfsim.cpf import conditioning_probability, table_probs
 from cpfsim.experiment import draw_counts, estimate_block, predicted_std
-from cpfsim.propagator import solve_two_time_rows
+from cpfsim.propagator import solve_two_time_pairs
 
 TAU_C = 1.0
 SCHEMES = list(MeasurementScheme)
@@ -73,7 +73,8 @@ def test_criterion_02_two_time_agreement():
         gamma = 1.0 / TAU_C
         k = LorentzianKernel(gamma, TAU_C)
         start = time.perf_counter()
-        grid, surface = solve_two_time_rows(k, 5.0 * TAU_C, TAU_C / 100)
+        full = np.arange(501)
+        grid, surface = solve_two_time_pairs(k, 5.0 * TAU_C, TAU_C / 100, full[:, None], full)
         elapsed = time.perf_counter() - start
         idx = np.arange(1, 51) * 10  # 50 x 50 output grid over (0, 5 tau_c]
         sub = surface[np.ix_(idx, idx)]

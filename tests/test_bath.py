@@ -1,4 +1,5 @@
 """Bath kernel: closed form values, weight conservation, tabulation."""
+import csv
 import re
 
 import numpy as np
@@ -13,6 +14,7 @@ from cpfsim import (
     load_kernel_csv,
     markovian_limit_kernel,
 )
+from cpfsim.bath import decay_time
 from cpfsim.errors import KernelRangeError, ValidationError
 
 # Oracle: mpmath.mp.dps=30 gives 2*exp(-1) = 0.735758882342884643...
@@ -165,3 +167,116 @@ def test_kernel_csv_skips_blank_lines_and_loads_complex_values(tmp_path):
     k = load_kernel_csv(path)
     assert k.times.tolist() == [0.0, 1.0]
     assert k.values.tolist() == [1.0 + 0.0j, 0.5 - 0.25j]
+
+
+def _load_kernel_csv_reference(path, time_scale=1.0):
+    """The per-row csv + float() loop form of load_kernel_csv, kept as the
+    reference the vectorised loader is checked against."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        # (physical line number, row) of the non-blank rows
+        rows = [
+            (reader.line_num, row) for row in reader if row and any(c.strip() for c in row)
+        ]
+    if not rows:
+        raise ValidationError(f"{path}: empty kernel file")
+    header = rows[0][1]
+    try:
+        float(header[0])
+    except ValueError:
+        pass  # non-numeric first cell: header present, as required
+    else:
+        raise ValidationError(f"{path}: header row required, found numeric first row")
+    times, values = [], []
+    for ln, row in rows[1:]:
+        if len(row) not in (2, 3):
+            raise ValidationError(f"{path}:{ln}: expected 2 or 3 columns, got {len(row)}")
+        try:
+            t = float(row[0])
+            re_ = float(row[1])
+            im = float(row[2]) if len(row) == 3 else 0.0
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{ln}: {exc}") from exc
+        times.append(t * time_scale)
+        values.append(re_ + 1j * im)
+    return TabulatedKernel(times=np.array(times), values=np.array(values))
+
+
+KERNEL_FILES = {
+    "two-columns": "t,re\n0,1\n0.5,0.25\n1,-0.5\n",
+    "three-columns": "t,re,im\n0,1,0\n0.5,0.25,-0.125\n1,-0.5,-0.0\n",
+    "mixed-columns": "t,re,im\n0,1\n0.5,0.25,-0.0\n1,-0.5\n1.5,-0.0,2e-3\n",
+    "blank-lines": "\n\nt,re\n\n0,1\n  ,\n \t\n0.5,0.5\n,\n1,0\n\n",
+    "crlf": "t,re,im\r\n0,1,0\r\n\r\n0.5,0.5,0.1\r\n1,0,0\r\n",
+    "cr-only": "t,re\r0,1\r0.5,0.5\r1,0",
+    "padded-cells": "t , re , im\n 0 ,1 , 0\n\t0.5,\t 0.5 ,0.25 \n1 , 0,-1e-3\n",
+    "quoted-cells": '"t","re"\n"0","1.5"\n"0.5",0.25\n1,"-0.0"\n',
+    "float-syntax": "t,re,im\n0,+1.5E0,-0\n0.5,1_000.5,.5\n1,5.,1e-310\n",
+    "no-final-newline": "t,re\n0,1\n1,0.5",
+    "header-only": "t,re\n",
+    "one-row": "t,re\n0,1\n",
+    "non-finite": "t,re\n0,1\n1,nan\n",
+    "numeric-header": "0,1\n1,2\n",
+    "empty": "\n \n",
+    "ragged-then-bad-float": "t,re\n0,1\n1,x\n2,1,2,3\n",
+    "bad-float-then-ragged": "t,re\n0,1\n1,2,3,4\n2,x\n",
+    "bad-time": "t,re,im\n0,1,0\nzero,1,0\n",
+    "one-cell-after-blank": "t,re\n\n\n0,1\n7\n",
+    "empty-cell": "t,re\n0,1\n1,\n",
+}
+
+
+def _load(loader, path, time_scale):
+    try:
+        return loader(path, time_scale=time_scale)
+    except ValidationError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("time_scale", [1.0, 0.3])
+@pytest.mark.parametrize("name", sorted(KERNEL_FILES))
+def test_kernel_csv_matches_reference_loop(tmp_path, name, time_scale):
+    # accepted files give the same arrays to the bit; rejected files raise
+    # the same ValidationError message
+    path = tmp_path / "kernel.csv"
+    path.write_bytes(KERNEL_FILES[name].encode("utf-8"))
+    ref = _load(_load_kernel_csv_reference, path, time_scale)
+    out = _load(load_kernel_csv, path, time_scale)
+    assert type(out) is type(ref)
+    if isinstance(ref, ValidationError):
+        assert str(out) == str(ref)
+    else:
+        for a, b in ((out.times, ref.times), (out.values, ref.values)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def test_kernel_csv_matches_reference_loop_on_a_large_file(tmp_path):
+    rng = np.random.default_rng(3)
+    t = np.cumsum(rng.uniform(0.001, 0.01, 3000))
+    t[0] = 0.0
+    v = rng.normal(size=(3000, 2))
+    lines = ["time,re,im"]
+    for k in range(3000):
+        lines.append(f"{t[k]:.17g},{v[k, 0]:.17g}" + (f",{v[k, 1]:.17g}" if k % 3 else ""))
+        if k % 500 == 7:
+            lines.append("")
+    path = tmp_path / "kernel.csv"
+    path.write_text("\r\n".join(lines) + "\r\n")
+    ref = _load_kernel_csv_reference(path, 2.5)
+    out = load_kernel_csv(path, time_scale=2.5)
+    assert out.times.tobytes() == ref.times.tobytes()
+    assert out.values.tobytes() == ref.values.tobytes()
+
+
+def test_decay_time():
+    assert decay_time(LorentzianKernel(1.0, 0.25)) == 0.25
+    ts = np.linspace(0.0, 3.0, 3001)
+    k = TabulatedKernel(times=ts, values=np.exp(-ts / 0.5 + 3j * ts))
+    assert decay_time(k) == pytest.approx(0.5, rel=1e-6)
+    # the crossing between two samples is interpolated linearly in |f|
+    k = TabulatedKernel(times=np.array([0.0, 1.0, 2.0]), values=np.array([1.0, 0.5, 0.0]))
+    assert decay_time(k) == pytest.approx(1.0 + (0.5 - np.exp(-1.0)) / 0.5)
+    # |f| that never falls by 1/e on the table, or starts at 0: no time scale
+    assert decay_time(TabulatedKernel(times=ts, values=np.exp(-ts / 10.0))) is None
+    assert decay_time(TabulatedKernel(times=ts, values=ts * np.exp(-ts))) is None

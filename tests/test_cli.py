@@ -1,5 +1,10 @@
 """Config parsing, dataset runners, CLI subcommands, determinism."""
+import importlib.util
 import json
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -10,7 +15,7 @@ from cpfsim.cli import main
 from cpfsim.config import DEFAULT_VISIBILITIES, FIGURE2_COMBOS, load_config, parse_config
 from cpfsim.cpf import InitialState, MeasurementScheme, conditioning_probability, table_probs
 from cpfsim.experiment import degrade_probs
-from cpfsim.errors import ValidationError
+from cpfsim.errors import CoarseStepWarning, ValidationError
 
 BASE_CONFIG = {
     "bath": {"gamma": 1.0, "tau_c": 1.0},
@@ -438,16 +443,17 @@ class TestSweep:
         assert peak > 0.05
 
     def test_tabulated_full_grid_solves_distinct_rows(self, tmp_path, monkeypatch):
-        # a 2D sweep of (n+1)^2 points integrates G2 on its n+1 distinct t
-        # rows only: output step 1, integration step 1/100
+        # a 2D sweep of (n+1)^2 points asks the quadrature for G2 at its
+        # (n+1)^2 (t, tau) pairs only, on n+1 distinct t rows of the refined
+        # grid: output step 1, integration step 1/100
         from cpfsim import propagator
 
         calls = []
         quadrature = propagator.two_time_trapezoid
 
-        def spy(f, G_t, G_tau, h, rows=None):
-            calls.append(np.asarray(rows).tolist())
-            return quadrature(f, G_t, G_tau, h, rows=rows)
+        def spy(f, G_t, G_tau, h, i, j):
+            calls.append((np.unique(i).tolist(), np.unique(j).tolist(), np.size(i)))
+            return quadrature(f, G_t, G_tau, h, i, j)
 
         monkeypatch.setattr(propagator, "two_time_trapezoid", spy)
         cfg = write_config(
@@ -461,7 +467,8 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         _, rows = read_rows(tmp_path / "out" / "sweep.csv")
         assert len(rows) == 25
-        assert calls == [[0, 100, 200, 300, 400]]
+        steps = [0, 100, 200, 300, 400]
+        assert calls == [(steps, steps, 25)]
 
     def test_y_plus_impossible_conditioning_gives_nan(self, tmp_path):
         # p = 0 under z-z-z: the system is never excited, so y = +1 has zero
@@ -493,6 +500,43 @@ class TestSweep:
         taus = {r["tau"] for r in rows}
         assert len(taus) == 5
 
+    def test_tabulated_kernel_near_markov_limit_warns(self, tmp_path):
+        # gamma tau_c = 0.01: the default step 1/(100 gamma) is tau_c, four
+        # times the quarter of the kernel's 1/e time that resolves it
+        tau_c = 0.01
+        ts = np.arange(2001) * 0.001
+        kpath = tmp_path / "kernel.csv"
+        kpath.write_text(
+            "t,re\n"
+            + "".join(f"{t:.17g},{0.5 / tau_c * np.exp(-t / tau_c):.17g}\n" for t in ts)
+        )
+        cfg = write_config(
+            tmp_path,
+            {
+                "bath": {"gamma": 1.0, "kernel_csv": str(kpath)},
+                "grid": {"t_max_gamma": 1.0, "points": 11, "equal_times": True},
+            },
+        )
+        with pytest.warns(CoarseStepWarning, match="t_step = 0.01 > 0.0025"):
+            rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 0
+
+    def test_benchmark_tabulated_config_does_not_warn(self, tmp_path, monkeypatch):
+        # the perfbench tabulated_sweep workload: tau_c = 0.5, step 0.01
+        root = Path(__file__).resolve().parents[1] / "perfbench"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        workloads.write_kernel_csv(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        config = root / "workloads" / "tabulated_sweep.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CoarseStepWarning)
+            assert main(["sweep", "--config", str(config), "--out", "out"]) == 0
+        _, rows = read_rows(tmp_path / "out" / "sweep.csv")
+        assert len(rows) == 2 * 151
+
 
 class TestValidate:
     def test_validate_passes(self, capsys):
@@ -501,3 +545,34 @@ class TestValidate:
         assert rc == 0
         assert "PASS" in out
         assert "FAIL" not in out
+
+
+def test_channel_oracle_loads_on_first_use():
+    # no subcommand but validate imports the channel-map oracle at start-up;
+    # the package still exports its names
+    src = Path(__import__("cpfsim").__file__).resolve().parents[1]
+    code = """
+import sys
+import cpfsim.cli
+assert "cpfsim.channel" not in sys.modules, "imported at start-up"
+import cpfsim
+assert cpfsim.simulate_sequence.__module__ == "cpfsim.channel"
+assert "cpfsim.channel" in sys.modules
+ns = {}
+exec("from cpfsim import *", ns)
+missing = [name for name in cpfsim.__all__ if name not in ns]
+assert not missing, missing
+try:
+    cpfsim.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("no AttributeError")
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(src), "PATH": ""},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr

@@ -21,7 +21,7 @@ from cpfsim import (
     solve_volterra,
 )
 from cpfsim import propagator
-from cpfsim.propagator import solve_two_time_rows, two_time_trapezoid, volterra_trapezoid
+from cpfsim.propagator import solve_two_time_pairs, two_time_trapezoid, volterra_trapezoid
 from cpfsim.errors import (
     ConditioningImpossibleError,
     CoarseStepWarning,
@@ -46,6 +46,12 @@ def tabulated_lorentzian(t_end, h=0.01):
     are known."""
     ts = np.arange(0, t_end + h / 2, h)
     return TabulatedKernel(times=ts, values=eval_kernel_grid(LorentzianKernel(1.0, 1.0), ts))
+
+
+def two_time_surface(kernel, t_max, h):
+    """G on [0, t_max] and the whole G2 surface, from the pairs solve."""
+    idx = np.arange(int(round(t_max / h)) + 1)
+    return solve_two_time_pairs(kernel, t_max, h, idx[:, None], idx)
 
 
 class TestLorentzianClosedForm:
@@ -130,6 +136,19 @@ class TestVolterraSolver:
             with pytest.raises(CoarseStepWarning):
                 solve_volterra(k, 5.0, 0.5)
 
+    def test_coarse_step_warns_for_tabulated_kernel(self):
+        # the Lorentzian tau_c/4 rule, read off the samples: |f| falls by 1/e
+        # in tau_c = 1
+        tab = tabulated_lorentzian(10.0)
+        with pytest.warns(CoarseStepWarning, match="t_step = 0.5 > 0.25"):
+            solve_volterra(tab, 5.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CoarseStepWarning)
+            solve_volterra(tab, 5.0, 0.2)
+            propagators(tab, [0.2, 1.0], [1.0, 0.2], 0.2)
+            with pytest.raises(CoarseStepWarning):
+                propagators(tab, [0.5, 1.0], [1.0, 0.5], 0.5)
+
     def test_grid_validation(self):
         k = LorentzianKernel(1.0, 1.0)
         with pytest.raises(ValidationError):
@@ -159,12 +178,12 @@ class TestTwoTime:
         tau_c = 1.0
         gamma = ratio / tau_c
         k = LorentzianKernel(gamma, tau_c)
-        grid, surface = solve_two_time_rows(k, 5.0 * tau_c, tau_c / 100)
+        grid, surface = two_time_surface(k, 5.0 * tau_c, tau_c / 100)
         ref = lorentzian_G_two_time(gamma, tau_c, grid.times[:, None], grid.times[None, :])
         assert np.max(np.abs(surface - ref)) <= 1e-5
 
     def test_edges_are_exactly_zero(self):
-        _, surface = solve_two_time_rows(LorentzianKernel(1.0, 1.0), 2.0, 0.02)
+        _, surface = two_time_surface(LorentzianKernel(1.0, 1.0), 2.0, 0.02)
         assert np.all(surface[0, :] == 0)
         assert np.all(surface[:, 0] == 0)
 
@@ -213,7 +232,7 @@ class TestTwoTime:
     def test_grid_mismatch_rejected(self):
         k = LorentzianKernel(1.0, 1.0)
         with pytest.raises(GridMismatchError):
-            solve_two_time_rows(k, 1.003, 0.02)  # off-grid t_max
+            solve_two_time_pairs(k, 1.003, 0.02, 0, 0)  # off-grid t_max
         tab = tabulated_lorentzian(4.0)
         with pytest.raises(ValidationError, match="integration grid"):
             propagators(tab, 1.003, 1.0, 0.02)  # off-grid time
@@ -228,7 +247,7 @@ class TestTwoTime:
             k = markovian_limit_kernel(1.0, 1.0, eps)
             h = k.tau_c / 25
             t_max = 200 * h  # covers the sup of the two-time surface
-            _, surface = solve_two_time_rows(k, t_max, h)
+            _, surface = two_time_surface(k, t_max, h)
             sups.append(np.max(np.abs(surface)))
         assert sups[0] > sups[1] > sups[2]
         assert sups[2] < 5e-3
@@ -236,7 +255,7 @@ class TestTwoTime:
     def test_delta_like_kernel_suppressed(self):
         k = markovian_limit_kernel(1.0, 1.0, 1e-3)
         h = k.tau_c / 25
-        _, surface = solve_two_time_rows(k, 200 * h, h)
+        _, surface = two_time_surface(k, 200 * h, h)
         assert np.max(np.abs(surface)) < 1e-2
 
     def test_probability_bound(self):
@@ -247,7 +266,7 @@ class TestTwoTime:
             t_max = min(5.0 / gamma, 8.0 * tau_c)
             h = tau_c / 100
             t_max = round(t_max / h) * h
-            grid, surface = solve_two_time_rows(k, t_max, h)
+            grid, surface = two_time_surface(k, t_max, h)
             excess = np.abs(surface) ** 2 - (
                 1.0 - np.abs(grid.values[:, None]) ** 2
             )
@@ -255,7 +274,7 @@ class TestTwoTime:
 
     def test_two_time_real_for_real_kernel(self):
         k = LorentzianKernel(1.0, 1.0)
-        _, surface = solve_two_time_rows(k, 3.0, 0.01)
+        _, surface = two_time_surface(k, 3.0, 0.01)
         assert np.max(np.abs(surface.imag)) < 1e-12
 
 
@@ -408,17 +427,22 @@ def test_short_inputs():
     f = np.array([0.5 + 0j])
     assert volterra_trapezoid(f, 0.01)[0] == 1.0
     G = np.array([1.0 + 0j])
-    out = two_time_trapezoid(np.array([0.5 + 0j]), G, G, 0.01)
-    assert out.shape == (1, 1)
-    assert out[0, 0] == 0.0
+    out = two_time_trapezoid(np.array([0.5 + 0j]), G, G, 0.01, [0], [0])
+    assert out.shape == (1,)
+    assert out[0] == 0.0
 
 
 def test_kernel_length_validation():
     h = 0.01
     f = 0.5 * np.exp(-np.arange(501) * h).astype(complex)
     G = volterra_trapezoid(f[:301], h)
+    idx = np.arange(301)
     with pytest.raises(ValueError):
-        two_time_trapezoid(f[:400], G, G, h)  # needs 601 samples
+        two_time_trapezoid(f[:400], G, G, h, idx[:, None], idx)  # needs 601 samples
+    # pairs that reach no further than the samples need no more of them
+    out = two_time_trapezoid(f[:400], G, G, h, [300, 150], [99, 249])
+    ref = two_time_trapezoid(f, G, G, h, [300, 150], [99, 249])
+    assert np.max(np.abs(out - ref)) <= 1e-15
 
 
 def _two_time_reference(
@@ -458,9 +482,38 @@ def _two_time_reference(
     return G2
 
 
+def _volterra_reference(f: np.ndarray, h: float) -> np.ndarray:
+    """The direct O(n^2) loop form of volterra_trapezoid, kept as the
+    reference the blocked FFT solve is checked against."""
+    f = np.ascontiguousarray(f, dtype=complex)
+    n = f.shape[0] - 1
+    G = np.empty(n + 1, dtype=complex)
+    G[0] = 1.0
+    if n == 0:
+        return G
+    fr = f[::-1]
+    gw = np.empty(n + 1, dtype=complex)  # G with the k=0 trapezoid half-weight
+    gw[0] = 0.5
+    I_prev = 0.0 + 0.0j  # trapezoidal convolution integral at step i
+    denom = 1.0 + h * h * f[0] / 4.0
+    hh = 0.5 * h * h
+    for i in range(n):
+        # P = sum_{k=0..i} c_k f[i+1-k] G[k], c_0 = 1/2, c_k = 1 otherwise
+        P = np.dot(fr[n - i - 1 : n], gw[: i + 1])
+        G_next = (G[i] - 0.5 * h * I_prev - hh * P) / denom
+        G[i + 1] = G_next
+        gw[i + 1] = G_next
+        I_prev = h * (P + 0.5 * f[0] * G_next)
+    return G
+
+
 # The FFT kernel reorders the sums of the reference; bound set from float64
 # epsilon (2.2e-16) times the O(100) terms per sum, before any measurement.
 FFT_REL_TOL = 1e-13
+# The blocked Volterra solve reorders each step's history sum; the error is
+# carried through up to 2e4 steps, so its bound is looser than FFT_REL_TOL.
+VOLTERRA_REL_TOL = 1e-12
+LEAF = propagator._VOLTERRA_LEAF
 
 
 def _kernel_problem(n, m, rotating=False, h=0.01):
@@ -471,6 +524,31 @@ def _kernel_problem(n, m, rotating=False, h=0.01):
     return f, G[: n + 1], G[: m + 1], h
 
 
+class TestVolterraBlocked:
+    @pytest.mark.parametrize("rotating", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 2, LEAF - 1, LEAF, LEAF + 1, 1500, 20000])
+    def test_matches_loop(self, n, rotating):
+        h = 0.01
+        t = np.arange(n + 1) * h
+        f = 0.5 * np.exp(-t - (4j * t if rotating else 0.0))
+        ref = _volterra_reference(f, h)
+        out = volterra_trapezoid(f, h)
+        assert out.shape == (n + 1,) and out[0] == 1.0
+        assert np.max(np.abs(out - ref)) <= VOLTERRA_REL_TOL * np.max(np.abs(ref))
+        if rotating and n > 100:
+            assert np.max(np.abs(ref.imag)) > 0.1 * np.max(np.abs(ref))
+
+    def test_strong_coupling_matches_loop(self):
+        # gamma tau_c = 20: G oscillates through zero, each step's history
+        # sum cancels strongly
+        h = 0.005
+        t = np.arange(3001) * h
+        f = 10.0 * np.exp(-t).astype(complex)
+        ref = _volterra_reference(f, h)
+        assert np.min(ref.real) < -0.5
+        assert np.max(np.abs(volterra_trapezoid(f, h) - ref)) <= VOLTERRA_REL_TOL
+
+
 class TestTwoTimeKernel:
     @pytest.mark.parametrize(
         "n, m, rotating",
@@ -479,7 +557,7 @@ class TestTwoTimeKernel:
     def test_matches_reference(self, n, m, rotating):
         f, G_t, G_tau, h = _kernel_problem(n, m, rotating)
         ref = _two_time_reference(f, G_t, G_tau, h)
-        out = two_time_trapezoid(f, G_t, G_tau, h)
+        out = two_time_trapezoid(f, G_t, G_tau, h, np.arange(n + 1)[:, None], np.arange(m + 1))
         assert out.shape == (n + 1, m + 1)
         assert np.max(np.abs(out - ref)) <= FFT_REL_TOL * np.max(np.abs(ref))
         assert np.all(out[0, :] == 0) and np.all(out[:, 0] == 0)
@@ -491,37 +569,72 @@ class TestTwoTimeKernel:
         n, m = 90, 61
         f, G_t, G_tau, h = _kernel_problem(n, m, rotating)
         ref = _two_time_reference(f, G_t, G_tau, h)
-        rows = [n, 0, 17, 17, 3, 0, n - 1]
-        out = two_time_trapezoid(f, G_t, G_tau, h, rows=rows)
+        rows = np.array([n, 0, 17, 17, 3, 0, n - 1])
+        out = two_time_trapezoid(f, G_t, G_tau, h, rows[:, None], np.arange(m + 1))
         assert out.shape == (len(rows), m + 1)
         assert np.max(np.abs(out - ref[rows])) <= FFT_REL_TOL * np.max(np.abs(ref))
         assert np.all(out[1] == 0) and np.all(out[:, 0] == 0)
-        # only the rows up to the largest requested one are read
-        low = two_time_trapezoid(f, G_t, G_tau, h, rows=range(0, 31, 5))
-        assert np.max(np.abs(low - ref[0:31:5])) <= FFT_REL_TOL * np.max(np.abs(ref))
-        assert two_time_trapezoid(f, G_t, G_tau, h, rows=[]).shape == (0, m + 1)
+        # only the kernel samples up to the largest i + j are read
+        low = np.arange(0, 31, 5)
+        out = two_time_trapezoid(f[: 30 + m + 1], G_t, G_tau, h, low[:, None], np.arange(m + 1))
+        assert np.max(np.abs(out - ref[low])) <= FFT_REL_TOL * np.max(np.abs(ref))
+        assert two_time_trapezoid(f, G_t, G_tau, h, [], []).shape == (0,)
+        assert two_time_trapezoid(f, G_t, G_tau, h, np.zeros((0, 3), int), 0).shape == (0, 3)
+
+    @pytest.mark.parametrize("rotating", [False, True])
+    def test_pairs_match_reference(self, rotating):
+        # n != m; unordered and repeated pairs; t = 0 and tau = 0 edges;
+        # rows asking for few and for many tau columns
+        n, m = 137, 90
+        f, G_t, G_tau, h = _kernel_problem(n, m, rotating)
+        ref = _two_time_reference(f, G_t, G_tau, h)
+        rng = np.random.default_rng(7)
+        i = np.concatenate([rng.integers(0, n + 1, 396), [n, n, 0, 0, 5, n, 1, 1, 64]])
+        j = np.concatenate([rng.integers(0, m + 1, 396), [m, 0, m, 0, m, 1, 1, m, 3]])
+        out = two_time_trapezoid(f, G_t, G_tau, h, i, j)
+        assert out.shape == i.shape
+        assert np.max(np.abs(out - ref[i, j])) <= FFT_REL_TOL * np.max(np.abs(ref))
+        assert np.all(out[(i == 0) | (j == 0)] == 0)
+        # a (t, tau) grid of any shape gives the same values
+        out = two_time_trapezoid(f, G_t, G_tau, h, i.reshape(3, 3, -1), j.reshape(3, 3, -1))
+        assert out.shape == (3, 3, len(i) // 9)
+        assert np.max(np.abs(out.ravel() - ref[i, j])) <= FFT_REL_TOL * np.max(np.abs(ref))
 
     def test_one_row_per_block(self, monkeypatch):
         f, G_t, G_tau, h = _kernel_problem(50, 50, rotating=True)
         ref = _two_time_reference(f, G_t, G_tau, h)
         monkeypatch.setattr(propagator, "_FFT_BLOCK_BYTES", 1)
-        out = two_time_trapezoid(f, G_t, G_tau, h, rows=[50, 0, 25])
-        assert np.max(np.abs(out - ref[[50, 0, 25]])) <= FFT_REL_TOL * np.max(np.abs(ref))
+        rows = [50, 0, 25]
+        out = two_time_trapezoid(f, G_t, G_tau, h, np.array(rows)[:, None], np.arange(51))
+        assert np.max(np.abs(out - ref[rows])) <= FFT_REL_TOL * np.max(np.abs(ref))
+        i, j = [50, 3, 25, 3, 49, 7], [2, 50, 25, 1, 50, 9]
+        out = two_time_trapezoid(f, G_t, G_tau, h, i, j)
+        assert np.max(np.abs(out - ref[i, j])) <= FFT_REL_TOL * np.max(np.abs(ref))
 
     @pytest.mark.parametrize(
-        "rows", [[-1], [0, 11], [1.5], np.array([0.0, 2.0]), [[0, 1]], [True]]
+        "rows", [[-1], [0, 11], [1.5], np.array([0.0, 2.0]), ["0", "1"], [True]]
     )
     def test_bad_rows_rejected(self, rows):
+        # t indices out of [0, n] or not integers, against tau index 0
         f, G_t, G_tau, h = _kernel_problem(10, 5)
         with pytest.raises(ValueError):
-            two_time_trapezoid(f, G_t, G_tau, h, rows=rows)
+            two_time_trapezoid(f, G_t, G_tau, h, rows, 0)
+
+    @pytest.mark.parametrize(
+        "i, j", [([0], [6]), ([0], [-1]), ([1], [2.0]), ([0, 1], [0, 1, 2]), ([1], [False])]
+    )
+    def test_bad_pairs_rejected(self, i, j):
+        # tau indices out of [0, m] or not integers, or shapes that do not broadcast
+        f, G_t, G_tau, h = _kernel_problem(10, 5)
+        with pytest.raises(ValueError):
+            two_time_trapezoid(f, G_t, G_tau, h, i, j)
 
     def test_solve_rows_matches_full_pipeline(self):
         k = LorentzianKernel(1.0, 1.0)
         grid = solve_volterra(k, 2.0, 0.01)
-        _, surface = solve_two_time_rows(k, 2.0, 0.01)
-        rows = range(0, 201, 20)
-        row_grid, g2_rows = solve_two_time_rows(k, 2.0, 0.01, rows)
+        _, surface = two_time_surface(k, 2.0, 0.01)
+        rows = np.arange(0, 201, 20)
+        row_grid, g2_rows = solve_two_time_pairs(k, 2.0, 0.01, rows[:, None], np.arange(201))
         assert np.array_equal(row_grid.values, grid.values)
         assert g2_rows.shape == (11, 201)
         assert np.max(np.abs(g2_rows - surface[::20])) <= FFT_REL_TOL * np.max(
