@@ -14,10 +14,8 @@ from .bath import (
     BathKernel,
     LorentzianKernel,
     TabulatedKernel,
-    eval_kernel,
     eval_kernel_grid,
     load_kernel_csv,
-    markovian_limit_kernel,
 )
 from .cpf import (
     CpfResult,
@@ -29,15 +27,7 @@ from .cpf import (
     cpf_from_table,
     cpf_y_plus,
 )
-from .experiment import (
-    CountsTable,
-    ExperimentConfig,
-    NoisePoint,
-    apply_visibility,
-    estimate_cpf,
-    run_noise_study,
-    sample_counts,
-)
+from .experiment import ExperimentConfig, run_noise_study
 from .propagator import (
     DensityMatrix,
     PropagatorGrid,
@@ -79,7 +69,6 @@ def __getattr__(name):
 __all__ = [
     "BathKernel",
     "ChannelAngles",
-    "CountsTable",
     "CpfResult",
     "DensityMatrix",
     "ExperimentConfig",
@@ -87,7 +76,6 @@ __all__ = [
     "JointState",
     "LorentzianKernel",
     "MeasurementScheme",
-    "NoisePoint",
     "ProbabilityTable",
     "PropagatorGrid",
     "RateFunctions",
@@ -95,27 +83,22 @@ __all__ = [
     "angles_from_propagator",
     "apply_U_t",
     "apply_U_tau",
-    "apply_visibility",
     "backflow_probabilities",
     "build_table",
     "conditional_table",
     "cpf_closed_form",
     "cpf_from_table",
     "cpf_y_plus",
-    "estimate_cpf",
-    "eval_kernel",
     "eval_kernel_grid",
     "load_kernel_csv",
     "lorentzian_G",
     "lorentzian_G_two_time",
-    "markovian_limit_kernel",
     "prepare_joint",
     "project",
     "propagators",
     "rates_from_G",
     "rho_t",
     "run_noise_study",
-    "sample_counts",
     "simulate_sequence",
     "solve_volterra",
 ]

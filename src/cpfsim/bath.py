@@ -73,14 +73,10 @@ class TabulatedKernel:
 BathKernel = Union[LorentzianKernel, TabulatedKernel]
 
 
-def eval_kernel(kernel: BathKernel, t: float) -> complex:
-    """Evaluate f(t). Lorentzian accepts any t (via |t|); tabulated kernels
-    require 0 <= t <= t_max and interpolate linearly between samples."""
-    return complex(eval_kernel_grid(kernel, np.asarray(float(t))))
-
-
 def eval_kernel_grid(kernel: BathKernel, ts: np.ndarray) -> np.ndarray:
-    """Vectorised kernel evaluation; same domain rules as :func:`eval_kernel`."""
+    """Evaluate f at the times ``ts``. Lorentzian kernels accept any t (via
+    |t|); tabulated kernels require 0 <= t <= t_max and interpolate linearly
+    between samples."""
     ts = np.asarray(ts, dtype=float)
     if isinstance(kernel, LorentzianKernel):
         out = (kernel.gamma / (2.0 * kernel.tau_c)) * np.exp(-np.abs(ts) / kernel.tau_c)
@@ -113,17 +109,6 @@ def decay_time(kernel: BathKernel) -> Optional[float]:
     k = int(below[0])
     t0, t1 = kernel.times[k - 1 : k + 1]
     return float(t0 + (t1 - t0) * (mag[k - 1] - level) / (mag[k - 1] - mag[k]))
-
-
-def markovian_limit_kernel(gamma: float, tau_c: float, epsilon: float) -> LorentzianKernel:
-    """Shrink the correlation time by ``epsilon`` at fixed integrated weight.
-
-    Returns Lorentzian{gamma, tau_c * epsilon}; as epsilon -> 0 the kernel
-    approaches gamma/2 times a delta function and all memory effects vanish.
-    """
-    if not (epsilon > 0):
-        raise ValidationError(f"epsilon must be > 0, got {epsilon}")
-    return LorentzianKernel(gamma=gamma, tau_c=tau_c * epsilon)
 
 
 def load_kernel_csv(path: Union[str, Path], time_scale: float = 1.0) -> TabulatedKernel:

@@ -21,8 +21,10 @@ Two independent routes are provided and cross-asserted in the test suite:
 Both are NumPy expressions broadcast over arrays of propagator values, so a
 whole (t, tau) grid is one call; a point whose conditioning outcome has zero
 probability comes back as NaN, since its estimator would have zero counts.
-``build_table``, ``cpf_closed_form`` and ``cpf_from_table`` are the
-one-point API over them: there such a point raises
+The noise model (:mod:`cpfsim.experiment`) degrades, samples and estimates
+these arrays of tables directly. ``build_table``, ``cpf_closed_form`` and
+``cpf_from_table`` are the scalar one-point API, in which the channel-map
+oracle returns its tables and is checked: there such a point raises
 :class:`ConditioningImpossibleError` rather than returning a number.
 Conditioning on y = +1 gives exactly zero for every scheme, wherever y = +1
 can occur.

@@ -52,9 +52,5 @@ class InternalConsistencyError(CpfsimError, RuntimeError):
     bound) was violated beyond numerical tolerance."""
 
 
-class NoDataError(CpfsimError, ValueError):
-    """A counts table contains no events; nothing can be estimated."""
-
-
 class CoarseStepWarning(UserWarning):
     """Integration step too coarse to resolve the kernel correlation time."""

@@ -24,27 +24,29 @@ spawns n children of ``SeedSequence(seed)``, and point k draws all its
 replicas as one (replicas, 4) Poisson block from one ``Generator`` built
 on child k, cells in ``_CELLS`` order. A point's counts depend only on the
 seed, n and k, so studies are exactly reproducible.
+
+The model is array code over tables of shape (..., 4) in ``_CELLS`` order:
+:func:`degrade_probs`, :func:`draw_counts`, :func:`estimate_block` and
+:func:`predicted_std`. :func:`run_noise_study` ties them together and
+returns its statistics as a record array, one record per time.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .bath import BathKernel
 from .cpf import (
     _CELLS,
-    CpfResult,
     InitialState,
     MeasurementScheme,
-    ProbabilityTable,
     conditioning_probability,
     table_correlation,
     table_probs,
 )
-from .errors import NoDataError, ValidationError
+from .errors import ValidationError
 from .propagator import propagators
 
 RNG_CONTRACT = "rng v2 per-point-block"
@@ -71,27 +73,6 @@ class ExperimentConfig:
             raise ValidationError(f"replicas must be >= 1, got {self.replicas}")
 
 
-@dataclass(frozen=True)
-class CountsTable:
-    """Integer coincidence counts per (z, x) cell for one conditioning outcome."""
-
-    scheme: MeasurementScheme
-    y: int
-    counts: Mapping[tuple[int, int], int]
-
-    def __post_init__(self):
-        if set(self.counts.keys()) != set(_CELLS):
-            raise ValidationError("counts must cover exactly the four (z, x) cells")
-        counts = {k: int(v) for k, v in self.counts.items()}
-        if any(v < 0 for v in counts.values()):
-            raise ValidationError("counts must be non-negative")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
 def degrade_probs(
     probs: np.ndarray, visibility: float, scheme: MeasurementScheme
 ) -> np.ndarray:
@@ -101,26 +82,6 @@ def degrade_probs(
         return probs
     p_x = probs[..., :2] + probs[..., 2:]  # P(x = +1), P(x = -1)
     return visibility * probs + (1.0 - visibility) * np.concatenate([p_x, p_x], axis=-1) / 2.0
-
-
-def apply_visibility(
-    tbl: ProbabilityTable, visibility: float, scheme: MeasurementScheme
-) -> ProbabilityTable:
-    """Degrade the coherent interference term of a conditional table by V."""
-    if not (0.0 <= visibility <= 1.0):
-        raise ValidationError(f"visibility must lie in [0, 1], got {visibility}")
-    if scheme is not tbl.scheme:
-        raise ValidationError(f"table is for {tbl.scheme}, not {scheme}")
-    if scheme is MeasurementScheme.ZZZ or visibility == 1.0:
-        return tbl
-    probs = degrade_probs(np.array([tbl.entries[c] for c in _CELLS]), visibility, scheme)
-    return ProbabilityTable(scheme=tbl.scheme, y=tbl.y, entries=dict(zip(_CELLS, probs.tolist())))
-
-
-def _poisson_block(rng: np.random.Generator, means: np.ndarray, replicas: int) -> np.ndarray:
-    """(replicas, 4) independent Poisson counts around the four cell means,
-    drawn row by row in _CELLS order."""
-    return rng.poisson(means, size=(replicas, 4))
 
 
 def draw_counts(
@@ -135,7 +96,7 @@ def draw_counts(
     children = np.random.SeedSequence(seed).spawn(len(probs))
     for p, budget, child in zip(probs, budgets, children):
         if budget > 0.0:
-            yield _poisson_block(np.random.default_rng(child), budget * p, replicas)
+            yield np.random.default_rng(child).poisson(budget * p, size=(replicas, 4))
         else:
             yield np.zeros((replicas, 4), dtype=np.int64)
 
@@ -164,46 +125,6 @@ def predicted_std(probs: np.ndarray, budget) -> np.ndarray:
         return np.sqrt(np.maximum(var, 0.0) / np.where(budget > 0.0, budget, np.nan))
 
 
-def sample_counts(
-    tbl: ProbabilityTable,
-    cfg: ExperimentConfig,
-    rng: Optional[np.random.Generator] = None,
-) -> CountsTable:
-    """Draw one counts table: independent Poisson cells with means
-    total_counts * P(z, x | y), in a fixed cell order for reproducibility."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    means = cfg.total_counts * np.array([tbl.entries[c] for c in _CELLS])
-    counts = _poisson_block(rng, means, 1)[0].tolist()
-    return CountsTable(scheme=tbl.scheme, y=tbl.y, counts=dict(zip(_CELLS, counts)))
-
-
-def estimate_cpf(
-    counts: CountsTable, t: Optional[float] = None, tau: Optional[float] = None
-) -> CpfResult:
-    """The experimental estimator: normalize counts to a probability table
-    and evaluate the correlation on it."""
-    value = float(estimate_block([counts.counts[c] for c in _CELLS]))
-    if math.isnan(value):
-        raise NoDataError("no coincidences registered; cannot estimate")
-    return CpfResult(value=value, y=counts.y, scheme=counts.scheme, t=t, tau=tau)
-
-
-@dataclass(frozen=True)
-class NoisePoint:
-    """Per-(t, tau) outcome of a noise study."""
-
-    t: float
-    tau: float
-    ideal: float
-    degraded_ideal: float
-    mc_mean: float
-    mc_std: float
-    predicted_std: float
-    n_replicas: int
-    flagged: bool  # no replica produced data (count starvation)
-
-
 def run_noise_study(
     state: InitialState,
     scheme: MeasurementScheme,
@@ -212,15 +133,17 @@ def run_noise_study(
     cfg: ExperimentConfig,
     y: int = -1,
     t_step: Optional[float] = None,
-) -> list[NoisePoint]:
+) -> np.recarray:
     """Monte Carlo study of the estimator along the equal-times diagonal.
 
-    For each t in ``times``: the ideal correlation, the visibility-degraded
-    ideal, mean/stddev of the finite-count estimates over ``cfg.replicas``
-    replicas drawn by :func:`draw_counts`, and the first-order stddev
-    :func:`predicted_std`. Replicas without a coincidence are dropped.
-    Points where conditioning is impossible or every replica starves are
-    flagged (NaN statistics).
+    Returns a record array with one record per t in ``times``: ``t``, the
+    ``ideal`` correlation, the visibility-``degraded_ideal``, ``mc_mean``
+    and ``mc_std`` of the finite-count estimates over ``cfg.replicas``
+    replicas drawn by :func:`draw_counts`, the first-order
+    ``predicted_std`` (:func:`predicted_std`), ``n_replicas``, the number
+    of replicas with data, and ``flagged``. Replicas without a coincidence
+    are dropped; points where conditioning is impossible or every replica
+    starves are flagged (NaN statistics).
     """
     times = np.asarray(times, dtype=float)
     g_vals, _, g2_vals = propagators(kernel, times, times, t_step)
@@ -240,7 +163,10 @@ def run_noise_study(
             mc_mean[k] = np.mean(estimates)
             mc_std[k] = np.std(estimates, ddof=1) if estimates.size > 1 else 0.0
     columns = (
-        times, times, ideal, degraded_ideal, mc_mean, mc_std,
+        times, ideal, degraded_ideal, mc_mean, mc_std,
         predicted_std(degraded, budget), n_replicas, n_replicas == 0,
     )
-    return [NoisePoint(*row) for row in zip(*(c.tolist() for c in columns))]
+    return np.rec.fromarrays(
+        columns,
+        names="t,ideal,degraded_ideal,mc_mean,mc_std,predicted_std,n_replicas,flagged",
+    )

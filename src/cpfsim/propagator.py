@@ -408,14 +408,17 @@ def solve_two_time_pairs(
     (i, j) only.
 
     The numerical route for a kernel without closed forms. The kernel is
-    sampled once on [0, 2 t_max]; the first half drives the Volterra solve
-    (as :func:`solve_volterra`, same checks and warning), all of it the
-    two-time quadrature, error O(t_step^2). ``i`` and ``j`` are broadcast
-    against each other and must lie in [0, t_max / t_step]; pass
-    ``idx[:, None], idx`` for a whole surface.
+    sampled once on [0, max(t_max, max(i + j) t_step)]; its part on
+    [0, t_max] drives the Volterra solve (as :func:`solve_volterra`, same
+    checks and warning), all of it the two-time quadrature, error
+    O(t_step^2). ``i`` and ``j`` are broadcast against each other and must
+    lie in [0, t_max / t_step]; pass ``idx[:, None], idx`` for a whole
+    surface, which samples the kernel on [0, 2 t_max].
     """
     n = _volterra_steps(kernel, t_max, t_step)
-    f = eval_kernel_grid(kernel, np.arange(2 * n + 1) * t_step)
+    i, j = _pair_indices(i, j, n, n)
+    need = max(n, int(np.max(i + j, initial=0)))
+    f = eval_kernel_grid(kernel, np.arange(need + 1) * t_step)
     grid = PropagatorGrid(t_step=t_step, values=volterra_trapezoid(f[: n + 1], t_step))
     return grid, two_time_trapezoid(f, grid.values, grid.values, t_step, i, j)
 

@@ -70,12 +70,6 @@ def _cpf_columns(
     return closed_values(scheme, state, g_t, g2), table
 
 
-def _curve_rows(scheme, y, p, ratio, t, tau, closed, table):
-    """The CURVE_FIELDS block of one scheme: the labels as scalars, then
-    1-D arrays of one length."""
-    return (scheme.value, y, p, ratio, t, tau, closed, table)
-
-
 def run_figure2(cfg: RunConfig, out_dir: Path) -> Path:
     """Equal-times correlation curves for the reference (scheme, bath, state)
     combinations, conditioned on y = -1, over gamma*t in [0, t_max_gamma]."""
@@ -88,7 +82,7 @@ def run_figure2(cfg: RunConfig, out_dir: Path) -> Path:
         g_t, _, g2 = propagators(LorentzianKernel(gamma, tau_c), t, t)
         state = InitialState.from_population(p)
         closed, table = _cpf_columns(scheme, state, cfg.y, g_t, g_t, g2)
-        blocks.append(_curve_rows(scheme, cfg.y, p, ratio, t * gamma, t * gamma, closed, table))
+        blocks.append((scheme.value, cfg.y, p, ratio, t * gamma, t * gamma, closed, table))
     return write_dataset(out_dir / "figure2.csv", CURVE_FIELDS, blocks, cfg.raw)
 
 
@@ -105,18 +99,13 @@ def run_appendix_d(cfg: RunConfig, out_dir: Path) -> Path:
         gamma = ratio / tau_c
         state = InitialState.from_population(p)
         noise = dataclasses.replace(cfg.noise, visibility=visibility)
-        points = run_noise_study(
+        study = run_noise_study(
             state, scheme, LorentzianKernel(gamma, tau_c), gamma_t / gamma, noise, y=y
         )
-        stats = (
-            [getattr(pt, name) for pt in points]
-            for name in (
-                "ideal", "degraded_ideal", "mc_mean", "mc_std", "predicted_std", "n_replicas",
-            )
-        )
         blocks.append((
-            scheme.value, y, p, ratio, noise.total_counts, visibility,
-            [pt.t * gamma for pt in points], *stats, noise.seed,
+            scheme.value, y, p, ratio, noise.total_counts, visibility, study.t * gamma,
+            study.ideal, study.degraded_ideal, study.mc_mean, study.mc_std,
+            study.predicted_std, study.n_replicas, noise.seed,
         ))
     return write_dataset(
         out_dir / "appendix_d.csv", NOISE_FIELDS, blocks, cfg.raw, comments=[RNG_CONTRACT]
@@ -249,8 +238,8 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
     p_label = abs(cfg.state.a) ** 2
     t = cfg.report_time(times)
     blocks = [
-        _curve_rows(
-            scheme, cfg.y, p_label, ratio_label, t[i], t[j],
+        (
+            scheme.value, cfg.y, p_label, ratio_label, t[i], t[j],
             *_cpf_columns(scheme, cfg.state, cfg.y, g_t, g_tau, g2),
         )
         for scheme in cfg.schemes

@@ -23,7 +23,6 @@ from cpfsim import (
     cpf_from_table,
     lorentzian_G,
     lorentzian_G_two_time,
-    markovian_limit_kernel,
     rates_from_G,
     run_noise_study,
     simulate_sequence,
@@ -180,7 +179,7 @@ def test_criterion_06_markov_limit_vanishing():
         assert _max_equal_times_cpf(0.01) <= 0.01
         sups = []
         for eps in (0.1, 0.03, 0.01):
-            k = markovian_limit_kernel(1.0, TAU_C, eps)
+            k = LorentzianKernel(1.0, TAU_C * eps)
             sups.append(_max_equal_times_cpf(k.gamma * k.tau_c))
         assert sups[0] > sups[1] > sups[2], f"sup CPF not monotone: {sups}"
 

@@ -9,10 +9,8 @@ from scipy.integrate import quad
 from cpfsim import (
     LorentzianKernel,
     TabulatedKernel,
-    eval_kernel,
     eval_kernel_grid,
     load_kernel_csv,
-    markovian_limit_kernel,
 )
 from cpfsim.bath import decay_time
 from cpfsim.errors import KernelRangeError, ValidationError
@@ -22,31 +20,31 @@ TWO_OVER_E = 0.7357588823428846
 
 
 def test_lorentzian_at_zero_is_half_gamma_over_tau_c():
-    assert eval_kernel(LorentzianKernel(1.0, 1.0), 0.0) == pytest.approx(0.5, abs=1e-15)
-    assert eval_kernel(LorentzianKernel(3.0, 0.5), 0.0) == pytest.approx(3.0, abs=1e-14)
+    assert eval_kernel_grid(LorentzianKernel(1.0, 1.0), 0.0) == pytest.approx(0.5, abs=1e-15)
+    assert eval_kernel_grid(LorentzianKernel(3.0, 0.5), 0.0) == pytest.approx(3.0, abs=1e-14)
 
 
 def test_lorentzian_decays_to_zero():
-    assert abs(eval_kernel(LorentzianKernel(1.0, 1.0), 80.0)) < 1e-30
+    assert abs(eval_kernel_grid(LorentzianKernel(1.0, 1.0), 80.0)) < 1e-30
 
 
 def test_lorentzian_frozen_value():
     # gamma=2, tau_c=0.5, t=0.5: (gamma/2 tau_c) e^{-t/tau_c} = 2 e^{-1}
-    assert eval_kernel(LorentzianKernel(2.0, 0.5), 0.5) == pytest.approx(
+    assert eval_kernel_grid(LorentzianKernel(2.0, 0.5), 0.5) == pytest.approx(
         TWO_OVER_E, abs=1e-15
     )
 
 
 def test_lorentzian_accepts_negative_t_via_abs():
     k = LorentzianKernel(1.0, 2.0)
-    assert eval_kernel(k, -1.5) == eval_kernel(k, 1.5)
+    assert eval_kernel_grid(k, [-1.5, -0.5]).tolist() == eval_kernel_grid(k, [1.5, 0.5]).tolist()
 
 
 def test_lorentzian_integrated_weight_is_half_gamma():
     # independent quadrature oracle for the integral of f over [0, inf)
     for gamma, tau_c in [(1.0, 1.0), (0.3, 2.0), (2.0, 0.25)]:
         k = LorentzianKernel(gamma, tau_c)
-        weight, _ = quad(lambda t: eval_kernel(k, t).real, 0, np.inf)
+        weight, _ = quad(lambda t: float(eval_kernel_grid(k, t).real), 0, np.inf)
         assert weight == pytest.approx(gamma / 2.0, rel=1e-8)
 
 
@@ -63,25 +61,18 @@ def test_lorentzian_validation():
         LorentzianKernel(1.0, -2.0)
 
 
-def test_markovian_limit_kernel():
-    k = markovian_limit_kernel(1.0, 1.0, 0.01)
-    assert k == LorentzianKernel(1.0, 0.01)
-    assert markovian_limit_kernel(1.0, 1.0, 1.0) == LorentzianKernel(1.0, 1.0)
-    with pytest.raises(ValidationError):
-        markovian_limit_kernel(1.0, 1.0, 0.0)
-
-
 def test_markovian_limit_preserves_weight():
+    # shrinking tau_c at fixed gamma approaches gamma/2 times a delta function
     for eps in (1.0, 0.1, 0.01):
-        k = markovian_limit_kernel(1.0, 1.0, eps)
-        weight, _ = quad(lambda t: eval_kernel(k, t).real, 0, np.inf)
+        k = LorentzianKernel(1.0, 1.0 * eps)
+        weight, _ = quad(lambda t: float(eval_kernel_grid(k, t).real), 0, np.inf)
         assert weight == pytest.approx(0.5, rel=1e-8)
 
 
 def test_tabulated_interpolates_linearly():
     k = TabulatedKernel(times=np.array([0.0, 1.0, 2.0]), values=np.array([1.0, 3.0, 3.0]))
-    assert eval_kernel(k, 0.5) == pytest.approx(2.0)
-    assert eval_kernel(k, 1.5) == pytest.approx(3.0)
+    assert eval_kernel_grid(k, 0.5) == pytest.approx(2.0)
+    assert eval_kernel_grid(k, 1.5) == pytest.approx(3.0)
 
 
 def test_tabulated_matches_sampled_lorentzian_at_second_order():
@@ -101,9 +92,9 @@ def test_tabulated_matches_sampled_lorentzian_at_second_order():
 def test_tabulated_refuses_extrapolation_and_negative_t():
     k = TabulatedKernel(times=np.array([0.0, 1.0]), values=np.array([1.0, 0.5]))
     with pytest.raises(KernelRangeError):
-        eval_kernel(k, 1.0001)
+        eval_kernel_grid(k, 1.0001)
     with pytest.raises(KernelRangeError):
-        eval_kernel(k, -0.1)
+        eval_kernel_grid(k, -0.1)
 
 
 def test_tabulated_validation():
@@ -121,11 +112,11 @@ def test_kernel_csv_roundtrip(tmp_path):
     path = tmp_path / "kernel.csv"
     path.write_text("t,re,im\n0.0,1.0,0.0\n1.0,0.5,-0.25\n2.0,0.25,0.0\n")
     k = load_kernel_csv(path)
-    assert eval_kernel(k, 1.0) == pytest.approx(0.5 - 0.25j)
+    assert eval_kernel_grid(k, 1.0) == pytest.approx(0.5 - 0.25j)
     # two-column form
     path2 = tmp_path / "kernel2.csv"
     path2.write_text("t,re\n0.0,1.0\n2.0,0.0\n")
-    assert eval_kernel(load_kernel_csv(path2), 1.0) == pytest.approx(0.5)
+    assert eval_kernel_grid(load_kernel_csv(path2), 1.0) == pytest.approx(0.5)
 
 
 def test_kernel_csv_time_scale(tmp_path):

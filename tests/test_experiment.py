@@ -5,23 +5,20 @@ import numpy as np
 import pytest
 
 from cpfsim import (
-    CountsTable,
     ExperimentConfig,
     InitialState,
     LorentzianKernel,
     MeasurementScheme,
-    apply_visibility,
+    ProbabilityTable,
     build_table,
     cpf_from_table,
-    estimate_cpf,
     lorentzian_G,
     lorentzian_G_two_time,
     run_noise_study,
-    sample_counts,
 )
-from cpfsim.cpf import conditioning_probability, table_probs
-from cpfsim.errors import NoDataError, ValidationError
-from cpfsim.experiment import draw_counts, estimate_block, predicted_std
+from cpfsim.cpf import _CELLS, conditioning_probability, table_probs
+from cpfsim.errors import ValidationError
+from cpfsim.experiment import degrade_probs, draw_counts, estimate_block, predicted_std
 
 ZZZ, XZX = MeasurementScheme.ZZZ, MeasurementScheme.XZX
 
@@ -30,27 +27,35 @@ def xzx_table(p=1.0, g_t=0.5, g2=0.3, y=-1):
     return build_table(XZX, InitialState.from_population(p), g_t, g_t, g2, y)
 
 
+def cells(tbl):
+    """The four entries of a scalar table as an array in _CELLS order."""
+    return np.array([tbl.entries[c] for c in _CELLS])
+
+
+def as_table(probs, tbl):
+    """An array of four cells back as a validated table of tbl's scheme and y."""
+    return ProbabilityTable(scheme=tbl.scheme, y=tbl.y, entries=dict(zip(_CELLS, probs.tolist())))
+
+
 class TestVisibility:
     def test_unit_visibility_is_identity(self):
-        tbl = xzx_table()
-        out = apply_visibility(tbl, 1.0, MeasurementScheme.XZX)
-        assert out.entries == tbl.entries
+        probs = cells(xzx_table())
+        assert degrade_probs(probs, 1.0, XZX).tolist() == probs.tolist()
 
     def test_zzz_untouched_by_any_visibility(self):
-        tbl = build_table(ZZZ, InitialState.from_population(0.8), 0.5, 0.5, 0.3, -1)
-        out = apply_visibility(tbl, 0.5, MeasurementScheme.ZZZ)
-        assert out.entries == tbl.entries
+        probs = cells(build_table(ZZZ, InitialState.from_population(0.8), 0.5, 0.5, 0.3, -1))
+        assert degrade_probs(probs, 0.5, ZZZ).tolist() == probs.tolist()
 
     def test_xzx_cpf_scales_linearly(self):
         tbl = xzx_table(p=1.0)
         ideal = cpf_from_table(tbl).value
         for v in (0.9, 0.8, 0.5, 0.0):
-            degraded = cpf_from_table(apply_visibility(tbl, v, MeasurementScheme.XZX)).value
+            degraded = cpf_from_table(as_table(degrade_probs(cells(tbl), v, XZX), tbl)).value
             assert degraded == pytest.approx(v * ideal, abs=1e-14)
 
     def test_normalization_and_marginals_preserved(self):
         tbl = xzx_table(p=0.7, g_t=0.6, g2=-0.4)
-        out = apply_visibility(tbl, 0.8, MeasurementScheme.XZX)
+        out = as_table(degrade_probs(cells(tbl), 0.8, XZX), tbl)
         total = sum(out.p(z, x) for z in (+1, -1) for x in (+1, -1))
         assert total == pytest.approx(1.0, abs=1e-15)
         for x in (+1, -1):
@@ -59,49 +64,41 @@ class TestVisibility:
 
     def test_y_plus_table_unchanged(self):
         tbl = xzx_table(p=0.8, y=+1)
-        out = apply_visibility(tbl, 0.7, MeasurementScheme.XZX)
-        for cell, value in tbl.entries.items():
-            assert out.entries[cell] == pytest.approx(value, abs=1e-15)
+        out = degrade_probs(cells(tbl), 0.7, XZX)
+        for value, expected in zip(out, cells(tbl)):
+            assert value == pytest.approx(expected, abs=1e-15)
 
     def test_visibility_validation(self):
-        tbl = xzx_table()
-        with pytest.raises(ValidationError):
-            apply_visibility(tbl, 1.2, MeasurementScheme.XZX)
-        with pytest.raises(ValidationError):
-            apply_visibility(tbl, 0.9, MeasurementScheme.ZZZ)  # scheme mismatch
+        # the visibility enters the noise model through its config only
+        for v in (1.2, -0.1):
+            with pytest.raises(ValidationError, match="visibility"):
+                ExperimentConfig(total_counts=100, visibility=v)
 
 
 class TestCounts:
     def test_zero_probability_cell_never_fires(self):
-        tbl = build_table(ZZZ, InitialState(1.0, 0.0), 0.5, 0.5, 0.3, -1)
-        cfg = ExperimentConfig(total_counts=10000, seed=1)
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            counts = sample_counts(tbl, cfg, rng=rng)
-            assert counts.counts[(+1, -1)] == 0
-            assert counts.counts[(-1, -1)] == 0
+        probs = cells(build_table(ZZZ, InitialState(1.0, 0.0), 0.5, 0.5, 0.3, -1))
+        (block,) = draw_counts(probs[None, :], [10000.0], 50, 1)
+        assert not block[:, _CELLS.index((+1, -1))].any()
+        assert not block[:, _CELLS.index((-1, -1))].any()
 
     def test_empirical_rate_within_5_sigma(self):
-        tbl = xzx_table()
+        probs = cells(xzx_table())
         n = 1_000_000
-        cfg = ExperimentConfig(total_counts=n, seed=42)
-        counts = sample_counts(tbl, cfg)
-        for cell, p in tbl.entries.items():
+        ((counts,),) = draw_counts(probs[None, :], [n], 1, 42)
+        for count, p in zip(counts, probs):
             sigma = np.sqrt(n * p)
-            assert abs(counts.counts[cell] - n * p) < 5 * sigma
+            assert abs(count - n * p) < 5 * sigma
 
     def test_seed_determinism(self):
-        tbl = xzx_table()
-        cfg = ExperimentConfig(total_counts=500, seed=7)
-        assert sample_counts(tbl, cfg).counts == sample_counts(tbl, cfg).counts
+        probs = np.stack([cells(xzx_table()), cells(xzx_table(p=0.8))])
+        a = np.stack(list(draw_counts(probs, [500.0, 800.0], 3, 7)))
+        b = np.stack(list(draw_counts(probs, [500.0, 800.0], 3, 7)))
+        assert a.tolist() == b.tolist()
 
     def test_counts_validation(self):
         with pytest.raises(ValidationError):
-            CountsTable(
-                scheme=MeasurementScheme.XZX,
-                y=-1,
-                counts={(1, 1): -1, (1, -1): 0, (-1, 1): 0, (-1, -1): 0},
-            )
+            estimate_block([-1, 0, 0, 0])
         with pytest.raises(ValidationError):
             ExperimentConfig(total_counts=0)
         with pytest.raises(ValidationError):
@@ -114,41 +111,24 @@ class TestEstimator:
     def test_exact_proportional_counts_reproduce_cpf(self):
         tbl = xzx_table(p=0.8, g_t=0.4, g2=0.25)
         scale = 400000
-        counts = CountsTable(
-            scheme=tbl.scheme,
-            y=tbl.y,
-            counts={cell: round(scale * p) for cell, p in tbl.entries.items()},
-        )
-        assert estimate_cpf(counts).value == pytest.approx(
-            cpf_from_table(tbl).value, abs=1e-5
-        )
+        counts = [round(scale * p) for p in cells(tbl)]
+        assert float(estimate_block(counts)) == pytest.approx(cpf_from_table(tbl).value, abs=1e-5)
 
     def test_perfect_correlation_counts(self):
-        counts = CountsTable(
-            scheme=MeasurementScheme.ZZZ,
-            y=-1,
-            counts={(1, 1): 50, (1, -1): 0, (-1, 1): 0, (-1, -1): 50},
-        )
-        assert estimate_cpf(counts).value == pytest.approx(1.0)
+        counts = [50 if z == x else 0 for z, x in _CELLS]
+        assert float(estimate_block(counts)) == pytest.approx(1.0)
 
-    def test_no_data_error(self):
-        counts = CountsTable(
-            scheme=MeasurementScheme.XZX,
-            y=+1,
-            counts={(1, 1): 0, (1, -1): 0, (-1, 1): 0, (-1, -1): 0},
-        )
-        with pytest.raises(NoDataError):
-            estimate_cpf(counts)
+    def test_no_data_gives_nan(self):
+        assert np.isnan(estimate_block([0, 0, 0, 0]))
+        estimates = estimate_block([[0, 0, 0, 0], [50, 0, 0, 50]])
+        assert np.isnan(estimates[0]) and estimates[1] == pytest.approx(1.0)
 
     def test_monte_carlo_unbiasedness(self):
         # replica mean within 2 standard errors of the ideal value
         tbl = xzx_table(p=1.0, g_t=0.5, g2=0.25)
         ideal = cpf_from_table(tbl).value
-        cfg = ExperimentConfig(total_counts=10000, seed=123)
-        rng = np.random.default_rng(cfg.seed)
-        estimates = [
-            estimate_cpf(sample_counts(tbl, cfg, rng=rng)).value for _ in range(400)
-        ]
+        (block,) = draw_counts(cells(tbl)[None, :], [10000.0], 400, 123)
+        estimates = estimate_block(block)
         mean = np.mean(estimates)
         stderr = np.std(estimates, ddof=1) / np.sqrt(len(estimates))
         assert abs(mean - ideal) < 2 * stderr
@@ -241,7 +221,24 @@ class TestNoiseStudy:
         cfg = ExperimentConfig(total_counts=5000, replicas=50, seed=99)
         a = run_noise_study(state, MeasurementScheme.XZX, self.kernel(), times, cfg)
         b = run_noise_study(state, MeasurementScheme.XZX, self.kernel(), times, cfg)
-        assert a == b
+        assert a.dtype == b.dtype
+        for name in a.dtype.names:
+            assert a[name].tolist() == b[name].tolist()
+
+    def test_one_record_per_time(self):
+        state = InitialState.from_population(1.0)
+        times = np.array([0.0, 1.0, 3 * np.pi / 2])
+        cfg = ExperimentConfig(total_counts=1000, replicas=20, seed=8)
+        study = run_noise_study(state, MeasurementScheme.XZX, self.kernel(), times, cfg, y=+1)
+        assert study.dtype.names == (
+            "t", "ideal", "degraded_ideal", "mc_mean", "mc_std", "predicted_std",
+            "n_replicas", "flagged",
+        )
+        assert study.shape == times.shape
+        assert study.t.tolist() == times.tolist()
+        assert study.flagged.tolist() == (study.n_replicas == 0).tolist() == [False, False, True]
+        # G(3 pi / 2) = 0: y = +1 cannot occur, so nothing is estimated there
+        assert np.isnan([study.ideal[2], study.mc_mean[2], study.predicted_std[2]]).all()
 
     def test_tabulated_kernel_path(self):
         from cpfsim import TabulatedKernel, eval_kernel_grid
@@ -293,17 +290,6 @@ class TestBlockDraw:
         for pt, est in zip(points, estimate_block(counts)):
             assert pt.mc_mean == pytest.approx(np.mean(est), rel=1e-14)
             assert pt.mc_std == pytest.approx(np.std(est, ddof=1), rel=1e-12)
-
-    def test_one_point_wrappers_share_the_draw(self):
-        tbl = xzx_table(p=0.8)
-        probs = np.array([tbl.entries[cell] for cell in tbl.entries])
-        (block,) = draw_counts(probs[None, :], [500.0], 4, 9)
-        rng = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0])
-        cfg = ExperimentConfig(total_counts=500)
-        for row in block:
-            counts = sample_counts(tbl, cfg, rng=rng)
-            assert [counts.counts[cell] for cell in tbl.entries] == row.tolist()
-            assert estimate_cpf(counts).value == float(estimate_block(row))
 
     def test_starved_points_draw_nothing_and_are_dropped(self):
         counts = np.stack(list(draw_counts(np.full((3, 4), 0.25), [np.nan, 0.0, 1e-3], 5, 1)))

@@ -14,7 +14,6 @@ from cpfsim import (
     eval_kernel_grid,
     lorentzian_G,
     lorentzian_G_two_time,
-    markovian_limit_kernel,
     propagators,
     rates_from_G,
     rho_t,
@@ -26,6 +25,7 @@ from cpfsim.errors import (
     ConditioningImpossibleError,
     CoarseStepWarning,
     GridMismatchError,
+    KernelRangeError,
     PropagatorZeroCrossingError,
     ValidationError,
 )
@@ -199,6 +199,16 @@ class TestTwoTime:
         assert np.max(np.abs(g_tau - lorentzian_G(1.0, 1.0, tau))) <= 1e-5
         assert np.max(np.abs(g2 - lorentzian_G_two_time(1.0, 1.0, t, tau))) <= 1e-5
 
+    def test_kernel_needs_only_the_pairs_reach(self):
+        # t <= 10 and tau <= 1 read f up to t + tau = 11, not to 2 max(t) = 20
+        t = np.arange(11.0)[:, None]
+        tau = np.array([0.0, 0.5, 1.0])
+        g_t, _, g2 = propagators(tabulated_lorentzian(11.0), t, tau, 0.01)
+        assert np.max(np.abs(g_t - lorentzian_G(1.0, 1.0, t))) <= 1e-5
+        assert np.max(np.abs(g2 - lorentzian_G_two_time(1.0, 1.0, t, tau))) <= 1e-5
+        with pytest.raises(KernelRangeError, match="t = 11 "):
+            propagators(tabulated_lorentzian(10.9), t, tau, 0.01)
+
     def test_propagators_route_by_kernel(self):
         t = np.array([0.0, 0.5, 2.0, 2.0])
         tau = np.array([1.0, 0.0, 1.5, 2.0])
@@ -244,7 +254,7 @@ class TestTwoTime:
     def test_markov_limit_vanishes_monotonically(self):
         sups = []
         for eps in (0.1, 0.03, 0.01):
-            k = markovian_limit_kernel(1.0, 1.0, eps)
+            k = LorentzianKernel(1.0, 1.0 * eps)
             h = k.tau_c / 25
             t_max = 200 * h  # covers the sup of the two-time surface
             _, surface = two_time_surface(k, t_max, h)
@@ -253,7 +263,7 @@ class TestTwoTime:
         assert sups[2] < 5e-3
 
     def test_delta_like_kernel_suppressed(self):
-        k = markovian_limit_kernel(1.0, 1.0, 1e-3)
+        k = LorentzianKernel(1.0, 1.0 * 1e-3)
         h = k.tau_c / 25
         _, surface = two_time_surface(k, 200 * h, h)
         assert np.max(np.abs(surface)) < 1e-2
