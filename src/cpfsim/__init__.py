@@ -21,11 +21,8 @@ from .cpf import (
     CpfResult,
     InitialState,
     MeasurementScheme,
-    ProbabilityTable,
-    build_table,
     cpf_closed_form,
     cpf_from_table,
-    cpf_y_plus,
 )
 from .experiment import ExperimentConfig, run_noise_study
 from .propagator import (
@@ -76,7 +73,6 @@ __all__ = [
     "JointState",
     "LorentzianKernel",
     "MeasurementScheme",
-    "ProbabilityTable",
     "PropagatorGrid",
     "RateFunctions",
     "TabulatedKernel",
@@ -84,11 +80,9 @@ __all__ = [
     "apply_U_t",
     "apply_U_tau",
     "backflow_probabilities",
-    "build_table",
     "conditional_table",
     "cpf_closed_form",
     "cpf_from_table",
-    "cpf_y_plus",
     "eval_kernel_grid",
     "load_kernel_csv",
     "lorentzian_G",

@@ -24,7 +24,8 @@ the intermediate z measurement leaves the state supported either on
 |up>|0> (y = +1) or on span{|down>|0>, |down>|1>} (y = -1), and on each of
 those supports the map is an exact isometry for any angle pair. Applying
 the raw two-angle block to a state that mixes both sectors would not be
-unitary; that is refused rather than renormalized away.
+unitary; that is refused rather than renormalized away. The conditioned
+tables P(z, x | y) are arrays of four entries in ``cpfsim.cpf._CELLS`` order.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .cpf import InitialState, MeasurementScheme, ProbabilityTable
+from .cpf import _CELLS, _OUTCOMES, InitialState, MeasurementScheme
 from .errors import (
     ConditioningImpossibleError,
     InternalConsistencyError,
@@ -47,8 +48,6 @@ from .errors import (
 _IMAG_TOL = 1e-9
 _BRANCH_TOL = 1e-14  # below this, an outcome branch is treated as absent
 _SECTOR_TOL = 1e-12
-
-_OUTCOMES = (+1, -1)
 
 # scheme -> (past axis, future axis); the present measurement is always z
 _SCHEME_AXES = {
@@ -271,10 +270,20 @@ def simulate_sequence(
 
 def conditional_table(
     joint: Dict[Tuple[int, int, int], float], scheme: MeasurementScheme, y: int
-) -> ProbabilityTable:
-    """Condition an enumerated joint distribution on the present outcome y."""
+) -> np.ndarray:
+    """Condition an enumerated joint distribution on the present outcome y:
+    P(z, x | y) as an array of four entries in _CELLS order, refused unless
+    it is a distribution. ``scheme`` is not needed to condition it."""
+    if y not in _OUTCOMES:
+        raise ValidationError(f"y must be +1 or -1, got {y}")
     p_y = sum(joint[(x, y, z)] for x in _OUTCOMES for z in _OUTCOMES)
     if p_y <= 1e-12:
         raise ConditioningImpossibleError(f"P(y={y:+d}) = {p_y:.3e} ~ 0")
-    entries = {(z, x): joint[(x, y, z)] / p_y for z in _OUTCOMES for x in _OUTCOMES}
-    return ProbabilityTable(scheme=scheme, y=y, entries=entries)
+    entries = [joint[(x, y, z)] / p_y for z, x in _CELLS]
+    for cell, p in zip(_CELLS, entries):
+        if not (-1e-12 <= p <= 1.0 + 1e-12):
+            raise ValidationError(f"P(z,x|y) out of range at {cell}: {p}")
+    total = sum(entries)
+    if abs(total - 1.0) > 1e-10:
+        raise ValidationError(f"entries sum to {total!r}, must be 1")
+    return np.array(entries)

@@ -25,6 +25,7 @@ Validation failures name the offending field path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -64,7 +65,13 @@ def _require(mapping: dict, field: str, context: str):
 def _number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(field, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # JSON admits NaN and Infinity
+        _fail(field, f"must be a finite number, got {value!r}")
+    return number
 
 
 def _fraction(value, field: str) -> float:
@@ -146,7 +153,7 @@ def _parse_state(block, field: str) -> InitialState:
 
         def as_complex(v, name):
             if isinstance(v, (int, float)) and not isinstance(v, bool):
-                return complex(v)
+                return complex(_number(v, name))
             if isinstance(v, list) and len(v) == 2:
                 return complex(_number(v[0], name), _number(v[1], name))
             _fail(name, f"expected a number or [re, im] pair, got {v!r}")
@@ -228,7 +235,7 @@ def parse_config(document: dict) -> RunConfig:
     state = _parse_state(document.get("state", {"p": 0.8}), "state")
     schemes = _parse_schemes(document.get("schemes", ["zzz", "xzx"]), "schemes")
     y = document.get("y", -1)
-    if y not in (+1, -1):
+    if not isinstance(y, int) or isinstance(y, bool) or y not in (+1, -1):
         _fail("y", f"must be +1 or -1, got {y!r}")
     grid = document.get("grid", {})
     if not isinstance(grid, dict):

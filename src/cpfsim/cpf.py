@@ -21,20 +21,21 @@ Two independent routes are provided and cross-asserted in the test suite:
 Both are NumPy expressions broadcast over arrays of propagator values, so a
 whole (t, tau) grid is one call; a point whose conditioning outcome has zero
 probability comes back as NaN, since its estimator would have zero counts.
-The noise model (:mod:`cpfsim.experiment`) degrades, samples and estimates
-these arrays of tables directly. ``build_table``, ``cpf_closed_form`` and
-``cpf_from_table`` are the scalar one-point API, in which the channel-map
-oracle returns its tables and is checked: there such a point raises
-:class:`ConditioningImpossibleError` rather than returning a number.
 Conditioning on y = +1 gives exactly zero for every scheme, wherever y = +1
 can occur.
+
+A table is one type throughout the package: a float array whose last axis
+holds the four entries P(z, x | y) in ``_CELLS`` order. The noise model
+degrades, samples and estimates arrays of them; the channel-map oracle
+returns one, checked through the one-point API ``cpf_from_table`` and
+``cpf_closed_form``, which raises :class:`ConditioningImpossibleError`
+where the conditioning outcome cannot occur rather than returning a number.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional
 
 import numpy as np
 
@@ -74,7 +75,7 @@ class InitialState:
         a = complex(self.a)
         b = complex(self.b)
         norm = abs(a) ** 2 + abs(b) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise ValidationError(f"|a|^2 + |b|^2 = {norm!r} must equal 1")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -88,46 +89,10 @@ class InitialState:
 
 
 @dataclass(frozen=True)
-class ProbabilityTable:
-    """The four joint conditionals P(z, x | y) for one scheme and one y."""
-
-    scheme: MeasurementScheme
-    y: int
-    entries: Mapping[tuple[int, int], float]
-
-    def __post_init__(self):
-        if self.y not in _OUTCOMES:
-            raise ValidationError(f"y must be +1 or -1, got {self.y}")
-        if set(self.entries.keys()) != set(_CELLS):
-            raise ValidationError("entries must cover exactly the four (z, x) cells")
-        entries = {k: float(v) for k, v in self.entries.items()}
-        for cell, p in entries.items():
-            if not (-1e-12 <= p <= 1.0 + 1e-12):
-                raise ValidationError(f"P(z,x|y) out of range at {cell}: {p}")
-        total = sum(entries.values())
-        if abs(total - 1.0) > 1e-10:
-            raise ValidationError(f"entries sum to {total!r}, must be 1")
-        object.__setattr__(self, "entries", entries)
-
-    def p(self, z: int, x: int) -> float:
-        return self.entries[(z, x)]
-
-    def p_z(self, z: int) -> float:
-        return sum(self.entries[(z, x)] for x in _OUTCOMES)
-
-    def p_x(self, x: int) -> float:
-        return sum(self.entries[(z, x)] for z in _OUTCOMES)
-
-
-@dataclass(frozen=True)
 class CpfResult:
-    """A CPF correlation value with its conditioning context."""
+    """A CPF correlation value of one point, checked to lie in [-1, 1]."""
 
     value: float
-    y: int
-    scheme: MeasurementScheme
-    t: Optional[float] = None
-    tau: Optional[float] = None
 
     def __post_init__(self):
         if abs(self.value) > 1.0 + _CPF_TOL:
@@ -136,13 +101,10 @@ class CpfResult:
             )
 
 
-def _covariance(p):
-    """<O_z O_x> - <O_z><O_x> of the cells P(z, x) in _CELLS order.
-
-    ``p`` is a 4-sequence of floats, evaluated in plain Python arithmetic,
-    or an array of shape (..., 4).
-    """
-    p0, p1, p2, p3 = np.moveaxis(p, -1, 0) if isinstance(p, np.ndarray) else p
+def _covariance(p: np.ndarray):
+    """<O_z O_x> - <O_z><O_x> of tables of shape (..., 4), cells P(z, x) in
+    _CELLS order."""
+    p0, p1, p2, p3 = np.moveaxis(p, -1, 0)
     return (((p0 - p1) - p2) + p3) - ((p0 + p1) - (p2 + p3)) * ((p0 + p2) - (p1 + p3))
 
 
@@ -156,12 +118,13 @@ def _bounded(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def cpf_from_table(
-    tbl: ProbabilityTable, t: Optional[float] = None, tau: Optional[float] = None
-) -> CpfResult:
-    """CPF correlation <O_z O_x>_y - <O_z>_y <O_x>_y from the table entries."""
-    value = _covariance([tbl.entries[cell] for cell in _CELLS])
-    return CpfResult(value=value, y=tbl.y, scheme=tbl.scheme, t=t, tau=tau)
+def cpf_from_table(probs) -> CpfResult:
+    """CPF correlation <O_z O_x>_y - <O_z>_y <O_x>_y of one table of four
+    entries P(z, x | y) in _CELLS order."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape != (len(_CELLS),):
+        raise ValidationError(f"a table has four entries in _CELLS order, got shape {probs.shape}")
+    return CpfResult(value=float(_covariance(probs)))
 
 
 def table_correlation(probs: np.ndarray) -> np.ndarray:
@@ -258,37 +221,29 @@ def table_probs(
 
 
 def closed_values(
-    scheme: MeasurementScheme, state: InitialState, G_t, G_two
+    scheme: MeasurementScheme, state: InitialState, G_t, G_two, y: int = -1
 ) -> np.ndarray:
-    """Closed-form y = -1 correlation over broadcast propagator values; NaN
-    where y = -1 has zero probability.
+    """Closed-form correlation conditioned on y over broadcast propagator
+    values; NaN where y has zero probability.
 
-    z-z-z: 4 |a|^2 |b|^2 |G2|^2 / D^2 with D = P(y = -1); non-negative,
-    quadratic in G2. x-z-x: -(1 - (2 Re(a b*))^2) Re G2 / (1 - |G(t)|^2 / 2),
-    linear in Re G2 with opposite sign, and the denominator never falls
-    below 1/2. y-z-y: as x-z-x with Im(a b*).
+    y = -1. z-z-z: 4 |a|^2 |b|^2 |G2|^2 / D^2 with D = P(y = -1);
+    non-negative, quadratic in G2. x-z-x: -(1 - (2 Re(a b*))^2) Re G2 /
+    (1 - |G(t)|^2 / 2), linear in Re G2 with opposite sign, and the
+    denominator never falls below 1/2. y-z-y: as x-z-x with Im(a b*).
+    y = +1 re-prepares the excited product state, so the past decouples
+    from the future exactly: 0 for every scheme and every parameter value.
     """
+    denom = conditioning_probability(scheme, state, y, G_t)
+    if y == +1:
+        return np.where(np.isnan(denom), np.nan, np.zeros(np.shape(G_two)))
     if scheme is MeasurementScheme.ZZZ:
         a2 = abs(state.a) ** 2
         b2 = abs(state.b) ** 2
-        denom = conditioning_probability(scheme, state, -1, G_t)
         return _bounded((4.0 * a2 * b2 / denom**2) * np.abs(G_two) ** 2)
     overlap = state.a * np.conj(state.b)
     coherence = overlap.real if scheme is MeasurementScheme.XZX else overlap.imag
     prefactor = 1.0 - (2.0 * coherence) ** 2
-    denom = conditioning_probability(scheme, state, -1, G_t)
     return _bounded(-(prefactor / denom) * np.real(G_two))
-
-
-def cpf_y_plus(
-    scheme: MeasurementScheme,
-    t: Optional[float] = None,
-    tau: Optional[float] = None,
-) -> CpfResult:
-    """Conditioning on y = +1 re-prepares the excited product state, so the
-    past decouples from the future exactly: the correlation is 0 for every
-    scheme and every parameter value."""
-    return CpfResult(value=0.0, y=+1, scheme=scheme, t=t, tau=tau)
 
 
 def cpf_closed_form(
@@ -296,26 +251,10 @@ def cpf_closed_form(
     state: InitialState,
     G_t: complex,
     G_two: complex,
-    t: Optional[float] = None,
-    tau: Optional[float] = None,
+    y: int = -1,
 ) -> CpfResult:
-    """The y = -1 closed form of the given scheme at one point."""
-    value = float(closed_values(scheme, state, G_t, G_two))
+    """The closed form of the given scheme, conditioned on y, at one point."""
+    value = float(closed_values(scheme, state, G_t, G_two, y))
     if math.isnan(value):
-        raise ConditioningImpossibleError(_IMPOSSIBLE[-1])
-    return CpfResult(value=value, y=-1, scheme=scheme, t=t, tau=tau)
-
-
-def build_table(
-    scheme: MeasurementScheme,
-    state: InitialState,
-    G_t: complex,
-    G_tau: complex,
-    G_two: complex,
-    y: int,
-) -> ProbabilityTable:
-    """The joint conditional table of the given scheme at one point."""
-    probs = table_probs(scheme, state, y, G_t, G_tau, G_two).tolist()
-    if math.isnan(probs[0]):
         raise ConditioningImpossibleError(_IMPOSSIBLE[y])
-    return ProbabilityTable(scheme=scheme, y=y, entries=dict(zip(_CELLS, probs)))
+    return CpfResult(value=value)

@@ -42,6 +42,7 @@ from .cpf import (
     _CELLS,
     InitialState,
     MeasurementScheme,
+    closed_values,
     conditioning_probability,
     table_correlation,
     table_probs,
@@ -150,8 +151,8 @@ def run_noise_study(
     probs = table_probs(scheme, state, y, g_vals, g_vals, g2_vals)
     degraded = degrade_probs(probs, cfg.visibility, scheme)
     ideal, degraded_ideal = table_correlation(probs), table_correlation(degraded)
-    if y == +1:  # the past decouples from the future exactly (cpf_y_plus)
-        ideal = degraded_ideal = np.where(np.isnan(ideal), np.nan, 0.0)
+    if y == +1:  # the past decouples from the future exactly
+        ideal = degraded_ideal = closed_values(scheme, state, g_vals, g2_vals, y)
     budget = cfg.total_counts * conditioning_probability(scheme, state, y, g_vals)
     mc_mean, mc_std = np.full(times.size, np.nan), np.full(times.size, np.nan)
     n_replicas = np.zeros(times.size, dtype=int)

@@ -59,15 +59,24 @@ def _appendix_d_blocks(cfg: RunConfig):
     return blocks
 
 
+def _grid(cfg: RunConfig) -> tuple[np.ndarray, float, float]:
+    """The output times (``cfg.points`` of them up to t_max_gamma / gamma),
+    their step h, and the integration step of a tabulated kernel: a substep
+    of h no coarser than the default 1/(100 gamma)."""
+    gamma = cfg.bath.gamma
+    n = cfg.points - 1
+    h = cfg.t_max_gamma / gamma / n
+    refine = max(1, int(np.ceil(h * 100.0 * gamma)))
+    return np.arange(n + 1) * h, h, h / refine
+
+
 def _cpf_columns(
     scheme: MeasurementScheme, state: InitialState, y: int, g_t, g_tau, g2
 ) -> tuple[np.ndarray, np.ndarray]:
     """(closed-form, table) CPF of one scheme over broadcast propagator
     arrays; NaN in both where the conditioning outcome y has zero probability."""
     table = table_correlation(table_probs(scheme, state, y, g_t, g_tau, g2))
-    if y == +1:  # the past decouples from the future exactly (cpf_y_plus)
-        return np.where(np.isnan(table), np.nan, 0.0), table
-    return closed_values(scheme, state, g_t, g2), table
+    return closed_values(scheme, state, g_t, g2, y), table
 
 
 def run_figure2(cfg: RunConfig, out_dir: Path) -> Path:
@@ -115,27 +124,23 @@ def run_appendix_d(cfg: RunConfig, out_dir: Path) -> Path:
 def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
     """The central contrast in one table: per t, the non-operational
     witnesses (decay rate gamma(t), survival |G(t)|^2) next to the
-    operational CPF(t, t) of both schemes.
+    operational CPF(t, t) of both schemes, for analytic or tabulated baths
+    (the latter through the numerical pipeline, as in :func:`run_sweep`).
 
     If G crosses zero inside the grid the rate stencils are undefined
     beyond it; the grid is truncated there and the last emitted row says so
     in the warning column.
     """
-    if not cfg.bath.is_analytic:
-        raise ValidationError("config: bath: witness comparison needs an analytic bath")
-    gamma = cfg.bath.gamma
-    n = cfg.points - 1
-    h = cfg.t_max_gamma / gamma / n
-    times = np.arange(n + 1) * h
-    g_vals, _, g2 = propagators(cfg.bath.make_kernel(), times, times)
+    times, h, step = _grid(cfg)
+    g_vals, _, g2 = propagators(cfg.bath.make_kernel(), times, times, step)
     warning = ""
     try:
         rates = rates_from_G(PropagatorGrid(t_step=h, values=g_vals))
-        keep = n + 1
+        keep = times.size
     except PropagatorZeroCrossingError as exc:
         keep = max(exc.index, 3)
         rates = rates_from_G(PropagatorGrid(t_step=h, values=g_vals[:keep]))
-        warning = f"truncated: G(t) crosses zero near gamma*t = {exc.t * gamma:.6g}"
+        warning = f"truncated: G(t) crosses zero near gamma*t = {exc.t * cfg.bath.gamma:.6g}"
     t = times[:keep]
     g_t = g_vals[:keep]
     cpf = [
@@ -221,20 +226,14 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
     """Generic sweep over the configured schemes and grid, for analytic or
     tabulated baths. Tabulated baths run through the numerical pipeline
     (Volterra solve plus two-time quadrature) on the same grid."""
-    gamma = cfg.bath.gamma
-    n = cfg.points - 1
-    h = cfg.t_max_gamma / gamma / n
-    times = np.arange(n + 1) * h
+    times, _, step = _grid(cfg)
     # (t, tau) index pairs of the output rows, tau fastest
     if cfg.equal_times:
-        i = j = np.arange(n + 1)
+        i = j = np.arange(times.size)
     else:
-        i, j = np.indices((n + 1, n + 1)).reshape(2, -1)
-    ratio_label = cfg.bath.tau_c * gamma if cfg.bath.is_analytic else None
-    # a tabulated kernel is integrated on a substep of the output grid no
-    # coarser than the default 1/(100 gamma)
-    refine = max(1, int(np.ceil(h * 100.0 * gamma)))
-    g_t, g_tau, g2 = propagators(cfg.bath.make_kernel(), times[i], times[j], h / refine)
+        i, j = np.indices((times.size, times.size)).reshape(2, -1)
+    ratio_label = cfg.bath.tau_c * cfg.bath.gamma if cfg.bath.is_analytic else None
+    g_t, g_tau, g2 = propagators(cfg.bath.make_kernel(), times[i], times[j], step)
     p_label = abs(cfg.state.a) ** 2
     t = cfg.report_time(times)
     blocks = [

@@ -17,7 +17,6 @@ from cpfsim import (
     LorentzianKernel,
     MeasurementScheme,
     angles_from_propagator,
-    build_table,
     conditional_table,
     cpf_closed_form,
     cpf_from_table,
@@ -29,7 +28,7 @@ from cpfsim import (
     solve_volterra,
 )
 from cpfsim.cli import main
-from cpfsim.cpf import conditioning_probability, table_probs
+from cpfsim.cpf import _CELLS, conditioning_probability, table_probs
 from cpfsim.experiment import draw_counts, estimate_block, predicted_std
 from cpfsim.propagator import solve_two_time_pairs
 
@@ -100,10 +99,10 @@ def test_criterion_03_oracle_equivalence():
                     for scheme in SCHEMES:
                         joint = simulate_sequence(state, scheme, angles)
                         for y in (+1, -1):
-                            expected = build_table(scheme, state, g_t, g_tau, g2, y)
+                            expected = table_probs(scheme, state, y, g_t, g_tau, g2)
                             enumerated = conditional_table(joint, scheme, y)
-                            for cell, value in expected.entries.items():
-                                diff = abs(enumerated.entries[cell] - value)
+                            for cell, value, got in zip(_CELLS, expected, enumerated):
+                                diff = abs(got - value)
                                 assert diff <= 1e-9, (
                                     f"{scheme.value} y={y} cell {cell}: "
                                     f"table mismatch {diff:.2e}"

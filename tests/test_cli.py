@@ -1,5 +1,4 @@
 """Config parsing, dataset runners, CLI subcommands, determinism."""
-import importlib.util
 import json
 import subprocess
 import sys
@@ -126,6 +125,44 @@ class TestConfig:
             {"bath": {"gamma": 1.0, "tau_c": 1.0}, "state": {"a": [0.6, 0.0], "b": [0.0, 0.8]}}
         )
         assert cfg.state.b == 0.8j
+
+    @pytest.mark.parametrize(
+        "command, overrides, field",
+        [
+            ("sweep", {"bath": {"gamma": float("nan"), "kernel_csv": "kernel.csv"}}, "bath.gamma"),
+            ("sweep", {"grid": {"t_max_gamma": float("inf")}}, "grid.t_max_gamma"),
+            (
+                "appendix-d",
+                {"noise": {"total_counts": float("inf"), "replicas": 2}},
+                "noise.total_counts",
+            ),
+            ("sweep", {"state": {"a": float("nan"), "b": 0}}, "state.a"),
+            ("sweep", {"grid": {"t_max_gamma": 10**400}}, "grid.t_max_gamma"),
+        ],
+    )
+    def test_non_finite_numbers_exit_2(
+        self, tmp_path, monkeypatch, capsys, command, overrides, field
+    ):
+        # JSON admits NaN, Infinity and integers beyond the float range; each
+        # would otherwise crash the run or write an all-NaN dataset
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "kernel.csv").write_text("t,re\n0,0.5\n1,0.25\n")
+        cfg = write_config(tmp_path, overrides)
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: config: {field}: must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("y", [True, 1.0, -1.0])
+    def test_y_must_be_an_integer(self, tmp_path, capsys, y):
+        # True == 1, so a bare membership test let it through and the y
+        # column read "true"
+        cfg = write_config(tmp_path, {"y": y})
+        for command in ("sweep", "figure2"):
+            rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+            assert rc == 2
+            assert "error: config: y: must be +1 or -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_kernel_file(self, tmp_path):
         with pytest.raises(ValidationError, match="kernel_csv"):
@@ -353,6 +390,36 @@ class TestWitness:
         assert np.isfinite(float(rows[0]["cpf_xzx"]))
         assert all(r["cpf_zzz"] != "nan" for r in rows[1:])
 
+    def test_tabulated_bath_matches_analytic(self, tmp_path, monkeypatch, perfbench_workloads):
+        # the benchmark's tabulated Lorentzian (gamma tau_c = 1/2, sampled to
+        # t = 30) through the numerical pipeline, against the closed forms of
+        # the same bath on the same 151-point grid
+        perfbench_workloads.write_kernel_csv(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        grid = {"t_max_gamma": 15.0, "points": 151, "equal_times": True}
+        baths = {
+            "tabulated": {"gamma": 1.0, "kernel_csv": perfbench_workloads.KERNEL_CSV},
+            "analytic": {"gamma": 1.0, "tau_c": 0.5},
+        }
+        columns = {}
+        for name, bath in baths.items():
+            cfg = write_config(tmp_path, {"bath": bath, "grid": grid}, name=f"{name}.json")
+            assert main(["witness", "--config", str(cfg), "--out", name]) == 0
+            _, rows = read_rows(tmp_path / name / "witness.csv")
+            assert len(rows) == 151
+            assert all(r["warning"] == "" for r in rows)
+            columns[name] = {
+                key: np.array([float(r[key]) for r in rows])
+                for key in ("t", "rate_gamma", "g_abs2", "cpf_zzz", "cpf_xzx")
+            }
+        tabulated, analytic = columns["tabulated"], columns["analytic"]
+        assert tabulated["t"].tolist() == analytic["t"].tolist()
+        for key, bound in (
+            ("g_abs2", 1e-4), ("cpf_zzz", 1e-4), ("cpf_xzx", 1e-4), ("rate_gamma", 5e-4)
+        ):
+            err = np.max(np.abs(tabulated[key] - analytic[key]))
+            assert err <= bound, f"{key}: max error {err:.2e} > {bound:g}"
+
 
 class TestSweep:
     def test_equal_times_analytic(self, tmp_path):
@@ -521,16 +588,13 @@ class TestSweep:
             rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 0
 
-    def test_benchmark_tabulated_config_does_not_warn(self, tmp_path, monkeypatch):
+    def test_benchmark_tabulated_config_does_not_warn(
+        self, tmp_path, monkeypatch, perfbench_workloads
+    ):
         # the perfbench tabulated_sweep workload: tau_c = 0.5, step 0.01
-        root = Path(__file__).resolve().parents[1] / "perfbench"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
-        workloads.write_kernel_csv(tmp_path)
+        perfbench_workloads.write_kernel_csv(tmp_path)
         monkeypatch.chdir(tmp_path)
-        config = root / "workloads" / "tabulated_sweep.json"
+        config = perfbench_workloads.WORKLOADS["tabulated_sweep"].config_path
         with warnings.catch_warnings():
             warnings.simplefilter("error", CoarseStepWarning)
             assert main(["sweep", "--config", str(config), "--out", "out"]) == 0

@@ -8,11 +8,8 @@ from cpfsim import (
     conditional_table,
     simulate_sequence,
     MeasurementScheme,
-    ProbabilityTable,
-    build_table,
     cpf_closed_form,
     cpf_from_table,
-    cpf_y_plus,
     lorentzian_G,
     lorentzian_G_two_time,
 )
@@ -31,6 +28,20 @@ TWO_EXP_MINUS_PI = 0.08642783652754450
 CPF_ZZZ_P08 = 0.005129165333104857   # p=0.8, gamma tau_c=1, t=tau=pi tau_c
 CPF_XZX_P1 = -0.08833652010735720    # p=1, same point
 XZX_KAPPA = 0.08833652010735720      # 2 Re G2 / (2 - |G|^2) at the same point
+CELLS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))  # the (z, x) order of a table
+
+
+def cells(probs):
+    """{(z, x): P(z, x | y)} of one table of four entries in CELLS order."""
+    return dict(zip(CELLS, np.asarray(probs).tolist()))
+
+
+def p_z(tbl, z):
+    return tbl[(z, +1)] + tbl[(z, -1)]
+
+
+def p_x(tbl, x):
+    return tbl[(+1, x)] + tbl[(-1, x)]
 
 
 def random_table_inputs(rng):
@@ -45,27 +56,30 @@ def random_table_inputs(rng):
 class TestTableBuilders:
     def test_zzz_y_minus_entries_pure_excited(self):
         g_t, g2 = 0.5, 0.3
-        tbl = build_table(ZZZ, InitialState(1.0, 0.0), g_t, 0.4, g2, y=-1)
-        assert tbl.p(+1, -1) == 0.0
-        assert tbl.p(-1, -1) == 0.0
-        assert tbl.p(+1, +1) == pytest.approx(g2**2 / (1 - g_t**2), abs=1e-15)
+        tbl = cells(table_probs(ZZZ, InitialState(1.0, 0.0), -1, g_t, 0.4, g2))
+        assert tbl[(+1, -1)] == 0.0
+        assert tbl[(-1, -1)] == 0.0
+        assert tbl[(+1, +1)] == pytest.approx(g2**2 / (1 - g_t**2), abs=1e-15)
 
     def test_zzz_t_zero_degenerates_to_past_minus(self):
-        tbl = build_table(ZZZ, InitialState.from_population(0.8), 1.0, 0.7, 0.0, y=-1)
-        assert tbl.p(-1, -1) == pytest.approx(1.0)
-        assert tbl.p(+1, +1) == 0.0
-        assert tbl.p(-1, +1) == 0.0
+        tbl = cells(table_probs(ZZZ, InitialState.from_population(0.8), -1, 1.0, 0.7, 0.0))
+        assert tbl[(-1, -1)] == pytest.approx(1.0)
+        assert tbl[(+1, +1)] == 0.0
+        assert tbl[(-1, +1)] == 0.0
 
     def test_zzz_y_plus_entries(self):
         g_tau = 0.6
-        tbl = build_table(ZZZ, InitialState.from_population(0.8), 0.5, g_tau, 0.2, y=+1)
-        assert tbl.p(+1, +1) == pytest.approx(g_tau**2)
-        assert tbl.p(-1, +1) == pytest.approx(1 - g_tau**2)
-        assert tbl.p_x(-1) == 0.0
+        tbl = cells(table_probs(ZZZ, InitialState.from_population(0.8), +1, 0.5, g_tau, 0.2))
+        assert tbl[(+1, +1)] == pytest.approx(g_tau**2)
+        assert tbl[(-1, +1)] == pytest.approx(1 - g_tau**2)
+        assert p_x(tbl, -1) == 0.0
 
     def test_zzz_conditioning_impossible(self):
-        with pytest.raises(ConditioningImpossibleError):
-            build_table(ZZZ, InitialState(1.0, 0.0), 1.0, 1.0, 0.0, y=-1)
+        # no table exists: every entry, and so the correlation, is NaN
+        probs = table_probs(ZZZ, InitialState(1.0, 0.0), -1, 1.0, 1.0, 0.0)
+        assert probs.shape == (4,)
+        assert np.isnan(probs).all()
+        assert np.isnan(cpf_from_table(probs).value)
 
     @pytest.mark.parametrize(
         "scheme, p, g_t", [(ZZZ, 0.0, 0.5), (XZX, 0.8, 0.0), (YZY, 0.8, 0.0)]
@@ -76,48 +90,44 @@ class TestTableBuilders:
         state = InitialState.from_population(p)
         assert np.isnan(table_probs(scheme, state, +1, g_t, 0.6, 0.0)).all()
         with pytest.raises(ConditioningImpossibleError, match=r"P\(y=\+1\)"):
-            build_table(scheme, state, g_t, 0.6, 0.0, y=+1)
+            cpf_closed_form(scheme, state, g_t, 0.0, y=+1)
         joint = simulate_sequence(state, scheme, angles_from_propagator(g_t, 0.6, 0.0))
         with pytest.raises(ConditioningImpossibleError):
             conditional_table(joint, scheme, +1)
 
     def test_xzx_y_plus_is_z_independent(self):
         state = InitialState.from_population(0.7)
-        tbl = build_table(XZX, state, 0.5, 0.5, 0.2, y=+1)
+        tbl = cells(table_probs(XZX, state, +1, 0.5, 0.5, 0.2))
         for x in (+1, -1):
             expected = abs(state.a + x * state.b) ** 2 / 4
-            assert tbl.p(+1, x) == pytest.approx(expected, abs=1e-15)
-            assert tbl.p(-1, x) == pytest.approx(expected, abs=1e-15)
+            assert tbl[(+1, x)] == pytest.approx(expected, abs=1e-15)
+            assert tbl[(-1, x)] == pytest.approx(expected, abs=1e-15)
 
     def test_xzx_frozen_interference_coefficient(self):
-        tbl = build_table(
-            XZX, InitialState(1.0, 0.0), EXP_MINUS_HALF_PI, EXP_MINUS_HALF_PI,
-            TWO_EXP_MINUS_PI, y=-1,
-        )
+        tbl = cells(table_probs(
+            XZX, InitialState(1.0, 0.0), -1, EXP_MINUS_HALF_PI, EXP_MINUS_HALF_PI,
+            TWO_EXP_MINUS_PI,
+        ))
         for z in (+1, -1):
             for x in (+1, -1):
                 expected = 0.25 * (1 - z * x * XZX_KAPPA)
-                assert tbl.p(z, x) == pytest.approx(expected, abs=1e-15)
+                assert tbl[(z, x)] == pytest.approx(expected, abs=1e-15)
 
     def test_xzx_markov_limit_factorizes(self):
         state = InitialState.from_population(0.6)
-        tbl = build_table(XZX, state, 0.5, 0.5, 0.0, y=-1)
-        assert cpf_from_table(tbl).value == pytest.approx(0.0, abs=1e-15)
+        probs = table_probs(XZX, state, -1, 0.5, 0.5, 0.0)
+        assert cpf_from_table(probs).value == pytest.approx(0.0, abs=1e-15)
 
     def test_tables_normalized(self):
         rng = np.random.default_rng(21)
         for _ in range(300):
             state, g_t, g2 = random_table_inputs(rng)
             for y in (+1, -1):
-                for builder in (
-                    lambda: build_table(ZZZ, state, g_t, g_t, g2, y),
-                    lambda: build_table(XZX, state, g_t, g_t, g2, y),
-                    lambda: build_table(YZY, state, g_t, g_t, g2, y),
-                ):
-                    tbl = builder()
-                    total = sum(tbl.p(z, x) for z in (+1, -1) for x in (+1, -1))
+                for scheme in (ZZZ, XZX, YZY):
+                    tbl = cells(table_probs(scheme, state, y, g_t, g_t, g2))
+                    total = sum(tbl.values())
                     assert total == pytest.approx(1.0, abs=1e-10)
-                    assert tbl.p_z(+1) + tbl.p_z(-1) == pytest.approx(1.0, abs=1e-10)
+                    assert p_z(tbl, +1) + p_z(tbl, -1) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestArrayCore:
@@ -135,35 +145,32 @@ class TestArrayCore:
 
     def test_batch_matches_per_point_calls(self):
         # p = 1 at t = 0 leaves y = -1 impossible under z-z-z: those points
-        # are NaN in the batch where the one-point call raises
+        # are NaN in the batch, in the one-point table, and in its
+        # correlation, while the one-point closed form raises
         g_t, g_tau, g2 = self.batch(np.random.default_rng(31))
         impossible = 0
         for p in (1.0, 0.7):
             state = InitialState.from_population(p)
             for scheme in MeasurementScheme:
-                closed = closed_values(scheme, state, g_t, g2)
-                assert closed.shape == (5, 4)
                 for y in (+1, -1):
+                    closed = closed_values(scheme, state, g_t, g2, y)
+                    assert closed.shape == (5, 4)
                     probs = table_probs(scheme, state, y, g_t, g_tau, g2)
                     assert probs.shape == (5, 4, 4)
                     table = table_correlation(probs)
                     for i, j in np.ndindex(5, 4):
                         point = (g_t[i, 0], g_tau[0, j], g2[i, j])
+                        one = table_probs(scheme, state, y, *point)
+                        assert one.shape == (4,)
+                        assert np.array_equal(probs[i, j], one, equal_nan=True)
+                        value = cpf_from_table(one).value
+                        assert np.array_equal(table[i, j], value, equal_nan=True)
                         try:
-                            tbl = build_table(scheme, state, *point, y)
+                            value = cpf_closed_form(scheme, state, point[0], point[2], y).value
                         except ConditioningImpossibleError:
                             impossible += 1
-                            assert np.isnan(probs[i, j]).all()
-                            assert np.isnan(table[i, j])
-                        else:
-                            assert probs[i, j].tolist() == [tbl.p(*c) for c in self.CELLS]
-                            assert table[i, j] == cpf_from_table(tbl).value
-                        if y == +1:
-                            continue
-                        try:
-                            value = cpf_closed_form(scheme, state, point[0], point[2]).value
-                        except ConditioningImpossibleError:
                             assert np.isnan(closed[i, j])
+                            assert np.isnan(one).all()
                         else:
                             assert closed[i, j] == value
         assert impossible == 4  # z-z-z, p = 1, y = -1: the t = 0 row
@@ -184,7 +191,7 @@ class TestClosedFormIdentity:
         rng = np.random.default_rng(7)
         for _ in range(1000):
             state, g_t, g2 = random_table_inputs(rng)
-            via_table = cpf_from_table(build_table(ZZZ, state, g_t, g_t, g2, -1)).value
+            via_table = cpf_from_table(table_probs(ZZZ, state, -1, g_t, g_t, g2)).value
             closed = cpf_closed_form(ZZZ, state, g_t, g2).value
             assert abs(via_table - closed) < 1e-12
 
@@ -192,7 +199,7 @@ class TestClosedFormIdentity:
         rng = np.random.default_rng(8)
         for _ in range(1000):
             state, g_t, g2 = random_table_inputs(rng)
-            via_table = cpf_from_table(build_table(XZX, state, g_t, g_t, g2, -1)).value
+            via_table = cpf_from_table(table_probs(XZX, state, -1, g_t, g_t, g2)).value
             closed = cpf_closed_form(XZX, state, g_t, g2).value
             assert abs(via_table - closed) < 1e-12
 
@@ -205,7 +212,7 @@ class TestClosedFormIdentity:
             state = InitialState(a / norm, b / norm)
             g_t = rng.uniform(0.0, 0.999)
             g2 = rng.uniform(-1.0, 1.0) * np.sqrt(1 - g_t * g_t) * 0.999
-            via_table = cpf_from_table(build_table(YZY, state, g_t, g_t, g2, -1)).value
+            via_table = cpf_from_table(table_probs(YZY, state, -1, g_t, g_t, g2)).value
             closed = cpf_closed_form(YZY, state, g_t, g2).value
             assert abs(via_table - closed) < 1e-12
 
@@ -214,13 +221,14 @@ class TestClosedFormIdentity:
         rng = np.random.default_rng(10)
         for _ in range(200):
             state, g_t, g2 = random_table_inputs(rng)
-            tbl = build_table(XZX, state, g_t, g_t, g2, -1)
+            probs = table_probs(XZX, state, -1, g_t, g_t, g2)
+            tbl = cells(probs)
             explicit = sum(
-                z * x * (tbl.p(z, x) - tbl.p_z(z) * tbl.p_x(x))
+                z * x * (tbl[(z, x)] - p_z(tbl, z) * p_x(tbl, x))
                 for z in (+1, -1)
                 for x in (+1, -1)
             )
-            assert abs(explicit - cpf_from_table(tbl).value) < 1e-14
+            assert abs(explicit - cpf_from_table(probs).value) < 1e-14
 
 
 class TestClosedFormValues:
@@ -267,8 +275,11 @@ class TestClosedFormValues:
         assert cpf_closed_form(XZX, s, 0.5, 0.0).value == 0.0
 
     def test_y_plus_exactly_zero(self):
+        rng = np.random.default_rng(13)
         for scheme in MeasurementScheme:
-            assert cpf_y_plus(scheme).value == 0.0
+            for _ in range(20):
+                state, g_t, g2 = random_table_inputs(rng)
+                assert cpf_closed_form(scheme, state, g_t, g2, y=+1).value == 0.0
 
 
 class TestStructure:
@@ -322,37 +333,38 @@ class TestValidation:
             InitialState(1.0, 0.5)
         with pytest.raises(ValidationError):
             InitialState.from_population(1.5)
+        with pytest.raises(ValidationError, match="must equal 1"):
+            InitialState(float("nan"), 0.0)
+
+    @staticmethod
+    def joint(y_weights):
+        """A joint {(x, y, z): P} whose y = -1 cells carry ``y_weights`` in
+        CELLS order and whose y = +1 cells are 0."""
+        joint = {(x, +1, z): 0.0 for z, x in CELLS}
+        joint.update({(x, -1, z): w for (z, x), w in zip(CELLS, y_weights)})
+        return joint
 
     def test_table_validation(self):
-        good = {(1, 1): 0.25, (1, -1): 0.25, (-1, 1): 0.25, (-1, -1): 0.25}
-        ProbabilityTable(scheme=MeasurementScheme.ZZZ, y=-1, entries=good)
-        with pytest.raises(ValidationError):
-            ProbabilityTable(
-                scheme=MeasurementScheme.ZZZ,
-                y=-1,
-                entries={**good, (1, 1): 0.5},  # sums to 1.25
-            )
-        with pytest.raises(ValidationError):
-            ProbabilityTable(
-                scheme=MeasurementScheme.ZZZ, y=0, entries=good
-            )
-        with pytest.raises(ValidationError):
-            ProbabilityTable(
-                scheme=MeasurementScheme.ZZZ,
-                y=-1,
-                entries={(1, 1): 0.5, (1, -1): 0.5},  # missing cells
-            )
+        # the oracle's conditional_table checks its output; cpf_from_table
+        # takes exactly four entries
+        good = self.joint([0.25, 0.25, 0.25, 0.25])
+        assert conditional_table(good, ZZZ, -1).tolist() == [0.25] * 4
+        with pytest.raises(ValidationError, match="y must be"):
+            conditional_table(good, ZZZ, 0)
+        with pytest.raises(ValidationError, match=r"out of range at \(1, -1\)"):
+            conditional_table(self.joint([0.5, -0.25, 0.5, 0.25]), ZZZ, -1)
+        with pytest.raises(ValidationError, match="entries sum to 0.0"):
+            # the weights overflow their sum, so every entry conditions to 0
+            conditional_table(self.joint([1e308] * 4), ZZZ, -1)
+        for bad in ([0.5, 0.5], np.full((2, 4), 0.25), [0.2] * 5):
+            with pytest.raises(ValidationError, match="four entries"):
+                cpf_from_table(bad)
+        with pytest.raises(ValidationError, match=r"\|CPF\| = 4 > 1"):
+            cpf_from_table([1.0, -1.0, -1.0, 1.0])
 
     def test_product_table_gives_zero(self):
-        entries = {
-            (z, x): (0.3 if z == 1 else 0.7) * (0.6 if x == 1 else 0.4)
-            for z in (+1, -1)
-            for x in (+1, -1)
-        }
-        tbl = ProbabilityTable(scheme=MeasurementScheme.ZZZ, y=-1, entries=entries)
-        assert cpf_from_table(tbl).value == pytest.approx(0.0, abs=1e-15)
+        probs = [(0.3 if z == 1 else 0.7) * (0.6 if x == 1 else 0.4) for z, x in CELLS]
+        assert cpf_from_table(probs).value == pytest.approx(0.0, abs=1e-15)
 
     def test_perfect_correlation_table(self):
-        entries = {(1, 1): 0.5, (1, -1): 0.0, (-1, 1): 0.0, (-1, -1): 0.5}
-        tbl = ProbabilityTable(scheme=MeasurementScheme.ZZZ, y=-1, entries=entries)
-        assert cpf_from_table(tbl).value == pytest.approx(1.0)
+        assert cpf_from_table([0.5, 0.0, 0.0, 0.5]).value == pytest.approx(1.0)

@@ -9,8 +9,6 @@ from cpfsim import (
     InitialState,
     LorentzianKernel,
     MeasurementScheme,
-    ProbabilityTable,
-    build_table,
     cpf_from_table,
     lorentzian_G,
     lorentzian_G_two_time,
@@ -24,48 +22,39 @@ ZZZ, XZX = MeasurementScheme.ZZZ, MeasurementScheme.XZX
 
 
 def xzx_table(p=1.0, g_t=0.5, g2=0.3, y=-1):
-    return build_table(XZX, InitialState.from_population(p), g_t, g_t, g2, y)
-
-
-def cells(tbl):
-    """The four entries of a scalar table as an array in _CELLS order."""
-    return np.array([tbl.entries[c] for c in _CELLS])
-
-
-def as_table(probs, tbl):
-    """An array of four cells back as a validated table of tbl's scheme and y."""
-    return ProbabilityTable(scheme=tbl.scheme, y=tbl.y, entries=dict(zip(_CELLS, probs.tolist())))
+    """One x-z-x table: four entries in _CELLS order."""
+    return table_probs(XZX, InitialState.from_population(p), y, g_t, g_t, g2)
 
 
 class TestVisibility:
     def test_unit_visibility_is_identity(self):
-        probs = cells(xzx_table())
+        probs = xzx_table()
         assert degrade_probs(probs, 1.0, XZX).tolist() == probs.tolist()
 
     def test_zzz_untouched_by_any_visibility(self):
-        probs = cells(build_table(ZZZ, InitialState.from_population(0.8), 0.5, 0.5, 0.3, -1))
+        probs = table_probs(ZZZ, InitialState.from_population(0.8), -1, 0.5, 0.5, 0.3)
         assert degrade_probs(probs, 0.5, ZZZ).tolist() == probs.tolist()
 
     def test_xzx_cpf_scales_linearly(self):
         tbl = xzx_table(p=1.0)
         ideal = cpf_from_table(tbl).value
         for v in (0.9, 0.8, 0.5, 0.0):
-            degraded = cpf_from_table(as_table(degrade_probs(cells(tbl), v, XZX), tbl)).value
+            degraded = cpf_from_table(degrade_probs(tbl, v, XZX)).value
             assert degraded == pytest.approx(v * ideal, abs=1e-14)
 
     def test_normalization_and_marginals_preserved(self):
-        tbl = xzx_table(p=0.7, g_t=0.6, g2=-0.4)
-        out = as_table(degrade_probs(cells(tbl), 0.8, XZX), tbl)
-        total = sum(out.p(z, x) for z in (+1, -1) for x in (+1, -1))
-        assert total == pytest.approx(1.0, abs=1e-15)
+        probs = xzx_table(p=0.7, g_t=0.6, g2=-0.4)
+        out = degrade_probs(probs, 0.8, XZX)
+        assert out.sum() == pytest.approx(1.0, abs=1e-15)
         for x in (+1, -1):
-            assert out.p_x(x) == pytest.approx(tbl.p_x(x), abs=1e-15)
-        assert all(0.0 <= out.p(z, x) <= 1.0 for z in (+1, -1) for x in (+1, -1))
+            column = [_CELLS.index((z, x)) for z in (+1, -1)]
+            assert out[column].sum() == pytest.approx(probs[column].sum(), abs=1e-15)
+        assert ((0.0 <= out) & (out <= 1.0)).all()
 
     def test_y_plus_table_unchanged(self):
         tbl = xzx_table(p=0.8, y=+1)
-        out = degrade_probs(cells(tbl), 0.7, XZX)
-        for value, expected in zip(out, cells(tbl)):
+        out = degrade_probs(tbl, 0.7, XZX)
+        for value, expected in zip(out, tbl):
             assert value == pytest.approx(expected, abs=1e-15)
 
     def test_visibility_validation(self):
@@ -77,13 +66,13 @@ class TestVisibility:
 
 class TestCounts:
     def test_zero_probability_cell_never_fires(self):
-        probs = cells(build_table(ZZZ, InitialState(1.0, 0.0), 0.5, 0.5, 0.3, -1))
+        probs = table_probs(ZZZ, InitialState(1.0, 0.0), -1, 0.5, 0.5, 0.3)
         (block,) = draw_counts(probs[None, :], [10000.0], 50, 1)
         assert not block[:, _CELLS.index((+1, -1))].any()
         assert not block[:, _CELLS.index((-1, -1))].any()
 
     def test_empirical_rate_within_5_sigma(self):
-        probs = cells(xzx_table())
+        probs = xzx_table()
         n = 1_000_000
         ((counts,),) = draw_counts(probs[None, :], [n], 1, 42)
         for count, p in zip(counts, probs):
@@ -91,7 +80,7 @@ class TestCounts:
             assert abs(count - n * p) < 5 * sigma
 
     def test_seed_determinism(self):
-        probs = np.stack([cells(xzx_table()), cells(xzx_table(p=0.8))])
+        probs = np.stack([xzx_table(), xzx_table(p=0.8)])
         a = np.stack(list(draw_counts(probs, [500.0, 800.0], 3, 7)))
         b = np.stack(list(draw_counts(probs, [500.0, 800.0], 3, 7)))
         assert a.tolist() == b.tolist()
@@ -111,7 +100,7 @@ class TestEstimator:
     def test_exact_proportional_counts_reproduce_cpf(self):
         tbl = xzx_table(p=0.8, g_t=0.4, g2=0.25)
         scale = 400000
-        counts = [round(scale * p) for p in cells(tbl)]
+        counts = [round(scale * p) for p in tbl]
         assert float(estimate_block(counts)) == pytest.approx(cpf_from_table(tbl).value, abs=1e-5)
 
     def test_perfect_correlation_counts(self):
@@ -127,7 +116,7 @@ class TestEstimator:
         # replica mean within 2 standard errors of the ideal value
         tbl = xzx_table(p=1.0, g_t=0.5, g2=0.25)
         ideal = cpf_from_table(tbl).value
-        (block,) = draw_counts(cells(tbl)[None, :], [10000.0], 400, 123)
+        (block,) = draw_counts(tbl[None, :], [10000.0], 400, 123)
         estimates = estimate_block(block)
         mean = np.mean(estimates)
         stderr = np.std(estimates, ddof=1) / np.sqrt(len(estimates))
@@ -302,12 +291,11 @@ class TestBlockDraw:
 
     def test_predicted_std_is_first_order_variance(self):
         # Var_P[(z - <z>)(x - <x>)] / budget against an explicit sum over cells
-        tbl = xzx_table(p=0.7, g_t=0.6, g2=-0.4)
-        cells = list(tbl.entries)
-        mean_z = sum(z * tbl.p(z, x) for z, x in cells)
-        mean_x = sum(x * tbl.p(z, x) for z, x in cells)
-        dev = {(z, x): (z - mean_z) * (x - mean_x) for z, x in cells}
-        var = sum(tbl.p(*c) * dev[c] ** 2 for c in cells) - sum(tbl.p(*c) * dev[c] for c in cells) ** 2
-        probs = np.array([tbl.entries[c] for c in cells])
+        probs = xzx_table(p=0.7, g_t=0.6, g2=-0.4)
+        tbl = dict(zip(_CELLS, probs.tolist()))
+        mean_z = sum(z * tbl[z, x] for z, x in _CELLS)
+        mean_x = sum(x * tbl[z, x] for z, x in _CELLS)
+        dev = {(z, x): (z - mean_z) * (x - mean_x) for z, x in _CELLS}
+        var = sum(tbl[c] * dev[c] ** 2 for c in _CELLS) - sum(tbl[c] * dev[c] for c in _CELLS) ** 2
         assert float(predicted_std(probs, 2500.0)) == pytest.approx(np.sqrt(var / 2500.0), rel=1e-12)
         assert np.isnan(predicted_std(np.stack([probs, probs]), np.array([0.0, np.nan]))).all()
