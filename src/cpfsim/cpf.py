@@ -27,9 +27,10 @@ can occur.
 A table is one type throughout the package: a float array whose last axis
 holds the four entries P(z, x | y) in ``_CELLS`` order. The noise model
 degrades, samples and estimates arrays of them; the channel-map oracle
-returns one, checked through the one-point API ``cpf_from_table`` and
-``cpf_closed_form``, which raises :class:`ConditioningImpossibleError`
-where the conditioning outcome cannot occur rather than returning a number.
+returns one. The one-point API, ``cpf_from_table`` and ``cpf_closed_form``,
+raises :class:`ConditioningImpossibleError` where the conditioning outcome
+cannot occur (a table of NaN) rather than returning a number, and
+``cpf_from_table`` refuses a table that is not a distribution.
 """
 from __future__ import annotations
 
@@ -95,10 +96,7 @@ class CpfResult:
     value: float
 
     def __post_init__(self):
-        if abs(self.value) > 1.0 + _CPF_TOL:
-            raise ValidationError(
-                f"|CPF| = {abs(self.value):g} > 1 is impossible for +-1 outcomes"
-            )
+        _bounded(self.value)
 
 
 def _covariance(p: np.ndarray):
@@ -120,10 +118,19 @@ def _bounded(values: np.ndarray) -> np.ndarray:
 
 def cpf_from_table(probs) -> CpfResult:
     """CPF correlation <O_z O_x>_y - <O_z>_y <O_x>_y of one table of four
-    entries P(z, x | y) in _CELLS order."""
+    entries P(z, x | y) in _CELLS order, refused unless it is a distribution."""
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (len(_CELLS),):
         raise ValidationError(f"a table has four entries in _CELLS order, got shape {probs.shape}")
+    if np.isnan(probs).all():
+        raise ConditioningImpossibleError("P(y) ~ 0: the table is NaN, no outcome y to condition on")
+    entries = probs.tolist()
+    for cell, p in zip(_CELLS, entries):
+        if not (-1e-12 <= p <= 1.0 + 1e-12):
+            raise ValidationError(f"P(z,x|y) out of range at {cell}: {p}")
+    total = sum(entries)
+    if abs(total - 1.0) > 1e-10:
+        raise ValidationError(f"entries sum to {total!r}, must be 1")
     return CpfResult(value=float(_covariance(probs)))
 
 
@@ -182,11 +189,9 @@ def table_probs(
     w(x)/2; for y = -1 it is w(x) [1 - zx kappa] / 2 with the interference
     term kappa = 2 Re G2 / (2 - |G(t)|^2).
     """
-    if y not in _OUTCOMES:
-        raise ValidationError(f"y must be +1 or -1, got {y}")
+    denom = conditioning_probability(scheme, state, y, G_t)  # checks y
     where = f"{scheme.value} y={y:+d}"
     shape = np.broadcast_shapes(np.shape(G_t), np.shape(G_tau), np.shape(G_two))
-    denom = conditioning_probability(scheme, state, y, G_t)
     possible = ~np.isnan(denom)
     if scheme is MeasurementScheme.ZZZ:
         if y == +1:
@@ -221,7 +226,7 @@ def table_probs(
 
 
 def closed_values(
-    scheme: MeasurementScheme, state: InitialState, G_t, G_two, y: int = -1
+    scheme: MeasurementScheme, state: InitialState, G_t, G_two, *, y: int = -1
 ) -> np.ndarray:
     """Closed-form correlation conditioned on y over broadcast propagator
     values; NaN where y has zero probability.
@@ -251,10 +256,11 @@ def cpf_closed_form(
     state: InitialState,
     G_t: complex,
     G_two: complex,
+    *,
     y: int = -1,
 ) -> CpfResult:
     """The closed form of the given scheme, conditioned on y, at one point."""
-    value = float(closed_values(scheme, state, G_t, G_two, y))
+    value = float(closed_values(scheme, state, G_t, G_two, y=y))
     if math.isnan(value):
         raise ConditioningImpossibleError(_IMPOSSIBLE[y])
     return CpfResult(value=value)

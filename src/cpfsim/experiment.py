@@ -152,7 +152,7 @@ def run_noise_study(
     degraded = degrade_probs(probs, cfg.visibility, scheme)
     ideal, degraded_ideal = table_correlation(probs), table_correlation(degraded)
     if y == +1:  # the past decouples from the future exactly
-        ideal = degraded_ideal = closed_values(scheme, state, g_vals, g2_vals, y)
+        ideal = degraded_ideal = closed_values(scheme, state, g_vals, g2_vals, y=y)
     budget = cfg.total_counts * conditioning_probability(scheme, state, y, g_vals)
     mc_mean, mc_std = np.full(times.size, np.nan), np.full(times.size, np.nan)
     n_replicas = np.zeros(times.size, dtype=int)

@@ -76,7 +76,7 @@ def _cpf_columns(
     """(closed-form, table) CPF of one scheme over broadcast propagator
     arrays; NaN in both where the conditioning outcome y has zero probability."""
     table = table_correlation(table_probs(scheme, state, y, g_t, g_tau, g2))
-    return closed_values(scheme, state, g_t, g2, y), table
+    return closed_values(scheme, state, g_t, g2, y=y), table
 
 
 def run_figure2(cfg: RunConfig, out_dir: Path) -> Path:

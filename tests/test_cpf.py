@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from cpfsim import (
+    CpfResult,
     InitialState,
     angles_from_propagator,
     conditional_table,
@@ -13,7 +14,7 @@ from cpfsim import (
     lorentzian_G,
     lorentzian_G_two_time,
 )
-from cpfsim.cpf import closed_values, table_correlation, table_probs
+from cpfsim.cpf import _CELLS, closed_values, table_correlation, table_probs
 from cpfsim.errors import (
     ConditioningImpossibleError,
     InternalConsistencyError,
@@ -28,12 +29,11 @@ TWO_EXP_MINUS_PI = 0.08642783652754450
 CPF_ZZZ_P08 = 0.005129165333104857   # p=0.8, gamma tau_c=1, t=tau=pi tau_c
 CPF_XZX_P1 = -0.08833652010735720    # p=1, same point
 XZX_KAPPA = 0.08833652010735720      # 2 Re G2 / (2 - |G|^2) at the same point
-CELLS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))  # the (z, x) order of a table
 
 
 def cells(probs):
-    """{(z, x): P(z, x | y)} of one table of four entries in CELLS order."""
-    return dict(zip(CELLS, np.asarray(probs).tolist()))
+    """{(z, x): P(z, x | y)} of one table of four entries in _CELLS order."""
+    return dict(zip(_CELLS, np.asarray(probs).tolist()))
 
 
 def p_z(tbl, z):
@@ -75,11 +75,13 @@ class TestTableBuilders:
         assert p_x(tbl, -1) == 0.0
 
     def test_zzz_conditioning_impossible(self):
-        # no table exists: every entry, and so the correlation, is NaN
+        # no table exists: every entry is NaN, and the one-point API refuses it
         probs = table_probs(ZZZ, InitialState(1.0, 0.0), -1, 1.0, 1.0, 0.0)
         assert probs.shape == (4,)
         assert np.isnan(probs).all()
-        assert np.isnan(cpf_from_table(probs).value)
+        assert np.isnan(table_correlation(probs))
+        with pytest.raises(ConditioningImpossibleError):
+            cpf_from_table(probs)
 
     @pytest.mark.parametrize(
         "scheme, p, g_t", [(ZZZ, 0.0, 0.5), (XZX, 0.8, 0.0), (YZY, 0.8, 0.0)]
@@ -131,8 +133,6 @@ class TestTableBuilders:
 
 
 class TestArrayCore:
-    CELLS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
-
     @staticmethod
     def batch(rng):
         """G(t) of shape (5, 1), G(tau) of shape (1, 4) and G2 of shape (5, 4)
@@ -145,15 +145,15 @@ class TestArrayCore:
 
     def test_batch_matches_per_point_calls(self):
         # p = 1 at t = 0 leaves y = -1 impossible under z-z-z: those points
-        # are NaN in the batch, in the one-point table, and in its
-        # correlation, while the one-point closed form raises
+        # are NaN in the batch and in the one-point table, while the
+        # one-point API raises
         g_t, g_tau, g2 = self.batch(np.random.default_rng(31))
         impossible = 0
         for p in (1.0, 0.7):
             state = InitialState.from_population(p)
             for scheme in MeasurementScheme:
                 for y in (+1, -1):
-                    closed = closed_values(scheme, state, g_t, g2, y)
+                    closed = closed_values(scheme, state, g_t, g2, y=y)
                     assert closed.shape == (5, 4)
                     probs = table_probs(scheme, state, y, g_t, g_tau, g2)
                     assert probs.shape == (5, 4, 4)
@@ -163,16 +163,18 @@ class TestArrayCore:
                         one = table_probs(scheme, state, y, *point)
                         assert one.shape == (4,)
                         assert np.array_equal(probs[i, j], one, equal_nan=True)
-                        value = cpf_from_table(one).value
-                        assert np.array_equal(table[i, j], value, equal_nan=True)
                         try:
-                            value = cpf_closed_form(scheme, state, point[0], point[2], y).value
+                            value = cpf_closed_form(scheme, state, point[0], point[2], y=y).value
                         except ConditioningImpossibleError:
                             impossible += 1
                             assert np.isnan(closed[i, j])
                             assert np.isnan(one).all()
+                            assert np.isnan(table[i, j])
+                            with pytest.raises(ConditioningImpossibleError):
+                                cpf_from_table(one)
                         else:
                             assert closed[i, j] == value
+                            assert table[i, j] == cpf_from_table(one).value
         assert impossible == 4  # z-z-z, p = 1, y = -1: the t = 0 row
 
     def test_one_bad_point_raises(self):
@@ -339,31 +341,33 @@ class TestValidation:
     @staticmethod
     def joint(y_weights):
         """A joint {(x, y, z): P} whose y = -1 cells carry ``y_weights`` in
-        CELLS order and whose y = +1 cells are 0."""
-        joint = {(x, +1, z): 0.0 for z, x in CELLS}
-        joint.update({(x, -1, z): w for (z, x), w in zip(CELLS, y_weights)})
+        _CELLS order and whose y = +1 cells are 0."""
+        joint = {(x, +1, z): 0.0 for z, x in _CELLS}
+        joint.update({(x, -1, z): w for (z, x), w in zip(_CELLS, y_weights)})
         return joint
 
     def test_table_validation(self):
-        # the oracle's conditional_table checks its output; cpf_from_table
-        # takes exactly four entries
+        # the oracle's conditional_table checks y; cpf_from_table takes
+        # exactly four entries forming a distribution
         good = self.joint([0.25, 0.25, 0.25, 0.25])
         assert conditional_table(good, ZZZ, -1).tolist() == [0.25] * 4
         with pytest.raises(ValidationError, match="y must be"):
             conditional_table(good, ZZZ, 0)
+        malformed = conditional_table(self.joint([0.5, -0.25, 0.5, 0.25]), ZZZ, -1)
         with pytest.raises(ValidationError, match=r"out of range at \(1, -1\)"):
-            conditional_table(self.joint([0.5, -0.25, 0.5, 0.25]), ZZZ, -1)
-        with pytest.raises(ValidationError, match="entries sum to 0.0"):
-            # the weights overflow their sum, so every entry conditions to 0
-            conditional_table(self.joint([1e308] * 4), ZZZ, -1)
+            cpf_from_table(malformed)
+        with pytest.raises(ValidationError, match=r"out of range at \(1, -1\): nan"):
+            cpf_from_table([0.5, np.nan, 0.25, 0.25])
+        with pytest.raises(ValidationError, match="entries sum to 1.2"):
+            cpf_from_table([0.6, 0.2, 0.2, 0.2])
         for bad in ([0.5, 0.5], np.full((2, 4), 0.25), [0.2] * 5):
             with pytest.raises(ValidationError, match="four entries"):
                 cpf_from_table(bad)
         with pytest.raises(ValidationError, match=r"\|CPF\| = 4 > 1"):
-            cpf_from_table([1.0, -1.0, -1.0, 1.0])
+            CpfResult(value=4.0)
 
     def test_product_table_gives_zero(self):
-        probs = [(0.3 if z == 1 else 0.7) * (0.6 if x == 1 else 0.4) for z, x in CELLS]
+        probs = [(0.3 if z == 1 else 0.7) * (0.6 if x == 1 else 0.4) for z, x in _CELLS]
         assert cpf_from_table(probs).value == pytest.approx(0.0, abs=1e-15)
 
     def test_perfect_correlation_table(self):
