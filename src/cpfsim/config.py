@@ -214,15 +214,12 @@ def _parse_noise(block, field: str) -> ExperimentConfig:
         _fail(field, "expected an object")
     total = _number(_require(block, "total_counts", field), f"{field}.total_counts")
     visibility = _number(block.get("visibility", 1.0), f"{field}.visibility")
-    replicas = block.get("replicas", 1)
-    seed = block.get("seed", 0)
-    if not isinstance(replicas, int) or isinstance(replicas, bool):
-        _fail(f"{field}.replicas", "must be an integer")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        _fail(f"{field}.seed", "must be an integer")
     try:
         return ExperimentConfig(
-            total_counts=total, visibility=visibility, replicas=replicas, seed=seed
+            total_counts=total,
+            visibility=visibility,
+            replicas=block.get("replicas", 1),
+            seed=block.get("seed", 0),
         )
     except ValidationError as exc:
         _fail(field, str(exc))

@@ -338,6 +338,32 @@ class TestAppendixD:
         main(["appendix-d", "--config", str(cfg), "--out", str(tmp_path / "c"), "--seed", "100"])
         assert a != (tmp_path / "c" / "appendix_d.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "noise, flags, message",
+        [
+            ({}, ["--seed", "-1"], "error: seed must be an integer >= 0, got -1"),
+            ({"seed": -1}, [], "error: config: noise: seed must be an integer >= 0"),
+            ({"seed": True}, [], "error: config: noise: seed must be an integer >= 0"),
+            ({"replicas": 2.5}, [], "error: config: noise: replicas must be an integer >= 1"),
+            ({"total_counts": 1e19}, [], "error: config: noise: total_counts must be a finite"),
+        ],
+        ids=["flag-seed", "config-seed", "config-seed-bool", "config-replicas", "config-total_counts"],
+    )
+    def test_values_numpy_rejects_exit_2(self, tmp_path, capsys, noise, flags, message):
+        # a negative seed and a budget beyond NumPy's largest Poisson mean
+        # used to reach the sampler and die with NumPy's traceback
+        cfg = write_config(
+            tmp_path,
+            {
+                "grid": {"t_max_gamma": 5.0, "points": 9, "equal_times": True},
+                "noise": {"total_counts": 10000, "replicas": 40, "seed": 11, **noise},
+            },
+        )
+        rc = main(["appendix-d", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_noise_block_required(self, tmp_path):
         cfg = write_config(tmp_path, {"noise": None})
         rc = main(["appendix-d", "--config", str(cfg), "--out", str(tmp_path / "out")])

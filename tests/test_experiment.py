@@ -1,4 +1,7 @@
 """Noise model: visibility degradation, Poisson counts, estimator, studies."""
+import dataclasses
+import tracemalloc
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -14,9 +17,19 @@ from cpfsim import (
     lorentzian_G_two_time,
     run_noise_study,
 )
-from cpfsim.cpf import _CELLS, conditioning_probability, table_probs
+from cpfsim import experiment
+from cpfsim.config import load_config
+from cpfsim.cpf import (
+    _CELLS,
+    closed_values,
+    conditioning_probability,
+    table_correlation,
+    table_probs,
+)
 from cpfsim.errors import ValidationError
 from cpfsim.experiment import degrade_probs, draw_counts, estimate_block, predicted_std
+from cpfsim.propagator import propagators
+from cpfsim.runs import _appendix_d_blocks
 
 ZZZ, XZX = MeasurementScheme.ZZZ, MeasurementScheme.XZX
 
@@ -94,6 +107,32 @@ class TestCounts:
             ExperimentConfig(total_counts=100, visibility=1.5)
         with pytest.raises(ValidationError):
             ExperimentConfig(total_counts=100, replicas=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("total_counts", float("inf")),
+            ("total_counts", float("nan")),
+            ("total_counts", 1e19),
+            pytest.param("total_counts", 10**400, id="total_counts-10**400"),
+            ("replicas", 2.5),
+            ("replicas", True),
+            ("replicas", 2.0),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", True),
+        ],
+    )
+    def test_config_rejects_what_numpy_would(self, field, value):
+        # each value used to pass the config and fail inside NumPy's sampler
+        # (lam value too large, TypeError, expected non-negative integer) or
+        # to draw with a bool as the replica count or seed
+        with pytest.raises(ValidationError, match=field):
+            ExperimentConfig(**{"total_counts": 100, field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = ExperimentConfig(total_counts=1e18, replicas=np.int64(3), seed=np.uint32(5))
+        assert (cfg.replicas, cfg.seed) == (3, 5)
 
 
 class TestEstimator:
@@ -299,3 +338,118 @@ class TestBlockDraw:
         var = sum(tbl[c] * dev[c] ** 2 for c in _CELLS) - sum(tbl[c] * dev[c] for c in _CELLS) ** 2
         assert float(predicted_std(probs, 2500.0)) == pytest.approx(np.sqrt(var / 2500.0), rel=1e-12)
         assert np.isnan(predicted_std(np.stack([probs, probs]), np.array([0.0, np.nan]))).all()
+
+
+def _run_noise_study_reference(state, scheme, kernel, times, cfg, y=-1, t_step=None):
+    """run_noise_study with its statistics computed one point per Python
+    iteration, as before they were computed per chunk of points: the
+    reference the chunked statistics must match to the bit."""
+    times = np.asarray(times, dtype=float)
+    g_vals, _, g2_vals = propagators(kernel, times, times, t_step)
+    probs = table_probs(scheme, state, y, g_vals, g_vals, g2_vals)
+    degraded = degrade_probs(probs, cfg.visibility, scheme)
+    ideal, degraded_ideal = table_correlation(probs), table_correlation(degraded)
+    if y == +1:  # the past decouples from the future exactly
+        ideal = degraded_ideal = closed_values(scheme, state, g_vals, g2_vals, y=y)
+    budget = cfg.total_counts * conditioning_probability(scheme, state, y, g_vals)
+    mc_mean, mc_std = np.full(times.size, np.nan), np.full(times.size, np.nan)
+    n_replicas = np.zeros(times.size, dtype=int)
+    for k, counts in enumerate(draw_counts(degraded, budget, cfg.replicas, cfg.seed)):
+        estimates = estimate_block(counts)
+        estimates = estimates[~np.isnan(estimates)]
+        n_replicas[k] = estimates.size
+        if estimates.size:
+            mc_mean[k] = np.mean(estimates)
+            mc_std[k] = np.std(estimates, ddof=1) if estimates.size > 1 else 0.0
+    columns = (
+        times, ideal, degraded_ideal, mc_mean, mc_std,
+        predicted_std(degraded, budget), n_replicas, n_replicas == 0,
+    )
+    return np.rec.fromarrays(
+        columns,
+        names="t,ideal,degraded_ideal,mc_mean,mc_std,predicted_std,n_replicas,flagged",
+    )
+
+
+def _exact(column):
+    """A column's values for a bit-for-bit comparison: floats as hex
+    strings, so NaN equals NaN and -0.0 differs from 0.0."""
+    return [float.hex(v) if isinstance(v, float) else v for v in column.tolist()]
+
+
+def _appendix_d_studies(seed):
+    """The run_noise_study arguments of the appendix-d blocks of the
+    benchmark's noise_study config at ``seed``, as ``runs.run_appendix_d``
+    builds them."""
+    cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench/workloads/noise_study.json")
+    gamma_t = np.linspace(0.0, cfg.t_max_gamma, cfg.points)
+    for scheme, ratio, p, y, visibility in _appendix_d_blocks(cfg):
+        noise = dataclasses.replace(cfg.noise, visibility=visibility, seed=seed)
+        kernel = LorentzianKernel(ratio, 1.0)
+        yield InitialState.from_population(p), scheme, kernel, gamma_t / ratio, noise, y
+
+
+class TestChunkedStatistics:
+    """run_noise_study reduces the replicas of a chunk of points per NumPy
+    call; the statistics equal the per-point loop's to the bit for every
+    chunking, full and partial rows, and every replica count."""
+
+    @staticmethod
+    def set_chunk_points(monkeypatch, points, replicas):
+        if points is not None:
+            monkeypatch.setattr(experiment, "_CHUNK_COUNTS", 4 * replicas * points)
+
+    @staticmethod
+    def assert_same_statistics(study, reference):
+        assert study.dtype == reference.dtype
+        for name in ("mc_mean", "mc_std", "n_replicas", "flagged"):
+            assert _exact(study[name]) == _exact(reference[name]), name
+
+    @pytest.mark.parametrize("points", [None, 1, 3, 100], ids=lambda p: f"points{p}")
+    @pytest.mark.parametrize("seed", [1, 7], ids=lambda s: f"seed{s}")
+    def test_appendix_d_blocks_match_per_point_loop(self, monkeypatch, seed, points):
+        # 101 points per block, so 100 is n - 1: one full chunk and one point
+        partial = 0
+        for state, scheme, kernel, times, cfg, y in _appendix_d_studies(seed):
+            assert times.size == 101 and cfg.replicas == 200
+            self.set_chunk_points(monkeypatch, points, cfg.replicas)
+            study = run_noise_study(state, scheme, kernel, times, cfg, y=y)
+            reference = _run_noise_study_reference(state, scheme, kernel, times, cfg, y=y)
+            self.assert_same_statistics(study, reference)
+            partial += np.sum((0 < study.n_replicas) & (study.n_replicas < cfg.replicas))
+        # the count-starved y = +1 block drops replicas at some points
+        assert partial > 0
+
+    @pytest.mark.parametrize("points", [None, 1, 3, 29], ids=lambda p: f"points{p}")
+    @pytest.mark.parametrize("replicas", [1, 2], ids=lambda r: f"replicas{r}")
+    def test_few_replicas_match_per_point_loop(self, monkeypatch, replicas, points):
+        # a 30-count budget starves y = +1: rows with 0, 1 and 2 replicas
+        state = InitialState.from_population(1.0)
+        times = np.linspace(0.0, 5.0, 30)
+        cfg = ExperimentConfig(total_counts=30, replicas=replicas, seed=4)
+        self.set_chunk_points(monkeypatch, points, replicas)
+        args = (state, XZX, LorentzianKernel(1.0, 1.0), times, cfg)
+        study = run_noise_study(*args, y=+1)
+        self.assert_same_statistics(study, _run_noise_study_reference(*args, y=+1))
+        assert set(study.n_replicas.tolist()) == set(range(replicas + 1))
+
+    def test_empty_times(self):
+        args = (InitialState.from_population(1.0), XZX, LorentzianKernel(1.0, 1.0),
+                np.array([]), ExperimentConfig(total_counts=100, replicas=3))
+        study = run_noise_study(*args)
+        assert study.shape == (0,)
+        self.assert_same_statistics(study, _run_noise_study_reference(*args))
+
+    def test_working_memory_is_one_chunk(self):
+        # 101 points x 200 replicas: the chunked statistics hold ~0.6 MB at
+        # their peak, stacking the whole study's counts at once ~2 MB
+        args = (InitialState.from_population(0.8), ZZZ, LorentzianKernel(1.0, 1.0),
+                np.linspace(0.0, 5.0, 101), ExperimentConfig(total_counts=1e4, replicas=200))
+        run_noise_study(*args)  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            run_noise_study(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
