@@ -236,9 +236,10 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
     g_t, g_tau, g2 = propagators(cfg.bath.make_kernel(), times[i], times[j], step)
     p_label = abs(cfg.state.a) ** 2
     t = cfg.report_time(times)
+    t_col, tau_col = t[i], t[j]
     blocks = [
         (
-            scheme.value, cfg.y, p_label, ratio_label, t[i], t[j],
+            scheme.value, cfg.y, p_label, ratio_label, t_col, tau_col,
             *_cpf_columns(scheme, cfg.state, cfg.y, g_t, g_tau, g2),
         )
         for scheme in cfg.schemes

@@ -1,18 +1,26 @@
 """The block CSV writer writes the bytes of the per-cell reference."""
 import csv
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cpfsim import __version__
-from cpfsim import io
+from cpfsim import io, runs
+from cpfsim.config import load_config
 from cpfsim.io import format_value, write_dataset
 
 FIELDS = ["mixed", "text", "flag", "count", "x", "y"]
 ECHO = {"grid": {"points": 3}, "bath": {"gamma": 1.0}}
 SPECIALS = [float("nan"), -float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16]
+SWEEP_GRID = Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "sweep_grid.json"
+# values that compare equal but print apart (0.0, -0.0), NaNs of both signs
+# and with a payload, which all print 'nan', and the extremes
+NAN_PAYLOAD = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0])
+REPEATED = [0.0, -0.0, float("nan"), -float("nan"), NAN_PAYLOAD, float("inf"), -float("inf"),
+            5e-324, -5e-324, 0.1, 1 / 3, 1e16]
 # every scalar type a runner writes, and text that csv must quote or that a
 # printf template must escape
 SCALARS = [
@@ -157,6 +165,95 @@ class TestSameBytes:
         assert ["%.12g" % v for v in values] == [format_value(v) for v in values]
         array = np.array(values)
         _assert_same_bytes(tmp_path, ["x", "y"], [[array, values]])
+
+
+def _repeating(values, n_rows):
+    """A float64 column of ``n_rows`` that cycles through ``values``."""
+    return np.resize(np.array(values, dtype=np.float64), n_rows)
+
+
+class TestRepeatedFloats:
+    """Float64 columns of at least one chunk, of which at most half the rows
+    are distinct, have each distinct value formatted once; the bytes stay
+    those of format_value. Most tests shrink the chunk to 3 rows, so that
+    short columns qualify and repeats span chunks."""
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(io, "_BLOCK_ROWS", 3)
+
+    def test_columns_shorter_than_a_chunk_are_printed(self):
+        assert io._repeated_floats(np.zeros(io._BLOCK_ROWS - 1)) is None
+        assert io._repeated_floats(np.zeros(io._BLOCK_ROWS)) is not None
+
+    def test_specials(self, tmp_path, small_chunks):
+        column = _repeating(REPEATED, 5 * len(REPEATED))
+        assert io._repeated_floats(column) is not None
+        _assert_same_bytes(tmp_path, ["x", "y"], [[column, column[::-1]]])
+
+    def test_zero_and_negative_zero_alone(self, tmp_path, small_chunks):
+        # a column whose distinct values compare equal
+        column = _repeating([0.0, -0.0], 8)
+        data = _assert_same_bytes(tmp_path, ["x"], [[column]])
+        assert data.endswith(b"\nx\n0\n-0\n0\n-0\n0\n-0\n0\n-0\n")
+
+    @pytest.mark.parametrize("n_distinct, deduped", [(5, True), (6, False)])
+    def test_half_distinct_is_the_edge(self, tmp_path, small_chunks, n_distinct, deduped):
+        # n/2 distinct rows take the text path, n/2 + 1 the printf path
+        column = _repeating(REPEATED[:n_distinct], 10)
+        assert (io._repeated_floats(column) is not None) == deduped
+        _assert_same_bytes(tmp_path, ["x", "y"], [[column, column.tolist()]])
+
+    def test_strided_reversed_and_float32(self, tmp_path, small_chunks):
+        column = _repeating(REPEATED, 6 * len(REPEATED))
+        columns = [column[::2], column[::-1][: len(column) // 2], column[1::2].astype(np.float32)]
+        assert not column[::2].flags.c_contiguous
+        assert io._repeated_floats(column[::2]) is not None
+        _assert_same_bytes(tmp_path, ["a", "b", "c"], [columns])
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 7, 12, 25])
+    def test_repeats_span_chunks(self, tmp_path, small_chunks, n_rows):
+        column = _repeating(REPEATED[:4], n_rows)
+        blocks = [
+            ["zzz", column, np.arange(n_rows) / 7],
+            [-0.0, column[::-1], column],
+        ]
+        _assert_same_bytes(tmp_path, ["s", "x", "y"], blocks)
+
+    def test_percent_scalar_beside_repeated_column(self, tmp_path, small_chunks):
+        column = _repeating(REPEATED, 2 * len(REPEATED))
+        blocks = [["100%", column, "%s%%d%", column, 'a,"%d"']]
+        data = _assert_same_bytes(tmp_path, ["a", "x", "b", "y", "c"], blocks)
+        assert b'100%,0,%s%%d%,0,"a,""%d"""\n' in data
+
+    def test_sweep_grid_blocks(self, tmp_path, monkeypatch):
+        # the blocks run_sweep writes for the benchmark's 2-D grid
+        captured = []
+
+        def capture(path, fieldnames, blocks, config_echo, comments=()):
+            captured.append((fieldnames, list(blocks)))
+            return path
+
+        monkeypatch.setattr(runs, "write_dataset", capture)
+        runs.run_sweep(load_config(SWEEP_GRID), tmp_path)
+        (fieldnames, blocks), = captured
+        assert len(blocks) == 3 and len(blocks[0][4]) == 151**2
+        _assert_same_bytes(tmp_path, fieldnames, blocks)
+
+    def test_working_memory_is_one_chunk(self, tmp_path):
+        # a repeating and a distinct column of 2e5 rows: ~5 MB of text,
+        # which a writer that formats a whole block at once would hold
+        n = 200_000
+        block = ["zzz", _repeating(np.linspace(0.0, 5.0, 151), n), np.arange(n) / 7, 1]
+        write_dataset(tmp_path / "warm.csv", ["s", "x", "y", "k"], [block], ECHO)
+        tracemalloc.start()
+        try:
+            write_dataset(tmp_path / "out.csv", ["s", "x", "y", "k"], [block], ECHO)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "out.csv").stat().st_size > 5 * 2**20
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestRaggedRows:
