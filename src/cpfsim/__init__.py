@@ -27,15 +27,12 @@ from .cpf import (
 from .experiment import ExperimentConfig, run_noise_study
 from .propagator import (
     DensityMatrix,
-    PropagatorGrid,
-    RateFunctions,
     backflow_probabilities,
     lorentzian_G,
     lorentzian_G_two_time,
     propagators,
     rates_from_G,
     rho_t,
-    solve_volterra,
 )
 
 __version__ = "0.1.0"
@@ -73,8 +70,6 @@ __all__ = [
     "JointState",
     "LorentzianKernel",
     "MeasurementScheme",
-    "PropagatorGrid",
-    "RateFunctions",
     "TabulatedKernel",
     "angles_from_propagator",
     "apply_U_t",
@@ -94,5 +89,4 @@ __all__ = [
     "rho_t",
     "run_noise_study",
     "simulate_sequence",
-    "solve_volterra",
 ]

@@ -13,10 +13,6 @@ class KernelRangeError(CpfsimError, ValueError):
     """Tabulated kernel evaluated outside its sampled time range."""
 
 
-class GridMismatchError(ValidationError):
-    """Requested time grid is incompatible with an existing sampled grid."""
-
-
 class ConditioningImpossibleError(CpfsimError, ValueError):
     """The conditioning outcome has (numerically) zero probability."""
 

@@ -25,10 +25,11 @@ It vanishes when f approaches a delta function, i.e. exactly in the
 Born-Markov regime, even where G(t) decays monotonically.
 
 Numerical quadrature is trapezoidal product integration with a fixed step
-(second order); the step is kept common between G, G2 and the probability
-tables so the correlation layer operates on aligned grids. Callers get all
-three from :func:`propagators`, which picks the closed forms or the
-quadrature by kernel type.
+(second order), by two kernels on arrays of kernel samples; the step is kept
+common between G, G2 and the probability tables so the correlation layer
+operates on aligned grids. Callers get all three from :func:`propagators`,
+which picks the closed forms or the quadrature by kernel type, and is the
+only code that drives the quadrature kernels.
 """
 from __future__ import annotations
 
@@ -43,7 +44,6 @@ from .cpf import InitialState
 from .errors import (
     ConditioningImpossibleError,
     CoarseStepWarning,
-    GridMismatchError,
     InternalConsistencyError,
     PropagatorZeroCrossingError,
     ValidationError,
@@ -51,49 +51,6 @@ from .errors import (
 
 _ABS_TOL = 1e-9  # allowed |G| overshoot above 1 (amplitude of a normalized component)
 _CHI_SQ_TOL = 1e-10  # |chi|^2 below this uses the analytic chi -> 0 limit
-
-
-@dataclass(frozen=True)
-class PropagatorGrid:
-    """G(t) sampled on the uniform grid t_i = i * t_step."""
-
-    t_step: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if not (self.t_step > 0):
-            raise ValidationError(f"t_step must be > 0, got {self.t_step}")
-        if values.ndim != 1 or values.size < 1:
-            raise ValidationError("values must be a non-empty 1-D array")
-        if values[0] != 1.0:
-            raise ValidationError(f"G(0) must be exactly 1, got {values[0]}")
-        if np.max(np.abs(values)) > 1.0 + _ABS_TOL:
-            raise ValidationError("|G| exceeds 1 beyond tolerance; not a propagator")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.values.size) * self.t_step
-
-    @property
-    def t_max(self) -> float:
-        return (self.values.size - 1) * self.t_step
-
-
-@dataclass(frozen=True)
-class RateFunctions:
-    """Time-dependent decay rate gamma(t) and frequency shift omega(t),
-    defined by gamma(t) + i omega(t) = -(d/dt) ln G(t)."""
-
-    t_step: float
-    gamma_t: np.ndarray
-    omega_t: np.ndarray
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.gamma_t.size) * self.t_step
 
 
 @dataclass(frozen=True)
@@ -131,17 +88,6 @@ class DensityMatrix:
     @property
     def down_down(self) -> complex:
         return complex(self.matrix[1, 1])
-
-
-def _steps_on_grid(t_target: float, h: float, what: str) -> int:
-    n = int(round(t_target / h))
-    if n < 1:
-        raise ValidationError(f"{what} = {t_target:g} shorter than one step h = {h:g}")
-    if abs(n * h - t_target) > 1e-9 * max(1.0, abs(t_target)):
-        raise GridMismatchError(
-            f"{what} = {t_target:g} is not a whole number of steps h = {h:g}"
-        )
-    return n
 
 
 # Quadrature kernels on the uniform grid t_i = i h (both second order):
@@ -261,16 +207,6 @@ def volterra_trapezoid(f: np.ndarray, h: float) -> np.ndarray:
     return G
 
 
-def _pair_indices(i, j, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    i, j = np.broadcast_arrays(np.asarray(i), np.asarray(j))
-    for name, idx, top in (("i", i, n), ("j", j, m)):
-        if idx.size and idx.dtype.kind not in "iu":
-            raise ValueError(f"{name} must hold integer grid indices")
-        if idx.size and (idx.min() < 0 or idx.max() > top):
-            raise ValueError(f"{name} must lie in [0, {top}]")
-    return i.astype(np.intp), j.astype(np.intp)
-
-
 def two_time_trapezoid(
     f: np.ndarray, G_t: np.ndarray, G_tau: np.ndarray, h: float, i, j
 ) -> np.ndarray:
@@ -297,7 +233,13 @@ def two_time_trapezoid(
     f = np.ascontiguousarray(f, dtype=complex)
     G_t = np.ascontiguousarray(G_t, dtype=complex)
     G_tau = np.ascontiguousarray(G_tau, dtype=complex)
-    i, j = _pair_indices(i, j, G_t.shape[0] - 1, G_tau.shape[0] - 1)
+    i, j = np.broadcast_arrays(np.asarray(i), np.asarray(j))
+    for name, idx, top in (("i", i, G_t.shape[0] - 1), ("j", j, G_tau.shape[0] - 1)):
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"{name} must hold integer grid indices")
+        if idx.size and (idx.min() < 0 or idx.max() > top):
+            raise ValueError(f"{name} must lie in [0, {top}]")
+    i, j = i.astype(np.intp), j.astype(np.intp)
     need = int(np.max(i + j, initial=0))
     if f.shape[0] < need + 1:
         raise ValueError(f"kernel samples cover {f.shape[0] - 1} steps, need {need}")
@@ -367,62 +309,6 @@ def two_time_trapezoid(
     return G2.reshape(i.shape)
 
 
-def _volterra_steps(kernel: BathKernel, t_max: float, t_step: float) -> int:
-    """Number of steps of the Volterra grid, after the step checks of
-    :func:`solve_volterra` (the warning points at that function's caller)."""
-    if not (t_step > 0):
-        raise ValidationError(f"t_step must be > 0, got {t_step}")
-    if t_max < t_step:
-        raise ValidationError(f"t_max = {t_max:g} must be >= t_step = {t_step:g}")
-    decay = decay_time(kernel)
-    if decay is not None and t_step > decay / 4:
-        warnings.warn(
-            f"t_step = {t_step:g} > {decay / 4:g}, a quarter of the time in which "
-            "|f| falls by 1/e: step too coarse to resolve the kernel",
-            CoarseStepWarning,
-            stacklevel=3,
-        )
-    return _steps_on_grid(t_max, t_step, "t_max")
-
-
-def solve_volterra(kernel: BathKernel, t_max: float, t_step: float) -> PropagatorGrid:
-    """Solve the convoluted propagator equation on [0, t_max].
-
-    Trapezoidal product integration, global error O(t_step^2). A step
-    coarser than a quarter of the kernel's 1/e decay time (tau_c / 4 for a
-    Lorentzian kernel, see :func:`cpfsim.bath.decay_time`) cannot resolve
-    the kernel: a :class:`CoarseStepWarning` is attached to the computation
-    (``warnings.simplefilter("error", CoarseStepWarning)`` turns it into an
-    error).
-    """
-    n = _volterra_steps(kernel, t_max, t_step)
-    f = eval_kernel_grid(kernel, np.arange(n + 1) * t_step)
-    values = volterra_trapezoid(f, t_step)
-    return PropagatorGrid(t_step=t_step, values=values)
-
-
-def solve_two_time_pairs(
-    kernel: BathKernel, t_max: float, t_step: float, i, j
-) -> tuple[PropagatorGrid, np.ndarray]:
-    """G(t) on [0, t_max] and G2(i t_step, j t_step) at the integer pairs
-    (i, j) only.
-
-    The numerical route for a kernel without closed forms. The kernel is
-    sampled once on [0, max(t_max, max(i + j) t_step)]; its part on
-    [0, t_max] drives the Volterra solve (as :func:`solve_volterra`, same
-    checks and warning), all of it the two-time quadrature, error
-    O(t_step^2). ``i`` and ``j`` are broadcast against each other and must
-    lie in [0, t_max / t_step]; pass ``idx[:, None], idx`` for a whole
-    surface, which samples the kernel on [0, 2 t_max].
-    """
-    n = _volterra_steps(kernel, t_max, t_step)
-    i, j = _pair_indices(i, j, n, n)
-    need = max(n, int(np.max(i + j, initial=0)))
-    f = eval_kernel_grid(kernel, np.arange(need + 1) * t_step)
-    grid = PropagatorGrid(t_step=t_step, values=volterra_trapezoid(f[: n + 1], t_step))
-    return grid, two_time_trapezoid(f, grid.values, grid.values, t_step, i, j)
-
-
 def lorentzian_G(gamma: float, tau_c: float, t) -> np.ndarray | float:
     """Closed-form propagator for the Lorentzian kernel; real-valued.
 
@@ -482,19 +368,37 @@ def lorentzian_G_two_time(gamma: float, tau_c: float, t, tau) -> np.ndarray | fl
     return out if out.ndim else float(out)
 
 
+def _check_step(t_step) -> None:
+    if not 0 < t_step < np.inf:  # False for NaN too
+        raise ValidationError(f"t_step must be a finite number > 0, got {t_step}")
+
+
 def propagators(
     kernel: BathKernel, t, tau, t_step: Optional[float] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """G(t), G(tau) and G2(t, tau) over broadcast time arrays.
 
     The one place that chooses how they are computed: a Lorentzian kernel
-    uses the closed forms (real values), any other kernel
-    :func:`solve_two_time_pairs` on the grid of step ``t_step`` (complex
-    values), on which every time must lie. The quadrature computes G2 at
-    the given (t, tau) pairs only; empty or all-zero times need no solve,
-    since G(0) = 1 and G2(0, 0) = 0.
+    uses the closed forms (real values), any other kernel the quadrature on
+    the grid of step ``t_step`` (complex values, error O(t_step^2)), on
+    which every time must lie. The kernel is sampled once, up to the largest
+    t + tau; G2 is computed at the given (t, tau) pairs only. Empty or
+    all-zero times need no solve, since G(0) = 1 and G2(0, 0) = 0.
+
+    A step coarser than a quarter of the kernel's 1/e decay time (see
+    :func:`cpfsim.bath.decay_time`) cannot resolve the kernel: the caller
+    gets a :class:`CoarseStepWarning`. A non-finite time, a ``t_step`` that
+    is not a finite number > 0 or a solved |G| above 1 raise
+    :class:`ValidationError`.
     """
-    t, tau = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(tau, dtype=float))
+    t = np.asarray(t, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    for name, times in (("t", t), ("tau", tau)):
+        if not np.all(np.isfinite(times)):
+            raise ValidationError(f"{name} must be finite")
+    if t_step is not None:
+        _check_step(t_step)
+    t, tau = np.broadcast_arrays(t, tau)
     if isinstance(kernel, LorentzianKernel):
         gamma, tau_c = kernel.gamma, kernel.tau_c
         return (
@@ -511,9 +415,21 @@ def propagators(
     idx = np.asarray(np.rint(times / t_step), dtype=int)
     if np.min(idx) < 0 or np.max(np.abs(idx * t_step - times)) > 1e-9 * max(1.0, t_max):
         raise ValidationError("times must be >= 0 and lie on the integration grid")
+    decay = decay_time(kernel)
+    if decay is not None and t_step > decay / 4:
+        warnings.warn(
+            f"t_step = {t_step:g} > {decay / 4:g}, a quarter of the time in which "
+            "|f| falls by 1/e: step too coarse to resolve the kernel",
+            CoarseStepWarning,
+            stacklevel=2,
+        )
     i, j = idx
-    grid, g2 = solve_two_time_pairs(kernel, t_max, t_step, i, j)
-    return grid.values[i], grid.values[j], g2
+    n = int(np.max(idx))
+    f = eval_kernel_grid(kernel, np.arange(max(n, int(np.max(i + j))) + 1) * t_step)
+    g = volterra_trapezoid(f[: n + 1], t_step)
+    if np.max(np.abs(g)) > 1.0 + _ABS_TOL:
+        raise ValidationError("|G| exceeds 1 beyond tolerance; not a propagator")
+    return g[i], g[j], two_time_trapezoid(f, g, g, t_step, i, j)
 
 
 def rho_t(state: InitialState, G_val: complex) -> DensityMatrix:
@@ -529,36 +445,38 @@ def rho_t(state: InitialState, G_val: complex) -> DensityMatrix:
     )
 
 
-def rates_from_G(G: PropagatorGrid) -> RateFunctions:
-    """Decay rate and frequency shift by finite differences of -ln G.
+def rates_from_G(values, t_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Decay rate gamma(t) and frequency shift omega(t), defined by
+    gamma(t) + i omega(t) = -(d/dt) ln G(t), of G sampled at t_k = k t_step.
 
-    Central differences in the interior, second-order one-sided stencils at
-    the endpoints. Raises :class:`PropagatorZeroCrossingError` at the first
-    grid index where G vanishes or (for real-valued grids) changes sign:
-    the rates diverge there and everything after it is meaningless.
+    Finite differences of -ln G: central in the interior, second-order
+    one-sided stencils at the endpoints. Raises
+    :class:`PropagatorZeroCrossingError` at the first grid index where G
+    vanishes or (for real-valued samples) changes sign: the rates diverge
+    there and everything after it is meaningless.
     """
-    v = G.values
-    if v.size < 3:
-        raise ValidationError("need at least 3 grid points for rate stencils")
+    _check_step(t_step)
+    v = np.asarray(values, dtype=complex)
+    if v.ndim != 1 or v.size < 3:
+        raise ValidationError("need a 1-D array of at least 3 grid points for rate stencils")
     tiny = np.abs(v) <= 1e-12
     if np.any(tiny):
         idx = int(np.argmax(tiny))
-        raise PropagatorZeroCrossingError(index=idx, t=idx * G.t_step)
+        raise PropagatorZeroCrossingError(index=idx, t=idx * t_step)
     if np.max(np.abs(v.imag)) <= 1e-12:
         sign_change = v.real[:-1] * v.real[1:] < 0
         if np.any(sign_change):
             idx = int(np.argmax(sign_change)) + 1
-            raise PropagatorZeroCrossingError(index=idx, t=idx * G.t_step)
+            raise PropagatorZeroCrossingError(index=idx, t=idx * t_step)
     log_g = np.log(v)
     # the principal log jumps by 2 pi across the branch cut; unwrap only the
     # phase so a rotating complex G gives a finite frequency shift
     log_g = log_g.real + 1j * np.unwrap(log_g.imag)
-    h = G.t_step
     d = np.empty_like(log_g)
-    d[1:-1] = (log_g[2:] - log_g[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * log_g[0] + 4.0 * log_g[1] - log_g[2]) / (2.0 * h)
-    d[-1] = (3.0 * log_g[-1] - 4.0 * log_g[-2] + log_g[-3]) / (2.0 * h)
-    return RateFunctions(t_step=h, gamma_t=-d.real, omega_t=-d.imag)
+    d[1:-1] = (log_g[2:] - log_g[:-2]) / (2.0 * t_step)
+    d[0] = (-3.0 * log_g[0] + 4.0 * log_g[1] - log_g[2]) / (2.0 * t_step)
+    d[-1] = (3.0 * log_g[-1] - 4.0 * log_g[-2] + log_g[-3]) / (2.0 * t_step)
+    return -d.real, -d.imag
 
 
 def backflow_probabilities(G_t: complex, G_two: complex) -> tuple[float, float]:

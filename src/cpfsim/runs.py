@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bath import LorentzianKernel
+from .bath import LorentzianKernel, eval_kernel_grid
 from .config import RunConfig
 from .cpf import (
     InitialState,
@@ -29,13 +29,12 @@ from .errors import PropagatorZeroCrossingError, ValidationError
 from .experiment import RNG_CONTRACT, run_noise_study
 from .io import write_dataset
 from .propagator import (
-    PropagatorGrid,
     lorentzian_G,
     lorentzian_G_two_time,
     propagators,
     rates_from_G,
-    solve_two_time_pairs,
-    solve_volterra,
+    two_time_trapezoid,
+    volterra_trapezoid,
 )
 
 CURVE_FIELDS = ["scheme", "y", "p", "gamma_tau_c", "t", "tau", "cpf_closed", "cpf_table"]
@@ -135,11 +134,11 @@ def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
     g_vals, _, g2 = propagators(cfg.bath.make_kernel(), times, times, step)
     warning = ""
     try:
-        rates = rates_from_G(PropagatorGrid(t_step=h, values=g_vals))
+        gamma_t, _ = rates_from_G(g_vals, h)
         keep = times.size
     except PropagatorZeroCrossingError as exc:
         keep = max(exc.index, 3)
-        rates = rates_from_G(PropagatorGrid(t_step=h, values=g_vals[:keep]))
+        gamma_t, _ = rates_from_G(g_vals[:keep], h)
         warning = f"truncated: G(t) crosses zero near gamma*t = {exc.t * cfg.bath.gamma:.6g}"
     t = times[:keep]
     g_t = g_vals[:keep]
@@ -148,7 +147,7 @@ def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
         for scheme in (MeasurementScheme.ZZZ, MeasurementScheme.XZX)
     ]
     warnings = [""] * (keep - 1) + [warning]
-    block = (cfg.report_time(t), rates.gamma_t[:keep], np.abs(g_t) ** 2, *cpf, warnings)
+    block = (cfg.report_time(t), gamma_t[:keep], np.abs(g_t) ** 2, *cpf, warnings)
     return write_dataset(out_dir / "witness.csv", WITNESS_FIELDS, [block], cfg.raw)
 
 
@@ -164,26 +163,26 @@ def run_validation(writer: Callable[[str], None] = print) -> bool:
     checks: list[tuple[str, bool]] = []
     tau_c = 1.0
 
-    # Volterra solver against the closed form at the reference step
+    # Volterra solver against the closed form at the reference step h, on
+    # samples of the Lorentzian kernel over [0, 5 / gamma]
+    h = tau_c / 100
     worst = 0.0
     for ratio in (0.1, 0.5, 1.0, 2.0):
         gamma = ratio / tau_c
-        grid = solve_volterra(LorentzianKernel(gamma, tau_c), 5.0 / gamma, tau_c / 100)
-        worst = max(
-            worst,
-            float(np.max(np.abs(grid.values - lorentzian_G(gamma, tau_c, grid.times)))),
-        )
+        ts = np.arange(int(round(5.0 / gamma / h)) + 1) * h
+        g = volterra_trapezoid(eval_kernel_grid(LorentzianKernel(gamma, tau_c), ts), h)
+        worst = max(worst, float(np.max(np.abs(g - lorentzian_G(gamma, tau_c, ts)))))
     checks.append((f"volterra vs closed form (max err {worst:.2e} <= 1e-5)", worst <= 1e-5))
 
     # Two-time quadrature against the closed form, on the whole surface
+    # [0, 5 tau_c]^2, which reads the kernel up to t + tau = 10 tau_c
     gamma = 1.0 / tau_c
-    idx = np.arange(501)  # the grid points of [0, 5 tau_c]
-    grid, surface = solve_two_time_pairs(
-        LorentzianKernel(gamma, tau_c), 5.0 * tau_c, tau_c / 100, idx[:, None], idx
-    )
-    ref = lorentzian_G_two_time(
-        gamma, tau_c, grid.times[:, None], grid.times[None, :]
-    )
+    idx = np.arange(501)
+    ts = idx * h
+    f = eval_kernel_grid(LorentzianKernel(gamma, tau_c), np.arange(2 * idx[-1] + 1) * h)
+    g = volterra_trapezoid(f[: idx.size], h)
+    surface = two_time_trapezoid(f, g, g, h, idx[:, None], idx)
+    ref = lorentzian_G_two_time(gamma, tau_c, ts[:, None], ts[None, :])
     err = float(np.max(np.abs(surface - ref)))
     checks.append((f"two-time quadrature vs closed form (max err {err:.2e} <= 1e-5)", err <= 1e-5))
 
@@ -210,9 +209,7 @@ def run_validation(writer: Callable[[str], None] = print) -> bool:
     checks.append((f"y=+1 correlation nullity (max |CPF| {worst_plus:.2e} <= 1e-12)", worst_plus <= 1e-12))
 
     # Probability bound on the numerical grids
-    viol = float(
-        np.max(np.abs(surface) ** 2 - (1.0 - np.abs(grid.values[:, None]) ** 2))
-    )
+    viol = float(np.max(np.abs(surface) ** 2 - (1.0 - np.abs(g[:, None]) ** 2)))
     checks.append((f"probability bound |G2|^2 <= 1 - |G|^2 (excess {viol:.2e} <= 1e-9)", viol <= 1e-9))
 
     ok = True

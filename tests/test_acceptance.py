@@ -25,12 +25,11 @@ from cpfsim import (
     rates_from_G,
     run_noise_study,
     simulate_sequence,
-    solve_volterra,
 )
 from cpfsim.cli import main
 from cpfsim.cpf import _CELLS, conditioning_probability, table_probs
 from cpfsim.experiment import draw_counts, estimate_block, predicted_std
-from cpfsim.propagator import solve_two_time_pairs
+from quadrature import two_time_surface, volterra
 
 TAU_C = 1.0
 SCHEMES = list(MeasurementScheme)
@@ -52,15 +51,13 @@ def test_criterion_01_volterra_closed_form_agreement():
             gamma = ratio / TAU_C
             t_max = 5.0 / gamma
             start = time.perf_counter()
-            grid = solve_volterra(LorentzianKernel(gamma, TAU_C), t_max, TAU_C / 100)
+            ts, G = volterra(LorentzianKernel(gamma, TAU_C), t_max, TAU_C / 100)
             elapsed = time.perf_counter() - start
-            err = np.max(np.abs(grid.values - lorentzian_G(gamma, TAU_C, grid.times)))
+            err = np.max(np.abs(G - lorentzian_G(gamma, TAU_C, ts)))
             assert err <= 1e-5, f"gamma tau_c = {ratio}: error {err:.2e} > 1e-5"
             assert elapsed < 1.0, f"gamma tau_c = {ratio}: {elapsed:.2f} s >= 1 s"
-            half = solve_volterra(LorentzianKernel(gamma, TAU_C), t_max, TAU_C / 200)
-            err_half = np.max(
-                np.abs(half.values - lorentzian_G(gamma, TAU_C, half.times))
-            )
+            ts_half, G_half = volterra(LorentzianKernel(gamma, TAU_C), t_max, TAU_C / 200)
+            err_half = np.max(np.abs(G_half - lorentzian_G(gamma, TAU_C, ts_half)))
             assert err / err_half >= 3.5, (
                 f"gamma tau_c = {ratio}: halving gain {err / err_half:.2f} < 3.5"
             )
@@ -71,12 +68,11 @@ def test_criterion_02_two_time_agreement():
         gamma = 1.0 / TAU_C
         k = LorentzianKernel(gamma, TAU_C)
         start = time.perf_counter()
-        full = np.arange(501)
-        grid, surface = solve_two_time_pairs(k, 5.0 * TAU_C, TAU_C / 100, full[:, None], full)
+        ts, _, surface = two_time_surface(k, 5.0 * TAU_C, TAU_C / 100)
         elapsed = time.perf_counter() - start
         idx = np.arange(1, 51) * 10  # 50 x 50 output grid over (0, 5 tau_c]
         sub = surface[np.ix_(idx, idx)]
-        t_sub = grid.times[idx]
+        t_sub = ts[idx]
         ref = lorentzian_G_two_time(gamma, TAU_C, t_sub[:, None], t_sub[None, :])
         err = np.max(np.abs(sub - ref))
         assert err <= 1e-5, f"max error {err:.2e} > 1e-5"
@@ -187,10 +183,10 @@ def test_criterion_07_memory_despite_positive_rate():
     with criterion("07 memory-despite-positive-rate"):
         gamma = 0.5 / TAU_C  # gamma tau_c = 1/2: monotone survival regime
         h = 5.0 / gamma / 500
-        grid = solve_volterra(LorentzianKernel(gamma, TAU_C), 5.0 / gamma, h)
-        rates = rates_from_G(grid)
-        assert np.min(rates.gamma_t) >= -1e-9, "decay rate goes negative"
-        survival = np.abs(grid.values) ** 2
+        ts, G = volterra(LorentzianKernel(gamma, TAU_C), 5.0 / gamma, h)
+        gamma_t, _ = rates_from_G(G, h)
+        assert np.min(gamma_t) >= -1e-9, "decay rate goes negative"
+        survival = np.abs(G) ** 2
         assert np.all(np.diff(survival) <= 1e-12), "survival not monotone"
         state = InitialState.from_population(0.8)
         cpf_peak = max(
@@ -200,7 +196,7 @@ def test_criterion_07_memory_despite_positive_rate():
                 float(lorentzian_G(gamma, TAU_C, t)),
                 float(lorentzian_G_two_time(gamma, TAU_C, t, t)),
             ).value
-            for t in grid.times[1:]
+            for t in ts[1:]
         )
         # brute-force dense-grid peak is 0.05144 (at gamma t = 0.63)
         assert cpf_peak >= 0.05, f"peak {cpf_peak:.4f} < 0.05"

@@ -8,7 +8,6 @@ import pytest
 from cpfsim import (
     InitialState,
     LorentzianKernel,
-    PropagatorGrid,
     TabulatedKernel,
     backflow_probabilities,
     eval_kernel_grid,
@@ -17,18 +16,17 @@ from cpfsim import (
     propagators,
     rates_from_G,
     rho_t,
-    solve_volterra,
 )
 from cpfsim import propagator
-from cpfsim.propagator import solve_two_time_pairs, two_time_trapezoid, volterra_trapezoid
+from cpfsim.propagator import two_time_trapezoid, volterra_trapezoid
 from cpfsim.errors import (
     ConditioningImpossibleError,
     CoarseStepWarning,
-    GridMismatchError,
     KernelRangeError,
     PropagatorZeroCrossingError,
     ValidationError,
 )
+from quadrature import two_time, two_time_surface, volterra
 
 # Frozen with mpmath (mp.dps=30):
 EXP_MINUS_HALF_PI = 0.20787957635076193  # e^{-pi/2}
@@ -46,12 +44,6 @@ def tabulated_lorentzian(t_end, h=0.01):
     are known."""
     ts = np.arange(0, t_end + h / 2, h)
     return TabulatedKernel(times=ts, values=eval_kernel_grid(LorentzianKernel(1.0, 1.0), ts))
-
-
-def two_time_surface(kernel, t_max, h):
-    """G on [0, t_max] and the whole G2 surface, from the pairs solve."""
-    idx = np.arange(int(round(t_max / h)) + 1)
-    return solve_two_time_pairs(kernel, t_max, h, idx[:, None], idx)
 
 
 class TestLorentzianClosedForm:
@@ -97,68 +89,71 @@ class TestVolterraSolver:
     def test_matches_closed_form(self, ratio):
         tau_c = 1.0
         gamma = ratio / tau_c
-        grid = solve_volterra(LorentzianKernel(gamma, tau_c), 5.0 / gamma, tau_c / 100)
-        err = np.max(np.abs(grid.values - lorentzian_G(gamma, tau_c, grid.times)))
+        ts, G = volterra(LorentzianKernel(gamma, tau_c), 5.0 / gamma, tau_c / 100)
+        err = np.max(np.abs(G - lorentzian_G(gamma, tau_c, ts)))
         assert err <= 1e-5
 
     def test_second_order_convergence(self):
         gamma = tau_c = 1.0
         errs = []
         for h in (tau_c / 100, tau_c / 200):
-            grid = solve_volterra(LorentzianKernel(gamma, tau_c), 5.0, h)
-            errs.append(np.max(np.abs(grid.values - lorentzian_G(gamma, tau_c, grid.times))))
+            ts, G = volterra(LorentzianKernel(gamma, tau_c), 5.0, h)
+            errs.append(np.max(np.abs(G - lorentzian_G(gamma, tau_c, ts))))
         assert errs[0] / errs[1] >= 3.5
 
     def test_chi_zero_boundary(self):
         tau_c = 1.0
-        grid = solve_volterra(LorentzianKernel(0.5, tau_c), 10.0, tau_c / 500)
-        x = grid.times / (2 * tau_c)
-        assert np.max(np.abs(grid.values - np.exp(-x) * (1 + x))) < 1e-6
+        ts, G = volterra(LorentzianKernel(0.5, tau_c), 10.0, tau_c / 500)
+        x = ts / (2 * tau_c)
+        assert np.max(np.abs(G - np.exp(-x) * (1 + x))) < 1e-6
 
     def test_initial_value_exact(self):
-        grid = solve_volterra(LorentzianKernel(1.0, 1.0), 1.0, 0.01)
-        assert grid.values[0] == 1.0
+        _, G = volterra(LorentzianKernel(1.0, 1.0), 1.0, 0.01)
+        assert G[0] == 1.0
 
     def test_tabulated_kernel_agrees_with_analytic(self):
         gamma = tau_c = 1.0
         h = tau_c / 100
         ts = np.arange(0, 5.0 + h / 2, h)
         tab = TabulatedKernel(times=ts, values=eval_kernel_grid(LorentzianKernel(gamma, tau_c), ts))
-        grid = solve_volterra(tab, 5.0, h)
-        assert np.max(np.abs(grid.values - lorentzian_G(gamma, tau_c, grid.times))) < 1e-5
+        G, _, _ = propagators(tab, ts, 0.0, h)
+        assert np.max(np.abs(G - lorentzian_G(gamma, tau_c, ts))) < 1e-5
 
     def test_coarse_step_warns_or_rejects(self):
-        k = LorentzianKernel(1.0, 1.0)
-        with pytest.warns(CoarseStepWarning):
-            solve_volterra(k, 5.0, 0.5)
+        # the warning names the caller's line, so the default filter shows
+        # it once per calling line, not once per process for all callers
+        tab = tabulated_lorentzian(10.0)
+        with pytest.warns(CoarseStepWarning) as record:
+            propagators(tab, 5.0, 0.0, 0.5)
+        assert [w.filename for w in record] == [__file__]
         with warnings.catch_warnings():
             warnings.simplefilter("error", CoarseStepWarning)
             with pytest.raises(CoarseStepWarning):
-                solve_volterra(k, 5.0, 0.5)
+                propagators(tab, 5.0, 0.0, 0.5)
 
     def test_coarse_step_warns_for_tabulated_kernel(self):
         # the Lorentzian tau_c/4 rule, read off the samples: |f| falls by 1/e
         # in tau_c = 1
         tab = tabulated_lorentzian(10.0)
         with pytest.warns(CoarseStepWarning, match="t_step = 0.5 > 0.25"):
-            solve_volterra(tab, 5.0, 0.5)
+            propagators(tab, 5.0, 0.0, 0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error", CoarseStepWarning)
-            solve_volterra(tab, 5.0, 0.2)
+            propagators(tab, 5.0, 0.0, 0.2)
             propagators(tab, [0.2, 1.0], [1.0, 0.2], 0.2)
             with pytest.raises(CoarseStepWarning):
                 propagators(tab, [0.5, 1.0], [1.0, 0.5], 0.5)
 
     def test_grid_validation(self):
-        k = LorentzianKernel(1.0, 1.0)
-        with pytest.raises(ValidationError):
-            solve_volterra(k, 0.001, 0.01)
-        with pytest.raises(GridMismatchError):
-            solve_volterra(k, 1.0005, 0.01)
+        tab = tabulated_lorentzian(2.0)
+        with pytest.raises(ValidationError, match="integration grid"):
+            propagators(tab, 0.001, 0.0, 0.01)  # shorter than one step
+        with pytest.raises(ValidationError, match="integration grid"):
+            propagators(tab, 1.0005, 0.0, 0.01)  # not a whole number of steps
 
     def test_real_kernel_gives_real_G(self):
-        grid = solve_volterra(LorentzianKernel(1.0, 1.0), 5.0, 0.01)
-        assert np.max(np.abs(grid.values.imag)) < 1e-12
+        _, G = volterra(LorentzianKernel(1.0, 1.0), 5.0, 0.01)
+        assert np.max(np.abs(G.imag)) < 1e-12
 
 
 class TestTwoTime:
@@ -178,12 +173,12 @@ class TestTwoTime:
         tau_c = 1.0
         gamma = ratio / tau_c
         k = LorentzianKernel(gamma, tau_c)
-        grid, surface = two_time_surface(k, 5.0 * tau_c, tau_c / 100)
-        ref = lorentzian_G_two_time(gamma, tau_c, grid.times[:, None], grid.times[None, :])
+        ts, _, surface = two_time_surface(k, 5.0 * tau_c, tau_c / 100)
+        ref = lorentzian_G_two_time(gamma, tau_c, ts[:, None], ts[None, :])
         assert np.max(np.abs(surface - ref)) <= 1e-5
 
     def test_edges_are_exactly_zero(self):
-        _, surface = two_time_surface(LorentzianKernel(1.0, 1.0), 2.0, 0.02)
+        _, _, surface = two_time_surface(LorentzianKernel(1.0, 1.0), 2.0, 0.02)
         assert np.all(surface[0, :] == 0)
         assert np.all(surface[:, 0] == 0)
 
@@ -240,10 +235,9 @@ class TestTwoTime:
             assert all(a.dtype == complex for a in (*empty, g_t, g_tau, g2))
 
     def test_grid_mismatch_rejected(self):
-        k = LorentzianKernel(1.0, 1.0)
-        with pytest.raises(GridMismatchError):
-            solve_two_time_pairs(k, 1.003, 0.02, 0, 0)  # off-grid t_max
         tab = tabulated_lorentzian(4.0)
+        with pytest.raises(ValidationError, match="integration grid"):
+            propagators(tab, 1.0, 1.003, 0.02)  # off-grid tau, the largest time
         with pytest.raises(ValidationError, match="integration grid"):
             propagators(tab, 1.003, 1.0, 0.02)  # off-grid time
         with pytest.raises(ValidationError, match="integration grid"):
@@ -251,13 +245,32 @@ class TestTwoTime:
         with pytest.raises(ValidationError, match="t_step"):
             propagators(tab, 1.0, 1.0)  # no step for the quadrature
 
+    @pytest.mark.parametrize("tabulated", [False, True])
+    @pytest.mark.parametrize(
+        "t, tau, t_step, name",
+        [
+            (np.nan, 1.0, 0.01, "t"),
+            ([0.5, -np.inf], 1.0, 0.01, "t"),
+            (1.0, np.inf, 0.01, "tau"),
+            (1.0, 1.0, 0.0, "t_step"),
+            (1.0, 1.0, -0.01, "t_step"),
+            (1.0, 1.0, np.nan, "t_step"),
+            (1.0, 1.0, np.inf, "t_step"),
+        ],
+    )
+    def test_bad_times_and_steps_rejected(self, tabulated, t, tau, t_step, name):
+        # on both routes, whether or not the closed forms need the step
+        kernel = tabulated_lorentzian(2.0) if tabulated else LorentzianKernel(1.0, 1.0)
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            propagators(kernel, t, tau, t_step)
+
     def test_markov_limit_vanishes_monotonically(self):
         sups = []
         for eps in (0.1, 0.03, 0.01):
             k = LorentzianKernel(1.0, 1.0 * eps)
             h = k.tau_c / 25
             t_max = 200 * h  # covers the sup of the two-time surface
-            _, surface = two_time_surface(k, t_max, h)
+            _, _, surface = two_time_surface(k, t_max, h)
             sups.append(np.max(np.abs(surface)))
         assert sups[0] > sups[1] > sups[2]
         assert sups[2] < 5e-3
@@ -265,7 +278,7 @@ class TestTwoTime:
     def test_delta_like_kernel_suppressed(self):
         k = LorentzianKernel(1.0, 1.0 * 1e-3)
         h = k.tau_c / 25
-        _, surface = two_time_surface(k, 200 * h, h)
+        _, _, surface = two_time_surface(k, 200 * h, h)
         assert np.max(np.abs(surface)) < 1e-2
 
     def test_probability_bound(self):
@@ -276,15 +289,13 @@ class TestTwoTime:
             t_max = min(5.0 / gamma, 8.0 * tau_c)
             h = tau_c / 100
             t_max = round(t_max / h) * h
-            grid, surface = two_time_surface(k, t_max, h)
-            excess = np.abs(surface) ** 2 - (
-                1.0 - np.abs(grid.values[:, None]) ** 2
-            )
+            _, G, surface = two_time_surface(k, t_max, h)
+            excess = np.abs(surface) ** 2 - (1.0 - np.abs(G[:, None]) ** 2)
             assert np.max(excess) <= 1e-9
 
     def test_two_time_real_for_real_kernel(self):
         k = LorentzianKernel(1.0, 1.0)
-        _, surface = two_time_surface(k, 3.0, 0.01)
+        _, _, surface = two_time_surface(k, 3.0, 0.01)
         assert np.max(np.abs(surface.imag)) < 1e-12
 
 
@@ -328,40 +339,33 @@ class TestRates:
         gamma = 0.7
         h = 0.01
         ts = np.arange(0, 5 + h / 2, h)
-        grid = PropagatorGrid(t_step=h, values=np.exp(-gamma * ts / 2).astype(complex))
-        rates = rates_from_G(grid)
-        assert np.max(np.abs(rates.gamma_t - gamma / 2)) < 1e-6
-        assert np.max(np.abs(rates.omega_t)) < 1e-9
+        gamma_t, omega_t = rates_from_G(np.exp(-gamma * ts / 2).astype(complex), h)
+        assert np.max(np.abs(gamma_t - gamma / 2)) < 1e-6
+        assert np.max(np.abs(omega_t)) < 1e-9
 
     def test_chi_zero_analytic_rate(self):
         # gamma tau_c = 1/2: gamma(t) = (1/2 tau_c) x/(1+x), x = t/2 tau_c
         tau_c = 1.0
         h = 0.005
         ts = np.arange(0, 8 + h / 2, h)
-        grid = PropagatorGrid(
-            t_step=h, values=np.asarray(lorentzian_G(0.5, tau_c, ts), dtype=complex)
-        )
-        rates = rates_from_G(grid)
+        gamma_t, _ = rates_from_G(np.asarray(lorentzian_G(0.5, tau_c, ts), dtype=complex), h)
         x = ts / (2 * tau_c)
         expected = (1 / (2 * tau_c)) * x / (1 + x)
-        assert np.max(np.abs(rates.gamma_t - expected)) < 1e-4
-        assert np.all(rates.gamma_t >= -1e-12)
+        assert np.max(np.abs(gamma_t - expected)) < 1e-4
+        assert np.all(gamma_t >= -1e-12)
 
     def test_real_G_zero_frequency(self):
-        grid = solve_volterra(LorentzianKernel(0.4, 1.0), 5.0, 0.01)
-        rates = rates_from_G(grid)
-        assert np.max(np.abs(rates.omega_t)) < 1e-9
+        _, G = volterra(LorentzianKernel(0.4, 1.0), 5.0, 0.01)
+        _, omega_t = rates_from_G(G, 0.01)
+        assert np.max(np.abs(omega_t)) < 1e-9
 
     def test_zero_crossing_detected_with_index(self):
         # gamma tau_c = 1 crosses zero at t = 3 pi/2 tau_c
         tau_c = 1.0
         h = 0.01
         ts = np.arange(0, 6 + h / 2, h)
-        grid = PropagatorGrid(
-            t_step=h, values=np.asarray(lorentzian_G(1.0, tau_c, ts), dtype=complex)
-        )
         with pytest.raises(PropagatorZeroCrossingError) as excinfo:
-            rates_from_G(grid)
+            rates_from_G(np.asarray(lorentzian_G(1.0, tau_c, ts), dtype=complex), h)
         assert abs(excinfo.value.t - 3 * np.pi / 2) < 0.02
 
     def test_complex_G_phase_unwrapped(self):
@@ -369,26 +373,32 @@ class TestRates:
         # log several times; the rates must stay gamma = 1/2, omega = 3
         h = 0.01
         ts = np.arange(0, 5 + h / 2, h)
-        grid = PropagatorGrid(t_step=h, values=np.exp(-ts / 2 - 3j * ts))
-        rates = rates_from_G(grid)
-        assert np.max(np.abs(rates.gamma_t - 0.5)) < 1e-9
-        assert np.max(np.abs(rates.omega_t - 3.0)) < 1e-9
+        gamma_t, omega_t = rates_from_G(np.exp(-ts / 2 - 3j * ts), h)
+        assert np.max(np.abs(gamma_t - 0.5)) < 1e-9
+        assert np.max(np.abs(omega_t - 3.0)) < 1e-9
+
+    def test_bad_input_rejected(self):
+        G = np.exp(-np.arange(10) * 0.01)
+        for t_step in (0.0, np.nan):
+            with pytest.raises(ValidationError, match="t_step"):
+                rates_from_G(G, t_step)
+        for values in (G[:2], G.reshape(2, 5)):
+            with pytest.raises(ValidationError, match="3 grid points"):
+                rates_from_G(values, 0.01)
 
     def test_rate_round_trip(self):
         # integrate gamma(t) + i omega(t) back to G, gamma tau_c = 0.4
         gamma, tau_c = 0.4, 1.0
         h = 0.002
         ts = np.arange(0, 5 + h / 2, h)
-        grid = PropagatorGrid(
-            t_step=h, values=np.asarray(lorentzian_G(gamma, tau_c, ts), dtype=complex)
-        )
-        rates = rates_from_G(grid)
-        integrand = rates.gamma_t + 1j * rates.omega_t
+        G = np.asarray(lorentzian_G(gamma, tau_c, ts), dtype=complex)
+        gamma_t, omega_t = rates_from_G(G, h)
+        integrand = gamma_t + 1j * omega_t
         cumulative = np.concatenate(
             ([0.0], np.cumsum((integrand[1:] + integrand[:-1]) / 2) * h)
         )
         reconstructed = np.exp(-cumulative)
-        assert np.max(np.abs(reconstructed - grid.values)) < 1e-4
+        assert np.max(np.abs(reconstructed - G)) < 1e-4
 
 
 class TestBackflow:
@@ -426,11 +436,12 @@ class TestBackflow:
 
 
 class TestGridTypes:
-    def test_propagator_grid_invariants(self):
-        with pytest.raises(ValidationError):
-            PropagatorGrid(t_step=0.1, values=np.array([0.9, 0.5], dtype=complex))
-        with pytest.raises(ValidationError):
-            PropagatorGrid(t_step=0.1, values=np.array([1.0, 1.5], dtype=complex))
+    def test_anti_damped_kernel_rejected(self):
+        # f = -1 solves to G = cosh t > 1: no propagator of a decaying qubit
+        ts = np.arange(201) * 0.01
+        tab = TabulatedKernel(times=ts, values=-np.ones(ts.size))
+        with pytest.raises(ValidationError, match="not a propagator"):
+            propagators(tab, 2.0, 0.0, 0.01)
 
 
 def test_short_inputs():
@@ -641,11 +652,11 @@ class TestTwoTimeKernel:
 
     def test_solve_rows_matches_full_pipeline(self):
         k = LorentzianKernel(1.0, 1.0)
-        grid = solve_volterra(k, 2.0, 0.01)
-        _, surface = two_time_surface(k, 2.0, 0.01)
+        _, G = volterra(k, 2.0, 0.01)
+        _, _, surface = two_time_surface(k, 2.0, 0.01)
         rows = np.arange(0, 201, 20)
-        row_grid, g2_rows = solve_two_time_pairs(k, 2.0, 0.01, rows[:, None], np.arange(201))
-        assert np.array_equal(row_grid.values, grid.values)
+        _, row_G, g2_rows = two_time(k, 2.0, 0.01, rows[:, None], np.arange(201))
+        assert np.array_equal(row_G, G)
         assert g2_rows.shape == (11, 201)
         assert np.max(np.abs(g2_rows - surface[::20])) <= FFT_REL_TOL * np.max(
             np.abs(surface)
