@@ -11,7 +11,8 @@ same bytes faster: each block becomes one printf row template, and each
 chunk of ``_BLOCK_ROWS`` rows is written by one printf of that template
 repeated once per row. A float64 column of at least one chunk in which at
 most half of the rows are distinct, such as the time columns of a 2-D
-sweep, has each distinct value formatted once.
+sweep, has each distinct value formatted once, and once per file when
+several blocks hold the same column object.
 """
 from __future__ import annotations
 
@@ -124,11 +125,12 @@ def _repeated_floats(column):
     return lambda start, stop: texts[np.searchsorted(distinct, bits[start:stop])].tolist()
 
 
-def _block_layout(index: int, block: Sequence, fieldnames: Sequence[str]):
+def _block_layout(index: int, block: Sequence, fieldnames: Sequence[str], cache: dict):
     """(row template, rows, columns) of one block. A scalar entry is baked
     into the template; each column entry adds one conversion to it and one
     function of (start, stop) to ``columns`` that gives the arguments of
-    that conversion for rows [start, stop)."""
+    that conversion for rows [start, stop). ``cache`` maps the id of each
+    column seen so far in the file to (column, its ``_repeated_floats``)."""
     if len(block) != len(fieldnames):
         unmatched = (
             f"none for field {fieldnames[len(block)]!r}"
@@ -152,7 +154,12 @@ def _block_layout(index: int, block: Sequence, fieldnames: Sequence[str]):
             raise ValueError(
                 f"block {index} field {name!r} has {len(entry)} values, expected {n_rows}"
             )
-        repeated = _repeated_floats(entry)
+        # blocks may share a column object, as the scheme blocks of a sweep
+        # share its time columns: each one is sorted once. The cache holds
+        # the column, so that its id is not reused while the cache lives.
+        if id(entry) not in cache:
+            cache[id(entry)] = (entry, _repeated_floats(entry))
+        repeated = cache[id(entry)][1]
         if repeated is None:
             conversion = _conversion(entry)
             parts.append(conversion)
@@ -208,8 +215,9 @@ def _write(fh, fieldnames, blocks, config_echo, comments) -> None:
     )
     fh.writelines(f"# {line}\n" for line in comments)
     csv.writer(fh, lineterminator="\n").writerow(fieldnames)
+    cache = {}
     for index, block in enumerate(blocks):
-        template, n_rows, columns = _block_layout(index, block, fieldnames)
+        template, n_rows, columns = _block_layout(index, block, fieldnames, cache)
         width = len(columns)
         for start in range(0, n_rows, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, n_rows)

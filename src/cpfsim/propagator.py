@@ -22,14 +22,15 @@ G(t) itself but the double convolution
 with Lorentzian closed form
 (2 gamma tau_c / chi^2) e^{-(t+tau)/2tau_c} sinh(t chi/2tau_c) sinh(tau chi/2tau_c).
 It vanishes when f approaches a delta function, i.e. exactly in the
-Born-Markov regime, even where G(t) decays monotonically.
+Born-Markov regime, even where G(t) decays monotonically. For any kernel it
+equals G(t) G(tau) - G(t + tau) (see :func:`propagators`): how far G is from
+a semigroup.
 
-Numerical quadrature is trapezoidal product integration with a fixed step
-(second order), by two kernels on arrays of kernel samples; the step is kept
-common between G, G2 and the probability tables so the correlation layer
-operates on aligned grids. Callers get all three from :func:`propagators`,
-which picks the closed forms or the quadrature by kernel type, and is the
-only code that drives the quadrature kernels.
+Numerical quadrature is trapezoidal product integration of G with a fixed
+step (second order), by one kernel on an array of kernel samples; G2 follows
+from the solved G by the identity above, on the same grid. Callers get G and
+G2 from :func:`propagators`, which picks the closed forms or the quadrature
+by kernel type, and is the only code that drives the quadrature kernel.
 """
 from __future__ import annotations
 
@@ -51,6 +52,7 @@ from .errors import (
 
 _ABS_TOL = 1e-9  # allowed |G| overshoot above 1 (amplitude of a normalized component)
 _CHI_SQ_TOL = 1e-10  # |chi|^2 below this uses the analytic chi -> 0 limit
+_MAX_INDEX = np.iinfo(np.intp).max // 2  # largest grid index of a time
 
 
 @dataclass(frozen=True)
@@ -90,33 +92,18 @@ class DensityMatrix:
         return complex(self.matrix[1, 1])
 
 
-# Quadrature kernels on the uniform grid t_i = i h (both second order):
-#
-# * volterra_trapezoid: trapezoidal product integration of
-#   dG/dt = -int_0^t f(t-s) G(s) ds, G(0) = 1. The time derivative is
-#   stepped with the trapezoidal (Crank-Nicolson) rule and the convolution
-#   integral is evaluated with the trapezoidal rule at both endpoints; the
-#   implicit G_{i+1} term is solved for in closed form. The history sum of
-#   each step is accumulated as in Hairer, Lubich & Schlichte, SIAM J. Sci.
-#   Stat. Comput. 6, 532 (1985): the steps of each leaf of _VOLTERRA_LEAF
-#   are solved together as one triangular Toeplitz system, and each
-#   completed dyadic block of steps is handed to the equally long block
-#   after it by one FFT product. O(n log^2 n) time instead of the O(n^2) of
-#   the direct sum, same weights.
-# * two_time_trapezoid: tensor-product trapezoid for
-#   G2(t_i, tau_j) = int_0^{t_i} dt' int_0^{tau_j} dtau'
-#                    f(tau' + t') G(t_i - t') G(tau_j - tau'),
-#   at the requested (i, j) pairs only, factorised into two 1-D
-#   convolutions per distinct t row i, each one FFT product. A row is
-#   integrated up to the largest tau index jmax asked of it, with the FFT
-#   length L the next power of two above max(i + jmax, 2 jmax); rows of
-#   equal L go through the FFTs together, in blocks of at most
-#   _FFT_BLOCK_BYTES per (rows x L) complex array, so the working memory
-#   is a few such blocks plus the result. The t = 0 row and the tau = 0
-#   column are exactly 0 (empty integration range) and are not integrated.
+# volterra_trapezoid: trapezoidal product integration of
+# dG/dt = -int_0^t f(t-s) G(s) ds, G(0) = 1, on the uniform grid t_i = i h
+# (second order). The time derivative is stepped with the trapezoidal
+# (Crank-Nicolson) rule and the convolution integral is evaluated with the
+# trapezoidal rule at both endpoints; the implicit G_{i+1} term is solved for
+# in closed form. The history sum of each step is accumulated as in Hairer,
+# Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 532 (1985): the steps of
+# each leaf of _VOLTERRA_LEAF are solved together as one triangular Toeplitz
+# system, and each completed dyadic block of steps is handed to the equally
+# long block after it by one FFT product. O(n log^2 n) time instead of the
+# O(n^2) of the direct sum, same weights.
 
-# Size of one (rows x FFT length) complex block of two_time_trapezoid.
-_FFT_BLOCK_BYTES = 16 * 2**20
 # Steps solved together per leaf of volterra_trapezoid; a power of two, so
 # that every block handed on is one and its FFT length too.
 _VOLTERRA_LEAF = 64
@@ -207,108 +194,6 @@ def volterra_trapezoid(f: np.ndarray, h: float) -> np.ndarray:
     return G
 
 
-def two_time_trapezoid(
-    f: np.ndarray, G_t: np.ndarray, G_tau: np.ndarray, h: float, i, j
-) -> np.ndarray:
-    """Tensor-product trapezoid of the double convolution at (t, tau) pairs.
-
-    Parameters
-    ----------
-    f:
-        Kernel samples f(k h), k = 0.. at least max(i + j).
-    G_t, G_tau:
-        Propagator samples on the t axis (0..n) and tau axis (0..m).
-    h:
-        Common grid step of all three sample arrays.
-    i, j:
-        Integer t indices in [0, n] and tau indices in [0, m], broadcast
-        against each other; pairs may repeat and come in any order.
-
-    Returns
-    -------
-    Complex array of the broadcast shape of (i, j), holding
-    G2(i h, j h); exactly 0 where i = 0 or j = 0 (empty integration range).
-    """
-    fft = np.fft
-    f = np.ascontiguousarray(f, dtype=complex)
-    G_t = np.ascontiguousarray(G_t, dtype=complex)
-    G_tau = np.ascontiguousarray(G_tau, dtype=complex)
-    i, j = np.broadcast_arrays(np.asarray(i), np.asarray(j))
-    for name, idx, top in (("i", i, G_t.shape[0] - 1), ("j", j, G_tau.shape[0] - 1)):
-        if idx.size and idx.dtype.kind not in "iu":
-            raise ValueError(f"{name} must hold integer grid indices")
-        if idx.size and (idx.min() < 0 or idx.max() > top):
-            raise ValueError(f"{name} must lie in [0, {top}]")
-    i, j = i.astype(np.intp), j.astype(np.intp)
-    need = int(np.max(i + j, initial=0))
-    if f.shape[0] < need + 1:
-        raise ValueError(f"kernel samples cover {f.shape[0] - 1} steps, need {need}")
-    G2 = np.zeros(i.size, dtype=complex)
-    live = np.flatnonzero((i > 0) & (j > 0))
-    pair_i = i.reshape(-1)[live]
-    pair_j = j.reshape(-1)[live]
-
-    # Row i needs (G_t[:i+1] * f)[i + l] for l = 0..jmax, which only reads
-    # f[:i+jmax+1], and the causal part of H[i, :] * G_tau up to jmax, which
-    # needs 2 jmax + 1 points: a circular convolution of length L has no
-    # wrap-around in either. Rows are taken in order of L, then of i.
-    rows, row_of = np.unique(pair_i, return_inverse=True)
-    jmax = np.zeros(rows.size, dtype=np.intp)
-    np.maximum.at(jmax, row_of, pair_j)
-    # 2**e with span = mantissa * 2**e, mantissa in [0.5, 1): the next power
-    # of two above span, as int(span).bit_length() gives it
-    L_row = np.left_shift(1, np.frexp(np.maximum(rows + jmax, 2 * jmax))[1])
-    order = np.lexsort((rows, L_row))
-    rank = np.empty(rows.size, dtype=np.intp)
-    rank[order] = np.arange(rows.size)
-    pair_rank = rank[row_of]
-    pair_order = np.argsort(pair_rank, kind="stable")
-    pair_rank = pair_rank[pair_order]
-    groups = np.flatnonzero(np.diff(L_row[order], prepend=0, append=0))
-    for g_start, g_stop in zip(groups[:-1], groups[1:]):
-        L = int(L_row[order[g_start]])
-        J = int(jmax[order[g_start:g_stop]].max())
-        f_hat = fft.fft(f[:L], L)
-        G_tau_hat = fft.fft(G_tau[: J + 1], L)
-        G_t_pad = np.zeros(L, dtype=complex)
-        G_t_pad[: min(G_t.shape[0], L)] = G_t[:L]
-        lag = np.arange(L)
-        l = np.arange(J + 1)
-        block = max(1, _FFT_BLOCK_BYTES // (16 * L))
-        for start in range(g_start, g_stop, block):
-            stop = min(start + block, g_stop)
-            r = rows[order[start:stop], None]
-            jm = jmax[order[start:stop], None]
-            at = r + l  # where l <= jm, at < L and f covers it
-
-            # Stage 1 (inner t' integral for every tau' offset l):
-            # H[i, l] = h [ sum_{k=0..i} f[k+l] G_t[i-k] - f[l] G_t[i]/2 - f[i+l] G_t[0]/2 ]
-            spec = fft.fft(np.where(lag <= r, G_t_pad, 0.0), axis=1)
-            spec *= f_hat
-            conv = fft.ifft(spec, axis=1)
-            H = np.take_along_axis(conv, np.minimum(at, L - 1), axis=1)
-            H -= 0.5 * G_t[r] * f[: J + 1]
-            H -= (0.5 * G_t[0]) * f[np.minimum(at, f.shape[0] - 1)]
-            H *= h
-            # beyond jm, H is undefined; stage 2 is causal and L > 2 J, so it
-            # would reach the output up to jm only through FFT rounding
-            H[l > jm] = 0.0
-
-            # Stage 2 (outer tau' integral for every t row):
-            # G2[i, j] = h [ sum_{l=0..j} H[i,l] G_tau[j-l] - H[i,0] G_tau[j]/2 - H[i,j] G_tau[0]/2 ]
-            spec = fft.fft(H, L, axis=1)
-            spec *= G_tau_hat
-            out = fft.ifft(spec, axis=1)[:, : J + 1]
-            out -= 0.5 * H[:, :1] * G_tau[: J + 1]
-            out -= (0.5 * G_tau[0]) * H
-            out *= h
-
-            a, b = np.searchsorted(pair_rank, (start, stop))
-            sel = pair_order[a:b]
-            G2[live[sel]] = out[pair_rank[a:b] - start, pair_j[sel]]
-    return G2.reshape(i.shape)
-
-
 def lorentzian_G(gamma: float, tau_c: float, t) -> np.ndarray | float:
     """Closed-form propagator for the Lorentzian kernel; real-valued.
 
@@ -381,9 +266,19 @@ def propagators(
     The one place that chooses how they are computed: a Lorentzian kernel
     uses the closed forms (real values), any other kernel the quadrature on
     the grid of step ``t_step`` (complex values, error O(t_step^2)), on
-    which every time must lie. The kernel is sampled once, up to the largest
-    t + tau; G2 is computed at the given (t, tau) pairs only. Empty or
-    all-zero times need no solve, since G(0) = 1 and G2(0, 0) = 0.
+    which every time must lie. There the kernel is sampled once, up to the
+    largest t + tau, G is solved once over that whole range and
+
+        G2(t, tau) = G(t) G(tau) - G(t + tau).
+
+    This holds for any kernel. Write G^(s) for the Laplace transform of G;
+    the Volterra equation gives G^(s) = 1/(s + f^(s)). The double transform
+    (t -> s, tau -> p) of f(t + tau) is (f^(s) - f^(p))/(p - s), that of
+    G(t + tau) is (G^(s) - G^(p))/(p - s), so the double transform of G2 is
+    G^(s) G^(p) (f^(s) - f^(p))/(p - s). Substituting f^ = 1/G^ - s turns
+    it into G^(s) G^(p) - (G^(s) - G^(p))/(p - s), the transform of the
+    right-hand side. Empty or all-zero times need no solve, since G(0) = 1
+    and G2(0, 0) = 0.
 
     A step coarser than a quarter of the kernel's 1/e decay time (see
     :func:`cpfsim.bath.decay_time`) cannot resolve the kernel: the caller
@@ -412,9 +307,13 @@ def propagators(
     if not np.any(times):
         return np.ones(t.shape, complex), np.ones(t.shape, complex), np.zeros(t.shape, complex)
     t_max = float(np.max(times))
+    off_grid = ValidationError("times must be >= 0 and lie on the integration grid")
+    # times / t_step must fit an index, and i + j too, before the cast
+    if np.max(np.abs(times)) > _MAX_INDEX * float(t_step):
+        raise off_grid
     idx = np.asarray(np.rint(times / t_step), dtype=int)
     if np.min(idx) < 0 or np.max(np.abs(idx * t_step - times)) > 1e-9 * max(1.0, t_max):
-        raise ValidationError("times must be >= 0 and lie on the integration grid")
+        raise off_grid
     decay = decay_time(kernel)
     if decay is not None and t_step > decay / 4:
         warnings.warn(
@@ -424,12 +323,12 @@ def propagators(
             stacklevel=2,
         )
     i, j = idx
-    n = int(np.max(idx))
-    f = eval_kernel_grid(kernel, np.arange(max(n, int(np.max(i + j))) + 1) * t_step)
-    g = volterra_trapezoid(f[: n + 1], t_step)
+    g = volterra_trapezoid(
+        eval_kernel_grid(kernel, np.arange(int(np.max(i + j)) + 1) * t_step), t_step
+    )
     if np.max(np.abs(g)) > 1.0 + _ABS_TOL:
         raise ValidationError("|G| exceeds 1 beyond tolerance; not a propagator")
-    return g[i], g[j], two_time_trapezoid(f, g, g, t_step, i, j)
+    return g[i], g[j], g[i] * g[j] - g[i + j]
 
 
 def rho_t(state: InitialState, G_val: complex) -> DensityMatrix:

@@ -536,19 +536,19 @@ class TestSweep:
         assert peak > 0.05
 
     def test_tabulated_full_grid_solves_distinct_rows(self, tmp_path, monkeypatch):
-        # a 2D sweep of (n+1)^2 points asks the quadrature for G2 at its
-        # (n+1)^2 (t, tau) pairs only, on n+1 distinct t rows of the refined
-        # grid: output step 1, integration step 1/100
+        # a 2D sweep of (n+1)^2 points takes G2 at its (t, tau) pairs from one
+        # Volterra solve, on kernel samples up to the largest t + tau of the
+        # refined grid: output step 1, integration step 1/100, so 801 samples
         from cpfsim import propagator
 
         calls = []
-        quadrature = propagator.two_time_trapezoid
+        solve = propagator.volterra_trapezoid
 
-        def spy(f, G_t, G_tau, h, i, j):
-            calls.append((np.unique(i).tolist(), np.unique(j).tolist(), np.size(i)))
-            return quadrature(f, G_t, G_tau, h, i, j)
+        def spy(f, h):
+            calls.append((len(f), h))
+            return solve(f, h)
 
-        monkeypatch.setattr(propagator, "two_time_trapezoid", spy)
+        monkeypatch.setattr(propagator, "volterra_trapezoid", spy)
         cfg = write_config(
             tmp_path,
             {
@@ -560,8 +560,7 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         _, rows = read_rows(tmp_path / "out" / "sweep.csv")
         assert len(rows) == 25
-        steps = [0, 100, 200, 300, 400]
-        assert calls == [(steps, steps, 25)]
+        assert calls == [(801, 0.01)]
 
     def test_y_plus_impossible_conditioning_gives_nan(self, tmp_path):
         # p = 0 under z-z-z: the system is never excited, so y = +1 has zero
@@ -635,6 +634,18 @@ class TestValidate:
         assert rc == 0
         assert "PASS" in out
         assert "FAIL" not in out
+
+    def test_g2_check_is_the_identity(self, capsys):
+        # G2 = G(t) G(tau) - G(t + tau) on one Volterra solve, against the
+        # closed form on the 501 x 501 surface; the bound check reads it
+        assert main(["validate"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        assert lines[1].startswith(
+            "PASS  G2 identity on the Volterra solution vs closed form (max err "
+        )
+        assert lines[1].endswith(" <= 1e-5)")
+        assert lines[4].startswith("PASS  probability bound |G2|^2 <= 1 - |G|^2 (excess ")
 
 
 def test_channel_oracle_loads_on_first_use():

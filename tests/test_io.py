@@ -226,6 +226,24 @@ class TestRepeatedFloats:
         data = _assert_same_bytes(tmp_path, ["a", "x", "b", "y", "c"], blocks)
         assert b'100%,0,%s%%d%,0,"a,""%d"""\n' in data
 
+    def test_shared_column_sorted_once(self, tmp_path, monkeypatch, small_chunks):
+        # run_sweep hands the same t and tau arrays to each scheme block: each
+        # is sorted once per file, and the bytes stay those of format_value
+        sorted_ids = []
+        repeated_floats = io._repeated_floats
+
+        def spy(column):
+            sorted_ids.append(id(column))
+            return repeated_floats(column)
+
+        monkeypatch.setattr(io, "_repeated_floats", spy)
+        t = _repeating(REPEATED, 4 * len(REPEATED))
+        tau = t[::-1].copy()
+        blocks = [[name, t, tau, np.arange(t.size) / k] for k, name in enumerate("abc", 3)]
+        _assert_same_bytes(tmp_path, ["s", "t", "tau", "cpf"], blocks)
+        assert sorted_ids.count(id(t)) == sorted_ids.count(id(tau)) == 1
+        assert len(sorted_ids) == 2 + 3
+
     def test_sweep_grid_blocks(self, tmp_path, monkeypatch):
         # the blocks run_sweep writes for the benchmark's 2-D grid
         captured = []

@@ -1,13 +1,16 @@
 """Propagator layer: Volterra solver vs closed forms, two-time object,
 rates, density matrix, backflow."""
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from cpfsim import (
     InitialState,
     LorentzianKernel,
+    MeasurementScheme,
     TabulatedKernel,
     backflow_probabilities,
     eval_kernel_grid,
@@ -18,7 +21,8 @@ from cpfsim import (
     rho_t,
 )
 from cpfsim import propagator
-from cpfsim.propagator import two_time_trapezoid, volterra_trapezoid
+from cpfsim.cpf import closed_values
+from cpfsim.propagator import volterra_trapezoid
 from cpfsim.errors import (
     ConditioningImpossibleError,
     CoarseStepWarning,
@@ -26,7 +30,8 @@ from cpfsim.errors import (
     PropagatorZeroCrossingError,
     ValidationError,
 )
-from quadrature import two_time, two_time_surface, volterra
+import quadrature
+from quadrature import two_time, two_time_surface, two_time_trapezoid, volterra
 
 # Frozen with mpmath (mp.dps=30):
 EXP_MINUS_HALF_PI = 0.20787957635076193  # e^{-pi/2}
@@ -264,6 +269,16 @@ class TestTwoTime:
         with pytest.raises(ValidationError, match=f"^{name} must be"):
             propagators(kernel, t, tau, t_step)
 
+    @pytest.mark.parametrize(
+        "t, tau, t_step",
+        [(1e300, 1e300, 0.01), (1.0, -1e300, 0.01), (1e17, 0.0, 0.01), (1.0, 1.0, 1e-300)],
+    )
+    def test_times_beyond_the_index_range_rejected(self, t, tau, t_step):
+        # no grid index holds t / t_step: refused before the cast to int,
+        # which would warn (an error under the suite's filter)
+        with pytest.raises(ValidationError, match="integration grid"):
+            propagators(tabulated_lorentzian(2.0), t, tau, t_step)
+
     def test_markov_limit_vanishes_monotonically(self):
         sups = []
         for eps in (0.1, 0.03, 0.01):
@@ -297,6 +312,152 @@ class TestTwoTime:
         k = LorentzianKernel(1.0, 1.0)
         _, _, surface = two_time_surface(k, 3.0, 0.01)
         assert np.max(np.abs(surface.imag)) < 1e-12
+
+
+def _identity(G, i, j):
+    """G2 at the index pairs (i, j) from samples of G by the identity."""
+    return G[i] * G[j] - G[i + j]
+
+
+def _exponential_sum_exact(alphas, lambdas, times):
+    """G, I_k and A_k at each time, for f(t) = sum_k alpha_k e^{-lambda_k t}:
+    the (2K+1)-variable linear ODE G' = -sum_k I_k, I_k' = alpha_k G -
+    lambda_k I_k, A_k' = G - lambda_k A_k from G(0) = 1, I_k(0) = A_k(0) = 0,
+    integrated exactly by a matrix exponential. Its G solves the Volterra
+    equation, and G2(t, tau) = sum_k alpha_k A_k(t) A_k(tau)."""
+    alphas = np.asarray(alphas, dtype=complex)
+    lambdas = np.asarray(lambdas, dtype=complex)
+    K = alphas.size
+    M = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
+    M[0, 1 : K + 1] = -1.0
+    M[1 : K + 1, 0] = alphas
+    M[K + 1 :, 0] = 1.0
+    M[1:, 1:] = -np.diag(np.concatenate([lambdas, lambdas]))
+    return np.array([expm(M * t)[:, 0] for t in times])
+
+
+# Kernel samples on t_k = k h for the identity-vs-quadrature tests, each
+# |G| <= 1: a detuned single exponential, a complex two-term sum, an Ohmic
+# kernel with a power-law tail and a real oscillating one
+IDENTITY_KERNELS = {
+    "detuned": lambda t: 0.5 * np.exp(-(1.0 + 8.0j) * t),
+    "two-term": lambda t: 0.4 * np.exp(-(1.0 + 2.0j) * t) + (0.3 - 0.1j) * np.exp(-0.5 * t),
+    "ohmic": lambda t: 1.25 / (1.0 + 5.0j * t) ** 2,
+    "oscillating": lambda t: 0.5 * np.exp(-t) * np.cos(3.0 * t),
+}
+
+
+class TestG2Identity:
+    """G2(t, tau) = G(t) G(tau) - G(t + tau) for any kernel, which is how
+    propagators gets G2 on a tabulated kernel; checked against the closed
+    forms, exact exponential sums and the double-convolution quadrature."""
+
+    @pytest.mark.parametrize("ratio", [1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0])
+    @pytest.mark.parametrize("tau_c_fixed", [True, False])
+    def test_closed_forms(self, ratio, tau_c_fixed):
+        # every chi regime, chi = 0 at gamma tau_c = 1/2 included
+        gamma, tau_c = (ratio, 1.0) if tau_c_fixed else (1.0, ratio)
+        t, tau = np.random.default_rng(5).uniform(0.0, 20.0 / gamma, (2, 2000))
+        t[:10] = tau[-10:] = 0.0
+
+        def G(x):
+            return lorentzian_G(gamma, tau_c, x)
+
+        ref = lorentzian_G_two_time(gamma, tau_c, t, tau)
+        assert np.max(np.abs(G(t) * G(tau) - G(t + tau) - ref)) <= 1e-14
+        assert np.max(np.abs(ref)) > 1e-4
+
+    @pytest.mark.parametrize(
+        "alphas, lambdas",
+        [
+            ([0.4, 0.3 - 0.1j], [1.0 + 2.0j, 0.5]),  # complex two-term
+            ([0.2, 0.2, 0.1], [1.0, 1.0 + 1e-6, 3.0]),  # near-degenerate
+            ([0.5], [1.0 + 8.0j]),  # detuned by 8 decay rates
+        ],
+    )
+    def test_exponential_sums(self, alphas, lambdas):
+        t, tau = np.random.default_rng(1).uniform(0.0, 10.0, (2, 40))
+        K = len(alphas)
+        at_t, at_tau, at_sum = (
+            _exponential_sum_exact(alphas, lambdas, x) for x in (t, tau, t + tau)
+        )
+        g2 = np.sum(np.asarray(alphas) * at_t[:, K + 1 :] * at_tau[:, K + 1 :], axis=1)
+        identity = at_t[:, 0] * at_tau[:, 0] - at_sum[:, 0]
+        assert np.max(np.abs(identity - g2)) <= 1e-13
+        assert np.max(np.abs(g2)) > 1e-2
+
+    @pytest.mark.parametrize("name", list(IDENTITY_KERNELS))
+    def test_matches_quadrature_on_one_solve(self, name):
+        # both from one volterra_trapezoid G: two second-order discretisations
+        # of one G2, whose difference falls x4 per halving of h. On a single
+        # exponential they agree to rounding at every step.
+        diffs = []
+        for h in (0.02, 0.01, 0.005):
+            n = int(round(4.0 / h))
+            f = IDENTITY_KERNELS[name](np.arange(2 * n + 1) * h)
+            G = volterra_trapezoid(f, h)
+            idx = np.arange(0, n + 1, n // 20)
+            i, j = idx[:, None], idx
+            quad = two_time_trapezoid(f, G, G, h, i, j)
+            assert np.max(np.abs(quad)) > 1e-2
+            diffs.append(np.max(np.abs(_identity(G, i, j) - quad)))
+        if name == "detuned":
+            assert max(diffs) <= 1e-14
+        else:
+            assert 1e-8 < diffs[2] < diffs[1] < diffs[0] <= 1e-4
+            for coarse, fine in zip(diffs, diffs[1:]):
+                assert 3.5 <= coarse / fine <= 4.5
+
+    def test_born_markov_cancellation(self):
+        # gamma tau_c = 1e-3: G is nearly a semigroup, so G2 is the small
+        # difference of two products of order 1 and the CPF is tiny; the
+        # identity keeps it, to rounding on the closed-form G and to the
+        # step's O(h^2) on the tabulated route
+        gamma, tau_c = 1.0, 1e-3
+        h = tau_c / 25
+        t = np.arange(51) * (int(round(0.1 / h)) * h)
+        T, U = t[:, None], t[None, :]
+        ts = np.arange(2 * int(round(t[-1] / h)) + 1) * h
+        tab = TabulatedKernel(
+            times=ts, values=eval_kernel_grid(LorentzianKernel(gamma, tau_c), ts)
+        )
+        g_t, _, g2 = propagators(tab, T, U, h)
+
+        def G(x):
+            return lorentzian_G(gamma, tau_c, x)
+
+        exact_g2 = lorentzian_G_two_time(gamma, tau_c, T, U)
+        for scheme, p in ((MeasurementScheme.ZZZ, 0.8), (MeasurementScheme.XZX, 1.0)):
+            state = InitialState.from_population(p)
+            ref = closed_values(scheme, state, G(T), exact_g2)
+            peak = np.max(np.abs(ref))
+            assert peak > 1e-6
+            closed = closed_values(scheme, state, G(T), G(T) * G(U) - G(T + U))
+            assert np.max(np.abs(closed - ref)) <= 1e-10 * peak
+            numeric = closed_values(scheme, state, g_t, g2)
+            assert np.max(np.abs(numeric - ref)) <= 1e-3 * peak
+
+    @pytest.mark.parametrize(
+        "grid, limit_mib",
+        [("equal", 1.0), ("2-D", 8.0)],
+    )
+    def test_working_memory(self, grid, limit_mib):
+        # a tabulated kernel at gamma tau_c = 1/2, 151 times to gamma t = 15
+        # at step 0.01: G from one solve over 3001 steps, G2 indexed out of
+        # it. The double-convolution quadrature held 12.6 MiB (equal times)
+        # and 40 MiB (2-D) of FFT blocks here.
+        ts = np.arange(3001) * 0.01
+        tab = TabulatedKernel(times=ts, values=eval_kernel_grid(LorentzianKernel(1.0, 0.5), ts))
+        t = np.arange(151) * 0.1
+        args = (t, t) if grid == "equal" else (t[:, None], t[None, :])
+        propagators(tab, *args, 0.01)  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            propagators(tab, *args, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestDensityMatrix:
@@ -624,7 +785,7 @@ class TestTwoTimeKernel:
     def test_one_row_per_block(self, monkeypatch):
         f, G_t, G_tau, h = _kernel_problem(50, 50, rotating=True)
         ref = _two_time_reference(f, G_t, G_tau, h)
-        monkeypatch.setattr(propagator, "_FFT_BLOCK_BYTES", 1)
+        monkeypatch.setattr(quadrature, "_FFT_BLOCK_BYTES", 1)
         rows = [50, 0, 25]
         out = two_time_trapezoid(f, G_t, G_tau, h, np.array(rows)[:, None], np.arange(51))
         assert np.max(np.abs(out - ref[rows])) <= FFT_REL_TOL * np.max(np.abs(ref))
