@@ -284,7 +284,9 @@ def propagators(
     :func:`cpfsim.bath.decay_time`) cannot resolve the kernel: the caller
     gets a :class:`CoarseStepWarning`. A non-finite time, a ``t_step`` that
     is not a finite number > 0 or a solved |G| above 1 raise
-    :class:`ValidationError`.
+    :class:`ValidationError`. A t + tau beyond a tabulated kernel's last
+    sample raises :class:`cpfsim.errors.KernelRangeError` before the kernel
+    is sampled.
     """
     t = np.asarray(t, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -323,9 +325,11 @@ def propagators(
             stacklevel=2,
         )
     i, j = idx
-    g = volterra_trapezoid(
-        eval_kernel_grid(kernel, np.arange(int(np.max(i + j)) + 1) * t_step), t_step
-    )
+    n = int(np.max(i + j))
+    # the kernel's range check on the last sample time, before the n + 1
+    # sample times are allocated
+    eval_kernel_grid(kernel, n * t_step)
+    g = volterra_trapezoid(eval_kernel_grid(kernel, np.arange(n + 1) * t_step), t_step)
     if np.max(np.abs(g)) > 1.0 + _ABS_TOL:
         raise ValidationError("|G| exceeds 1 beyond tolerance; not a propagator")
     return g[i], g[j], g[i] * g[j] - g[i + j]

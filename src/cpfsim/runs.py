@@ -1,10 +1,14 @@
 """Sweep orchestration: reproduce the reference datasets as CSV.
 
-Each runner takes a :class:`RunConfig` and an output directory and emits
-one or more CSV files (see :mod:`cpfsim.io` for the deterministic dialect).
-Equal-times correlation curves carry both computation routes side by side:
-``cpf_closed`` from the reduced closed forms and ``cpf_table`` from the
-eight-entry probability tables; they must agree to 1e-9 in every row.
+Each runner takes a :class:`RunConfig` and an output directory and writes
+one CSV file (see :mod:`cpfsim.io` for the deterministic dialect). Every
+runner takes its times from :func:`_grid`; ``figure2`` and ``appendix-d``
+run each parameter set as cfg restricted to it (:func:`_preset`).
+:func:`_curves` builds the correlation blocks of ``figure2``, ``sweep`` and
+``witness`` from one :func:`~cpfsim.propagator.propagators` call, with both
+routes side by side: ``cpf_closed`` from the reduced closed forms and
+``cpf_table`` from the eight-entry probability tables; they must agree to
+1e-9 in every row.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .bath import LorentzianKernel, eval_kernel_grid
-from .config import RunConfig
+from .config import BathConfig, RunConfig
 from .cpf import (
     InitialState,
     MeasurementScheme,
@@ -58,9 +62,10 @@ def _appendix_d_blocks(cfg: RunConfig):
 
 
 def _grid(cfg: RunConfig) -> tuple[np.ndarray, float, float]:
-    """The output times (``cfg.points`` of them up to t_max_gamma / gamma),
-    their step h, and the integration step of a tabulated kernel: a substep
-    of h no coarser than the default 1/(100 gamma)."""
+    """The output times of every runner (``cfg.points`` of them up to
+    t_max_gamma / gamma), their step h, and the integration step of a
+    tabulated kernel: a substep of h no coarser than the default
+    1/(100 gamma). No other code makes output times."""
     gamma = cfg.bath.gamma
     n = cfg.points - 1
     h = cfg.t_max_gamma / gamma / n
@@ -68,28 +73,47 @@ def _grid(cfg: RunConfig) -> tuple[np.ndarray, float, float]:
     return np.arange(n + 1) * h, h, h / refine
 
 
-def _cpf_columns(
-    scheme: MeasurementScheme, state: InitialState, y: int, g_t, g_tau, g2
-) -> tuple[np.ndarray, np.ndarray]:
-    """(closed-form, table) CPF of one scheme over broadcast propagator
-    arrays; NaN in both where the conditioning outcome y has zero probability."""
-    table = table_correlation(table_probs(scheme, state, y, g_t, g_tau, g2))
-    return closed_values(scheme, state, g_t, g2, y=y), table
+def _preset(cfg: RunConfig, scheme: MeasurementScheme, ratio, p, y) -> RunConfig:
+    """cfg restricted to one parameter set of figure2 or appendix-d: a
+    tau_c = 1 Lorentzian bath at gamma tau_c = ratio, the state of excited
+    population p, one scheme conditioned on y, equal times in gamma t."""
+    return dataclasses.replace(
+        cfg, bath=BathConfig(gamma=ratio, tau_c=1.0), state=InitialState.from_population(p),
+        schemes=(scheme,), y=y, equal_times=True, units="gamma_t",
+    )
+
+
+def _curves(cfg: RunConfig) -> tuple[np.ndarray, float, np.ndarray, list]:
+    """G and G2 from one propagators call on the (t, tau) pairs of the grid,
+    tau fastest (the diagonal if ``cfg.equal_times``, else the plane), and
+    one ``CURVE_FIELDS`` block per scheme of cfg, conditioned on ``cfg.y``.
+    Returns the output times, their step h, G at those times and the blocks."""
+    times, h, step = _grid(cfg)
+    if cfg.equal_times:
+        i = j = np.arange(times.size)
+    else:
+        i, j = np.indices((times.size, times.size)).reshape(2, -1)
+    g_t, g_tau, g2 = propagators(cfg.bath.make_kernel(), times[i], times[j], step)
+    p_label = abs(cfg.state.a) ** 2
+    ratio_label = cfg.bath.tau_c * cfg.bath.gamma if cfg.bath.is_analytic else None
+    t = cfg.report_time(times)
+    t_col, tau_col = t[i], t[j]
+    blocks = [
+        (
+            scheme.value, cfg.y, p_label, ratio_label, t_col, tau_col,
+            closed_values(scheme, cfg.state, g_t, g2, y=cfg.y),
+            table_correlation(table_probs(scheme, cfg.state, cfg.y, g_t, g_tau, g2)),
+        )
+        for scheme in cfg.schemes
+    ]
+    # the first times.size pairs are (0, tau) for every output tau
+    return times, h, g_tau[: times.size], blocks
 
 
 def run_figure2(cfg: RunConfig, out_dir: Path) -> Path:
     """Equal-times correlation curves for the reference (scheme, bath, state)
-    combinations, conditioned on y = -1, over gamma*t in [0, t_max_gamma]."""
-    gamma_t = np.linspace(0.0, cfg.t_max_gamma, cfg.points)
-    blocks = []
-    for scheme, ratio, p in cfg.combos:
-        tau_c = 1.0
-        gamma = ratio / tau_c
-        t = gamma_t / gamma
-        g_t, _, g2 = propagators(LorentzianKernel(gamma, tau_c), t, t)
-        state = InitialState.from_population(p)
-        closed, table = _cpf_columns(scheme, state, cfg.y, g_t, g_t, g2)
-        blocks.append((scheme.value, cfg.y, p, ratio, t * gamma, t * gamma, closed, table))
+    combinations, conditioned on ``cfg.y``, over gamma*t in [0, t_max_gamma]."""
+    blocks = [b for combo in cfg.combos for b in _curves(_preset(cfg, *combo, cfg.y))[-1]]
     return write_dataset(out_dir / "figure2.csv", CURVE_FIELDS, blocks, cfg.raw)
 
 
@@ -99,18 +123,16 @@ def run_appendix_d(cfg: RunConfig, out_dir: Path) -> Path:
     the first-order stddev; the header names the RNG contract."""
     if cfg.noise is None:
         raise ValidationError("config: noise: block required for appendix-d runs")
-    gamma_t = np.linspace(0.0, cfg.t_max_gamma, cfg.points)
     blocks = []
     for scheme, ratio, p, y, visibility in _appendix_d_blocks(cfg):
-        tau_c = 1.0
-        gamma = ratio / tau_c
-        state = InitialState.from_population(p)
+        preset = _preset(cfg, scheme, ratio, p, y)
+        times, _, step = _grid(preset)
         noise = dataclasses.replace(cfg.noise, visibility=visibility)
         study = run_noise_study(
-            state, scheme, LorentzianKernel(gamma, tau_c), gamma_t / gamma, noise, y=y
+            preset.state, scheme, preset.bath.make_kernel(), times, noise, y=y, t_step=step
         )
         blocks.append((
-            scheme.value, y, p, ratio, noise.total_counts, visibility, study.t * gamma,
+            scheme.value, y, p, ratio, noise.total_counts, visibility, preset.report_time(study.t),
             study.ideal, study.degraded_ideal, study.mc_mean, study.mc_std,
             study.predicted_std, study.n_replicas, noise.seed,
         ))
@@ -122,31 +144,26 @@ def run_appendix_d(cfg: RunConfig, out_dir: Path) -> Path:
 def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
     """The central contrast in one table: per t, the non-operational
     witnesses (decay rate gamma(t), survival |G(t)|^2) next to the
-    operational CPF(t, t) of both schemes, for analytic or tabulated baths
-    (the latter through the numerical pipeline, as in :func:`run_sweep`).
+    operational CPF(t, t) of z-z-z and x-z-x conditioned on y = -1, for
+    analytic or tabulated baths.
 
     If G crosses zero inside the grid the rate stencils are undefined
     beyond it; the grid is truncated there and the last emitted row says so
     in the warning column.
     """
-    times, h, step = _grid(cfg)
-    g_vals, _, g2 = propagators(cfg.bath.make_kernel(), times, times, step)
+    both = (MeasurementScheme.ZZZ, MeasurementScheme.XZX)
+    times, h, g, blocks = _curves(dataclasses.replace(cfg, schemes=both, y=-1, equal_times=True))
     warning = ""
     try:
-        gamma_t, _ = rates_from_G(g_vals, h)
+        gamma_t, _ = rates_from_G(g, h)
         keep = times.size
     except PropagatorZeroCrossingError as exc:
         keep = max(exc.index, 3)
-        gamma_t, _ = rates_from_G(g_vals[:keep], h)
+        gamma_t, _ = rates_from_G(g[:keep], h)
         warning = f"truncated: G(t) crosses zero near gamma*t = {exc.t * cfg.bath.gamma:.6g}"
-    t = times[:keep]
-    g_t = g_vals[:keep]
-    cpf = [
-        _cpf_columns(scheme, cfg.state, -1, g_t, g_t, g2[:keep])[0]
-        for scheme in (MeasurementScheme.ZZZ, MeasurementScheme.XZX)
-    ]
+    cpf = [closed[:keep] for *_, closed, _ in blocks]
     warnings = [""] * (keep - 1) + [warning]
-    block = (cfg.report_time(t), gamma_t[:keep], np.abs(g_t) ** 2, *cpf, warnings)
+    block = (cfg.report_time(times[:keep]), gamma_t, np.abs(g[:keep]) ** 2, *cpf, warnings)
     return write_dataset(out_dir / "witness.csv", WITNESS_FIELDS, [block], cfg.raw)
 
 
@@ -226,22 +243,4 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
     """Generic sweep over the configured schemes and grid, for analytic or
     tabulated baths. Tabulated baths run through the numerical pipeline
     (one Volterra solve, G2 from G) on the same grid."""
-    times, _, step = _grid(cfg)
-    # (t, tau) index pairs of the output rows, tau fastest
-    if cfg.equal_times:
-        i = j = np.arange(times.size)
-    else:
-        i, j = np.indices((times.size, times.size)).reshape(2, -1)
-    ratio_label = cfg.bath.tau_c * cfg.bath.gamma if cfg.bath.is_analytic else None
-    g_t, g_tau, g2 = propagators(cfg.bath.make_kernel(), times[i], times[j], step)
-    p_label = abs(cfg.state.a) ** 2
-    t = cfg.report_time(times)
-    t_col, tau_col = t[i], t[j]
-    blocks = [
-        (
-            scheme.value, cfg.y, p_label, ratio_label, t_col, tau_col,
-            *_cpf_columns(scheme, cfg.state, cfg.y, g_t, g_tau, g2),
-        )
-        for scheme in cfg.schemes
-    ]
-    return write_dataset(out_dir / "sweep.csv", CURVE_FIELDS, blocks, cfg.raw)
+    return write_dataset(out_dir / "sweep.csv", CURVE_FIELDS, _curves(cfg)[-1], cfg.raw)

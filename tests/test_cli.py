@@ -627,6 +627,52 @@ class TestSweep:
         assert len(rows) == 2 * 151
 
 
+class TestOneSweepPath:
+    """figure2, sweep and witness take their times from one grid and their
+    correlation columns from one block builder, so one parameter set gives
+    the same rows whichever runner writes it."""
+
+    @pytest.mark.parametrize(
+        "scheme, ratio, p, points",
+        [("zzz", 0.1, 0.8, 151), ("xzx", 0.2, 1.0, 101), ("zzz", 5.0, 0.5, 31)],
+    )
+    def test_figure2_combo_is_a_preset_sweep(self, tmp_path, scheme, ratio, p, points):
+        # at gamma tau_c = 0.1 and 151 points the t = 1.9 row told the two
+        # apart when figure2 made its own times
+        grid = {"t_max_gamma": 5.0, "points": points, "equal_times": True}
+        combo = {"scheme": scheme, "gamma_tau_c": ratio, "p": p}
+        preset = {
+            "bath": {"gamma": ratio, "tau_c": 1}, "state": {"p": p}, "schemes": [scheme],
+            "grid": grid, "units": "gamma_t",
+        }
+        configs = {
+            "figure2": write_config(tmp_path, {"grid": grid, "combos": [combo]}, "figure2.json"),
+            "sweep": write_config(tmp_path, preset, "sweep.json"),
+        }
+        rows = {}
+        for cmd, cfg in configs.items():
+            assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd)]) == 0
+            rows[cmd] = read_rows(tmp_path / cmd / f"{cmd}.csv")
+        assert len(rows["sweep"][1]) == points
+        assert rows["figure2"] == rows["sweep"]
+
+    @pytest.mark.parametrize("tabulated", [False, True], ids=["lorentzian", "tabulated"])
+    def test_witness_cpf_is_the_sweep_closed_column(self, tmp_path, tabulated):
+        # gamma = tau_c = 1: G crosses zero near gamma t = 3 pi / 2, so the
+        # witness rows stop there while the sweep runs on
+        bath = TestSweep.lorentzian_kernel_csv(tmp_path) if tabulated else BASE_CONFIG["bath"]
+        cfg = write_config(tmp_path, {"bath": bath, "schemes": ["zzz", "xzx"]})
+        for cmd in ("witness", "sweep"):
+            assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd)]) == 0
+        _, witness = read_rows(tmp_path / "witness" / "witness.csv")
+        _, sweep = read_rows(tmp_path / "sweep" / "sweep.csv")
+        assert witness[-1]["warning"].startswith("truncated")
+        for scheme in ("zzz", "xzx"):
+            closed = [(r["t"], r["cpf_closed"]) for r in sweep if r["scheme"] == scheme]
+            assert len(closed) == 21
+            assert [(r["t"], r[f"cpf_{scheme}"]) for r in witness] == closed[: len(witness)]
+
+
 class TestValidate:
     def test_validate_passes(self, capsys):
         rc = main(["validate"])

@@ -29,7 +29,7 @@ from cpfsim.cpf import (
 from cpfsim.errors import ValidationError
 from cpfsim.experiment import degrade_probs, draw_counts, estimate_block, predicted_std
 from cpfsim.propagator import propagators
-from cpfsim.runs import _appendix_d_blocks
+from cpfsim.runs import _appendix_d_blocks, _grid, _preset
 
 ZZZ, XZX = MeasurementScheme.ZZZ, MeasurementScheme.XZX
 
@@ -380,13 +380,13 @@ def _exact(column):
 def _appendix_d_studies(seed):
     """The run_noise_study arguments of the appendix-d blocks of the
     benchmark's noise_study config at ``seed``, as ``runs.run_appendix_d``
-    builds them."""
+    builds them: each block's preset config and its grid."""
     cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench/workloads/noise_study.json")
-    gamma_t = np.linspace(0.0, cfg.t_max_gamma, cfg.points)
     for scheme, ratio, p, y, visibility in _appendix_d_blocks(cfg):
+        preset = _preset(cfg, scheme, ratio, p, y)
+        times, _, step = _grid(preset)
         noise = dataclasses.replace(cfg.noise, visibility=visibility, seed=seed)
-        kernel = LorentzianKernel(ratio, 1.0)
-        yield InitialState.from_population(p), scheme, kernel, gamma_t / ratio, noise, y
+        yield preset.state, scheme, preset.bath.make_kernel(), times, noise, y, step
 
 
 class TestChunkedStatistics:
@@ -410,11 +410,12 @@ class TestChunkedStatistics:
     def test_appendix_d_blocks_match_per_point_loop(self, monkeypatch, seed, points):
         # 101 points per block, so 100 is n - 1: one full chunk and one point
         partial = 0
-        for state, scheme, kernel, times, cfg, y in _appendix_d_studies(seed):
+        for state, scheme, kernel, times, cfg, y, step in _appendix_d_studies(seed):
             assert times.size == 101 and cfg.replicas == 200
             self.set_chunk_points(monkeypatch, points, cfg.replicas)
-            study = run_noise_study(state, scheme, kernel, times, cfg, y=y)
-            reference = _run_noise_study_reference(state, scheme, kernel, times, cfg, y=y)
+            args = (state, scheme, kernel, times, cfg)
+            study = run_noise_study(*args, y=y, t_step=step)
+            reference = _run_noise_study_reference(*args, y=y, t_step=step)
             self.assert_same_statistics(study, reference)
             partial += np.sum((0 < study.n_replicas) & (study.n_replicas < cfg.replicas))
         # the count-starved y = +1 block drops replicas at some points

@@ -209,6 +209,20 @@ class TestTwoTime:
         with pytest.raises(KernelRangeError, match="t = 11 "):
             propagators(tabulated_lorentzian(10.9), t, tau, 0.01)
 
+    def test_range_checked_before_sampling(self):
+        # t = 1000 on a kernel tabulated to t = 2 is refused before the 10^6
+        # sample times up to it are allocated (16 MiB with their kernel values)
+        tab = tabulated_lorentzian(2.0)
+        message = "^t = 1000 beyond last sample t_max = 2; refusing to extrapolate$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(KernelRangeError, match=message):
+                propagators(tab, 1000.0, 0.0, 0.001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+
     def test_propagators_route_by_kernel(self):
         t = np.array([0.0, 0.5, 2.0, 2.0])
         tau = np.array([1.0, 0.0, 1.5, 2.0])
