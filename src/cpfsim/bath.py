@@ -74,10 +74,12 @@ BathKernel = Union[LorentzianKernel, TabulatedKernel]
 
 
 def eval_kernel_grid(kernel: BathKernel, ts: np.ndarray) -> np.ndarray:
-    """Evaluate f at the times ``ts``. Lorentzian kernels accept any t (via
-    |t|); tabulated kernels require 0 <= t <= t_max and interpolate linearly
-    between samples."""
+    """Evaluate f at the times ``ts``, which must be finite. Lorentzian
+    kernels accept any t (via |t|); tabulated kernels require
+    0 <= t <= t_max and interpolate linearly between samples."""
     ts = np.asarray(ts, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise ValidationError("t must be finite")
     if isinstance(kernel, LorentzianKernel):
         out = (kernel.gamma / (2.0 * kernel.tau_c)) * np.exp(-np.abs(ts) / kernel.tau_c)
         return out.astype(complex)
@@ -116,12 +118,16 @@ def load_kernel_csv(path: Union[str, Path], time_scale: float = 1.0) -> Tabulate
 
     A header row is required; rows whose cells are all blank are skipped.
     ``time_scale`` multiplies the time column, e.g. 1/gamma when the file
-    declares times in units of 1/gamma. A malformed row raises
-    :class:`ValidationError` naming the file and its physical line.
+    declares times in units of 1/gamma. A file that cannot be read as UTF-8
+    CSV raises :class:`ValidationError` naming the file, and a malformed
+    row one naming the file and its physical line.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if any(map(str.strip, row))]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if any(map(str.strip, row))]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: cannot read kernel file: {exc}") from exc
     if not rows:
         raise ValidationError(f"{path}: empty kernel file")
     try:

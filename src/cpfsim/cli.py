@@ -60,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = seeded(load_config(args.config), args.seed)
         path = _RUNNERS[args.command](cfg, args.out)
-    except CpfsimError as exc:
+    except (CpfsimError, OSError) as exc:  # invalid input, or unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {path}")

@@ -272,7 +272,7 @@ def load_config(path: Union[str, Path]) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"config: cannot read {path}: {exc}") from exc
     try:
         document = json.loads(text)

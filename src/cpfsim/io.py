@@ -20,7 +20,6 @@ import csv
 import json
 import os
 from collections.abc import Iterable, Mapping, Sequence
-from functools import partial
 from io import StringIO
 from pathlib import Path
 from typing import Union
@@ -53,48 +52,14 @@ def format_value(v) -> str:
     return str(v)
 
 
-def _csv_cell(text: str, alone: bool) -> str:
-    """``text`` as ``csv.writer`` writes it in one cell of a row. The csv
-    module of the running Python decides the quoting, whose rules differ
-    between versions (3.11 leaves a bare '\\r' unquoted). ``alone`` is a
-    row of one field, where an empty cell is written as '""'."""
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in one cell of a row of several
+    fields. The csv module of the running Python decides the quoting, whose
+    rules differ between versions (3.11 leaves a bare '\\r' unquoted)."""
     buf = StringIO()
     # a second, empty field keeps an empty text from being quoted
-    csv.writer(buf, lineterminator="\n").writerow([text] if alone else [text, ""])
-    return buf.getvalue()[: -1 if alone else -2]
-
-
-def _is_column(entry) -> bool:
-    return isinstance(entry, np.ndarray) or (
-        isinstance(entry, Sequence) and not isinstance(entry, (str, bytes))
-    )
-
-
-def _conversion(column) -> str:
-    """The printf conversion of one column: '%.12g' for floats and '%d' for
-    integers, which print what ``format_value`` prints for them (NaN of
-    either sign as 'nan'), and '%s' over formatted, quoted text otherwise."""
-    if isinstance(column, np.ndarray):
-        kind = column.dtype.kind
-    else:
-        types = set(map(type, column))
-        kind = "f" if types == {float} else "i" if types == {int} else "O"
-    return {"f": "%.12g", "i": "%d", "u": "%d"}.get(kind, "%s")
-
-
-def _chunk(column, conversion: str, alone: bool, start: int, stop: int) -> list:
-    """Rows [start, stop) of one column, as the arguments of its conversion."""
-    cells = column[start:stop]
-    if isinstance(cells, np.ndarray):
-        # tolist gives the Python bool, int or float that format_value
-        # prints as it prints the NumPy scalar; other dtypes stay scalars
-        cells = cells.tolist() if cells.dtype.kind in "biuf" else list(cells)
-    if conversion != "%s":
-        return cells
-    if set(map(type, cells)) != {str}:
-        cells = list(map(format_value, cells))
-    quoted = {text: _csv_cell(text, alone) for text in set(cells)}
-    return [quoted[text] for text in cells]
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
 
 
 def _repeated_floats(column):
@@ -127,7 +92,7 @@ def _repeated_floats(column):
 
 def _block_layout(index: int, block: Sequence, fieldnames: Sequence[str], cache: dict):
     """(row template, rows, columns) of one block. A scalar entry is baked
-    into the template; each column entry adds one conversion to it and one
+    into the template; each column adds one conversion to it and one
     function of (start, stop) to ``columns`` that gives the arguments of
     that conversion for rows [start, stop). ``cache`` maps the id of each
     column seen so far in the file to (column, its ``_repeated_floats``)."""
@@ -140,13 +105,18 @@ def _block_layout(index: int, block: Sequence, fieldnames: Sequence[str], cache:
         raise ValueError(
             f"block {index} has {len(block)} entries for {len(fieldnames)} fields: {unmatched}"
         )
-    alone = len(fieldnames) == 1
     parts, columns, n_rows = [], [], None
     for name, entry in zip(fieldnames, block):
-        if not _is_column(entry):
-            parts.append(_csv_cell(format_value(entry), alone).replace("%", "%%"))
+        if not isinstance(entry, (np.ndarray, Sequence)) or isinstance(entry, (str, bytes)):
+            parts.append(_csv_cell(format_value(entry)).replace("%", "%%"))
             continue
-        if isinstance(entry, np.ndarray) and entry.ndim != 1:
+        if not isinstance(entry, np.ndarray) or entry.dtype.kind not in "fiu":
+            got = f"dtype {entry.dtype}" if isinstance(entry, np.ndarray) else type(entry).__name__
+            raise ValueError(
+                f"block {index} field {name!r}: a column must be a float or integer "
+                f"NumPy array, got {got}"
+            )
+        if entry.ndim != 1:
             raise ValueError(f"block {index} field {name!r}: a column must be 1-D")
         if n_rows is None:
             n_rows = len(entry)
@@ -161,9 +131,9 @@ def _block_layout(index: int, block: Sequence, fieldnames: Sequence[str], cache:
             cache[id(entry)] = (entry, _repeated_floats(entry))
         repeated = cache[id(entry)][1]
         if repeated is None:
-            conversion = _conversion(entry)
-            parts.append(conversion)
-            columns.append(partial(_chunk, entry, conversion, alone))
+            # format_value's text of the Python floats or ints of tolist
+            parts.append("%.12g" if entry.dtype.kind == "f" else "%d")
+            columns.append(lambda start, stop, entry=entry: entry[start:stop].tolist())
         else:
             parts.append("%s")
             columns.append(repeated)
@@ -183,11 +153,12 @@ def write_dataset(
     '# ' line per entry of ``comments``.
 
     Each block has one entry per field, in ``fieldnames`` order: a scalar,
-    written in every row of the block, or a 1-D array or sequence with one
-    value per row. Every column entry of a block has the same length, and
-    at least one entry is a column. A block that breaks this raises
+    written in every row of the block, or a column: a 1-D float or integer
+    NumPy array with one value per row. The columns of a block have one
+    length, and a block has at least one. A block that breaks this, or has
+    an array of another dtype, a list or a tuple as an entry, raises
     ``ValueError`` naming the block and the field. Cells are the text of
-    ``format_value``, quoted as ``csv.writer`` quotes them.
+    ``format_value``, a scalar's quoted as ``csv.writer`` quotes it.
 
     The file is written to a temporary file beside ``path`` and renamed
     onto ``path`` only when complete: on any error the temporary file is

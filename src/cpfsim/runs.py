@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bath import LorentzianKernel, eval_kernel_grid
+from .bath import LorentzianKernel, TabulatedKernel, eval_kernel_grid
 from .config import BathConfig, RunConfig
 from .cpf import (
     InitialState,
@@ -32,13 +32,7 @@ from .cpf import (
 from .errors import PropagatorZeroCrossingError, ValidationError
 from .experiment import RNG_CONTRACT, run_noise_study
 from .io import write_dataset
-from .propagator import (
-    lorentzian_G,
-    lorentzian_G_two_time,
-    propagators,
-    rates_from_G,
-    volterra_trapezoid,
-)
+from .propagator import lorentzian_G, lorentzian_G_two_time, propagators, rates_from_G
 
 CURVE_FIELDS = ["scheme", "y", "p", "gamma_tau_c", "t", "tau", "cpf_closed", "cpf_table"]
 NOISE_FIELDS = [
@@ -162,9 +156,11 @@ def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
         gamma_t, _ = rates_from_G(g[:keep], h)
         warning = f"truncated: G(t) crosses zero near gamma*t = {exc.t * cfg.bath.gamma:.6g}"
     cpf = [closed[:keep] for *_, closed, _ in blocks]
-    warnings = [""] * (keep - 1) + [warning]
-    block = (cfg.report_time(times[:keep]), gamma_t, np.abs(g[:keep]) ** 2, *cpf, warnings)
-    return write_dataset(out_dir / "witness.csv", WITNESS_FIELDS, [block], cfg.raw)
+    columns = (cfg.report_time(times[:keep]), gamma_t, np.abs(g[:keep]) ** 2, *cpf)
+    # the warning is a scalar: "" in a block of every row but the last, and
+    # a one-row block of the last row
+    blocks = [(*(c[: keep - 1] for c in columns), ""), (*(c[keep - 1 :] for c in columns), warning)]
+    return write_dataset(out_dir / "witness.csv", WITNESS_FIELDS, blocks, cfg.raw)
 
 
 def run_validation(writer: Callable[[str], None] = print) -> bool:
@@ -179,28 +175,26 @@ def run_validation(writer: Callable[[str], None] = print) -> bool:
     checks: list[tuple[str, bool]] = []
     tau_c = 1.0
 
-    # Volterra solver against the closed form at the reference step h, on
-    # samples of the Lorentzian kernel over [0, 5 / gamma]
+    # the quadrature route of propagators (one Volterra solve, G2 from G),
+    # which tabulated baths take, on samples of the Lorentzian kernel against
+    # the closed forms: G over [0, 5 / gamma] at the reference step h
     h = tau_c / 100
     worst = 0.0
     for ratio in (0.1, 0.5, 1.0, 2.0):
         gamma = ratio / tau_c
         ts = np.arange(int(round(5.0 / gamma / h)) + 1) * h
-        g = volterra_trapezoid(eval_kernel_grid(LorentzianKernel(gamma, tau_c), ts), h)
+        samples = TabulatedKernel(ts, eval_kernel_grid(LorentzianKernel(gamma, tau_c), ts))
+        g, _, _ = propagators(samples, ts, 0.0, h)
         worst = max(worst, float(np.max(np.abs(g - lorentzian_G(gamma, tau_c, ts)))))
     checks.append((f"volterra vs closed form (max err {worst:.2e} <= 1e-5)", worst <= 1e-5))
 
-    # G2 = G(t) G(tau) - G(t + tau) on the Volterra solution against the
-    # closed form, on the whole surface [0, 5 tau_c]^2, which needs G up to
+    # G2 on the whole surface [0, 5 tau_c]^2, which needs the kernel up to
     # t + tau = 10 tau_c
     gamma = 1.0 / tau_c
-    idx = np.arange(501)
-    ts = idx * h
-    g_all = volterra_trapezoid(
-        eval_kernel_grid(LorentzianKernel(gamma, tau_c), np.arange(2 * idx[-1] + 1) * h), h
-    )
-    g = g_all[: idx.size]
-    surface = g[:, None] * g - g_all[idx[:, None] + idx]
+    ts = np.arange(1001) * h
+    samples = TabulatedKernel(ts, eval_kernel_grid(LorentzianKernel(gamma, tau_c), ts))
+    ts = ts[:501]
+    g, _, surface = propagators(samples, ts[:, None], ts[None, :], h)
     ref = lorentzian_G_two_time(gamma, tau_c, ts[:, None], ts[None, :])
     err = float(np.max(np.abs(surface - ref)))
     label = "G2 identity on the Volterra solution vs closed form"
@@ -229,7 +223,7 @@ def run_validation(writer: Callable[[str], None] = print) -> bool:
     checks.append((f"y=+1 correlation nullity (max |CPF| {worst_plus:.2e} <= 1e-12)", worst_plus <= 1e-12))
 
     # Probability bound on the numerical grids
-    viol = float(np.max(np.abs(surface) ** 2 - (1.0 - np.abs(g[:, None]) ** 2)))
+    viol = float(np.max(np.abs(surface) ** 2 - (1.0 - np.abs(g) ** 2)))
     checks.append((f"probability bound |G2|^2 <= 1 - |G|^2 (excess {viol:.2e} <= 1e-9)", viol <= 1e-9))
 
     ok = True

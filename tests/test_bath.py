@@ -97,6 +97,18 @@ def test_tabulated_refuses_extrapolation_and_negative_t():
         eval_kernel_grid(k, -0.1)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "kernel",
+    [LorentzianKernel(1.0, 1.0), TabulatedKernel(times=np.array([0.0, 1.0]), values=np.ones(2))],
+    ids=["lorentzian", "tabulated"],
+)
+def test_non_finite_times_are_refused(kernel, t):
+    # a NaN time gave NaN on both kernels, and +inf gave 0 on a Lorentzian one
+    with pytest.raises(ValidationError, match="^t must be finite$"):
+        eval_kernel_grid(kernel, np.array([0.5, t]))
+
+
 def test_tabulated_validation():
     with pytest.raises(ValidationError):
         TabulatedKernel(times=np.array([0.1, 1.0]), values=np.array([1.0, 0.5]))
@@ -149,6 +161,19 @@ def test_kernel_csv_malformed_row_names_path_and_line(tmp_path, text, line):
     path = tmp_path / "kernel.csv"
     path.write_text(text)
     with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:{line}: "):
+        load_kernel_csv(path)
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf8", "cell-beyond-csv-field-limit"])
+def test_kernel_csv_unreadable_file_names_path(tmp_path, case):
+    path = tmp_path / "kernel.csv"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b"t,re\n0,1\n1,\xff\n")
+    else:
+        path.write_text("t,re\n0," + "1" * (csv.field_size_limit() + 1) + "\n1,2\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: cannot read kernel file: "):
         load_kernel_csv(path)
 
 

@@ -170,6 +170,38 @@ class TestConfig:
                 {"bath": {"gamma": 1.0, "kernel_csv": str(tmp_path / "nope.csv")}}
             )
 
+    @pytest.mark.parametrize(
+        "case", ["kernel-is-a-directory", "kernel-not-utf8", "config-not-utf8", "out-below-a-file"]
+    )
+    def test_unreadable_input_or_output_exits_2(self, tmp_path, case):
+        # each case ended in an OSError or UnicodeDecodeError traceback
+        tabulated = {"bath": {"gamma": 1.0, "kernel_csv": str(tmp_path / "kernel.csv")}}
+        cfg = write_config(tmp_path, tabulated if case.startswith("kernel") else None)
+        out = tmp_path / "out"
+        if case == "kernel-is-a-directory":
+            (tmp_path / "kernel.csv").mkdir()
+            named = tmp_path / "kernel.csv"
+        elif case == "kernel-not-utf8":
+            (tmp_path / "kernel.csv").write_bytes(b"t,re\n0,1\n1,\xff\n")
+            named = tmp_path / "kernel.csv"
+        elif case == "config-not-utf8":
+            cfg.write_bytes(b'{"bath": {"gamma": 1.0, \xff"tau_c": 1.0}}')
+            named = cfg
+        else:
+            (tmp_path / "file").write_text("not a directory\n")
+            out = named = tmp_path / "file" / "out"
+        src = Path(__import__("cpfsim").__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "cpfsim", "sweep", "--config", str(cfg), "--out", str(out)],
+            env={"PYTHONPATH": str(src), "PATH": ""},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: ")
+        assert str(named) in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestFigure2:
     def test_four_reference_curves(self, tmp_path):
@@ -401,6 +433,7 @@ class TestWitness:
         assert len(rows) < 61
         warning = rows[-1]["warning"]
         assert warning.startswith("truncated")
+        assert all(r["warning"] == "" for r in rows[:-1])
         reported = float(warning.rsplit("=", 1)[1])
         assert reported == pytest.approx(3 * np.pi / 2, abs=0.15)
 

@@ -1,6 +1,7 @@
 """The block CSV writer writes the bytes of the per-cell reference."""
 import csv
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -70,29 +71,18 @@ def _assert_same_bytes(tmp_path, fieldnames, blocks, comments=()):
     return new.read_bytes()
 
 
-def _mixed_columns():
-    """Columns whose cells mix types: the '%s' path, cell by cell."""
-    mixed = [None, "s", True, np.int64(3), np.float64("nan"), -0.0]
-    texts = ["zzz", "a,b", 'say "hi"', "two\nlines", "", "cr\ronly", "5%"]
-    flags = [True, False, np.bool_(True), np.bool_(False), None]
-    counts = [0, -7, np.int64(2**62), 10**20, np.int32(-3)]
-    xs = [0.1, *SPECIALS, np.float64(2.5), np.float64("nan"), 1 / 3]
-    n = len(xs)
+def _numeric_columns(n_rows):
+    """One column of each numeric kind the writer takes, with the float
+    specials."""
+    xs = np.resize(np.array([0.1, *SPECIALS, 2.5, np.nan, 1 / 3]), n_rows)
     return [
-        [mixed[k % 6] for k in range(n)],
-        [texts[k % 7] for k in range(n)],
-        [flags[k % 5] for k in range(n)],
-        [counts[k % 5] for k in range(n)],
-        xs,
-        [float(np.float64(x)) * 2 for x in xs],
+        np.arange(n_rows, dtype=np.uint8), np.arange(-3, n_rows - 3),
+        np.resize(np.array([0, -7, 2**62, -(2**63)]), n_rows),
+        xs.astype(np.float32), xs, xs * 2,
     ]
 
 
 class TestSameBytes:
-    def test_mixed_columns(self, tmp_path):
-        data = _assert_same_bytes(tmp_path, FIELDS, [_mixed_columns()])
-        assert b'"a,b"' in data and b'"say ""hi"""' in data and b'"two\nlines"' in data
-
     def test_scalar_entries(self, tmp_path):
         # each scalar baked into a block's template, in every position,
         # next to one array column
@@ -107,27 +97,22 @@ class TestSameBytes:
         assert b',"a,b",' in data and b",100%," in data and b",%s%%d%," in data
 
     def test_uniform_columns(self, tmp_path):
-        # one array dtype or one Python type per column
+        # one float or integer array dtype per column
         rng = np.random.default_rng(5)
-        xs = rng.normal(size=50)
+        xs = np.array([*SPECIALS, *rng.normal(size=50)])
         columns = [
-            [np.array([*SPECIALS, *xs]), np.array([*SPECIALS, *xs]).tolist(),
-             np.arange(-3, 54), np.arange(57, dtype=np.uint8),
-             np.array([*SPECIALS, *xs], dtype=np.float32),
-             np.array(["zzz", 1, None, 2.5, "a,b", np.nan, True] * 8 + [-0.0], dtype=object)],
-            [np.arange(57) % 2 == 0, [k for k in range(57)], ["xzx", 'q"'] * 28 + [""],
-             np.array(["yzy", " s", "t\r"] * 19), [np.float64(v) for v in xs] + [0.0] * 7,
-             xs.tolist() + [1e16] * 7],
-            # dtypes whose tolist() prints otherwise than their NumPy scalars
-            [np.array(["2020-01-01T12:00"] * 3, dtype="M8[ns]"), "s", 1,
-             np.array([1 + 2j, np.nan, -0.5j]), 2.0, None],
+            [xs, xs.astype(np.float32), (np.arange(57) - 28.5).astype(np.float16) / 7,
+             np.arange(-3, 54), np.arange(57, dtype=np.uint8), np.arange(57, dtype=np.int8) - 28],
+            [np.full(57, 2**64 - 1, dtype=np.uint64), np.arange(57, dtype=np.int32) * -(2**20),
+             np.full(57, -(2**63)), xs * 1e290, xs * 1e-300, xs[::-1]],
         ]
         _assert_same_bytes(tmp_path, FIELDS, columns)
 
     def test_header_only(self, tmp_path):
         data = _assert_same_bytes(tmp_path, FIELDS, [])
         assert data.decode().splitlines()[-1] == ",".join(FIELDS)
-        empty = ["zzz", np.array([]), [], np.array([], dtype=int), 0.5, None]
+        empty = ["zzz", np.array([]), np.array([], dtype=np.uint8), np.array([], dtype=int),
+                 0.5, None]
         assert _assert_same_bytes(tmp_path, FIELDS, [empty, empty]) == data
 
     def test_generator_rows_and_comments(self, tmp_path):
@@ -138,20 +123,17 @@ class TestSameBytes:
         assert b"\n# rng v2 per-point-block\n" in data
 
     def test_one_field(self, tmp_path):
-        # csv quotes a lone empty cell ('""') so that the row is not blank
-        blocks = [
-            [["", "a", None, 1.5]], [np.array(["", "b"], dtype=object)], [[None, ""]],
-            [np.array([np.nan, 2.0])],
-        ]
+        # a one-field block is one column, so no row can be blank
+        blocks = [[np.array([np.nan, 2.0])], [np.array([-1, 0])], [np.array([1.5, -0.0])]]
         data = _assert_same_bytes(tmp_path, ["only"], blocks)
-        assert data.endswith(b'\nonly\n""\na\n""\n1.5\n""\nb\n""\n""\nnan\n2\n')
+        assert data.endswith(b"\nonly\nnan\n2\n-1\n0\n1.5\n-0\n")
 
     @pytest.mark.parametrize("n_rows", [1, 3, 4, 7, 9, 10])
     def test_rows_span_blocks(self, tmp_path, monkeypatch, n_rows):
         # chunk edges inside and at the end of a block, in blocks of
         # different lengths and column types
         monkeypatch.setattr(io, "_BLOCK_ROWS", 3)
-        columns = [column[:n_rows] for column in _mixed_columns()]
+        columns = _numeric_columns(n_rows)
         blocks = [
             columns,
             ["zzz", *columns[1:3], np.arange(n_rows), np.arange(n_rows) / 3, 0.25],
@@ -164,7 +146,7 @@ class TestSameBytes:
         values = [*bits.view(np.float64).tolist(), *SPECIALS]
         assert ["%.12g" % v for v in values] == [format_value(v) for v in values]
         array = np.array(values)
-        _assert_same_bytes(tmp_path, ["x", "y"], [[array, values]])
+        _assert_same_bytes(tmp_path, ["x", "y"], [[array, -array]])
 
 
 def _repeating(values, n_rows):
@@ -202,7 +184,7 @@ class TestRepeatedFloats:
         # n/2 distinct rows take the text path, n/2 + 1 the printf path
         column = _repeating(REPEATED[:n_distinct], 10)
         assert (io._repeated_floats(column) is not None) == deduped
-        _assert_same_bytes(tmp_path, ["x", "y"], [[column, column.tolist()]])
+        _assert_same_bytes(tmp_path, ["x", "y"], [[column, column.copy()]])
 
     def test_strided_reversed_and_float32(self, tmp_path, small_chunks):
         column = _repeating(REPEATED, 6 * len(REPEATED))
@@ -275,11 +257,11 @@ class TestRepeatedFloats:
 
 
 class TestRaggedRows:
-    @pytest.mark.parametrize("bad", [("x", np.zeros(2)), ("count", [1, 2, 3, 4])])
+    @pytest.mark.parametrize("bad", [("x", np.zeros(2)), ("count", np.arange(4))])
     def test_wrong_length_raises(self, tmp_path, monkeypatch, bad):
         monkeypatch.setattr(io, "_BLOCK_ROWS", 3)
         name, column = bad
-        good = ["a", [1, 2, 3], np.ones(3), None, True, np.full(3, 0.5)]
+        good = ["a", np.arange(1, 4), np.ones(3), None, True, np.full(3, 0.5)]
         broken = list(good)
         broken[FIELDS.index(name)] = column
         msg = f"block 2 field '{name}' has {len(column)} values, expected 3"
@@ -304,6 +286,29 @@ class TestRaggedRows:
     def test_two_dimensional_column_raises(self, tmp_path):
         with pytest.raises(ValueError, match="block 0 field 'b': a column must be 1-D"):
             write_dataset(tmp_path / "out.csv", ["a", "b"], [["s", np.ones((2, 2))]], ECHO)
+
+    @pytest.mark.parametrize(
+        "column, got",
+        [([1.0, 2.0], "list"), ((1, 2), "tuple"),
+         (np.array(["zzz", 1.5], dtype=object), "dtype object"),
+         (np.array(["zzz", "xzx"]), "dtype <U3"), (np.array([True, False]), "dtype bool"),
+         (np.array([1 + 2j, 0.5]), "dtype complex128"),
+         (np.array(["2020-01-01", "2020-01-02"], dtype="M8[D]"), "dtype datetime64[D]")],
+        ids=["list", "tuple", "object", "str", "bool", "complex", "datetime"],
+    )
+    def test_non_numeric_column_raises(self, tmp_path, column, got):
+        # a column is a float or integer array; other entries with one value
+        # per row are refused, not printed cell by cell
+        good = ["a", np.arange(2.0), np.arange(2)]
+        msg = (
+            "^block 1 field 'x': a column must be a float or integer NumPy array, "
+            f"got {re.escape(got)}$"
+        )
+        with pytest.raises(ValueError, match=msg):
+            write_dataset(
+                tmp_path / "out.csv", ["s", "x", "k"], [good, ["b", column, np.arange(2)]], ECHO
+            )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAtomicWrite:
@@ -335,6 +340,6 @@ class TestAtomicWrite:
     def test_success_replaces_target(self, tmp_path):
         target = tmp_path / "data.csv"
         target.write_bytes(b"previous dataset\n")
-        write_dataset(target, ["s", "x"], [["a", [1.5]]], ECHO)
+        write_dataset(target, ["s", "x"], [["a", np.array([1.5])]], ECHO)
         assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
         assert target.read_bytes().endswith(b"s,x\na,1.5\n")
