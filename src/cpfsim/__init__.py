@@ -26,13 +26,11 @@ from .cpf import (
 )
 from .experiment import ExperimentConfig, run_noise_study
 from .propagator import (
-    DensityMatrix,
     backflow_probabilities,
     lorentzian_G,
     lorentzian_G_two_time,
     propagators,
     rates_from_G,
-    rho_t,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +62,6 @@ __all__ = [
     "BathKernel",
     "ChannelAngles",
     "CpfResult",
-    "DensityMatrix",
     "ExperimentConfig",
     "InitialState",
     "JointState",
@@ -86,7 +83,6 @@ __all__ = [
     "project",
     "propagators",
     "rates_from_G",
-    "rho_t",
     "run_noise_study",
     "simulate_sequence",
 ]

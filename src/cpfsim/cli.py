@@ -3,7 +3,7 @@
 Subcommands reproduce the reference datasets from a declarative JSON
 config; ``validate`` runs the quick invariant suite. Physics parameters
 live in the config only; flags cover execution concerns (output directory,
-seed override).
+and the noise seed of ``appendix-d``, the one subcommand that draws noise).
 """
 from __future__ import annotations
 
@@ -48,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, type=Path, help="JSON run config")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the noise seed")
+        if name == "appendix-d":
+            p.add_argument("--seed", type=int, default=None, help="override the noise seed")
     sub.add_parser("validate", help="run the quick invariant suite")
     return parser
 
@@ -58,7 +59,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "validate":
         return 0 if run_validation() else 1
     try:
-        cfg = seeded(load_config(args.config), args.seed)
+        cfg = load_config(args.config)
+        if args.command == "appendix-d":
+            cfg = seeded(cfg, args.seed)
         path = _RUNNERS[args.command](cfg, args.out)
     except (CpfsimError, OSError) as exc:  # invalid input, or unwritable output
         print(f"error: {exc}", file=sys.stderr)

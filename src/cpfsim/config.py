@@ -187,6 +187,8 @@ def _parse_combos(value, field: str) -> tuple[tuple[MeasurementScheme, float, fl
         return FIGURE2_COMBOS
     if not isinstance(value, list):
         _fail(field, "expected a list of {scheme, gamma_tau_c, p} objects")
+    if not value:
+        _fail(field, "expected a non-empty list")
     combos = []
     for k, item in enumerate(value):
         where = f"{field}[{k}]"
@@ -206,6 +208,8 @@ def _parse_visibilities(value, field: str) -> tuple[float, ...]:
         return DEFAULT_VISIBILITIES
     if not isinstance(value, list):
         _fail(field, "expected a list of numbers in [0, 1]")
+    if not value:
+        _fail(field, "expected a non-empty list")
     return tuple(_fraction(v, f"{field}[{k}]") for k, v in enumerate(value))
 
 

@@ -1,5 +1,5 @@
 """Wave-vector propagator G(t), the two-time memory object G(t, tau),
-density-matrix evolution, decay rates, and backflow probabilities.
+decay rates, and backflow probabilities.
 
 G(t) solves the convoluted (Volterra) evolution
 
@@ -35,13 +35,11 @@ by kernel type, and is the only code that drives the quadrature kernel.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .bath import BathKernel, LorentzianKernel, decay_time, eval_kernel_grid
-from .cpf import InitialState
 from .errors import (
     ConditioningImpossibleError,
     CoarseStepWarning,
@@ -53,43 +51,6 @@ from .errors import (
 _ABS_TOL = 1e-9  # allowed |G| overshoot above 1 (amplitude of a normalized component)
 _CHI_SQ_TOL = 1e-10  # |chi|^2 below this uses the analytic chi -> 0 limit
 _MAX_INDEX = np.iinfo(np.intp).max // 2  # largest grid index of a time
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Qubit state in the (up, down) basis; validated trace-1 Hermitian PSD."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValidationError("density matrix must be 2x2")
-        if abs(np.trace(m) - 1.0) > 1e-12:
-            raise ValidationError(f"trace must be 1, got {np.trace(m)}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise ValidationError("density matrix must be Hermitian")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs[0] < -1e-12 or eigs[-1] > 1.0 + 1e-12:
-            raise ValidationError(f"eigenvalues must lie in [0, 1], got {eigs}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def up_up(self) -> complex:
-        return complex(self.matrix[0, 0])
-
-    @property
-    def up_down(self) -> complex:
-        return complex(self.matrix[0, 1])
-
-    @property
-    def down_up(self) -> complex:
-        return complex(self.matrix[1, 0])
-
-    @property
-    def down_down(self) -> complex:
-        return complex(self.matrix[1, 1])
 
 
 # volterra_trapezoid: trapezoidal product integration of
@@ -333,19 +294,6 @@ def propagators(
     if np.max(np.abs(g)) > 1.0 + _ABS_TOL:
         raise ValidationError("|G| exceeds 1 beyond tolerance; not a propagator")
     return g[i], g[j], g[i] * g[j] - g[i + j]
-
-
-def rho_t(state: InitialState, G_val: complex) -> DensityMatrix:
-    """Reduced qubit state after decay for time t with propagator value G."""
-    G_val = complex(G_val)
-    if abs(G_val) > 1.0 + _ABS_TOL:
-        raise ValidationError(f"|G| = {abs(G_val):g} exceeds 1")
-    a, b = state.a, state.b
-    p_up = abs(a) ** 2 * abs(G_val) ** 2
-    coh = a * np.conj(b) * G_val
-    return DensityMatrix(
-        matrix=np.array([[p_up, coh], [np.conj(coh), 1.0 - p_up]], dtype=complex)
-    )
 
 
 def rates_from_G(values, t_step: float) -> tuple[np.ndarray, np.ndarray]:

@@ -29,7 +29,7 @@ from cpfsim import (
 from cpfsim.cli import main
 from cpfsim.cpf import _CELLS, conditioning_probability, table_probs
 from cpfsim.experiment import draw_counts, estimate_block, predicted_std
-from quadrature import two_time_surface, volterra
+from quadrature import tabulated_surface, volterra
 
 TAU_C = 1.0
 SCHEMES = list(MeasurementScheme)
@@ -65,10 +65,11 @@ def test_criterion_01_volterra_closed_form_agreement():
 
 def test_criterion_02_two_time_agreement():
     with criterion("02 two-time-quadrature-vs-closed-form"):
+        # G2 from propagators on the Lorentzian's samples: the route that
+        # sweep and witness run on a kernel file
         gamma = 1.0 / TAU_C
-        k = LorentzianKernel(gamma, TAU_C)
         start = time.perf_counter()
-        ts, _, surface = two_time_surface(k, 5.0 * TAU_C, TAU_C / 100)
+        ts, _, surface = tabulated_surface(gamma, TAU_C, 5.0 * TAU_C, TAU_C / 100)
         elapsed = time.perf_counter() - start
         idx = np.arange(1, 51) * 10  # 50 x 50 output grid over (0, 5 tau_c]
         sub = surface[np.ix_(idx, idx)]

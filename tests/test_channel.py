@@ -284,13 +284,14 @@ class TestSequence:
             conditional_table(joint, MeasurementScheme.ZZZ, -1)
 
     def test_reduced_state_matches_density_matrix(self):
-        # partial trace over the environment after U(t) reproduces rho_t
-        from cpfsim import rho_t
-
+        # partial trace over the environment after U(t) gives the decayed
+        # qubit state [[|a|^2 |G|^2, a b* G], [a* b G*, 1 - |a|^2 |G|^2]]
         state = InitialState(0.6, 0.8)
         g_t = 0.55
         evolved = apply_U_t(prepare_joint(state), 0.5 * np.arccos(g_t))
         a = evolved.amplitudes
         sys_env = np.array([[a[1], a[3]], [a[0], a[2]]])  # rows: up, down
         reduced = sys_env @ sys_env.conj().T
-        assert np.allclose(reduced, rho_t(state, g_t).matrix, atol=1e-12)
+        p_up = abs(state.a) ** 2 * abs(g_t) ** 2
+        coh = state.a * np.conj(state.b) * g_t
+        assert np.allclose(reduced, [[p_up, coh], [np.conj(coh), 1.0 - p_up]], atol=1e-12)

@@ -96,6 +96,10 @@ class TestConfig:
                 r"combos\[1\]\.p: must lie in \[0, 1\]",
             ),
             ({"visibilities": [0.9, 1.2]}, r"visibilities\[1\]: must lie in \[0, 1\]"),
+            # an empty combos list wrote a header-only figure2 CSV, and an
+            # empty visibilities list dropped appendix-d's visibility blocks
+            ({"combos": []}, "combos: expected a non-empty list"),
+            ({"visibilities": []}, "visibilities: expected a non-empty list"),
         ],
     )
     def test_combos_and_visibilities_validated(self, overrides, message):
@@ -400,6 +404,16 @@ class TestAppendixD:
         cfg = write_config(tmp_path, {"noise": None})
         rc = main(["appendix-d", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["figure2", "sweep", "witness"])
+    def test_seed_flag_belongs_to_appendix_d(self, tmp_path, capsys, command):
+        # these draw no noise, so a seed would only rewrite the config header
+        cfg = self.cfg_path(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestWitness:

@@ -1,5 +1,5 @@
 """Propagator layer: Volterra solver vs closed forms, two-time object,
-rates, density matrix, backflow."""
+rates, backflow."""
 import tracemalloc
 import warnings
 
@@ -18,7 +18,6 @@ from cpfsim import (
     lorentzian_G_two_time,
     propagators,
     rates_from_G,
-    rho_t,
 )
 from cpfsim import propagator
 from cpfsim.cpf import closed_values
@@ -30,8 +29,7 @@ from cpfsim.errors import (
     PropagatorZeroCrossingError,
     ValidationError,
 )
-import quadrature
-from quadrature import two_time, two_time_surface, two_time_trapezoid, volterra
+from quadrature import tabulated_lorentzian, tabulated_surface, two_time_trapezoid, volterra
 
 # Frozen with mpmath (mp.dps=30):
 EXP_MINUS_HALF_PI = 0.20787957635076193  # e^{-pi/2}
@@ -41,14 +39,6 @@ EXP_MINUS_TWO = 0.1353352832366127       # e^{-2}
 TWO_OVER_E = 0.7357588823428846          # 2 e^{-1}
 # |G2|^2/(1-|G|^2) at gamma tau_c = 1, t = tau = pi tau_c:
 P_REEXCITE = 0.007807148399647461
-
-
-def tabulated_lorentzian(t_end, h=0.01):
-    """The gamma = tau_c = 1 Lorentzian kernel as a tabulated one, sampled
-    every h up to t_end: a kernel without closed forms whose propagators
-    are known."""
-    ts = np.arange(0, t_end + h / 2, h)
-    return TabulatedKernel(times=ts, values=eval_kernel_grid(LorentzianKernel(1.0, 1.0), ts))
 
 
 class TestLorentzianClosedForm:
@@ -177,13 +167,12 @@ class TestTwoTime:
     def test_quadrature_matches_closed_form(self, ratio):
         tau_c = 1.0
         gamma = ratio / tau_c
-        k = LorentzianKernel(gamma, tau_c)
-        ts, _, surface = two_time_surface(k, 5.0 * tau_c, tau_c / 100)
+        ts, _, surface = tabulated_surface(gamma, tau_c, 5.0 * tau_c, tau_c / 100)
         ref = lorentzian_G_two_time(gamma, tau_c, ts[:, None], ts[None, :])
         assert np.max(np.abs(surface - ref)) <= 1e-5
 
     def test_edges_are_exactly_zero(self):
-        _, _, surface = two_time_surface(LorentzianKernel(1.0, 1.0), 2.0, 0.02)
+        _, _, surface = tabulated_surface(1.0, 1.0, 2.0, 0.02)
         assert np.all(surface[0, :] == 0)
         assert np.all(surface[:, 0] == 0)
 
@@ -296,35 +285,31 @@ class TestTwoTime:
     def test_markov_limit_vanishes_monotonically(self):
         sups = []
         for eps in (0.1, 0.03, 0.01):
-            k = LorentzianKernel(1.0, 1.0 * eps)
-            h = k.tau_c / 25
+            h = eps / 25
             t_max = 200 * h  # covers the sup of the two-time surface
-            _, _, surface = two_time_surface(k, t_max, h)
+            _, _, surface = tabulated_surface(1.0, eps, t_max, h)
             sups.append(np.max(np.abs(surface)))
         assert sups[0] > sups[1] > sups[2]
         assert sups[2] < 5e-3
 
     def test_delta_like_kernel_suppressed(self):
-        k = LorentzianKernel(1.0, 1.0 * 1e-3)
-        h = k.tau_c / 25
-        _, _, surface = two_time_surface(k, 200 * h, h)
+        h = 1e-3 / 25
+        _, _, surface = tabulated_surface(1.0, 1e-3, 200 * h, h)
         assert np.max(np.abs(surface)) < 1e-2
 
     def test_probability_bound(self):
         tau_c = 1.0
         for ratio in (0.1, 0.5, 1.0, 2.0):
             gamma = ratio / tau_c
-            k = LorentzianKernel(gamma, tau_c)
             t_max = min(5.0 / gamma, 8.0 * tau_c)
             h = tau_c / 100
             t_max = round(t_max / h) * h
-            _, G, surface = two_time_surface(k, t_max, h)
+            _, G, surface = tabulated_surface(gamma, tau_c, t_max, h)
             excess = np.abs(surface) ** 2 - (1.0 - np.abs(G[:, None]) ** 2)
             assert np.max(excess) <= 1e-9
 
     def test_two_time_real_for_real_kernel(self):
-        k = LorentzianKernel(1.0, 1.0)
-        _, _, surface = two_time_surface(k, 3.0, 0.01)
+        _, _, surface = tabulated_surface(1.0, 1.0, 3.0, 0.01)
         assert np.max(np.abs(surface.imag)) < 1e-12
 
 
@@ -412,7 +397,7 @@ class TestG2Identity:
             G = volterra_trapezoid(f, h)
             idx = np.arange(0, n + 1, n // 20)
             i, j = idx[:, None], idx
-            quad = two_time_trapezoid(f, G, G, h, i, j)
+            quad = two_time_trapezoid(f, G, h, i, j)
             assert np.max(np.abs(quad)) > 1e-2
             diffs.append(np.max(np.abs(_identity(G, i, j) - quad)))
         if name == "detuned":
@@ -472,40 +457,6 @@ class TestG2Identity:
         finally:
             tracemalloc.stop()
         assert peak < limit_mib * 2**20, f"peak {peak / 2**20:.2f} MiB"
-
-
-class TestDensityMatrix:
-    def test_pure_excited_no_decay(self):
-        rho = rho_t(InitialState(1.0, 0.0), 1.0)
-        assert rho.up_up == pytest.approx(1.0)
-        assert rho.down_down == pytest.approx(0.0)
-
-    def test_pure_excited_full_decay(self):
-        rho = rho_t(InitialState(1.0, 0.0), 0.0)
-        assert rho.up_up == pytest.approx(0.0)
-        assert rho.down_down == pytest.approx(1.0)
-
-    def test_superposition_half_decay(self):
-        s = InitialState(1 / np.sqrt(2), 1 / np.sqrt(2))
-        rho = rho_t(s, 0.5)
-        assert rho.up_up == pytest.approx(0.125, abs=1e-15)
-        assert rho.up_down == pytest.approx(0.25, abs=1e-15)
-
-    def test_trace_and_hermiticity_random(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            v = rng.normal(size=4)
-            a, b = v[0] + 1j * v[1], v[2] + 1j * v[3]
-            norm = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
-            s = InitialState(a / norm, b / norm)
-            g = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            rho = rho_t(s, g)
-            assert np.trace(rho.matrix) == pytest.approx(1.0, abs=1e-12)
-            assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) < 1e-12
-
-    def test_rejects_superunitary_G(self):
-        with pytest.raises(ValidationError):
-            rho_t(InitialState(1.0, 0.0), 1.5)
 
 
 class TestRates:
@@ -622,60 +573,6 @@ class TestGridTypes:
 def test_short_inputs():
     f = np.array([0.5 + 0j])
     assert volterra_trapezoid(f, 0.01)[0] == 1.0
-    G = np.array([1.0 + 0j])
-    out = two_time_trapezoid(np.array([0.5 + 0j]), G, G, 0.01, [0], [0])
-    assert out.shape == (1,)
-    assert out[0] == 0.0
-
-
-def test_kernel_length_validation():
-    h = 0.01
-    f = 0.5 * np.exp(-np.arange(501) * h).astype(complex)
-    G = volterra_trapezoid(f[:301], h)
-    idx = np.arange(301)
-    with pytest.raises(ValueError):
-        two_time_trapezoid(f[:400], G, G, h, idx[:, None], idx)  # needs 601 samples
-    # pairs that reach no further than the samples need no more of them
-    out = two_time_trapezoid(f[:400], G, G, h, [300, 150], [99, 249])
-    ref = two_time_trapezoid(f, G, G, h, [300, 150], [99, 249])
-    assert np.max(np.abs(out - ref)) <= 1e-15
-
-
-def _two_time_reference(
-    f: np.ndarray, G_t: np.ndarray, G_tau: np.ndarray, h: float
-) -> np.ndarray:
-    """The direct np.convolve form of two_time_trapezoid: the full surface,
-    O(n m (n + m)), kept as the reference the FFT kernel is checked against."""
-    f = np.ascontiguousarray(f, dtype=complex)
-    G_t = np.ascontiguousarray(G_t, dtype=complex)
-    G_tau = np.ascontiguousarray(G_tau, dtype=complex)
-    n = G_t.shape[0] - 1
-    m = G_tau.shape[0] - 1
-    if f.shape[0] < n + m + 1:
-        raise ValueError(f"kernel samples cover {f.shape[0] - 1} steps, need {n + m}")
-
-    # Stage 1 (inner t' integral for every tau' offset l):
-    # H[i, l] = h [ sum_{k=0..i} f[k+l] G_t[i-k] - f[l] G_t[i]/2 - f[i+l] G_t[0]/2 ]
-    H = np.empty((n + 1, m + 1), dtype=complex)
-    for l in range(m + 1):
-        H[:, l] = np.convolve(f[l : l + n + 1], G_t)[: n + 1]
-    H -= 0.5 * np.outer(G_t, f[: m + 1])
-    hankel = f[np.arange(n + 1)[:, None] + np.arange(m + 1)[None, :]]
-    H -= (0.5 * G_t[0]) * hankel
-    H *= h
-    H[0, :] = 0.0
-
-    # Stage 2 (outer tau' integral for every t row):
-    # G2[i, j] = h [ sum_{l=0..j} H[i,l] G_tau[j-l] - H[i,0] G_tau[j]/2 - H[i,j] G_tau[0]/2 ]
-    G2 = np.empty((n + 1, m + 1), dtype=complex)
-    for i in range(n + 1):
-        G2[i, :] = np.convolve(H[i, :], G_tau)[: m + 1]
-    G2 -= 0.5 * np.outer(H[:, 0], G_tau)
-    G2 -= (0.5 * G_tau[0]) * H
-    G2 *= h
-    G2[:, 0] = 0.0
-    G2[0, :] = 0.0
-    return G2
 
 
 def _volterra_reference(f: np.ndarray, h: float) -> np.ndarray:
@@ -703,21 +600,10 @@ def _volterra_reference(f: np.ndarray, h: float) -> np.ndarray:
     return G
 
 
-# The FFT kernel reorders the sums of the reference; bound set from float64
-# epsilon (2.2e-16) times the O(100) terms per sum, before any measurement.
-FFT_REL_TOL = 1e-13
-# The blocked Volterra solve reorders each step's history sum; the error is
-# carried through up to 2e4 steps, so its bound is looser than FFT_REL_TOL.
+# The blocked Volterra solve reorders each step's history sum of the loop;
+# the rounding is carried through up to 2e4 steps.
 VOLTERRA_REL_TOL = 1e-12
 LEAF = propagator._VOLTERRA_LEAF
-
-
-def _kernel_problem(n, m, rotating=False, h=0.01):
-    """Kernel samples on 0..n+m and the solved G on both axes."""
-    t = np.arange(n + m + 1) * h
-    f = 0.5 * np.exp(-t - (4j * t if rotating else 0.0))
-    G = volterra_trapezoid(f[: max(n, m) + 1], h)
-    return f, G[: n + 1], G[: m + 1], h
 
 
 class TestVolterraBlocked:
@@ -745,94 +631,126 @@ class TestVolterraBlocked:
         assert np.max(np.abs(volterra_trapezoid(f, h) - ref)) <= VOLTERRA_REL_TOL
 
 
-class TestTwoTimeKernel:
+# On a single exponential the identity and the double-convolution quadrature
+# agree to rounding at every step; bound set from float64 epsilon (2.2e-16)
+# times the O(100) terms per sum, before any measurement.
+EXPONENTIAL_REL_TOL = 1e-13
+
+
+def _exponential_table(n, m, rotating=False, h=0.01):
+    """f = e^{-t}/2, or e^{-(1 + 4i) t}/2, on 0..n+m steps as a tabulated
+    kernel; its samples; and the reference's G on 0..max(n, m)."""
+    t = np.arange(n + m + 1) * h
+    f = 0.5 * np.exp(-t - (4j * t if rotating else 0.0))
+    return TabulatedKernel(times=t, values=f), f, volterra_trapezoid(f[: max(n, m) + 1], h), h
+
+
+class TestTabulatedG2:
+    """The G2 of propagators on a tabulated kernel, the route of sweep and
+    witness on a kernel file, against the double-convolution reference at
+    any set of (t, tau) grid pairs."""
+
+    def _check(self, tab, f, G, h, i, j):
+        g2 = propagators(tab, np.multiply(i, h), np.multiply(j, h), h)[2]
+        ref = two_time_trapezoid(f, G, h, i, j)
+        assert g2.shape == ref.shape == np.broadcast(i, j).shape
+        assert np.max(np.abs(g2 - ref)) <= EXPONENTIAL_REL_TOL * np.max(np.abs(ref))
+        edge = (np.asarray(i) == 0) | (np.asarray(j) == 0)
+        assert np.all(g2[edge] == 0) and np.all(ref[edge] == 0)
+        return g2, ref
+
     @pytest.mark.parametrize(
         "n, m, rotating",
         [(120, 120, False), (150, 47, False), (40, 133, False), (700, 333, True)],
     )
     def test_matches_reference(self, n, m, rotating):
-        f, G_t, G_tau, h = _kernel_problem(n, m, rotating)
-        ref = _two_time_reference(f, G_t, G_tau, h)
-        out = two_time_trapezoid(f, G_t, G_tau, h, np.arange(n + 1)[:, None], np.arange(m + 1))
-        assert out.shape == (n + 1, m + 1)
-        assert np.max(np.abs(out - ref)) <= FFT_REL_TOL * np.max(np.abs(ref))
-        assert np.all(out[0, :] == 0) and np.all(out[:, 0] == 0)
+        problem = _exponential_table(n, m, rotating)
+        _, ref = self._check(*problem, np.arange(n + 1)[:, None], np.arange(m + 1))
         if rotating:
             assert np.max(np.abs(ref.imag)) > 0.1 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("rotating", [False, True])
     def test_row_subset_matches_reference(self, rotating):
         n, m = 90, 61
-        f, G_t, G_tau, h = _kernel_problem(n, m, rotating)
-        ref = _two_time_reference(f, G_t, G_tau, h)
-        rows = np.array([n, 0, 17, 17, 3, 0, n - 1])
-        out = two_time_trapezoid(f, G_t, G_tau, h, rows[:, None], np.arange(m + 1))
-        assert out.shape == (len(rows), m + 1)
-        assert np.max(np.abs(out - ref[rows])) <= FFT_REL_TOL * np.max(np.abs(ref))
-        assert np.all(out[1] == 0) and np.all(out[:, 0] == 0)
-        # only the kernel samples up to the largest i + j are read
-        low = np.arange(0, 31, 5)
-        out = two_time_trapezoid(f[: 30 + m + 1], G_t, G_tau, h, low[:, None], np.arange(m + 1))
-        assert np.max(np.abs(out - ref[low])) <= FFT_REL_TOL * np.max(np.abs(ref))
-        assert two_time_trapezoid(f, G_t, G_tau, h, [], []).shape == (0,)
-        assert two_time_trapezoid(f, G_t, G_tau, h, np.zeros((0, 3), int), 0).shape == (0, 3)
+        tab, f, G, h = _exponential_table(n, m, rotating)
+        cols = np.arange(m + 1)
+        self._check(tab, f, G, h, np.array([n, 0, 17, 17, 3, 0, n - 1])[:, None], cols)
+        # rows to t = 30 need the kernel only to t + tau = 30 + m
+        short = TabulatedKernel(times=tab.times[: 31 + m], values=f[: 31 + m])
+        self._check(short, f, G, h, np.arange(0, 31, 5)[:, None], cols)
+        assert propagators(tab, [], [], h)[2].shape == (0,)
 
     @pytest.mark.parametrize("rotating", [False, True])
     def test_pairs_match_reference(self, rotating):
-        # n != m; unordered and repeated pairs; t = 0 and tau = 0 edges;
-        # rows asking for few and for many tau columns
+        # n != m; unordered and repeated pairs; t = 0 and tau = 0 edges
         n, m = 137, 90
-        f, G_t, G_tau, h = _kernel_problem(n, m, rotating)
-        ref = _two_time_reference(f, G_t, G_tau, h)
         rng = np.random.default_rng(7)
         i = np.concatenate([rng.integers(0, n + 1, 396), [n, n, 0, 0, 5, n, 1, 1, 64]])
         j = np.concatenate([rng.integers(0, m + 1, 396), [m, 0, m, 0, m, 1, 1, m, 3]])
-        out = two_time_trapezoid(f, G_t, G_tau, h, i, j)
-        assert out.shape == i.shape
-        assert np.max(np.abs(out - ref[i, j])) <= FFT_REL_TOL * np.max(np.abs(ref))
-        assert np.all(out[(i == 0) | (j == 0)] == 0)
+        problem = _exponential_table(n, m, rotating)
+        g2, _ = self._check(*problem, i, j)
         # a (t, tau) grid of any shape gives the same values
-        out = two_time_trapezoid(f, G_t, G_tau, h, i.reshape(3, 3, -1), j.reshape(3, 3, -1))
-        assert out.shape == (3, 3, len(i) // 9)
-        assert np.max(np.abs(out.ravel() - ref[i, j])) <= FFT_REL_TOL * np.max(np.abs(ref))
+        g2_3d, _ = self._check(*problem, i.reshape(3, 3, -1), j.reshape(3, 3, -1))
+        assert np.array_equal(g2_3d.ravel(), g2)
 
-    def test_one_row_per_block(self, monkeypatch):
-        f, G_t, G_tau, h = _kernel_problem(50, 50, rotating=True)
-        ref = _two_time_reference(f, G_t, G_tau, h)
-        monkeypatch.setattr(quadrature, "_FFT_BLOCK_BYTES", 1)
-        rows = [50, 0, 25]
-        out = two_time_trapezoid(f, G_t, G_tau, h, np.array(rows)[:, None], np.arange(51))
-        assert np.max(np.abs(out - ref[rows])) <= FFT_REL_TOL * np.max(np.abs(ref))
-        i, j = [50, 3, 25, 3, 49, 7], [2, 50, 25, 1, 50, 9]
-        out = two_time_trapezoid(f, G_t, G_tau, h, i, j)
-        assert np.max(np.abs(out - ref[i, j])) <= FFT_REL_TOL * np.max(np.abs(ref))
+    @pytest.mark.parametrize("leaf", [1, 4])
+    def test_one_row_per_block(self, leaf, monkeypatch):
+        # a Volterra leaf of one step, or of a few: every history sum handed
+        # on block by block, and G2 from it still the reference's
+        problem = _exponential_table(50, 50, rotating=True)
+        monkeypatch.setattr(propagator, "_VOLTERRA_LEAF", leaf)
+        self._check(*problem, np.array([50, 0, 25])[:, None], np.arange(51))
+        self._check(*problem, [50, 3, 25, 3, 49, 7], [2, 50, 25, 1, 50, 9])
 
     @pytest.mark.parametrize(
-        "rows", [[-1], [0, 11], [1.5], np.array([0.0, 2.0]), ["0", "1"], [True]]
+        "rows, error",
+        [
+            ([-1], ValidationError),
+            ([0, 16], KernelRangeError),
+            ([1.5], ValidationError),
+            ([0.0, 2.0 + 1e-6], ValidationError),
+            ([[3], [16]], KernelRangeError),
+            ([15.5], ValidationError),
+        ],
     )
-    def test_bad_rows_rejected(self, rows):
-        # t indices out of [0, n] or not integers, against tau index 0
-        f, G_t, G_tau, h = _kernel_problem(10, 5)
-        with pytest.raises(ValueError):
-            two_time_trapezoid(f, G_t, G_tau, h, rows, 0)
+    def test_bad_rows_rejected(self, rows, error):
+        # t in steps off the grid or beyond the kernel's 15 steps, at tau = 0
+        tab, _, _, h = _exponential_table(10, 5)
+        with pytest.raises(error):
+            propagators(tab, np.multiply(rows, h), 0.0, h)
 
     @pytest.mark.parametrize(
-        "i, j", [([0], [6]), ([0], [-1]), ([1], [2.0]), ([0, 1], [0, 1, 2]), ([1], [False])]
+        "i, j, error",
+        [
+            ([0], [16], KernelRangeError),
+            ([8], [8], KernelRangeError),
+            ([0], [-1], ValidationError),
+            ([1], [2.5], ValidationError),
+            ([0, 1], [0, 1, 2], ValueError),
+        ],
     )
-    def test_bad_pairs_rejected(self, i, j):
-        # tau indices out of [0, m] or not integers, or shapes that do not broadcast
-        f, G_t, G_tau, h = _kernel_problem(10, 5)
-        with pytest.raises(ValueError):
-            two_time_trapezoid(f, G_t, G_tau, h, i, j)
+    def test_bad_pairs_rejected(self, i, j, error):
+        # pairs off the grid, reaching beyond the kernel's 15 steps (each
+        # time within it in [8, 8]) or of shapes that do not broadcast
+        tab, _, _, h = _exponential_table(10, 5)
+        with pytest.raises(error):
+            propagators(tab, np.multiply(i, h), np.multiply(j, h), h)
 
     def test_solve_rows_matches_full_pipeline(self):
-        k = LorentzianKernel(1.0, 1.0)
-        _, G = volterra(k, 2.0, 0.01)
-        _, _, surface = two_time_surface(k, 2.0, 0.01)
+        ts, G, surface = tabulated_surface(1.0, 1.0, 2.0, 0.01)
         rows = np.arange(0, 201, 20)
-        _, row_G, g2_rows = two_time(k, 2.0, 0.01, rows[:, None], np.arange(201))
-        assert np.array_equal(row_G, G)
-        assert g2_rows.shape == (11, 201)
-        assert np.max(np.abs(g2_rows - surface[::20])) <= FFT_REL_TOL * np.max(
-            np.abs(surface)
-        )
+        g_t, _, g2_rows = propagators(tabulated_lorentzian(4.0), ts[rows, None], ts, 0.01)
+        assert np.array_equal(g_t[:, 0], G[rows])
+        assert np.array_equal(g2_rows, surface[rows])
+
+
+def test_kernel_length_validation():
+    # the whole 301 x 301 grid needs 601 samples; pairs reaching 399 steps
+    # need no more than 400, and get the values of a longer kernel
+    tab, _, _, h = _exponential_table(300, 300)
+    short = TabulatedKernel(times=tab.times[:400], values=tab.values[:400])
+    idx = np.arange(301) * h
+    with pytest.raises(KernelRangeError):
+        propagators(short, idx[:, None], idx, h)
+    t, tau = idx[[300, 150]], idx[[99, 249]]
+    assert np.array_equal(propagators(short, t, tau, h)[2], propagators(tab, t, tau, h)[2])
