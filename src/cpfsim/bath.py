@@ -113,14 +113,14 @@ def decay_time(kernel: BathKernel) -> Optional[float]:
     return float(t0 + (t1 - t0) * (mag[k - 1] - level) / (mag[k - 1] - mag[k]))
 
 
-def load_kernel_csv(path: Union[str, Path], time_scale: float = 1.0) -> TabulatedKernel:
+def load_kernel_csv(path: Union[str, Path]) -> TabulatedKernel:
     """Load a tabulated kernel from CSV: time, real part, optional imaginary part.
 
-    A header row is required; rows whose cells are all blank are skipped.
-    ``time_scale`` multiplies the time column, e.g. 1/gamma when the file
-    declares times in units of 1/gamma. A file that cannot be read as UTF-8
-    CSV raises :class:`ValidationError` naming the file, and a malformed
-    row one naming the file and its physical line.
+    Times are in units of 1/gamma of the bath and values in their inverse
+    square, read as they are. A header row is required; rows whose cells
+    are all blank are skipped. A file that cannot be read as UTF-8 CSV
+    raises :class:`ValidationError` naming the file, and a malformed row
+    one naming the file and its physical line.
     """
     path = Path(path)
     try:
@@ -152,8 +152,7 @@ def load_kernel_csv(path: Union[str, Path], time_scale: float = 1.0) -> Tabulate
     three = width == 3
     im = np.zeros(len(body))
     im[three] = cells[first[three] + 2]
-    times = cells[first] * time_scale
-    return TabulatedKernel(times=times, values=cells[first + 1] + 1j * im)
+    return TabulatedKernel(times=cells[first], values=cells[first + 1] + 1j * im)
 
 
 def _raise_first_bad_row(path: Path) -> NoReturn:

@@ -10,15 +10,13 @@ parameters as positional flags. Example:
       "y": -1,
       "grid": {"t_max_gamma": 5.0, "points": 101, "equal_times": true},
       "noise": {"total_counts": 10000, "visibility": 1.0,
-                "replicas": 200, "seed": 7},
-      "units": "gamma_t"
+                "replicas": 200, "seed": 7}
     }
 
 The bath block is either analytic ({"gamma", "tau_c"}) or tabulated
-({"kernel_csv": path, "time_unit": "seconds" | "inverse_gamma", "gamma"}).
-Exactly one form must be present. Times in emitted datasets are in
-dimensionless gamma*t by default ("units": "gamma_t"); "absolute" keeps
-them in the input units.
+({"kernel_csv": path, "gamma"}). Datasets write times as gamma*t; a kernel
+file holds t in units of 1/gamma and f in their inverse square. "units"
+and "bath.time_unit" may be omitted or set to "gamma_t" and "seconds".
 
 Validation failures name the offending field path.
 """
@@ -34,8 +32,6 @@ from .bath import BathKernel, LorentzianKernel, load_kernel_csv
 from .cpf import InitialState, MeasurementScheme
 from .errors import ValidationError
 from .experiment import ExperimentConfig
-
-_UNITS = ("gamma_t", "absolute")
 
 # Reference equal-times curves of figure2: (scheme, gamma tau_c, excited
 # population p), ordered from the strongest positive to the strongest
@@ -88,12 +84,10 @@ class BathConfig:
     gamma: float
     tau_c: Optional[float] = None
     kernel_csv: Optional[Path] = None
-    time_unit: str = "seconds"
 
     def make_kernel(self) -> BathKernel:
         if self.kernel_csv is not None:
-            scale = 1.0 / self.gamma if self.time_unit == "inverse_gamma" else 1.0
-            return load_kernel_csv(self.kernel_csv, time_scale=scale)
+            return load_kernel_csv(self.kernel_csv)
         return LorentzianKernel(gamma=self.gamma, tau_c=self.tau_c)
 
     @property
@@ -111,13 +105,9 @@ class RunConfig:
     points: int
     equal_times: bool
     noise: Optional[ExperimentConfig]
-    units: str
     combos: tuple[tuple[MeasurementScheme, float, float], ...]
     visibilities: tuple[float, ...]
     raw: dict  # canonical echo for dataset headers
-
-    def report_time(self, t: float) -> float:
-        return t * self.bath.gamma if self.units == "gamma_t" else t
 
 
 def _parse_bath(block, field: str) -> BathConfig:
@@ -127,6 +117,8 @@ def _parse_bath(block, field: str) -> BathConfig:
     tabulated = "kernel_csv" in block
     if analytic == tabulated:
         _fail(field, "exactly one bath form required: {gamma, tau_c} or {kernel_csv, ...}")
+    if block.get("time_unit", "seconds") != "seconds":
+        _fail(f"{field}.time_unit", f"must be 'seconds', got {block['time_unit']!r}")
     gamma = _number(_require(block, "gamma", field), f"{field}.gamma")
     if gamma <= 0:
         _fail(f"{field}.gamma", "must be > 0")
@@ -138,10 +130,7 @@ def _parse_bath(block, field: str) -> BathConfig:
     path = Path(str(block["kernel_csv"]))
     if not path.exists():
         _fail(f"{field}.kernel_csv", f"file not found: {path}")
-    unit = block.get("time_unit", "seconds")
-    if unit not in ("seconds", "inverse_gamma"):
-        _fail(f"{field}.time_unit", f"must be 'seconds' or 'inverse_gamma', got {unit!r}")
-    return BathConfig(gamma=gamma, kernel_csv=path, time_unit=unit)
+    return BathConfig(gamma=gamma, kernel_csv=path)
 
 
 def _parse_state(block, field: str) -> InitialState:
@@ -168,11 +157,13 @@ def _parse_state(block, field: str) -> InitialState:
 
 
 def _parse_schemes(value, field: str) -> tuple[MeasurementScheme, ...]:
-    if isinstance(value, str):
-        value = [value]
     if not isinstance(value, list) or not value:
         _fail(field, "expected a non-empty list of scheme names")
-    return tuple(_scheme(name, field) for name in value)
+    schemes = tuple(_scheme(name, f"{field}[{k}]") for k, name in enumerate(value))
+    for k, scheme in enumerate(schemes):
+        if scheme in schemes[:k]:
+            _fail(f"{field}[{k}]", f"duplicate scheme {scheme.value!r}")
+    return schemes
 
 
 def _scheme(name, field: str) -> MeasurementScheme:
@@ -251,9 +242,8 @@ def parse_config(document: dict) -> RunConfig:
     if not isinstance(equal_times, bool):
         _fail("grid.equal_times", "must be true or false")
     noise = _parse_noise(document["noise"], "noise") if "noise" in document else None
-    units = document.get("units", "gamma_t")
-    if units not in _UNITS:
-        _fail("units", f"must be one of {_UNITS}, got {units!r}")
+    if document.get("units", "gamma_t") != "gamma_t":
+        _fail("units", f"must be 'gamma_t', got {document['units']!r}")
     combos = _parse_combos(document.get("combos"), "combos")
     visibilities = _parse_visibilities(document.get("visibilities"), "visibilities")
     return RunConfig(
@@ -265,7 +255,6 @@ def parse_config(document: dict) -> RunConfig:
         points=points,
         equal_times=equal_times,
         noise=noise,
-        units=units,
         combos=combos,
         visibilities=visibilities,
         raw=document,

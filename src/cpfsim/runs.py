@@ -73,7 +73,7 @@ def _preset(cfg: RunConfig, scheme: MeasurementScheme, ratio, p, y) -> RunConfig
     population p, one scheme conditioned on y, equal times in gamma t."""
     return dataclasses.replace(
         cfg, bath=BathConfig(gamma=ratio, tau_c=1.0), state=InitialState.from_population(p),
-        schemes=(scheme,), y=y, equal_times=True, units="gamma_t",
+        schemes=(scheme,), y=y, equal_times=True,
     )
 
 
@@ -90,7 +90,7 @@ def _curves(cfg: RunConfig) -> tuple[np.ndarray, float, np.ndarray, list]:
     g_t, g_tau, g2 = propagators(cfg.bath.make_kernel(), times[i], times[j], step)
     p_label = abs(cfg.state.a) ** 2
     ratio_label = cfg.bath.tau_c * cfg.bath.gamma if cfg.bath.is_analytic else None
-    t = cfg.report_time(times)
+    t = times * cfg.bath.gamma
     t_col, tau_col = t[i], t[j]
     blocks = [
         (
@@ -126,7 +126,7 @@ def run_appendix_d(cfg: RunConfig, out_dir: Path) -> Path:
             preset.state, scheme, preset.bath.make_kernel(), times, noise, y=y, t_step=step
         )
         blocks.append((
-            scheme.value, y, p, ratio, noise.total_counts, visibility, preset.report_time(study.t),
+            scheme.value, y, p, ratio, noise.total_counts, visibility, study.t * preset.bath.gamma,
             study.ideal, study.degraded_ideal, study.mc_mean, study.mc_std,
             study.predicted_std, study.n_replicas, noise.seed,
         ))
@@ -156,7 +156,7 @@ def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
         gamma_t, _ = rates_from_G(g[:keep], h)
         warning = f"truncated: G(t) crosses zero near gamma*t = {exc.t * cfg.bath.gamma:.6g}"
     cpf = [closed[:keep] for *_, closed, _ in blocks]
-    columns = (cfg.report_time(times[:keep]), gamma_t, np.abs(g[:keep]) ** 2, *cpf)
+    columns = (times[:keep] * cfg.bath.gamma, gamma_t, np.abs(g[:keep]) ** 2, *cpf)
     # the warning is a scalar: "" in a block of every row but the last, and
     # a one-row block of the last row
     blocks = [(*(c[: keep - 1] for c in columns), ""), (*(c[keep - 1 :] for c in columns), warning)]

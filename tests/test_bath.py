@@ -131,13 +131,6 @@ def test_kernel_csv_roundtrip(tmp_path):
     assert eval_kernel_grid(load_kernel_csv(path2), 1.0) == pytest.approx(0.5)
 
 
-def test_kernel_csv_time_scale(tmp_path):
-    path = tmp_path / "kernel.csv"
-    path.write_text("t_in_inverse_gamma,re\n0.0,1.0\n1.0,0.5\n")
-    k = load_kernel_csv(path, time_scale=2.0)  # gamma = 0.5
-    assert k.t_max == pytest.approx(2.0)
-
-
 def test_kernel_csv_requires_header(tmp_path):
     path = tmp_path / "kernel.csv"
     path.write_text("0.0,1.0\n1.0,0.5\n")
@@ -185,7 +178,7 @@ def test_kernel_csv_skips_blank_lines_and_loads_complex_values(tmp_path):
     assert k.values.tolist() == [1.0 + 0.0j, 0.5 - 0.25j]
 
 
-def _load_kernel_csv_reference(path, time_scale=1.0):
+def _load_kernel_csv_reference(path):
     """The per-row csv + float() loop form of load_kernel_csv, kept as the
     reference the vectorised loader is checked against."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -213,7 +206,7 @@ def _load_kernel_csv_reference(path, time_scale=1.0):
             im = float(row[2]) if len(row) == 3 else 0.0
         except ValueError as exc:
             raise ValidationError(f"{path}:{ln}: {exc}") from exc
-        times.append(t * time_scale)
+        times.append(t)
         values.append(re_ + 1j * im)
     return TabulatedKernel(times=np.array(times), values=np.array(values))
 
@@ -242,22 +235,21 @@ KERNEL_FILES = {
 }
 
 
-def _load(loader, path, time_scale):
+def _load(loader, path):
     try:
-        return loader(path, time_scale=time_scale)
+        return loader(path)
     except ValidationError as exc:
         return exc
 
 
-@pytest.mark.parametrize("time_scale", [1.0, 0.3])
 @pytest.mark.parametrize("name", sorted(KERNEL_FILES))
-def test_kernel_csv_matches_reference_loop(tmp_path, name, time_scale):
+def test_kernel_csv_matches_reference_loop(tmp_path, name):
     # accepted files give the same arrays to the bit; rejected files raise
     # the same ValidationError message
     path = tmp_path / "kernel.csv"
     path.write_bytes(KERNEL_FILES[name].encode("utf-8"))
-    ref = _load(_load_kernel_csv_reference, path, time_scale)
-    out = _load(load_kernel_csv, path, time_scale)
+    ref = _load(_load_kernel_csv_reference, path)
+    out = _load(load_kernel_csv, path)
     assert type(out) is type(ref)
     if isinstance(ref, ValidationError):
         assert str(out) == str(ref)
@@ -279,8 +271,8 @@ def test_kernel_csv_matches_reference_loop_on_a_large_file(tmp_path):
             lines.append("")
     path = tmp_path / "kernel.csv"
     path.write_text("\r\n".join(lines) + "\r\n")
-    ref = _load_kernel_csv_reference(path, 2.5)
-    out = load_kernel_csv(path, time_scale=2.5)
+    ref = _load_kernel_csv_reference(path)
+    out = load_kernel_csv(path)
     assert out.times.tobytes() == ref.times.tobytes()
     assert out.values.tobytes() == ref.values.tobytes()
 

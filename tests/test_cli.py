@@ -118,6 +118,35 @@ class TestConfig:
         with pytest.raises(ValidationError, match="noise.total_counts"):
             parse_config({"bath": {"gamma": 1.0, "tau_c": 1.0}, "noise": {}})
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # one time unit: datasets write gamma t, and a kernel file holds t
+            # in units of 1/gamma and f in their inverse square
+            ({"units": "absolute"}, "units: must be 'gamma_t', got 'absolute'"),
+            (
+                {"bath": {"gamma": 2.0, "kernel_csv": "kernel.csv", "time_unit": "inverse_gamma"}},
+                "bath.time_unit: must be 'seconds', got 'inverse_gamma'",
+            ),
+            ({"schemes": "zzz"}, "schemes: expected a non-empty list of scheme names"),
+            # a repeated scheme wrote each of its blocks twice
+            ({"schemes": ["zzz", "zzz"]}, r"schemes\[1\]: duplicate scheme 'zzz'"),
+            ({"schemes": ["xzx", "zzz", "ZZZ"]}, r"schemes\[2\]: duplicate scheme 'zzz'"),
+        ],
+        ids=["units", "time-unit", "schemes-string", "schemes-repeated", "schemes-repeated-case"],
+    )
+    def test_refused_units_and_schemes_exit_2(
+        self, tmp_path, monkeypatch, capsys, overrides, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "kernel.csv").write_text("t,re\n0,0.5\n1,0.25\n")
+        cfg = write_config(tmp_path, overrides)
+        with pytest.raises(ValidationError, match=r"^config: " + message):
+            load_config(cfg)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: config: ")
+        assert not (tmp_path / "out").exists()
+
     def test_json_error_carries_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"bath": \n !}')
@@ -718,6 +747,58 @@ class TestOneSweepPath:
             closed = [(r["t"], r["cpf_closed"]) for r in sweep if r["scheme"] == scheme]
             assert len(closed) == 21
             assert [(r["t"], r[f"cpf_{scheme}"]) for r in witness] == closed[: len(witness)]
+
+
+class TestTimeUnit:
+    """Datasets write times as gamma t, and a kernel file holds t in units of
+    1/gamma and f in their inverse square, whatever gamma is."""
+
+    def test_t_column_is_gamma_t_at_gamma_2(self, tmp_path):
+        gamma, tau_c = 2.0, 0.2
+        grid = {"t_max_gamma": 3.0, "points": 31, "equal_times": True}
+        # the kernel of the analytic bath, sampled to the largest t + tau
+        ts = np.arange(601) * 0.005
+        kpath = tmp_path / "kernel.csv"
+        kpath.write_text(
+            "t,re\n"
+            + "".join(f"{t:.17g},{gamma / (2 * tau_c) * np.exp(-t / tau_c):.17g}\n" for t in ts)
+        )
+        runs = {
+            "sweep": {"bath": {"gamma": gamma, "tau_c": tau_c}},
+            "witness": {"bath": {"gamma": gamma, "tau_c": tau_c}},
+            "witness-tabulated": {"bath": {"gamma": gamma, "kernel_csv": str(kpath)}},
+            "figure2": {"combos": [{"scheme": "zzz", "gamma_tau_c": gamma, "p": 0.8}]},
+        }
+        expected = np.arange(31) * 3.0 / 30
+        rows = {}
+        for name, overrides in runs.items():
+            cmd = name.split("-")[0]
+            cfg = write_config(tmp_path, {**overrides, "grid": grid}, f"{name}.json")
+            assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+            rows[name] = read_rows(tmp_path / name / f"{cmd}.csv")[1]
+            t = np.array([float(r["t"]) for r in rows[name]])
+            blocks = t.size // expected.size  # sweep writes one block per scheme
+            assert t.size == blocks * expected.size
+            assert np.max(np.abs(t - np.tile(expected, blocks))) <= 1e-15
+        # the tabulated kernel in units of 1/gamma is the analytic bath
+        g_abs2 = {
+            name: np.array([float(r["g_abs2"]) for r in rows[name]])
+            for name in ("witness", "witness-tabulated")
+        }
+        assert np.max(np.abs(g_abs2["witness-tabulated"] - g_abs2["witness"])) <= 1e-4
+
+    def test_truncation_warning_names_the_next_gamma_t(self, tmp_path):
+        # gamma tau_c = 2: G crosses zero inside the grid, and the warning
+        # names the gamma t one output step past the last row
+        grid = {"t_max_gamma": 20.0, "points": 201}
+        cfg = write_config(tmp_path, {"bath": {"gamma": 2.0, "tau_c": 1.0}, "grid": grid})
+        assert main(["witness", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_rows(tmp_path / "out" / "witness.csv")
+        assert 3 < len(rows) < 201
+        assert float(rows[-1]["t"]) == pytest.approx((len(rows) - 1) * 0.1, abs=1e-15)
+        assert rows[-1]["warning"] == (
+            f"truncated: G(t) crosses zero near gamma*t = {len(rows) * 0.1:.6g}"
+        )
 
 
 class TestValidate:
