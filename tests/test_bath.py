@@ -13,6 +13,7 @@ from cpfsim import (
     load_kernel_csv,
 )
 from cpfsim.bath import decay_time
+from cpfsim.config import parse_config
 from cpfsim.errors import KernelRangeError, ValidationError
 
 # Oracle: mpmath.mp.dps=30 gives 2*exp(-1) = 0.735758882342884643...
@@ -242,14 +243,22 @@ def _load(loader, path):
         return exc
 
 
+def _load_through_config(path):
+    # the config route at gamma = 2: a kernel file's times are already in
+    # units of 1/gamma, so the file is read unscaled
+    bath = {"gamma": 2.0, "kernel_csv": str(path), "time_unit": "seconds"}
+    return parse_config({"bath": bath}).bath.make_kernel()
+
+
+@pytest.mark.parametrize("route", ["loader", "config"])
 @pytest.mark.parametrize("name", sorted(KERNEL_FILES))
-def test_kernel_csv_matches_reference_loop(tmp_path, name):
+def test_kernel_csv_matches_reference_loop(tmp_path, name, route):
     # accepted files give the same arrays to the bit; rejected files raise
     # the same ValidationError message
     path = tmp_path / "kernel.csv"
     path.write_bytes(KERNEL_FILES[name].encode("utf-8"))
     ref = _load(_load_kernel_csv_reference, path)
-    out = _load(load_kernel_csv, path)
+    out = _load(load_kernel_csv if route == "loader" else _load_through_config, path)
     assert type(out) is type(ref)
     if isinstance(ref, ValidationError):
         assert str(out) == str(ref)

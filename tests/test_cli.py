@@ -128,12 +128,23 @@ class TestConfig:
                 {"bath": {"gamma": 2.0, "kernel_csv": "kernel.csv", "time_unit": "inverse_gamma"}},
                 "bath.time_unit: must be 'seconds', got 'inverse_gamma'",
             ),
+            (
+                {"bath": {"gamma": 2.0, "tau_c": 1.0, "time_unit": "inverse_gamma"}},
+                "bath.time_unit: must be 'seconds', got 'inverse_gamma'",
+            ),
             ({"schemes": "zzz"}, "schemes: expected a non-empty list of scheme names"),
             # a repeated scheme wrote each of its blocks twice
             ({"schemes": ["zzz", "zzz"]}, r"schemes\[1\]: duplicate scheme 'zzz'"),
             ({"schemes": ["xzx", "zzz", "ZZZ"]}, r"schemes\[2\]: duplicate scheme 'zzz'"),
         ],
-        ids=["units", "time-unit", "schemes-string", "schemes-repeated", "schemes-repeated-case"],
+        ids=[
+            "units",
+            "time-unit",
+            "time-unit-analytic",
+            "schemes-string",
+            "schemes-repeated",
+            "schemes-repeated-case",
+        ],
     )
     def test_refused_units_and_schemes_exit_2(
         self, tmp_path, monkeypatch, capsys, overrides, message
