@@ -8,10 +8,11 @@ and the noise seed of ``appendix-d``, the one subcommand that draws noise).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
-from .config import load_config, seeded
+from .config import load_config
 from .errors import CpfsimError
 from .runs import (
     run_appendix_d,
@@ -60,8 +61,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if run_validation() else 1
     try:
         cfg = load_config(args.config)
-        if args.command == "appendix-d":
-            cfg = seeded(cfg, args.seed)
+        if args.command == "appendix-d" and args.seed is not None and cfg.noise is not None:
+            cfg = dataclasses.replace(cfg, noise=dataclasses.replace(cfg.noise, seed=args.seed))
         path = _RUNNERS[args.command](cfg, args.out)
     except (CpfsimError, OSError) as exc:  # invalid input, or unwritable output
         print(f"error: {exc}", file=sys.stderr)

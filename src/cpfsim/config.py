@@ -9,16 +9,19 @@ parameters as positional flags. Example:
       "schemes": ["zzz", "xzx"],
       "y": -1,
       "grid": {"t_max_gamma": 5.0, "points": 101, "equal_times": true},
-      "noise": {"total_counts": 10000, "visibility": 1.0,
-                "replicas": 200, "seed": 7}
+      "noise": {"total_counts": 10000, "replicas": 200, "seed": 7}
     }
 
 The bath block is either analytic ({"gamma", "tau_c"}) or tabulated
 ({"kernel_csv": path, "gamma"}). Datasets write times as gamma*t; a kernel
-file holds t in units of 1/gamma and f in their inverse square. "units"
-and "bath.time_unit" may be omitted or set to "gamma_t" and "seconds".
+file holds t in units of 1/gamma and f in their inverse square.
 
-Validation failures name the offending field path.
+A key that no block declares is refused. "units" ("gamma_t"),
+"bath.time_unit" ("seconds") and "noise.visibility" (in [0, 1]) are read
+by no run and accepted for older configs only. Validation failures name
+the offending field path. :meth:`RunConfig.echo`, the parsed config with
+every default filled in, is the ``# config`` line of a dataset, and
+``parse_config(cfg.echo()) == cfg``.
 """
 from __future__ import annotations
 
@@ -50,6 +53,21 @@ DEFAULT_VISIBILITIES = (1.0, 0.9, 0.8)
 
 def _fail(field: str, message: str):
     raise ValidationError(f"config: {field}: {message}")
+
+
+def _block(value, field: str, keys: tuple[str, ...]) -> dict:
+    """``value`` as the config object at ``field``, whose keys must be among
+    ``keys``; field "" is the top level."""
+    if not isinstance(value, dict):
+        _fail(field, "expected an object")
+    for key in value:
+        if key not in keys:
+            import difflib
+
+            close = difflib.get_close_matches(key, keys, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            _fail(f"{field}.{key}" if field else key, f"unknown key{hint}")
+    return value
 
 
 def _require(mapping: dict, field: str, context: str):
@@ -107,12 +125,32 @@ class RunConfig:
     noise: Optional[ExperimentConfig]
     combos: tuple[tuple[MeasurementScheme, float, float], ...]
     visibilities: tuple[float, ...]
-    raw: dict  # canonical echo for dataset headers
+
+    def echo(self) -> dict:
+        """The run as a config document, every default filled in and the
+        state as amplitudes [re, im]; the ``# config`` line of a dataset."""
+        bath = self.bath
+        form = {"tau_c": bath.tau_c} if bath.is_analytic else {"kernel_csv": str(bath.kernel_csv)}
+        document = {
+            "bath": {"gamma": bath.gamma, **form},
+            "state": {k: [v.real, v.imag] for k, v in (("a", self.state.a), ("b", self.state.b))},
+            "schemes": [scheme.value for scheme in self.schemes],
+            "y": self.y,
+            "grid": {"t_max_gamma": self.t_max_gamma, "points": self.points,
+                     "equal_times": self.equal_times},
+            "combos": [{"scheme": s.value, "gamma_tau_c": r, "p": p} for s, r, p in self.combos],
+            "visibilities": list(self.visibilities),
+        }
+        if self.noise is not None:
+            noise = self.noise
+            document["noise"] = {
+                "total_counts": noise.total_counts, "replicas": noise.replicas, "seed": noise.seed
+            }
+        return document
 
 
 def _parse_bath(block, field: str) -> BathConfig:
-    if not isinstance(block, dict):
-        _fail(field, "expected an object")
+    block = _block(block, field, ("gamma", "tau_c", "kernel_csv", "time_unit"))
     analytic = "tau_c" in block
     tabulated = "kernel_csv" in block
     if analytic == tabulated:
@@ -134,11 +172,10 @@ def _parse_bath(block, field: str) -> BathConfig:
 
 
 def _parse_state(block, field: str) -> InitialState:
-    if not isinstance(block, dict):
-        _fail(field, "expected an object")
-    if "p" in block:
+    keys = set(_block(block, field, ("p", "a", "b")))
+    if keys == {"p"}:
         return InitialState.from_population(_fraction(block["p"], f"{field}.p"))
-    if "a" in block and "b" in block:
+    if keys == {"a", "b"}:
 
         def as_complex(v, name):
             if isinstance(v, (int, float)) and not isinstance(v, bool):
@@ -154,6 +191,14 @@ def _parse_state(block, field: str) -> InitialState:
         except ValidationError as exc:
             _fail(field, str(exc))
     _fail(field, "expected either {'p': ...} or {'a': ..., 'b': ...}")
+
+
+def _nonempty_list(value, field: str, items: str) -> list:
+    if not isinstance(value, list):
+        _fail(field, f"expected a list of {items}")
+    if not value:
+        _fail(field, "expected a non-empty list")
+    return value
 
 
 def _parse_schemes(value, field: str) -> tuple[MeasurementScheme, ...]:
@@ -176,15 +221,10 @@ def _scheme(name, field: str) -> MeasurementScheme:
 def _parse_combos(value, field: str) -> tuple[tuple[MeasurementScheme, float, float], ...]:
     if value is None:
         return FIGURE2_COMBOS
-    if not isinstance(value, list):
-        _fail(field, "expected a list of {scheme, gamma_tau_c, p} objects")
-    if not value:
-        _fail(field, "expected a non-empty list")
     combos = []
-    for k, item in enumerate(value):
+    for k, item in enumerate(_nonempty_list(value, field, "{scheme, gamma_tau_c, p} objects")):
         where = f"{field}[{k}]"
-        if not isinstance(item, dict):
-            _fail(where, "expected an object with scheme, gamma_tau_c and p")
+        _block(item, where, ("scheme", "gamma_tau_c", "p"))
         scheme = _scheme(_require(item, "scheme", where), f"{where}.scheme")
         ratio = _number(_require(item, "gamma_tau_c", where), f"{where}.gamma_tau_c")
         if ratio <= 0:
@@ -197,22 +237,17 @@ def _parse_combos(value, field: str) -> tuple[tuple[MeasurementScheme, float, fl
 def _parse_visibilities(value, field: str) -> tuple[float, ...]:
     if value is None:
         return DEFAULT_VISIBILITIES
-    if not isinstance(value, list):
-        _fail(field, "expected a list of numbers in [0, 1]")
-    if not value:
-        _fail(field, "expected a non-empty list")
+    value = _nonempty_list(value, field, "numbers in [0, 1]")
     return tuple(_fraction(v, f"{field}[{k}]") for k, v in enumerate(value))
 
 
 def _parse_noise(block, field: str) -> ExperimentConfig:
-    if not isinstance(block, dict):
-        _fail(field, "expected an object")
+    block = _block(block, field, ("total_counts", "replicas", "seed", "visibility"))
     total = _number(_require(block, "total_counts", field), f"{field}.total_counts")
-    visibility = _number(block.get("visibility", 1.0), f"{field}.visibility")
+    _fraction(block.get("visibility", 1.0), f"{field}.visibility")  # read by no run
     try:
         return ExperimentConfig(
             total_counts=total,
-            visibility=visibility,
             replicas=block.get("replicas", 1),
             seed=block.get("seed", 0),
         )
@@ -223,15 +258,15 @@ def _parse_noise(block, field: str) -> ExperimentConfig:
 def parse_config(document: dict) -> RunConfig:
     if not isinstance(document, dict):
         raise ValidationError("config: top level must be a JSON object")
+    keys = ("bath", "state", "schemes", "y", "grid", "noise", "combos", "visibilities", "units")
+    _block(document, "", keys)
     bath = _parse_bath(_require(document, "bath", ""), "bath")
     state = _parse_state(document.get("state", {"p": 0.8}), "state")
     schemes = _parse_schemes(document.get("schemes", ["zzz", "xzx"]), "schemes")
     y = document.get("y", -1)
     if not isinstance(y, int) or isinstance(y, bool) or y not in (+1, -1):
         _fail("y", f"must be +1 or -1, got {y!r}")
-    grid = document.get("grid", {})
-    if not isinstance(grid, dict):
-        _fail("grid", "expected an object")
+    grid = _block(document.get("grid", {}), "grid", ("t_max_gamma", "points", "equal_times"))
     t_max_gamma = _number(grid.get("t_max_gamma", 5.0), "grid.t_max_gamma")
     if t_max_gamma <= 0:
         _fail("grid.t_max_gamma", "must be > 0")
@@ -257,7 +292,6 @@ def parse_config(document: dict) -> RunConfig:
         noise=noise,
         combos=combos,
         visibilities=visibilities,
-        raw=document,
     )
 
 
@@ -275,15 +309,3 @@ def load_config(path: Union[str, Path]) -> RunConfig:
         ) from exc
     return parse_config(document)
 
-
-def seeded(cfg: RunConfig, seed: Optional[int]) -> RunConfig:
-    """Return cfg with the noise seed overridden (CLI --seed flag)."""
-    if seed is None or cfg.noise is None:
-        return cfg
-    import dataclasses
-
-    noise = dataclasses.replace(cfg.noise, seed=seed)
-    raw = dict(cfg.raw)
-    raw["noise"] = dict(raw.get("noise", {}))
-    raw["noise"]["seed"] = seed
-    return dataclasses.replace(cfg, noise=noise, raw=raw)

@@ -1,7 +1,7 @@
 """Deterministic CSV output.
 
 Every dataset starts with a comment header block carrying the package
-version, a canonical (sorted-keys) echo of the generating config and any
+version, the run's parsed config as one sorted-keys JSON line and any
 further deterministic run facts, such as the RNG contract, so a rerun with
 an identical config is byte-identical. Dialect: comma separator,
 '.' decimal point, one header row, UTF-8, LF line endings.

@@ -63,7 +63,12 @@ def _grid(cfg: RunConfig) -> tuple[np.ndarray, float, float]:
     gamma = cfg.bath.gamma
     n = cfg.points - 1
     h = cfg.t_max_gamma / gamma / n
-    refine = max(1, int(np.ceil(h * 100.0 * gamma)))
+    substeps = h * 100.0 * gamma
+    if not np.isfinite(substeps):
+        raise ValidationError(
+            f"config: grid.t_max_gamma: time step beyond the float range at gamma = {gamma:g}"
+        )
+    refine = max(1, int(np.ceil(substeps)))
     return np.arange(n + 1) * h, h, h / refine
 
 
@@ -108,7 +113,7 @@ def run_figure2(cfg: RunConfig, out_dir: Path) -> Path:
     """Equal-times correlation curves for the reference (scheme, bath, state)
     combinations, conditioned on ``cfg.y``, over gamma*t in [0, t_max_gamma]."""
     blocks = [b for combo in cfg.combos for b in _curves(_preset(cfg, *combo, cfg.y))[-1]]
-    return write_dataset(out_dir / "figure2.csv", CURVE_FIELDS, blocks, cfg.raw)
+    return write_dataset(out_dir / "figure2.csv", CURVE_FIELDS, blocks, cfg.echo())
 
 
 def run_appendix_d(cfg: RunConfig, out_dir: Path) -> Path:
@@ -131,7 +136,7 @@ def run_appendix_d(cfg: RunConfig, out_dir: Path) -> Path:
             study.predicted_std, study.n_replicas, noise.seed,
         ))
     return write_dataset(
-        out_dir / "appendix_d.csv", NOISE_FIELDS, blocks, cfg.raw, comments=[RNG_CONTRACT]
+        out_dir / "appendix_d.csv", NOISE_FIELDS, blocks, cfg.echo(), comments=[RNG_CONTRACT]
     )
 
 
@@ -160,7 +165,7 @@ def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
     # the warning is a scalar: "" in a block of every row but the last, and
     # a one-row block of the last row
     blocks = [(*(c[: keep - 1] for c in columns), ""), (*(c[keep - 1 :] for c in columns), warning)]
-    return write_dataset(out_dir / "witness.csv", WITNESS_FIELDS, blocks, cfg.raw)
+    return write_dataset(out_dir / "witness.csv", WITNESS_FIELDS, blocks, cfg.echo())
 
 
 def run_validation(writer: Callable[[str], None] = print) -> bool:
@@ -237,4 +242,4 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
     """Generic sweep over the configured schemes and grid, for analytic or
     tabulated baths. Tabulated baths run through the numerical pipeline
     (one Volterra solve, G2 from G) on the same grid."""
-    return write_dataset(out_dir / "sweep.csv", CURVE_FIELDS, _curves(cfg)[-1], cfg.raw)
+    return write_dataset(out_dir / "sweep.csv", CURVE_FIELDS, _curves(cfg)[-1], cfg.echo())

@@ -1,5 +1,6 @@
 """Config parsing, dataset runners, CLI subcommands, determinism."""
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -156,6 +157,56 @@ class TestConfig:
             load_config(cfg)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: config: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # the config of a misspelt key ran the defaults z-z-z and x-z-x to
+            # gamma t = 5, while the header echoed the misspelt keys
+            ({"scheme": ["yzy"]}, "scheme: unknown key; did you mean 'schemes'?"),
+            ({"bath": {"gamma": 1, "tau": 1}}, "bath.tau: unknown key; did you mean 'tau_c'?"),
+            ({"state": {"p": 0.8, "q": 0.2}}, "state.q: unknown key$"),
+            ({"grid": {"t_max": 9, "points": 3}}, "grid.t_max: unknown key; did you mean 't_max_gamma'?"),
+            (
+                {"noise": {"total_counts": 100, "seeds": 3}},
+                "noise.seeds: unknown key; did you mean 'seed'?",
+            ),
+            (
+                {"combos": [{"scheme": "zzz", "gamma_tau_c": 1, "p": 0.8, "ratio": 1}]},
+                r"combos\[0\]\.ratio: unknown key$",
+            ),
+            # a state of both forms ran p and dropped a and b
+            (
+                {"state": {"p": 0.8, "a": 1, "b": 0}},
+                r"state: expected either \{'p': ...\} or \{'a': ..., 'b': ...\}",
+            ),
+        ],
+        ids=["top", "bath", "state", "grid", "noise", "combo", "state-both-forms"],
+    )
+    def test_unknown_keys_exit_2(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(tmp_path, overrides)
+        with pytest.raises(ValidationError, match=r"^config: " + message):
+            load_config(cfg)
+        assert main(["figure2", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: config: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("sweep", {"grid": {"t_max_gamma": 1e307, "points": 3}}),
+            ("sweep", {"bath": {"gamma": 1e-320, "tau_c": 1}}),
+            ("figure2", {"combos": [{"scheme": "zzz", "gamma_tau_c": 1e-320, "p": 0.8}]}),
+        ],
+        ids=["t_max_gamma", "gamma", "combo"],
+    )
+    def test_overflowing_time_step_exits_2(self, tmp_path, capsys, command, overrides):
+        # t_max_gamma / gamma beyond the float range ended in an
+        # OverflowError traceback
+        cfg = write_config(tmp_path, overrides)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: config: grid.t_max_gamma: ")
         assert not (tmp_path / "out").exists()
 
     def test_json_error_carries_line(self, tmp_path):
@@ -413,6 +464,8 @@ class TestAppendixD:
         assert a == (tmp_path / "b" / "appendix_d.csv").read_bytes()
         main(["appendix-d", "--config", str(cfg), "--out", str(tmp_path / "c"), "--seed", "100"])
         assert a != (tmp_path / "c" / "appendix_d.csv").read_bytes()
+        # the header records the seed the run drew with
+        assert '"seed":99' in a.decode().split("\n")[1]
 
     @pytest.mark.parametrize(
         "noise, flags, message",
@@ -812,6 +865,85 @@ class TestTimeUnit:
         )
 
 
+# The preset-edge and truncated-witness configs of the CI workflow.
+PRESET_EDGE = {
+    "bath": {"gamma": 1.0, "tau_c": 1.0},
+    "state": {"p": 0.8},
+    "grid": {"t_max_gamma": 5.0, "points": 151, "equal_times": True},
+    "combos": [
+        {"scheme": "zzz", "gamma_tau_c": 0.01, "p": 0.8},
+        {"scheme": "xzx", "gamma_tau_c": 0.1, "p": 1.0},
+        {"scheme": "zzz", "gamma_tau_c": 0.1, "p": 0.8},
+        {"scheme": "xzx", "gamma_tau_c": 0.2, "p": 1.0},
+        {"scheme": "zzz", "gamma_tau_c": 5.0, "p": 0.8},
+    ],
+    "visibilities": [1.0, 0.9],
+    "noise": {"total_counts": 10000, "replicas": 20, "seed": 3},
+}
+TRUNCATED_WITNESS = {"bath": {"gamma": 5.0, "tau_c": 1.0}, "grid": {"t_max_gamma": 20.0, "points": 201}}
+
+
+class TestConfigEcho:
+    """The ``# config`` header line is the parsed config, every default
+    filled in: parsing it gives the config of the run back."""
+
+    @staticmethod
+    def header_config(path):
+        line = path.read_text(encoding="utf-8").split("\n")[1]
+        assert line.startswith("# config ")
+        return parse_config(json.loads(line[len("# config "):]))
+
+    @pytest.mark.parametrize("name", ["sweep_grid", "noise_study", "tabulated_sweep"])
+    def test_benchmark_headers_round_trip(self, tmp_path, monkeypatch, perfbench_workloads, name):
+        # the benchmark configs set units, bath.time_unit and noise.visibility,
+        # which no run reads: they load, and the header leaves them out
+        perfbench_workloads.write_kernel_csv(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        workload = perfbench_workloads.WORKLOADS[name]
+        assert main([workload.command, "--config", str(workload.config_path), "--out", "out"]) == 0
+        cfg = load_config(workload.config_path)
+        assert self.header_config(tmp_path / "out" / workload.output) == cfg
+
+    @pytest.mark.parametrize(
+        "command, document",
+        [
+            ("figure2", PRESET_EDGE),
+            ("appendix-d", PRESET_EDGE),
+            ("witness", TRUNCATED_WITNESS),
+        ],
+        ids=["preset-edge-figure2", "preset-edge-appendix-d", "truncated-witness"],
+    )
+    def test_ci_headers_round_trip(self, tmp_path, command, document):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(document))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        output = {"appendix-d": "appendix_d.csv"}.get(command, f"{command}.csv")
+        assert self.header_config(tmp_path / "out" / output) == parse_config(document)
+
+    def test_defaults_spelled_out_or_left_out_write_the_same_bytes(
+        self, tmp_path, perfbench_workloads
+    ):
+        document = json.loads(perfbench_workloads.WORKLOADS["sweep_grid"].config_path.read_text())
+        left_out = {k: v for k, v in document.items() if k not in ("units", "state", "y")}
+        # p = 0.8 as the amplitudes sqrt(p), sqrt(1 - p) of InitialState.from_population
+        spelled_out = {
+            **document,
+            "state": {"a": [math.sqrt(0.8), 0.0], "b": [math.sqrt(1.0 - 0.8), 0.0]},
+            "combos": [
+                {"scheme": s.value, "gamma_tau_c": r, "p": p} for s, r, p in FIGURE2_COMBOS
+            ],
+            "visibilities": list(DEFAULT_VISIBILITIES),
+        }
+        csvs = []
+        for name, doc in (("given", document), ("left_out", left_out), ("spelled_out", spelled_out)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            assert main(["sweep", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+            csvs.append((tmp_path / name / "sweep.csv").read_bytes())
+        assert csvs[1] == csvs[0]
+        assert csvs[2] == csvs[0]
+
+
 class TestValidate:
     def test_validate_passes(self, capsys):
         rc = main(["validate"])
@@ -841,6 +973,8 @@ def test_channel_oracle_loads_on_first_use():
 import sys
 import cpfsim.cli
 assert "cpfsim.channel" not in sys.modules, "imported at start-up"
+# the unknown-key hint imports difflib on the error path only
+assert "difflib" not in sys.modules, "difflib imported at start-up"
 import cpfsim
 assert cpfsim.simulate_sequence.__module__ == "cpfsim.channel"
 assert "cpfsim.channel" in sys.modules
