@@ -38,14 +38,8 @@ __version__ = "0.1.0"
 # The channel-map oracle is imported on first use (PEP 562): only `validate`
 # and the tests need it, so the other subcommands start without it.
 _CHANNEL_NAMES = frozenset({
-    "ChannelAngles",
-    "JointState",
     "angles_from_propagator",
-    "apply_U_t",
-    "apply_U_tau",
     "conditional_table",
-    "prepare_joint",
-    "project",
     "simulate_sequence",
 })
 
@@ -60,17 +54,13 @@ def __getattr__(name):
 
 __all__ = [
     "BathKernel",
-    "ChannelAngles",
     "CpfResult",
     "ExperimentConfig",
     "InitialState",
-    "JointState",
     "LorentzianKernel",
     "MeasurementScheme",
     "TabulatedKernel",
     "angles_from_propagator",
-    "apply_U_t",
-    "apply_U_tau",
     "backflow_probabilities",
     "conditional_table",
     "cpf_closed_form",
@@ -79,8 +69,6 @@ __all__ = [
     "load_kernel_csv",
     "lorentzian_G",
     "lorentzian_G_two_time",
-    "prepare_joint",
-    "project",
     "propagators",
     "rates_from_G",
     "run_noise_study",

@@ -17,15 +17,6 @@ class ConditioningImpossibleError(CpfsimError, ValueError):
     """The conditioning outcome has (numerically) zero probability."""
 
 
-class ZeroProbabilityBranchError(CpfsimError, ValueError):
-    """Collapse requested onto a projector branch of ~zero probability."""
-
-
-class NonUnitaryMapError(CpfsimError, ValueError):
-    """Second-interval channel angles do not form a unitary on a state
-    populating both sectors of the single-excitation block."""
-
-
 class PropagatorZeroCrossingError(CpfsimError, ValueError):
     """The propagator crosses zero on the grid; decay rates diverge there."""
 
@@ -36,11 +27,6 @@ class PropagatorZeroCrossingError(CpfsimError, ValueError):
             f"propagator crosses zero near grid index {index} (t = {t:g}); "
             "rates are undefined from there on, restrict t_max"
         )
-
-
-class UnsupportedRegimeError(CpfsimError, ValueError):
-    """Operation called outside its supported regime (e.g. complex
-    propagator values fed to the real-valued channel-map construction)."""
 
 
 class InternalConsistencyError(CpfsimError, RuntimeError):

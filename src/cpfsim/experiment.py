@@ -165,7 +165,8 @@ def run_noise_study(
     ``predicted_std`` (:func:`predicted_std`), ``n_replicas``, the number
     of replicas with data, and ``flagged``. Replicas without a coincidence
     are dropped; points where conditioning is impossible or every replica
-    starves are flagged (NaN statistics).
+    starves are flagged (NaN statistics). A point with one replica of data
+    has no sample stddev: its ``mc_std`` is NaN.
 
     The statistics are computed per chunk of points (:data:`_CHUNK_COUNTS`
     cell counts, at least one point): one :func:`estimate_block` call per
@@ -196,7 +197,7 @@ def run_noise_study(
             rows = np.flatnonzero(counts == c)
             sample = estimates[rows][valid[rows]].reshape(-1, c)
             mc_mean[start + rows] = sample.mean(axis=1)
-            mc_std[start + rows] = sample.std(axis=1, ddof=1) if c > 1 else 0.0
+            mc_std[start + rows] = sample.std(axis=1, ddof=1) if c > 1 else np.nan
     columns = (
         times, ideal, degraded_ideal, mc_mean, mc_std,
         predicted_std(degraded, budget), n_replicas, n_replicas == 0,

@@ -456,6 +456,19 @@ class TestAppendixD:
             )
             assert lo <= ratio <= hi, f"mc_std / predicted_std = {ratio:.3f} outside [{lo:.3f}, {hi:.3f}]"
 
+    @pytest.mark.filterwarnings("error")
+    def test_one_replica_std_is_nan(self, tmp_path):
+        # one replica of data has no sample stddev: NaN, not 0 next to a
+        # nonzero predicted_std, and no ddof warning on the way
+        cfg = tmp_path / "one_replica.json"
+        cfg.write_text(json.dumps(
+            {"bath": {"gamma": 1, "tau_c": 1}, "grid": {"points": 3}, "noise": {"total_counts": 100}}
+        ))
+        assert main(["appendix-d", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_rows(tmp_path / "out" / "appendix_d.csv")
+        single = [r for r in rows if r["n_replicas"] == "1"]
+        assert single and all(r["mc_std"] == "nan" for r in single)
+
     def test_seed_override_and_determinism(self, tmp_path):
         cfg = self.cfg_path(tmp_path)
         main(["appendix-d", "--config", str(cfg), "--out", str(tmp_path / "a"), "--seed", "99"])

@@ -360,7 +360,7 @@ def _run_noise_study_reference(state, scheme, kernel, times, cfg, y=-1, t_step=N
         n_replicas[k] = estimates.size
         if estimates.size:
             mc_mean[k] = np.mean(estimates)
-            mc_std[k] = np.std(estimates, ddof=1) if estimates.size > 1 else 0.0
+            mc_std[k] = np.std(estimates, ddof=1) if estimates.size > 1 else np.nan
     columns = (
         times, ideal, degraded_ideal, mc_mean, mc_std,
         predicted_std(degraded, budget), n_replicas, n_replicas == 0,

@@ -536,16 +536,25 @@ class TestBackflow:
         assert p_s == pytest.approx(EXP_MINUS_PI, abs=1e-15)
         assert p_r == pytest.approx(P_REEXCITE, abs=1e-15)
 
-    def test_reexcitation_matches_collapsed_statevector(self):
-        # oracle: |amplitude of re-excited branch|^2 from the channel map
-        from cpfsim import angles_from_propagator, apply_U_tau, JointState
+    @pytest.mark.parametrize(
+        "g_t, g2, p_reexcite",
+        [
+            (EXP_MINUS_HALF_PI, TWO_EXP_MINUS_PI, P_REEXCITE),
+            (0.3 + 0.4j, 0.5 * np.exp(1j), 0.25 / 0.75),
+        ],
+        ids=["frozen", "complex"],
+    )
+    def test_reexcitation_matches_statevector(self, g_t, g2, p_reexcite):
+        # oracle: under z-z-z at p = 1, the decayed system is found excited
+        # again with P(z = +1, x = +1 | y = -1) = |G2|^2 / (1 - |G|^2)
+        from cpfsim import angles_from_propagator, conditional_table, simulate_sequence
 
-        g_t = EXP_MINUS_HALF_PI
-        g2 = TWO_EXP_MINUS_PI
-        angles = angles_from_propagator(g_t, g_t, g2)
-        env_excited = JointState(amplitudes=np.array([0, 0, 1.0, 0], dtype=complex))
-        after = apply_U_tau(env_excited, angles.theta_tilde, angles.theta_tilde_prime)
-        assert abs(after.amplitudes[1]) ** 2 == pytest.approx(P_REEXCITE, abs=1e-12)
+        zzz = MeasurementScheme.ZZZ
+        joint = simulate_sequence(
+            InitialState(1.0, 0.0), zzz, angles_from_propagator(g_t, g_t, g2)
+        )
+        assert backflow_probabilities(g_t, g2)[1] == pytest.approx(p_reexcite, abs=1e-15)
+        assert conditional_table(joint, zzz, -1)[0] == pytest.approx(p_reexcite, abs=1e-12)
 
     def test_probabilities_in_range(self):
         rng = np.random.default_rng(3)
