@@ -121,8 +121,65 @@ def load_kernel_csv(path: Union[str, Path]) -> TabulatedKernel:
     are all blank are skipped. A file that cannot be read as UTF-8 CSV
     raises :class:`ValidationError` naming the file, and a malformed row
     one naming the file and its physical line.
+
+    Two readers give the same arrays to the bit. A file whose first line is
+    an unquoted header and whose data rows all have 2 cells, or all 3, is
+    read with NumPy's C text reader (``np.loadtxt``). Every other file, and
+    every file that reader refuses (a quoted cell, a whitespace-only row,
+    ``1_000.5``, a non-ASCII digit, a malformed row), is read with the
+    ``csv`` module and ``float``, which also make every error message.
     """
     path = Path(path)
+    columns = _read_uniform(path)
+    if columns is None:
+        columns = _read_rows(path)
+    times, re, im = columns
+    return TabulatedKernel(times=times, values=re + 1j * im)
+
+
+def _check_header(path: Path, row: list[str]) -> None:
+    try:
+        float(row[0])
+    except ValueError:
+        pass  # non-numeric first cell: header present, as required
+    else:
+        raise ValidationError(f"{path}: header row required, found numeric first row")
+
+
+def _read_uniform(path: Path) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Times, real and imaginary parts of a file whose data rows NumPy's C
+    reader takes whole and all have 2 or all 3 cells; None for any other
+    file, which :func:`_read_rows` then reads and judges."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError):
+        return None  # _read_rows raises its own message
+    lines = text.split("\n")
+    # a quote may open a header cell that spans lines, and the csv path
+    # refuses a cell longer than its field limit
+    if '"' in lines[0] or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        header = next(csv.reader(lines[:1]))
+    except csv.Error:
+        return None
+    body = lines[1:]
+    if not any(map(str.strip, header)) or not any(map(str.strip, body)):
+        return None  # a blank first line, or no data rows for loadtxt to read
+    _check_header(path, header)
+    try:
+        cells = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if cells.shape[1] not in (2, 3):
+        return None
+    im = cells[:, 2] if cells.shape[1] == 3 else np.zeros(len(cells))
+    return cells[:, 0].copy(), cells[:, 1], im
+
+
+def _read_rows(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Times, real and imaginary parts read row by row with ``csv`` and ``float``."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [row for row in csv.reader(fh) if any(map(str.strip, row))]
@@ -130,12 +187,7 @@ def load_kernel_csv(path: Union[str, Path]) -> TabulatedKernel:
         raise ValidationError(f"{path}: cannot read kernel file: {exc}") from exc
     if not rows:
         raise ValidationError(f"{path}: empty kernel file")
-    try:
-        float(rows[0][0])
-    except ValueError:
-        pass  # non-numeric first cell: header present, as required
-    else:
-        raise ValidationError(f"{path}: header row required, found numeric first row")
+    _check_header(path, rows[0])
     body = rows[1:]
     width = np.fromiter(map(len, body), dtype=np.intp, count=len(body))
     if np.any((width < 2) | (width > 3)):
@@ -152,7 +204,7 @@ def load_kernel_csv(path: Union[str, Path]) -> TabulatedKernel:
     three = width == 3
     im = np.zeros(len(body))
     im[three] = cells[first[three] + 2]
-    return TabulatedKernel(times=cells[first], values=cells[first + 1] + 1j * im)
+    return cells[first], cells[first + 1], im
 
 
 def _raise_first_bad_row(path: Path) -> NoReturn:

@@ -1,6 +1,7 @@
 """Bath kernel: closed form values, weight conservation, tabulation."""
 import csv
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cpfsim import (
     eval_kernel_grid,
     load_kernel_csv,
 )
+from cpfsim import bath
 from cpfsim.bath import decay_time
 from cpfsim.config import parse_config
 from cpfsim.errors import KernelRangeError, ValidationError
@@ -233,6 +235,13 @@ KERNEL_FILES = {
     "bad-time": "t,re,im\n0,1,0\nzero,1,0\n",
     "one-cell-after-blank": "t,re\n\n\n0,1\n7\n",
     "empty-cell": "t,re\n0,1\n1,\n",
+    # at the boundary between NumPy's reader and the csv path
+    "hash-data-row": "t,re\n0,1\n#0.5,2\n1,3\n",
+    "uniform-one-column": "t\n0\n1\n2\n",
+    "uniform-four-columns": "t,re,im,x\n0,1,0,9\n1,2,3,4\n",
+    "uniform-blank-before-header": "\nt,re\n0,1\n1,0.5\n",
+    "uniform-signed-zeros": "t,re\n0,-0.0\n1,-0\n",
+    "unclosed-quote-in-header": '"t,re\n0,1\n1,0.5\n',
 }
 
 
@@ -258,7 +267,9 @@ def test_kernel_csv_matches_reference_loop(tmp_path, name, route):
     path = tmp_path / "kernel.csv"
     path.write_bytes(KERNEL_FILES[name].encode("utf-8"))
     ref = _load(_load_kernel_csv_reference, path)
-    out = _load(load_kernel_csv if route == "loader" else _load_through_config, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # such as loadtxt's on a file without data
+        out = _load(load_kernel_csv if route == "loader" else _load_through_config, path)
     assert type(out) is type(ref)
     if isinstance(ref, ValidationError):
         assert str(out) == str(ref)
@@ -268,19 +279,38 @@ def test_kernel_csv_matches_reference_loop(tmp_path, name, route):
             assert a.tobytes() == b.tobytes()
 
 
-def test_kernel_csv_matches_reference_loop_on_a_large_file(tmp_path):
+@pytest.mark.parametrize("uniform", [False, True], ids=["mixed-widths", "uniform-widths"])
+def test_kernel_csv_matches_reference_loop_on_a_large_file(tmp_path, uniform):
+    # mixed widths and blank lines take the csv path, uniform rows of %.17g
+    # values NumPy's reader
     rng = np.random.default_rng(3)
     t = np.cumsum(rng.uniform(0.001, 0.01, 3000))
     t[0] = 0.0
     v = rng.normal(size=(3000, 2))
     lines = ["time,re,im"]
     for k in range(3000):
-        lines.append(f"{t[k]:.17g},{v[k, 0]:.17g}" + (f",{v[k, 1]:.17g}" if k % 3 else ""))
-        if k % 500 == 7:
+        im = f",{v[k, 1]:.17g}" if uniform or k % 3 else ""
+        lines.append(f"{t[k]:.17g},{v[k, 0]:.17g}{im}")
+        if not uniform and k % 500 == 7:
             lines.append("")
     path = tmp_path / "kernel.csv"
     path.write_text("\r\n".join(lines) + "\r\n")
     ref = _load_kernel_csv_reference(path)
+    out = load_kernel_csv(path)
+    assert out.times.tobytes() == ref.times.tobytes()
+    assert out.values.tobytes() == ref.values.tobytes()
+
+
+def test_uniform_kernel_file_takes_numpy_reader(tmp_path, monkeypatch, perfbench_workloads):
+    # the benchmark's two-column kernel file must not fall back to the csv path
+    perfbench_workloads.write_kernel_csv(tmp_path)
+    path = tmp_path / perfbench_workloads.KERNEL_CSV
+    ref = _load_kernel_csv_reference(path)
+
+    def csv_path(path):
+        raise AssertionError(f"{path} fell back to the csv path")
+
+    monkeypatch.setattr(bath, "_read_rows", csv_path)
     out = load_kernel_csv(path)
     assert out.times.tobytes() == ref.times.tobytes()
     assert out.values.tobytes() == ref.values.tobytes()

@@ -1,6 +1,10 @@
 """Config parsing, dataset runners, CLI subcommands, determinism."""
+import gc
+import importlib
 import json
 import math
+import re
+import runpy
 import subprocess
 import sys
 import warnings
@@ -10,6 +14,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+import cpfsim.cli
 from cpfsim import lorentzian_G, lorentzian_G_two_time
 from cpfsim.cli import main
 from cpfsim.config import DEFAULT_VISIBILITIES, FIGURE2_COMBOS, load_config, parse_config
@@ -1009,3 +1014,52 @@ else:
         text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_in_process_main_leaves_the_collector_unfrozen(tmp_path):
+    # only the process entry point freezes; cli.main is called in process by
+    # the tests and the benchmark's trace mode
+    before = gc.get_freeze_count()
+    assert main(["sweep", "--config", str(write_config(tmp_path)), "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_python_m_writes_the_bytes_of_main(tmp_path, monkeypatch, perfbench_workloads):
+    # the tabulated benchmark config through the process entry point, which
+    # freezes the collector and reads the kernel with NumPy's reader
+    perfbench_workloads.write_kernel_csv(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    config = str(perfbench_workloads.WORKLOADS["tabulated_sweep"].config_path)
+    assert main(["sweep", "--config", config, "--out", "in_process"]) == 0
+    src = Path(__import__("cpfsim").__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "cpfsim", "sweep", "--config", config, "--out", "launched"],
+        env={"PYTHONPATH": str(src), "PATH": ""},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"wrote {Path('launched', 'sweep.csv')}\n"
+    expected = (tmp_path / "in_process" / "sweep.csv").read_bytes()
+    assert (tmp_path / "launched" / "sweep.csv").read_bytes() == expected
+
+
+def test_console_script_and_python_m_take_one_entry(monkeypatch):
+    # Python 3.10 has no tomllib, so the script target is read as text
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = re.search(r'^cpfsim = "([\w.]+):(\w+)"$', pyproject.read_text(), re.MULTILINE)
+    assert target, "no cpfsim console script in pyproject.toml"
+    module, name = target.groups()
+    assert (module, name) == ("cpfsim.__main__", "run")
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cpfsim.cli, "main", lambda: calls.append("main") or 0)
+    # python -m cpfsim: run the package as __main__, as the interpreter does
+    monkeypatch.delitem(sys.modules, "cpfsim.__main__", raising=False)
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("cpfsim", run_name="__main__")
+    assert exited.value.code == 0
+    assert calls == ["freeze", "main"]
+    # the console script: import the target and call it
+    assert getattr(importlib.import_module(module), name)() == 0
+    assert calls == ["freeze", "main"] * 2
