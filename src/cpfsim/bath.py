@@ -15,9 +15,7 @@ Kernels are immutable value types, safe for concurrent reads.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import NoReturn, Optional, Union
 
@@ -117,107 +115,78 @@ def load_kernel_csv(path: Union[str, Path]) -> TabulatedKernel:
     """Load a tabulated kernel from CSV: time, real part, optional imaginary part.
 
     Times are in units of 1/gamma of the bath and values in their inverse
-    square, read as they are. A header row is required; rows whose cells
-    are all blank are skipped. A file that cannot be read as UTF-8 CSV
-    raises :class:`ValidationError` naming the file, and a malformed row
-    one naming the file and its physical line.
-
-    Two readers give the same arrays to the bit. A file whose first line is
-    an unquoted header and whose data rows all have 2 cells, or all 3, is
-    read with NumPy's C text reader (``np.loadtxt``). Every other file, and
-    every file that reader refuses (a quoted cell, a whitespace-only row,
-    ``1_000.5``, a non-ASCII digit, a malformed row), is read with the
-    ``csv`` module and ``float``, which also make every error message.
+    square, read as they are. Lines of the UTF-8 file end in ``\\n``,
+    ``\\r\\n`` or ``\\r``; whitespace-only lines are skipped. The first other
+    line is a header whose first cell is not a number. One ``np.loadtxt``
+    call reads the data rows, all 2 or all 3 cells wide, each cell an ASCII
+    decimal, ``inf`` or ``nan`` literal, maybe padded and in one pair of
+    quotes closed on its line. Samples must be finite. An unreadable file
+    raises :class:`ValidationError` naming it, a bad row naming its line.
     """
     path = Path(path)
-    columns = _read_uniform(path)
-    if columns is None:
-        columns = _read_rows(path)
-    times, re, im = columns
-    return TabulatedKernel(times=times, values=re + 1j * im)
-
-
-def _check_header(path: Path, row: list[str]) -> None:
     try:
-        float(row[0])
-    except ValueError:
-        pass  # non-numeric first cell: header present, as required
-    else:
-        raise ValidationError(f"{path}: header row required, found numeric first row")
-
-
-def _read_uniform(path: Path) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Times, real and imaginary parts of a file whose data rows NumPy's C
-    reader takes whole and all have 2 or all 3 cells; None for any other
-    file, which :func:`_read_rows` then reads and judges."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except (OSError, ValueError):
-        return None  # _read_rows raises its own message
-    lines = text.split("\n")
-    # a quote may open a header cell that spans lines, and the csv path
-    # refuses a cell longer than its field limit
-    if '"' in lines[0] or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    try:
-        header = next(csv.reader(lines[:1]))
-    except csv.Error:
-        return None
-    body = lines[1:]
-    if not any(map(str.strip, header)) or not any(map(str.strip, body)):
-        return None  # a blank first line, or no data rows for loadtxt to read
-    _check_header(path, header)
-    try:
-        cells = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if cells.shape[1] not in (2, 3):
-        return None
-    im = cells[:, 2] if cells.shape[1] == 3 else np.zeros(len(cells))
-    return cells[:, 0].copy(), cells[:, 1], im
-
-
-def _read_rows(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Times, real and imaginary parts read row by row with ``csv`` and ``float``."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if any(map(str.strip, row))]
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: cannot read kernel file: {exc}") from exc
-    if not rows:
+    lines = text.split("\n")
+    if '"' in text:  # NumPy's reader would join the lines of an open quote
+        for ln, line in enumerate(lines, 1):
+            if line.count('"') % 2:
+                raise ValidationError(f"{path}:{ln}: quote not closed on its line")
+    head = next((k for k, line in enumerate(lines) if line.strip()), None)
+    if head is None:
         raise ValidationError(f"{path}: empty kernel file")
-    _check_header(path, rows[0])
-    body = rows[1:]
-    width = np.fromiter(map(len, body), dtype=np.intp, count=len(body))
-    if np.any((width < 2) | (width > 3)):
-        _raise_first_bad_row(path)
+    if _cell_value(lines[head].split(",", 1)[0]) is not None:
+        raise ValidationError(f"{path}:{head + 1}: header row required, found numeric first row")
+    body = lines[head + 1 :]
+    if any(map(str.isspace, body)):
+        body = [line for line in body if not line.isspace()]
+    if not any(body):  # loadtxt skips empty lines itself, and warns on no data
+        _raise_first_bad_row(path, lines, head + 1)
     try:
-        cells = np.fromiter(
-            map(float, chain.from_iterable(body)), dtype=float, count=int(width.sum())
-        )
+        cells = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, quotechar='"')
     except ValueError:
-        _raise_first_bad_row(path)
-    # row k starts at cell first[k]: time, real part, then the imaginary
-    # part where the row has three cells
-    first = np.cumsum(width) - width
-    three = width == 3
-    im = np.zeros(len(body))
-    im[three] = cells[first[three] + 2]
-    return cells[first], cells[first + 1], im
+        _raise_first_bad_row(path, lines, head + 1)
+    if len(cells) < 2 or cells.shape[1] not in (2, 3) or not np.isfinite(cells).all():
+        _raise_first_bad_row(path, lines, head + 1)
+    im = cells[:, 2] if cells.shape[1] == 3 else np.zeros(len(cells))
+    # every cell is finite, so 1j * im multiplies no inf
+    return TabulatedKernel(times=cells[:, 0].copy(), values=cells[:, 1] + 1j * im)
 
 
-def _raise_first_bad_row(path: Path) -> NoReturn:
-    """Raise the error of the first malformed data row, by physical line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if any(map(str.strip, row))]
-    for ln, row in rows[1:]:
-        if len(row) not in (2, 3):
-            raise ValidationError(f"{path}:{ln}: expected 2 or 3 columns, got {len(row)}")
-        for cell in row:
-            try:
-                float(cell)
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{ln}: {exc}") from exc
+def _cell_value(cell: str) -> Optional[float]:
+    """The value NumPy's reader gives one cell, or None where it gives none."""
+    cell = cell.rstrip()
+    if len(cell) > 1 and cell[0] == cell[-1] == '"':
+        cell = cell[1:-1]
+    cell = cell.strip()
+    # float() also takes "1_000.5" and non-ASCII digits; NumPy's reader does not
+    try:
+        return float(cell) if cell.isascii() and "_" not in cell else None
+    except ValueError:
+        return None
+
+
+def _raise_first_bad_row(path: Path, lines: list[str], start: int) -> NoReturn:
+    """Raise the error of the first malformed or non-finite data row from
+    ``lines[start]`` on, by physical line, or of too few rows."""
+    numbered = enumerate(lines[start:], start + 1)
+    rows = [(ln, line.split(",")) for ln, line in numbered if line.strip()]
+    for ln, cells in rows:
+        if len(cells) not in (2, 3):
+            raise ValidationError(f"{path}:{ln}: expected 2 or 3 columns, got {len(cells)}")
+        if len(cells) != len(rows[0][1]):
+            raise ValidationError(
+                f"{path}:{ln}: expected {len(rows[0][1])} columns as on line {rows[0][0]}, "
+                f"got {len(cells)}"
+            )
+        for cell in cells:
+            value = _cell_value(cell)
+            if value is None:
+                raise ValidationError(f"{path}:{ln}: could not convert string to float: {cell!r}")
+            if not np.isfinite(value):
+                raise ValidationError(f"{path}:{ln}: kernel samples must be finite, got {cell!r}")
+    if len(rows) < 2:
+        raise ValidationError(f"{path}: tabulated kernel needs at least 2 samples, got {len(rows)}")
     raise AssertionError(f"{path}: no malformed row found")  # unreachable

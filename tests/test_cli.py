@@ -271,10 +271,20 @@ class TestConfig:
             )
 
     @pytest.mark.parametrize(
-        "case", ["kernel-is-a-directory", "kernel-not-utf8", "config-not-utf8", "out-below-a-file"]
+        "case",
+        [
+            "kernel-is-a-directory",
+            "kernel-not-utf8",
+            "kernel-inf-imaginary",
+            "kernel-mixed-widths",
+            "config-not-utf8",
+            "out-below-a-file",
+        ],
     )
     def test_unreadable_input_or_output_exits_2(self, tmp_path, case):
-        # each case ended in an OSError or UnicodeDecodeError traceback
+        # the first cases ended in an OSError or UnicodeDecodeError traceback;
+        # an inf imaginary part printed a RuntimeWarning and an error naming
+        # no file
         tabulated = {"bath": {"gamma": 1.0, "kernel_csv": str(tmp_path / "kernel.csv")}}
         cfg = write_config(tmp_path, tabulated if case.startswith("kernel") else None)
         out = tmp_path / "out"
@@ -284,6 +294,12 @@ class TestConfig:
         elif case == "kernel-not-utf8":
             (tmp_path / "kernel.csv").write_bytes(b"t,re\n0,1\n1,\xff\n")
             named = tmp_path / "kernel.csv"
+        elif case == "kernel-inf-imaginary":
+            (tmp_path / "kernel.csv").write_text("t,re,im\n0,1,0\n1,0.5,inf")
+            named = f"{tmp_path / 'kernel.csv'}:3: "
+        elif case == "kernel-mixed-widths":
+            (tmp_path / "kernel.csv").write_text("t,re,im\n0,1,0\n1,0.5\n")
+            named = f"{tmp_path / 'kernel.csv'}:3: "
         elif case == "config-not-utf8":
             cfg.write_bytes(b'{"bath": {"gamma": 1.0, \xff"tau_c": 1.0}}')
             named = cfg
@@ -301,6 +317,7 @@ class TestConfig:
         assert result.stderr.startswith("error: ")
         assert str(named) in result.stderr
         assert "Traceback" not in result.stderr
+        assert "Warning" not in result.stderr
 
 
 class TestFigure2:
