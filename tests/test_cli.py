@@ -119,10 +119,18 @@ class TestConfig:
             parse_config({"bath": {"gamma": 1.0, "tau_c": 1.0}, "grid": {"points": 1}})
         with pytest.raises(ValidationError, match="schemes"):
             parse_config({"bath": {"gamma": 1.0, "tau_c": 1.0}, "schemes": ["abc"]})
-        with pytest.raises(ValidationError, match="bath"):
-            parse_config({"bath": {"gamma": 1.0}})
         with pytest.raises(ValidationError, match="noise.total_counts"):
             parse_config({"bath": {"gamma": 1.0, "tau_c": 1.0}, "noise": {}})
+
+    @pytest.mark.parametrize(
+        "bath",
+        [{"gamma": 1.0}, {"gamma": 1.0, "tau_c": 1.0, "kernel_csv": "kernel.csv"}],
+        ids=["no-form", "two-forms"],
+    )
+    def test_bath_needs_exactly_one_form(self, bath):
+        message = "config: bath: exactly one bath form required: {gamma, tau_c} or {kernel_csv, ...}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse_config({"bath": bath})
 
     @pytest.mark.parametrize(
         "overrides, message",
