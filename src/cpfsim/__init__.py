@@ -10,13 +10,7 @@ Markovian. This package computes it exactly (Volterra solutions and
 Lorentzian closed forms), operationally (channel-map enumeration), and
 experimentally (finite-count and visibility noise simulation).
 """
-from .bath import (
-    BathKernel,
-    LorentzianKernel,
-    TabulatedKernel,
-    eval_kernel_grid,
-    load_kernel_csv,
-)
+from .bath import LorentzianKernel, TabulatedKernel, eval_kernel_grid, load_kernel_csv
 from .cpf import (
     CpfResult,
     InitialState,
@@ -53,7 +47,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "BathKernel",
     "CpfResult",
     "ExperimentConfig",
     "InitialState",

@@ -2,7 +2,7 @@
 
 The bath enters the dynamics exclusively through its two-time correlation
 function f(t); nothing else about the microscopic environment is ever
-represented. Two kernel families are supported:
+represented. A kernel family is one class with ``sample`` and ``decay_time``:
 
 * ``LorentzianKernel``: f(t) = (gamma / 2 tau_c) exp(-|t| / tau_c), the
   exponential correlation of a Lorentzian spectral density. This is the
@@ -37,6 +37,14 @@ class LorentzianKernel:
         if not (self.tau_c > 0):
             raise ValidationError(f"tau_c must be > 0, got {self.tau_c}")
 
+    def sample(self, ts: np.ndarray) -> np.ndarray:
+        """f at the float times ``ts``, of either sign (via |t|)."""
+        out = (self.gamma / (2.0 * self.tau_c)) * np.exp(-np.abs(ts) / self.tau_c)
+        return out.astype(complex)
+
+    def decay_time(self) -> float:
+        return self.tau_c
+
 
 @dataclass(frozen=True)
 class TabulatedKernel:
@@ -67,48 +75,38 @@ class TabulatedKernel:
     def t_max(self) -> float:
         return float(self.times[-1])
 
+    def sample(self, ts: np.ndarray) -> np.ndarray:
+        """f at the float times ``ts`` in [0, t_max], interpolated linearly."""
+        if np.any(ts < 0):
+            raise KernelRangeError("tabulated kernel is only defined for t >= 0")
+        if np.any(ts > self.t_max):
+            raise KernelRangeError(
+                f"t = {float(np.max(ts)):g} beyond last sample t_max = {self.t_max:g}; "
+                "refusing to extrapolate"
+            )
+        re = np.interp(ts, self.times, self.values.real)
+        im = np.interp(ts, self.times, self.values.imag)
+        return re + 1j * im
 
-BathKernel = Union[LorentzianKernel, TabulatedKernel]
+    def decay_time(self) -> Optional[float]:
+        """The first crossing of |f(0)|/e by |f|, interpolated linearly
+        between samples, or None if |f(0)| = 0 or |f| stays above it."""
+        mag = np.abs(self.values)
+        level = mag[0] / np.e
+        below = np.flatnonzero(mag <= level)
+        if mag[0] == 0 or not below.size:
+            return None
+        k = int(below[0])
+        t0, t1 = self.times[k - 1 : k + 1]
+        return float(t0 + (t1 - t0) * (mag[k - 1] - level) / (mag[k - 1] - mag[k]))
 
 
-def eval_kernel_grid(kernel: BathKernel, ts: np.ndarray) -> np.ndarray:
-    """Evaluate f at the times ``ts``, which must be finite. Lorentzian
-    kernels accept any t (via |t|); tabulated kernels require
-    0 <= t <= t_max and interpolate linearly between samples."""
+def eval_kernel_grid(kernel, ts: np.ndarray) -> np.ndarray:
+    """f of ``kernel`` at the times ``ts``, which must be finite."""
     ts = np.asarray(ts, dtype=float)
     if not np.all(np.isfinite(ts)):
         raise ValidationError("t must be finite")
-    if isinstance(kernel, LorentzianKernel):
-        out = (kernel.gamma / (2.0 * kernel.tau_c)) * np.exp(-np.abs(ts) / kernel.tau_c)
-        return out.astype(complex)
-    if isinstance(kernel, TabulatedKernel):
-        if np.any(ts < 0):
-            raise KernelRangeError("tabulated kernel is only defined for t >= 0")
-        if np.any(ts > kernel.t_max):
-            raise KernelRangeError(
-                f"t = {float(np.max(ts)):g} beyond last sample t_max = {kernel.t_max:g}; "
-                "refusing to extrapolate"
-            )
-        re = np.interp(ts, kernel.times, kernel.values.real)
-        im = np.interp(ts, kernel.times, kernel.values.imag)
-        return re + 1j * im
-    raise ValidationError(f"unknown kernel type {type(kernel).__name__}")
-
-
-def decay_time(kernel: BathKernel) -> Optional[float]:
-    """Time in which |f| falls to |f(0)|/e: tau_c for a Lorentzian kernel;
-    for a tabulated one the first such crossing of |f| interpolated linearly
-    between samples, or None if |f(0)| = 0 or |f| stays above it."""
-    if isinstance(kernel, LorentzianKernel):
-        return kernel.tau_c
-    mag = np.abs(kernel.values)
-    level = mag[0] / np.e
-    below = np.flatnonzero(mag <= level)
-    if mag[0] == 0 or not below.size:
-        return None
-    k = int(below[0])
-    t0, t1 = kernel.times[k - 1 : k + 1]
-    return float(t0 + (t1 - t0) * (mag[k - 1] - level) / (mag[k - 1] - mag[k]))
+    return kernel.sample(ts)
 
 
 def load_kernel_csv(path: Union[str, Path]) -> TabulatedKernel:
@@ -120,8 +118,9 @@ def load_kernel_csv(path: Union[str, Path]) -> TabulatedKernel:
     line is a header whose first cell is not a number. One ``np.loadtxt``
     call reads the data rows, all 2 or all 3 cells wide, each cell an ASCII
     decimal, ``inf`` or ``nan`` literal, maybe padded and in one pair of
-    quotes closed on its line. Samples must be finite. An unreadable file
-    raises :class:`ValidationError` naming it, a bad row naming its line.
+    quotes closed on its line. Samples must be finite, times ascend strictly
+    from 0. An unreadable file raises :class:`ValidationError` naming it, a
+    bad row naming its line.
     """
     path = Path(path)
     try:
@@ -150,6 +149,8 @@ def load_kernel_csv(path: Union[str, Path]) -> TabulatedKernel:
         _raise_first_bad_row(path, lines, head + 1)
     if len(cells) < 2 or cells.shape[1] not in (2, 3) or not np.isfinite(cells).all():
         _raise_first_bad_row(path, lines, head + 1)
+    if cells[0, 0] != 0 or np.any(np.diff(cells[:, 0]) <= 0):
+        _raise_first_bad_row(path, lines, head + 1)
     im = cells[:, 2] if cells.shape[1] == 3 else np.zeros(len(cells))
     # every cell is finite, so 1j * im multiplies no inf
     return TabulatedKernel(times=cells[:, 0].copy(), values=cells[:, 1] + 1j * im)
@@ -170,7 +171,7 @@ def _cell_value(cell: str) -> Optional[float]:
 
 def _raise_first_bad_row(path: Path, lines: list[str], start: int) -> NoReturn:
     """Raise the error of the first malformed or non-finite data row from
-    ``lines[start]`` on, by physical line, or of too few rows."""
+    ``lines[start]`` on, by physical line, of too few rows, or of a time out of order."""
     numbered = enumerate(lines[start:], start + 1)
     rows = [(ln, line.split(",")) for ln, line in numbered if line.strip()]
     for ln, cells in rows:
@@ -189,4 +190,8 @@ def _raise_first_bad_row(path: Path, lines: list[str], start: int) -> NoReturn:
                 raise ValidationError(f"{path}:{ln}: kernel samples must be finite, got {cell!r}")
     if len(rows) < 2:
         raise ValidationError(f"{path}: tabulated kernel needs at least 2 samples, got {len(rows)}")
+    t = [_cell_value(cells[0]) for _, cells in rows]
+    for k, (ln, _) in enumerate(rows):
+        if (t[k] <= t[k - 1] if k else t[k] != 0):
+            raise ValidationError(f"{path}:{ln}: times must ascend strictly from 0, got {t[k]}")
     raise AssertionError(f"{path}: no malformed row found")  # unreachable

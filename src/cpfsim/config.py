@@ -12,9 +12,10 @@ parameters as positional flags. Example:
       "noise": {"total_counts": 10000, "replicas": 200, "seed": 7}
     }
 
-The bath block is either analytic ({"gamma", "tau_c"}) or tabulated
-({"kernel_csv": path, "gamma"}). Datasets write times as gamma*t; a kernel
-file holds t in units of 1/gamma and f in their inverse square.
+The bath block holds gamma and one form, a row of ``_FORMS`` named by its
+key: Lorentzian ({"gamma", "tau_c"}) or tabulated ({"gamma", "kernel_csv"});
+a new kernel family is one more row. Datasets write times as gamma*t; a
+kernel file holds t in units of 1/gamma and f in their inverse square.
 
 A key that no block declares is refused. "units" ("gamma_t"),
 "bath.time_unit" ("seconds") and "noise.visibility" (in [0, 1]) are read
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from .bath import BathKernel, LorentzianKernel, load_kernel_csv
+from .bath import LorentzianKernel, load_kernel_csv
 from .cpf import InitialState, MeasurementScheme
 from .errors import ValidationError
 from .experiment import ExperimentConfig
@@ -88,6 +89,13 @@ def _number(value, field: str) -> float:
     return number
 
 
+def _positive(value, field: str) -> float:
+    number = _number(value, field)
+    if number <= 0:
+        _fail(field, "must be > 0")
+    return number
+
+
 def _fraction(value, field: str) -> float:
     number = _number(value, field)
     if not (0.0 <= number <= 1.0):
@@ -95,22 +103,36 @@ def _fraction(value, field: str) -> float:
     return number
 
 
+def _kernel_file(value, field: str) -> str:
+    path = Path(str(value))
+    if not path.exists():
+        _fail(field, f"file not found: {path}")
+    return str(path)
+
+
+# The bath forms by config key: (parser of the value at a field, the gamma
+# tau_c label of its datasets and its kernel, both of gamma and the value).
+_FORMS = {
+    "tau_c": (_positive, lambda gamma, tau_c: gamma * tau_c, LorentzianKernel),
+    "kernel_csv": (_kernel_file, lambda *_: None, lambda _, path: load_kernel_csv(path)),
+}
+
+
 @dataclass(frozen=True)
 class BathConfig:
-    """Either an analytic Lorentzian bath or a tabulated kernel file."""
+    """gamma and one bath form: its key in ``_FORMS`` and its parsed value."""
 
     gamma: float
-    tau_c: Optional[float] = None
-    kernel_csv: Optional[Path] = None
+    form: str
+    value: Union[float, str]
 
-    def make_kernel(self) -> BathKernel:
-        if self.kernel_csv is not None:
-            return load_kernel_csv(self.kernel_csv)
-        return LorentzianKernel(gamma=self.gamma, tau_c=self.tau_c)
+    def make_kernel(self):
+        return _FORMS[self.form][2](self.gamma, self.value)
 
     @property
-    def is_analytic(self) -> bool:
-        return self.kernel_csv is None
+    def gamma_tau_c(self) -> Optional[float]:
+        """The gamma_tau_c cell of its datasets; None if the form has none."""
+        return _FORMS[self.form][1](self.gamma, self.value)
 
 
 @dataclass(frozen=True)
@@ -129,10 +151,8 @@ class RunConfig:
     def echo(self) -> dict:
         """The run as a config document, every default filled in and the
         state as amplitudes [re, im]; the ``# config`` line of a dataset."""
-        bath = self.bath
-        form = {"tau_c": bath.tau_c} if bath.is_analytic else {"kernel_csv": str(bath.kernel_csv)}
         document = {
-            "bath": {"gamma": bath.gamma, **form},
+            "bath": {"gamma": self.bath.gamma, self.bath.form: self.bath.value},
             "state": {k: [v.real, v.imag] for k, v in (("a", self.state.a), ("b", self.state.b))},
             "schemes": [scheme.value for scheme in self.schemes],
             "y": self.y,
@@ -150,25 +170,15 @@ class RunConfig:
 
 
 def _parse_bath(block, field: str) -> BathConfig:
-    block = _block(block, field, ("gamma", "tau_c", "kernel_csv", "time_unit"))
-    analytic = "tau_c" in block
-    tabulated = "kernel_csv" in block
-    if analytic == tabulated:
+    block = _block(block, field, ("gamma", *_FORMS, "time_unit"))
+    forms = [key for key in _FORMS if key in block]
+    if len(forms) != 1:
         _fail(field, "exactly one bath form required: {gamma, tau_c} or {kernel_csv, ...}")
     if block.get("time_unit", "seconds") != "seconds":
         _fail(f"{field}.time_unit", f"must be 'seconds', got {block['time_unit']!r}")
-    gamma = _number(_require(block, "gamma", field), f"{field}.gamma")
-    if gamma <= 0:
-        _fail(f"{field}.gamma", "must be > 0")
-    if analytic:
-        tau_c = _number(block["tau_c"], f"{field}.tau_c")
-        if tau_c <= 0:
-            _fail(f"{field}.tau_c", "must be > 0")
-        return BathConfig(gamma=gamma, tau_c=tau_c)
-    path = Path(str(block["kernel_csv"]))
-    if not path.exists():
-        _fail(f"{field}.kernel_csv", f"file not found: {path}")
-    return BathConfig(gamma=gamma, kernel_csv=path)
+    gamma = _positive(_require(block, "gamma", field), f"{field}.gamma")
+    form = forms[0]
+    return BathConfig(gamma, form, _FORMS[form][0](block[form], f"{field}.{form}"))
 
 
 def _parse_state(block, field: str) -> InitialState:
@@ -226,9 +236,7 @@ def _parse_combos(value, field: str) -> tuple[tuple[MeasurementScheme, float, fl
         where = f"{field}[{k}]"
         _block(item, where, ("scheme", "gamma_tau_c", "p"))
         scheme = _scheme(_require(item, "scheme", where), f"{where}.scheme")
-        ratio = _number(_require(item, "gamma_tau_c", where), f"{where}.gamma_tau_c")
-        if ratio <= 0:
-            _fail(f"{where}.gamma_tau_c", "must be > 0")
+        ratio = _positive(_require(item, "gamma_tau_c", where), f"{where}.gamma_tau_c")
         p = _fraction(_require(item, "p", where), f"{where}.p")
         combos.append((scheme, ratio, p))
     return tuple(combos)
@@ -267,9 +275,7 @@ def parse_config(document: dict) -> RunConfig:
     if not isinstance(y, int) or isinstance(y, bool) or y not in (+1, -1):
         _fail("y", f"must be +1 or -1, got {y!r}")
     grid = _block(document.get("grid", {}), "grid", ("t_max_gamma", "points", "equal_times"))
-    t_max_gamma = _number(grid.get("t_max_gamma", 5.0), "grid.t_max_gamma")
-    if t_max_gamma <= 0:
-        _fail("grid.t_max_gamma", "must be > 0")
+    t_max_gamma = _positive(grid.get("t_max_gamma", 5.0), "grid.t_max_gamma")
     points = grid.get("points", 101)
     if not isinstance(points, int) or isinstance(points, bool) or points < 2:
         _fail("grid.points", f"must be an integer >= 2, got {points!r}")

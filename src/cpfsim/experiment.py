@@ -41,7 +41,6 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bath import BathKernel
 from .cpf import (
     _CELLS,
     InitialState,
@@ -150,7 +149,7 @@ def predicted_std(probs: np.ndarray, budget) -> np.ndarray:
 def run_noise_study(
     state: InitialState,
     scheme: MeasurementScheme,
-    kernel: BathKernel,
+    kernel,
     times: Sequence[float],
     cfg: ExperimentConfig,
     y: int = -1,

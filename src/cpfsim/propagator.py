@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bath import BathKernel, LorentzianKernel, decay_time, eval_kernel_grid
+from .bath import LorentzianKernel, eval_kernel_grid
 from .errors import (
     ConditioningImpossibleError,
     CoarseStepWarning,
@@ -220,7 +220,7 @@ def _check_step(t_step) -> None:
 
 
 def propagators(
-    kernel: BathKernel, t, tau, t_step: Optional[float] = None
+    kernel, t, tau, t_step: Optional[float] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """G(t), G(tau) and G2(t, tau) over broadcast time arrays.
 
@@ -241,8 +241,8 @@ def propagators(
     right-hand side. Empty or all-zero times need no solve, since G(0) = 1
     and G2(0, 0) = 0.
 
-    A step coarser than a quarter of the kernel's 1/e decay time (see
-    :func:`cpfsim.bath.decay_time`) cannot resolve the kernel: the caller
+    A step coarser than a quarter of the kernel's 1/e decay time (its
+    ``decay_time()``) cannot resolve the kernel: the caller
     gets a :class:`CoarseStepWarning`. A non-finite time, a ``t_step`` that
     is not a finite number > 0 or a solved |G| above 1 raise
     :class:`ValidationError`. A t + tau beyond a tabulated kernel's last
@@ -258,12 +258,8 @@ def propagators(
         _check_step(t_step)
     t, tau = np.broadcast_arrays(t, tau)
     if isinstance(kernel, LorentzianKernel):
-        gamma, tau_c = kernel.gamma, kernel.tau_c
-        return (
-            lorentzian_G(gamma, tau_c, t),
-            lorentzian_G(gamma, tau_c, tau),
-            lorentzian_G_two_time(gamma, tau_c, t, tau),
-        )
+        gtc = kernel.gamma, kernel.tau_c
+        return lorentzian_G(*gtc, t), lorentzian_G(*gtc, tau), lorentzian_G_two_time(*gtc, t, tau)
     if t_step is None:
         raise ValidationError("tabulated kernels need an explicit t_step")
     times = np.stack([t, tau])
@@ -277,7 +273,7 @@ def propagators(
     idx = np.asarray(np.rint(times / t_step), dtype=int)
     if np.min(idx) < 0 or np.max(np.abs(idx * t_step - times)) > 1e-9 * max(1.0, t_max):
         raise off_grid
-    decay = decay_time(kernel)
+    decay = kernel.decay_time()
     if decay is not None and t_step > decay / 4:
         warnings.warn(
             f"t_step = {t_step:g} > {decay / 4:g}, a quarter of the time in which "

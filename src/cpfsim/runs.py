@@ -77,7 +77,7 @@ def _preset(cfg: RunConfig, scheme: MeasurementScheme, ratio, p, y) -> RunConfig
     tau_c = 1 Lorentzian bath at gamma tau_c = ratio, the state of excited
     population p, one scheme conditioned on y, equal times in gamma t."""
     return dataclasses.replace(
-        cfg, bath=BathConfig(gamma=ratio, tau_c=1.0), state=InitialState.from_population(p),
+        cfg, bath=BathConfig(ratio, "tau_c", 1.0), state=InitialState.from_population(p),
         schemes=(scheme,), y=y, equal_times=True,
     )
 
@@ -94,12 +94,11 @@ def _curves(cfg: RunConfig) -> tuple[np.ndarray, float, np.ndarray, list]:
         i, j = np.indices((times.size, times.size)).reshape(2, -1)
     g_t, g_tau, g2 = propagators(cfg.bath.make_kernel(), times[i], times[j], step)
     p_label = abs(cfg.state.a) ** 2
-    ratio_label = cfg.bath.tau_c * cfg.bath.gamma if cfg.bath.is_analytic else None
     t = times * cfg.bath.gamma
     t_col, tau_col = t[i], t[j]
     blocks = [
         (
-            scheme.value, cfg.y, p_label, ratio_label, t_col, tau_col,
+            scheme.value, cfg.y, p_label, cfg.bath.gamma_tau_c, t_col, tau_col,
             closed_values(scheme, cfg.state, g_t, g2, y=cfg.y),
             table_correlation(table_probs(scheme, cfg.state, cfg.y, g_t, g_tau, g2)),
         )

@@ -12,7 +12,6 @@ from cpfsim import (
     eval_kernel_grid,
     load_kernel_csv,
 )
-from cpfsim.bath import decay_time
 from cpfsim.config import parse_config
 from cpfsim.errors import KernelRangeError, ValidationError
 
@@ -236,6 +235,9 @@ def _load_kernel_csv_reference(path):
         values.append(re_ + 1j * im)
     if len(rows) < 2:
         raise ValidationError(f"{path}: tabulated kernel needs at least 2 samples, got {len(rows)}")
+    for (ln, _), t, before in zip(rows, times, [None, *times]):
+        if t != 0 if before is None else t <= before:
+            raise ValidationError(f"{path}:{ln}: times must ascend strictly from 0, got {t}")
     return TabulatedKernel(times=np.array(times), values=np.array(values))
 
 
@@ -276,6 +278,18 @@ KERNEL_FILES = {
     "bad-float-then-ragged": ("t,re\n0,1\n1,2,3,4\n2,x\n", ":3: expected 2 or 3 columns, got 4"),
     "bad-time": ("t,re,im\n0,1,0\nzero,1,0\n", ":3: could not convert string to float: 'zero'"),
     "one-cell-after-blank": ("t,re\n\n\n0,1\n7\n", ":5: expected 2 or 3 columns, got 1"),
+    # times out of order: the line of the first such time, blank lines counted
+    "late-start": ("t,re\n\n0.1,1\n1,0.5\n", ":3: times must ascend strictly from 0, got 0.1"),
+    "repeated-time": (
+        "t,re\n0,1\n0.5,0.5\n0.5,0.25\n",
+        ":4: times must ascend strictly from 0, got 0.5",
+    ),
+    "descending-time": (
+        "t,re,im\n0,1,0\n2,1,0\n1,1,0\n",
+        ":4: times must ascend strictly from 0, got 1.0",
+    ),
+    # a malformed row later in the file is named before an earlier time
+    "late-start-then-bad-float": ("t,re\n1,1\n2,x\n", ":3: could not convert string to float: 'x'"),
     "empty-cell": ("t,re\n0,1\n1,\n", ":3: could not convert string to float: ''"),
     "comma-only-row": ("t,re\n0,1\n  ,\n1,2\n", ":3: could not convert string to float: '  '"),
     "hash-data-row": ("t,re\n0,1\n#0.5,2\n1,3\n", ":3: could not convert string to float: '#0.5'"),
@@ -417,13 +431,13 @@ def test_kernel_csv_matches_reference_loop_on_a_large_file(tmp_path, uniform):
 
 
 def test_decay_time():
-    assert decay_time(LorentzianKernel(1.0, 0.25)) == 0.25
+    assert LorentzianKernel(1.0, 0.25).decay_time() == 0.25
     ts = np.linspace(0.0, 3.0, 3001)
     k = TabulatedKernel(times=ts, values=np.exp(-ts / 0.5 + 3j * ts))
-    assert decay_time(k) == pytest.approx(0.5, rel=1e-6)
+    assert k.decay_time() == pytest.approx(0.5, rel=1e-6)
     # the crossing between two samples is interpolated linearly in |f|
     k = TabulatedKernel(times=np.array([0.0, 1.0, 2.0]), values=np.array([1.0, 0.5, 0.0]))
-    assert decay_time(k) == pytest.approx(1.0 + (0.5 - np.exp(-1.0)) / 0.5)
+    assert k.decay_time() == pytest.approx(1.0 + (0.5 - np.exp(-1.0)) / 0.5)
     # |f| that never falls by 1/e on the table, or starts at 0: no time scale
-    assert decay_time(TabulatedKernel(times=ts, values=np.exp(-ts / 10.0))) is None
-    assert decay_time(TabulatedKernel(times=ts, values=ts * np.exp(-ts))) is None
+    assert TabulatedKernel(times=ts, values=np.exp(-ts / 10.0)).decay_time() is None
+    assert TabulatedKernel(times=ts, values=ts * np.exp(-ts)).decay_time() is None

@@ -963,6 +963,16 @@ class TestConfigEcho:
         output = {"appendix-d": "appendix_d.csv"}.get(command, f"{command}.csv")
         assert self.header_config(tmp_path / "out" / output) == parse_config(document)
 
+    @pytest.mark.parametrize("time_unit", [None, "seconds"], ids=["no-time-unit", "time-unit"])
+    def test_tabulated_form_round_trips(self, tmp_path, time_unit):
+        (tmp_path / "kernel.csv").write_text("t,re\n0,0.5\n1,0.25\n")
+        bath = {"gamma": 2.0, "kernel_csv": str(tmp_path / "kernel.csv")}
+        if time_unit is not None:
+            bath["time_unit"] = time_unit
+        cfg = parse_config({"bath": bath})
+        assert cfg.echo()["bath"] == {"gamma": 2.0, "kernel_csv": str(tmp_path / "kernel.csv")}
+        assert parse_config(cfg.echo()) == cfg
+
     def test_defaults_spelled_out_or_left_out_write_the_same_bytes(
         self, tmp_path, perfbench_workloads
     ):
