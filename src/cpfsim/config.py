@@ -104,7 +104,9 @@ def _fraction(value, field: str) -> float:
 
 
 def _kernel_file(value, field: str) -> str:
-    path = Path(str(value))
+    if not isinstance(value, str):
+        _fail(field, f"expected a file path, got {value!r}")
+    path = Path(value)
     if not path.exists():
         _fail(field, f"file not found: {path}")
     return str(path)

@@ -147,7 +147,8 @@ def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
 
     If G crosses zero inside the grid the rate stencils are undefined
     beyond it; the grid is truncated there and the last emitted row says so
-    in the warning column.
+    in the warning column. A crossing within the first three output times,
+    which the stencils need, is refused.
     """
     both = (MeasurementScheme.ZZZ, MeasurementScheme.XZX)
     times, h, g, blocks = _curves(dataclasses.replace(cfg, schemes=both, y=-1, equal_times=True))
@@ -156,9 +157,15 @@ def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
         gamma_t, _ = rates_from_G(g, h)
         keep = times.size
     except PropagatorZeroCrossingError as exc:
-        keep = max(exc.index, 3)
+        near = f"G(t) crosses zero near gamma*t = {exc.t * cfg.bath.gamma:.6g}"
+        if exc.index < 3:  # the rate stencils need three times before it
+            raise ValidationError(
+                f"config: grid.points: {near}, within the first 3 output times; "
+                "raise grid.points or lower grid.t_max_gamma"
+            ) from None
+        keep = exc.index
         gamma_t, _ = rates_from_G(g[:keep], h)
-        warning = f"truncated: G(t) crosses zero near gamma*t = {exc.t * cfg.bath.gamma:.6g}"
+        warning = f"truncated: {near}"
     cpf = [closed[:keep] for *_, closed, _ in blocks]
     columns = (times[:keep] * cfg.bath.gamma, gamma_t, np.abs(g[:keep]) ** 2, *cpf)
     # the warning is a scalar: "" in a block of every row but the last, and

@@ -150,6 +150,12 @@ class TestConfig:
             # a repeated scheme wrote each of its blocks twice
             ({"schemes": ["zzz", "zzz"]}, r"schemes\[1\]: duplicate scheme 'zzz'"),
             ({"schemes": ["xzx", "zzz", "ZZZ"]}, r"schemes\[2\]: duplicate scheme 'zzz'"),
+            # a non-string path was read as its str(): True as the file "True"
+            (
+                {"bath": {"gamma": 1.0, "kernel_csv": True}},
+                "bath.kernel_csv: expected a file path, got True",
+            ),
+            ({"bath": {"gamma": 1.0, "kernel_csv": 5}}, "bath.kernel_csv: expected a file path, got 5"),
         ],
         ids=[
             "units",
@@ -158,13 +164,16 @@ class TestConfig:
             "schemes-string",
             "schemes-repeated",
             "schemes-repeated-case",
+            "kernel-csv-bool",
+            "kernel-csv-number",
         ],
     )
     def test_refused_units_and_schemes_exit_2(
         self, tmp_path, monkeypatch, capsys, overrides, message
     ):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "kernel.csv").write_text("t,re\n0,0.5\n1,0.25\n")
+        for name in ("kernel.csv", "True", "5"):
+            (tmp_path / name).write_text("t,re\n0,0.5\n1,0.25\n")
         cfg = write_config(tmp_path, overrides)
         with pytest.raises(ValidationError, match=r"^config: " + message):
             load_config(cfg)
@@ -587,6 +596,27 @@ class TestWitness:
         reported = float(warning.rsplit("=", 1)[1])
         assert reported == pytest.approx(3 * np.pi / 2, abs=0.15)
 
+    def test_zero_crossing_within_the_first_three_times_exits_2(self, tmp_path, capsys):
+        # gamma tau_c = 5: G crosses zero near gamma t = 6.3, here at the
+        # third output time, and the rate stencils need three before it. The
+        # error named t in units of 1/gamma and no config key ("t_max")
+        grid = {"t_max_gamma": 20.0, "points": 5}
+        cfg = write_config(tmp_path, {"bath": {"gamma": 5.0, "tau_c": 1.0}, "grid": grid})
+        assert main(["witness", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: config: grid.points: G(t) crosses zero near gamma*t = 10, within the "
+            "first 3 output times; raise grid.points or lower grid.t_max_gamma\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_crossing_at_the_fourth_time_truncates_to_three_rows(self, tmp_path):
+        grid = {"t_max_gamma": 20.0, "points": 9}
+        cfg = write_config(tmp_path, {"bath": {"gamma": 5.0, "tau_c": 1.0}, "grid": grid})
+        assert main(["witness", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_rows(tmp_path / "out" / "witness.csv")
+        assert [r["t"] for r in rows] == ["0", "2.5", "5"]
+        assert rows[-1]["warning"] == "truncated: G(t) crosses zero near gamma*t = 7.5"
+
     def test_impossible_conditioning_gives_nan(self, tmp_path):
         # p = 1: at t = 0 the z-z-z outcome y = -1 has zero probability, so
         # that value is NaN instead of aborting the run; x-z-x stays defined
@@ -908,24 +938,6 @@ class TestTimeUnit:
         )
 
 
-# The preset-edge and truncated-witness configs of the CI workflow.
-PRESET_EDGE = {
-    "bath": {"gamma": 1.0, "tau_c": 1.0},
-    "state": {"p": 0.8},
-    "grid": {"t_max_gamma": 5.0, "points": 151, "equal_times": True},
-    "combos": [
-        {"scheme": "zzz", "gamma_tau_c": 0.01, "p": 0.8},
-        {"scheme": "xzx", "gamma_tau_c": 0.1, "p": 1.0},
-        {"scheme": "zzz", "gamma_tau_c": 0.1, "p": 0.8},
-        {"scheme": "xzx", "gamma_tau_c": 0.2, "p": 1.0},
-        {"scheme": "zzz", "gamma_tau_c": 5.0, "p": 0.8},
-    ],
-    "visibilities": [1.0, 0.9],
-    "noise": {"total_counts": 10000, "replicas": 20, "seed": 3},
-}
-TRUNCATED_WITNESS = {"bath": {"gamma": 5.0, "tau_c": 1.0}, "grid": {"t_max_gamma": 20.0, "points": 201}}
-
-
 class TestConfigEcho:
     """The ``# config`` header line is the parsed config, every default
     filled in: parsing it gives the config of the run back."""
@@ -948,20 +960,20 @@ class TestConfigEcho:
         assert self.header_config(tmp_path / "out" / workload.output) == cfg
 
     @pytest.mark.parametrize(
-        "command, document",
+        "command, name",
         [
-            ("figure2", PRESET_EDGE),
-            ("appendix-d", PRESET_EDGE),
-            ("witness", TRUNCATED_WITNESS),
+            ("figure2", "preset_edge"),
+            ("appendix-d", "preset_edge"),
+            ("witness", "truncated_witness"),
         ],
         ids=["preset-edge-figure2", "preset-edge-appendix-d", "truncated-witness"],
     )
-    def test_ci_headers_round_trip(self, tmp_path, command, document):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(document))
+    def test_ci_headers_round_trip(self, tmp_path, command, name):
+        # the edge configs of tests/configs, which the CI bytes report runs
+        path = Path(__file__).resolve().parent / "configs" / f"{name}.json"
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         output = {"appendix-d": "appendix_d.csv"}.get(command, f"{command}.csv")
-        assert self.header_config(tmp_path / "out" / output) == parse_config(document)
+        assert self.header_config(tmp_path / "out" / output) == load_config(path)
 
     @pytest.mark.parametrize("time_unit", [None, "seconds"], ids=["no-time-unit", "time-unit"])
     def test_tabulated_form_round_trips(self, tmp_path, time_unit):
