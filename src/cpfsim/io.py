@@ -9,10 +9,8 @@ an identical config is byte-identical. Dialect: comma separator,
 ``format_value`` defines the text of each cell. ``write_dataset`` writes the
 same bytes faster: each block becomes one printf row template, and each
 chunk of ``_BLOCK_ROWS`` rows is written by one printf of that template
-repeated once per row. A float64 column of at least one chunk in which at
-most half of the rows are distinct, such as the time columns of a 2-D
-sweep, has each distinct value formatted once, and once per file when
-several blocks hold the same column object.
+repeated once per row. A column given as a (values, index) pair, such as
+the time columns of a 2-D sweep, has each of its values formatted once.
 """
 from __future__ import annotations
 
@@ -62,40 +60,38 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _repeated_floats(column):
-    """For a float64 array column of at least one chunk of rows, of which at
-    most half are distinct, a function of (start, stop) that gives rows
-    [start, stop) as their '%.12g' text, each distinct value formatted
-    once; otherwise None. Values are told apart by their bits, so -0.0 and
-    0.0 (and NaNs of either sign or any payload) keep the text of their own
-    value. Float text needs no csv quoting."""
-    # a shorter column saves less than the sort costs; and a run that sorts
-    # nothing never maps NumPy's sort code, 0.2-0.4 MB of peak RSS on an
-    # appendix-d run, whose columns are 101 rows long
-    if not (
-        isinstance(column, np.ndarray)
-        and column.dtype == np.float64
-        and len(column) >= _BLOCK_ROWS
-    ):
-        return None
-    bits = column.view(np.uint64)
-    ordered = np.sort(bits)
-    starts = ordered[1:] != ordered[:-1]
-    if 2 * (1 + np.count_nonzero(starts)) > bits.size:
-        return None
-    distinct = np.concatenate((ordered[:1], ordered[1:][starts]))
-    texts = np.array(["%.12g" % v for v in distinct.view(np.float64).tolist()], dtype=object)
-    # the rows' indices into texts are found per chunk, so that no array of
-    # the column's length outlives this call
-    return lambda start, stop: texts[np.searchsorted(distinct, bits[start:stop])].tolist()
+def _column(index: int, name: str, entry):
+    """(printf conversion, function of (start, stop) that gives its
+    arguments for rows [start, stop), number of rows) of a column entry."""
+    where = f"block {index} field {name!r}"
+    if isinstance(entry, tuple):
+        values, rows = entry if len(entry) == 2 else (None, None)
+        if not (isinstance(values, np.ndarray) and isinstance(rows, np.ndarray)
+                and values.dtype == np.float64 and rows.dtype.kind in "iu"
+                and values.ndim == rows.ndim == 1):
+            raise ValueError(f"{where}: a pair must be a 1-D float64 and a 1-D integer array")
+        # NumPy would read a negative index from the end
+        if rows.size and (rows.min() < 0 or rows.max() >= values.size):
+            bad = rows.min() if rows.min() < 0 else rows.max()
+            raise ValueError(f"{where}: index {bad} outside [0, {values.size})")
+        # each value formatted once; float text needs no csv quoting
+        texts = np.array(["%.12g" % v for v in values.tolist()], dtype=object)
+        return "%s", lambda start, stop: texts[rows[start:stop]].tolist(), rows.size
+    if not isinstance(entry, np.ndarray) or entry.dtype.kind not in "fiu":
+        got = f"dtype {entry.dtype}" if isinstance(entry, np.ndarray) else type(entry).__name__
+        raise ValueError(f"{where}: a column must be a float or integer NumPy array, got {got}")
+    if entry.ndim != 1:
+        raise ValueError(f"{where}: a column must be 1-D")
+    # format_value's text of the Python floats or ints of tolist
+    conversion = "%.12g" if entry.dtype.kind == "f" else "%d"
+    return conversion, lambda start, stop: entry[start:stop].tolist(), len(entry)
 
 
-def _block_layout(index: int, block: Sequence, fieldnames: Sequence[str], cache: dict):
+def _block_layout(index: int, block: Sequence, fieldnames: Sequence[str]):
     """(row template, rows, columns) of one block. A scalar entry is baked
     into the template; each column adds one conversion to it and one
     function of (start, stop) to ``columns`` that gives the arguments of
-    that conversion for rows [start, stop). ``cache`` maps the id of each
-    column seen so far in the file to (column, its ``_repeated_floats``)."""
+    that conversion for rows [start, stop)."""
     if len(block) != len(fieldnames):
         unmatched = (
             f"none for field {fieldnames[len(block)]!r}"
@@ -110,33 +106,15 @@ def _block_layout(index: int, block: Sequence, fieldnames: Sequence[str], cache:
         if not isinstance(entry, (np.ndarray, Sequence)) or isinstance(entry, (str, bytes)):
             parts.append(_csv_cell(format_value(entry)).replace("%", "%%"))
             continue
-        if not isinstance(entry, np.ndarray) or entry.dtype.kind not in "fiu":
-            got = f"dtype {entry.dtype}" if isinstance(entry, np.ndarray) else type(entry).__name__
-            raise ValueError(
-                f"block {index} field {name!r}: a column must be a float or integer "
-                f"NumPy array, got {got}"
-            )
-        if entry.ndim != 1:
-            raise ValueError(f"block {index} field {name!r}: a column must be 1-D")
+        conversion, column, length = _column(index, name, entry)
         if n_rows is None:
-            n_rows = len(entry)
-        elif len(entry) != n_rows:
+            n_rows = length
+        elif length != n_rows:
             raise ValueError(
-                f"block {index} field {name!r} has {len(entry)} values, expected {n_rows}"
+                f"block {index} field {name!r} has {length} values, expected {n_rows}"
             )
-        # blocks may share a column object, as the scheme blocks of a sweep
-        # share its time columns: each one is sorted once. The cache holds
-        # the column, so that its id is not reused while the cache lives.
-        if id(entry) not in cache:
-            cache[id(entry)] = (entry, _repeated_floats(entry))
-        repeated = cache[id(entry)][1]
-        if repeated is None:
-            # format_value's text of the Python floats or ints of tolist
-            parts.append("%.12g" if entry.dtype.kind == "f" else "%d")
-            columns.append(lambda start, stop, entry=entry: entry[start:stop].tolist())
-        else:
-            parts.append("%s")
-            columns.append(repeated)
+        parts.append(conversion)
+        columns.append(column)
     if n_rows is None:
         raise ValueError(f"block {index} has no column entry to set its number of rows")
     return ",".join(parts) + "\n", n_rows, columns
@@ -154,11 +132,14 @@ def write_dataset(
 
     Each block has one entry per field, in ``fieldnames`` order: a scalar,
     written in every row of the block, or a column: a 1-D float or integer
-    NumPy array with one value per row. The columns of a block have one
+    NumPy array with one value per row, or a (values, index) pair of a 1-D
+    float64 array and a 1-D integer array of indices into it, which stands
+    for the column ``values[index]``. The columns of a block have one
     length, and a block has at least one. A block that breaks this, or has
-    an array of another dtype, a list or a tuple as an entry, raises
-    ``ValueError`` naming the block and the field. Cells are the text of
-    ``format_value``, a scalar's quoted as ``csv.writer`` quotes it.
+    an array of another dtype, a list, a tuple that is not such a pair or
+    an index out of range as an entry, raises ``ValueError`` naming the
+    block and the field. Cells are the text of ``format_value``, a
+    scalar's quoted as ``csv.writer`` quotes it.
 
     The file is written to a temporary file beside ``path`` and renamed
     onto ``path`` only when complete: on any error the temporary file is
@@ -186,9 +167,8 @@ def _write(fh, fieldnames, blocks, config_echo, comments) -> None:
     )
     fh.writelines(f"# {line}\n" for line in comments)
     csv.writer(fh, lineterminator="\n").writerow(fieldnames)
-    cache = {}
     for index, block in enumerate(blocks):
-        template, n_rows, columns = _block_layout(index, block, fieldnames, cache)
+        template, n_rows, columns = _block_layout(index, block, fieldnames)
         width = len(columns)
         for start in range(0, n_rows, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, n_rows)

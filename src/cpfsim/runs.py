@@ -29,7 +29,7 @@ from .cpf import (
     table_correlation,
     table_probs,
 )
-from .errors import PropagatorZeroCrossingError, ValidationError
+from .errors import KernelRangeError, PropagatorZeroCrossingError, ValidationError
 from .experiment import RNG_CONTRACT, run_noise_study
 from .io import write_dataset
 from .propagator import lorentzian_G, lorentzian_G_two_time, propagators, rates_from_G
@@ -85,20 +85,23 @@ def _preset(cfg: RunConfig, scheme: MeasurementScheme, ratio, p, y) -> RunConfig
 def _curves(cfg: RunConfig) -> tuple[np.ndarray, float, np.ndarray, list]:
     """G and G2 from one propagators call on the (t, tau) pairs of the grid,
     tau fastest (the diagonal if ``cfg.equal_times``, else the plane), and
-    one ``CURVE_FIELDS`` block per scheme of cfg, conditioned on ``cfg.y``.
+    one ``CURVE_FIELDS`` block per scheme of cfg, conditioned on ``cfg.y``,
+    with its t and tau columns as (output times, grid index) pairs.
     Returns the output times, their step h, G at those times and the blocks."""
     times, h, step = _grid(cfg)
     if cfg.equal_times:
         i = j = np.arange(times.size)
     else:
         i, j = np.indices((times.size, times.size)).reshape(2, -1)
-    g_t, g_tau, g2 = propagators(cfg.bath.make_kernel(), times[i], times[j], step)
+    try:
+        g_t, g_tau, g2 = propagators(cfg.bath.make_kernel(), times[i], times[j], step)
+    except KernelRangeError as exc:  # a kernel file that ends before the grid
+        raise KernelRangeError(f"config: bath.{cfg.bath.form}: {cfg.bath.value}: {exc}") from None
     p_label = abs(cfg.state.a) ** 2
     t = times * cfg.bath.gamma
-    t_col, tau_col = t[i], t[j]
     blocks = [
         (
-            scheme.value, cfg.y, p_label, cfg.bath.gamma_tau_c, t_col, tau_col,
+            scheme.value, cfg.y, p_label, cfg.bath.gamma_tau_c, (t, i), (t, j),
             closed_values(scheme, cfg.state, g_t, g2, y=cfg.y),
             table_correlation(table_probs(scheme, cfg.state, cfg.y, g_t, g_tau, g2)),
         )
@@ -147,9 +150,14 @@ def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
 
     If G crosses zero inside the grid the rate stencils are undefined
     beyond it; the grid is truncated there and the last emitted row says so
-    in the warning column. A crossing within the first three output times,
-    which the stencils need, is refused.
+    in the warning column. A grid of fewer than three output times, which
+    the stencils need, and a crossing within the first three are refused.
     """
+    if cfg.points < 3:
+        raise ValidationError(
+            "config: grid.points: witness needs at least 3 output times for its rate "
+            f"stencils, got {cfg.points}"
+        )
     both = (MeasurementScheme.ZZZ, MeasurementScheme.XZX)
     times, h, g, blocks = _curves(dataclasses.replace(cfg, schemes=both, y=-1, equal_times=True))
     warning = ""

@@ -118,6 +118,8 @@ def test_tabulated_validation():
         TabulatedKernel(times=np.array([0.0]), values=np.array([1.0]))
     with pytest.raises(ValidationError):
         TabulatedKernel(times=np.array([0.0, 1.0]), values=np.array([np.nan, 0.5]))
+    with pytest.raises(ValidationError, match="^times and values must be 1-D arrays of equal"):
+        TabulatedKernel([0, 1], [1, 2, 3])
 
 
 def test_kernel_csv_roundtrip(tmp_path):

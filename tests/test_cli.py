@@ -203,8 +203,20 @@ class TestConfig:
                 {"state": {"p": 0.8, "a": 1, "b": 0}},
                 r"state: expected either \{'p': ...\} or \{'a': ..., 'b': ...\}",
             ),
+            # blocks and values of the wrong type or out of their domain
+            ({"grid": 3}, "grid: expected an object$"),
+            ({"bath": [1]}, "bath: expected an object$"),
+            (
+                {"state": {"a": "x", "b": 0}},
+                r"state\.a: expected a number or \[re, im\] pair, got 'x'$",
+            ),
+            ({"state": {"a": 1, "b": 1}}, r"state: \|a\|\^2 \+ \|b\|\^2 = 2\.0 must equal 1$"),
+            ({"grid": {"equal_times": 1}}, r"grid\.equal_times: must be true or false$"),
         ],
-        ids=["top", "bath", "state", "grid", "noise", "combo", "state-both-forms"],
+        ids=[
+            "top", "bath", "state", "grid", "noise", "combo", "state-both-forms",
+            "grid-not-object", "bath-not-object", "state-a-text", "state-norm", "equal-times-int",
+        ],
     )
     def test_unknown_keys_exit_2(self, tmp_path, capsys, overrides, message):
         cfg = write_config(tmp_path, overrides)
@@ -212,6 +224,13 @@ class TestConfig:
             load_config(cfg)
         assert main(["figure2", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: config: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_top_level_must_be_an_object_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text("[1]")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: config: top level must be a JSON object\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -286,6 +305,19 @@ class TestConfig:
             parse_config(
                 {"bath": {"gamma": 1.0, "kernel_csv": str(tmp_path / "nope.csv")}}
             )
+
+    @pytest.mark.parametrize("command", ["sweep", "witness"])
+    def test_kernel_file_shorter_than_the_grid_exits_2(self, tmp_path, capsys, command):
+        # the kernel's range error named neither the file nor the config field
+        kernel = tmp_path / "short.csv"
+        kernel.write_text("t,re\n0,1\n0.1,0.9\n")
+        cfg = write_config(tmp_path, {"bath": {"gamma": 1.0, "kernel_csv": str(kernel)}})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config: bath.kernel_csv: {kernel}: t = 10 beyond last sample "
+            "t_max = 0.1; refusing to extrapolate\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "case",
@@ -606,6 +638,16 @@ class TestWitness:
         assert capsys.readouterr().err == (
             "error: config: grid.points: G(t) crosses zero near gamma*t = 10, within the "
             "first 3 output times; raise grid.points or lower grid.t_max_gamma\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_fewer_than_three_times_exits_2(self, tmp_path, capsys):
+        # the rate stencils' own error named no config field
+        cfg = write_config(tmp_path, {"bath": {"gamma": 1, "tau_c": 1}, "grid": {"points": 2}})
+        assert main(["witness", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: config: grid.points: witness needs at least 3 output times for its rate "
+            "stencils, got 2\n"
         )
         assert not (tmp_path / "out").exists()
 

@@ -14,7 +14,9 @@ from cpfsim import (
     lorentzian_G,
     lorentzian_G_two_time,
 )
-from cpfsim.cpf import _CELLS, closed_values, table_correlation, table_probs
+from cpfsim.cpf import (
+    _CELLS, closed_values, conditioning_probability, table_correlation, table_probs,
+)
 from cpfsim.errors import (
     ConditioningImpossibleError,
     InternalConsistencyError,
@@ -365,6 +367,10 @@ class TestValidation:
                 cpf_from_table(bad)
         with pytest.raises(ValidationError, match=r"\|CPF\| = 4 > 1"):
             CpfResult(value=4.0)
+
+    def test_conditioning_probability_refuses_y_zero(self):
+        with pytest.raises(ValidationError, match="^y must be \\+1 or -1, got 0$"):
+            conditioning_probability(ZZZ, InitialState(1.0, 0.0), 0, np.array([0.5]))
 
     def test_product_table_gives_zero(self):
         probs = [(0.3 if z == 1 else 0.7) * (0.6 if x == 1 else 0.4) for z, x in _CELLS]

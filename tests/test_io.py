@@ -54,11 +54,13 @@ def _write_dataset_reference(path, fieldnames, rows, config_echo, comments=()):
 
 def _rows(blocks):
     """The rows a block stands for: each scalar repeated, each column
-    indexed (an array yields NumPy scalars)."""
+    indexed (an array yields NumPy scalars), a (values, index) pair as the
+    column values[index]."""
     for block in blocks:
-        columns = [e for e in block if isinstance(e, (np.ndarray, list, tuple))]
+        block = [e[0][e[1]] if isinstance(e, tuple) else e for e in block]
+        columns = [e for e in block if isinstance(e, np.ndarray)]
         for k in range(len(columns[0])):
-            yield tuple(e[k] if isinstance(e, (np.ndarray, list, tuple)) else e for e in block)
+            yield tuple(e[k] if isinstance(e, np.ndarray) else e for e in block)
 
 
 def _assert_same_bytes(tmp_path, fieldnames, blocks, comments=()):
@@ -149,85 +151,60 @@ class TestSameBytes:
         _assert_same_bytes(tmp_path, ["x", "y"], [[array, -array]])
 
 
-def _repeating(values, n_rows):
-    """A float64 column of ``n_rows`` that cycles through ``values``."""
-    return np.resize(np.array(values, dtype=np.float64), n_rows)
+def _pair(values, n_rows):
+    """A (values, index) pair of ``n_rows`` rows that cycles through ``values``."""
+    values = np.array(values, dtype=np.float64)
+    return values, np.resize(np.arange(values.size), n_rows)
 
 
-class TestRepeatedFloats:
-    """Float64 columns of at least one chunk, of which at most half the rows
-    are distinct, have each distinct value formatted once; the bytes stay
-    those of format_value. Most tests shrink the chunk to 3 rows, so that
-    short columns qualify and repeats span chunks."""
+class TestPairColumns:
+    """A column given as a (values, index) pair is the column values[index],
+    each value formatted once; the bytes stay those of format_value. Most
+    tests shrink the chunk to 3 rows, so that repeats span chunks."""
 
     @pytest.fixture
     def small_chunks(self, monkeypatch):
         monkeypatch.setattr(io, "_BLOCK_ROWS", 3)
 
-    def test_columns_shorter_than_a_chunk_are_printed(self):
-        assert io._repeated_floats(np.zeros(io._BLOCK_ROWS - 1)) is None
-        assert io._repeated_floats(np.zeros(io._BLOCK_ROWS)) is not None
-
     def test_specials(self, tmp_path, small_chunks):
-        column = _repeating(REPEATED, 5 * len(REPEATED))
-        assert io._repeated_floats(column) is not None
-        _assert_same_bytes(tmp_path, ["x", "y"], [[column, column[::-1]]])
+        values, index = _pair(REPEATED, 5 * len(REPEATED))
+        _assert_same_bytes(tmp_path, ["x", "y"], [[(values, index), (values, index[::-1])]])
 
     def test_zero_and_negative_zero_alone(self, tmp_path, small_chunks):
-        # a column whose distinct values compare equal
-        column = _repeating([0.0, -0.0], 8)
-        data = _assert_same_bytes(tmp_path, ["x"], [[column]])
+        # values that compare equal keep their own text
+        data = _assert_same_bytes(tmp_path, ["x"], [[_pair([0.0, -0.0], 8)]])
         assert data.endswith(b"\nx\n0\n-0\n0\n-0\n0\n-0\n0\n-0\n")
 
-    @pytest.mark.parametrize("n_distinct, deduped", [(5, True), (6, False)])
-    def test_half_distinct_is_the_edge(self, tmp_path, small_chunks, n_distinct, deduped):
-        # n/2 distinct rows take the text path, n/2 + 1 the printf path
-        column = _repeating(REPEATED[:n_distinct], 10)
-        assert (io._repeated_floats(column) is not None) == deduped
-        _assert_same_bytes(tmp_path, ["x", "y"], [[column, column.copy()]])
-
     def test_strided_reversed_and_float32(self, tmp_path, small_chunks):
-        column = _repeating(REPEATED, 6 * len(REPEATED))
-        columns = [column[::2], column[::-1][: len(column) // 2], column[1::2].astype(np.float32)]
-        assert not column[::2].flags.c_contiguous
-        assert io._repeated_floats(column[::2]) is not None
-        _assert_same_bytes(tmp_path, ["a", "b", "c"], [columns])
+        # strided values and indices, reversed values, float64 values cast
+        # from float32, and indices of narrow and unsigned dtypes
+        values, index = _pair(REPEATED, 6 * len(REPEATED))
+        pairs = [
+            (np.repeat(values, 2)[::2], index[::2]),
+            (values[::-1], index[: index.size // 2].astype(np.int32)),
+            (values.astype(np.float32).astype(np.float64), index[1::2].astype(np.uint8)),
+        ]
+        assert not (pairs[0][0].flags.c_contiguous or pairs[0][1].flags.c_contiguous)
+        _assert_same_bytes(tmp_path, ["a", "b", "c"], [pairs])
 
     @pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 7, 12, 25])
     def test_repeats_span_chunks(self, tmp_path, small_chunks, n_rows):
-        column = _repeating(REPEATED[:4], n_rows)
+        values, index = _pair(REPEATED[:4], n_rows)
         blocks = [
-            ["zzz", column, np.arange(n_rows) / 7],
-            [-0.0, column[::-1], column],
+            ["zzz", (values, index), np.arange(n_rows) / 7],
+            [-0.0, (values, index[::-1]), values[index]],
         ]
         _assert_same_bytes(tmp_path, ["s", "x", "y"], blocks)
 
-    def test_percent_scalar_beside_repeated_column(self, tmp_path, small_chunks):
-        column = _repeating(REPEATED, 2 * len(REPEATED))
-        blocks = [["100%", column, "%s%%d%", column, 'a,"%d"']]
+    def test_percent_scalar_beside_a_pair(self, tmp_path, small_chunks):
+        pair = _pair(REPEATED, 2 * len(REPEATED))
+        blocks = [["100%", pair, "%s%%d%", pair, 'a,"%d"']]
         data = _assert_same_bytes(tmp_path, ["a", "x", "b", "y", "c"], blocks)
         assert b'100%,0,%s%%d%,0,"a,""%d"""\n' in data
 
-    def test_shared_column_sorted_once(self, tmp_path, monkeypatch, small_chunks):
-        # run_sweep hands the same t and tau arrays to each scheme block: each
-        # is sorted once per file, and the bytes stay those of format_value
-        sorted_ids = []
-        repeated_floats = io._repeated_floats
-
-        def spy(column):
-            sorted_ids.append(id(column))
-            return repeated_floats(column)
-
-        monkeypatch.setattr(io, "_repeated_floats", spy)
-        t = _repeating(REPEATED, 4 * len(REPEATED))
-        tau = t[::-1].copy()
-        blocks = [[name, t, tau, np.arange(t.size) / k] for k, name in enumerate("abc", 3)]
-        _assert_same_bytes(tmp_path, ["s", "t", "tau", "cpf"], blocks)
-        assert sorted_ids.count(id(t)) == sorted_ids.count(id(tau)) == 1
-        assert len(sorted_ids) == 2 + 3
-
     def test_sweep_grid_blocks(self, tmp_path, monkeypatch):
-        # the blocks run_sweep writes for the benchmark's 2-D grid
+        # the blocks run_sweep writes for the benchmark's 2-D grid: t and tau
+        # as the 151 output times, indexed by the plane's (i, j)
         captured = []
 
         def capture(path, fieldnames, blocks, config_echo, comments=()):
@@ -237,14 +214,19 @@ class TestRepeatedFloats:
         monkeypatch.setattr(runs, "write_dataset", capture)
         runs.run_sweep(load_config(SWEEP_GRID), tmp_path)
         (fieldnames, blocks), = captured
-        assert len(blocks) == 3 and len(blocks[0][4]) == 151**2
+        assert len(blocks) == 3
+        for block in blocks:
+            (t, i), (tau, j) = block[4:6]
+            assert t is tau and t.size == 151
+            assert i.tolist() == np.repeat(np.arange(151), 151).tolist()
+            assert j.tolist() == np.tile(np.arange(151), 151).tolist()
         _assert_same_bytes(tmp_path, fieldnames, blocks)
 
     def test_working_memory_is_one_chunk(self, tmp_path):
-        # a repeating and a distinct column of 2e5 rows: ~5 MB of text,
-        # which a writer that formats a whole block at once would hold
+        # a pair and a distinct column of 2e5 rows: ~5 MB of text, which a
+        # writer that formats a whole block at once would hold
         n = 200_000
-        block = ["zzz", _repeating(np.linspace(0.0, 5.0, 151), n), np.arange(n) / 7, 1]
+        block = ["zzz", _pair(np.linspace(0.0, 5.0, 151), n), np.arange(n) / 7, 1]
         write_dataset(tmp_path / "warm.csv", ["s", "x", "y", "k"], [block], ECHO)
         tracemalloc.start()
         try:
@@ -255,16 +237,59 @@ class TestRepeatedFloats:
         assert (tmp_path / "out.csv").stat().st_size > 5 * 2**20
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            (1, 2), (), (np.arange(3.0),), (np.arange(3.0), np.arange(3), np.arange(3)),
+            (np.arange(3.0, dtype=np.float32), np.arange(3)), (np.arange(3), np.arange(3)),
+            (np.ones((1, 3)), np.arange(3)), (np.arange(3.0), np.arange(3.0)),
+            (np.arange(3.0), np.array([True, False, True])),
+            (np.arange(3.0), np.zeros((3, 1), dtype=int)), (np.arange(3.0), [0, 1, 2]),
+            ([0.0, 1.0, 2.0], np.arange(3)),
+        ],
+        ids=[
+            "two-ints", "empty", "one-array", "three-arrays", "float32-values", "int-values",
+            "2-D-values", "float-index", "bool-index", "2-D-index", "list-index", "list-values",
+        ],
+    )
+    def test_malformed_pair_raises(self, tmp_path, pair):
+        good = ["a", np.arange(3.0), np.arange(3)]
+        msg = "^block 1 field 'x': a pair must be a 1-D float64 and a 1-D integer array$"
+        with pytest.raises(ValueError, match=msg):
+            write_dataset(
+                tmp_path / "out.csv", ["s", "x", "k"], [good, ["b", pair, np.arange(3)]], ECHO
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "n_values, index, bad",
+        [
+            (3, [0, -1, 2], -1), (3, [0, 3, 2], 3), (3, [-4, 5, 0], -4), (0, [0], 0),
+            (3, np.array([0, 2**64 - 1], dtype=np.uint64), 2**64 - 1),
+        ],
+        ids=["negative", "at-length", "both-sides", "no-values", "uint64"],
+    )
+    def test_index_out_of_range_raises(self, tmp_path, n_values, index, bad):
+        # NumPy would read a negative index from the end of the values
+        pair = (np.arange(float(n_values)), np.asarray(index))
+        msg = rf"^block 0 field 'x': index {bad} outside \[0, {n_values}\)$"
+        with pytest.raises(ValueError, match=msg):
+            write_dataset(tmp_path / "out.csv", ["s", "x"], [["a", pair]], ECHO)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRaggedRows:
-    @pytest.mark.parametrize("bad", [("x", np.zeros(2)), ("count", np.arange(4))])
+    @pytest.mark.parametrize(
+        "bad", [("x", np.zeros(2)), ("count", np.arange(4)), ("y", (np.ones(5), np.arange(4)))]
+    )
     def test_wrong_length_raises(self, tmp_path, monkeypatch, bad):
         monkeypatch.setattr(io, "_BLOCK_ROWS", 3)
         name, column = bad
         good = ["a", np.arange(1, 4), np.ones(3), None, True, np.full(3, 0.5)]
         broken = list(good)
         broken[FIELDS.index(name)] = column
-        msg = f"block 2 field '{name}' has {len(column)} values, expected 3"
+        n_rows = len(column[1] if isinstance(column, tuple) else column)  # a pair's index rows
+        msg = f"block 2 field '{name}' has {n_rows} values, expected 3"
         with pytest.raises(ValueError, match=msg):
             write_dataset(tmp_path / "out.csv", FIELDS, [good, good, broken, good], ECHO)
 
@@ -289,16 +314,17 @@ class TestRaggedRows:
 
     @pytest.mark.parametrize(
         "column, got",
-        [([1.0, 2.0], "list"), ((1, 2), "tuple"),
+        [([1.0, 2.0], "list"),
          (np.array(["zzz", 1.5], dtype=object), "dtype object"),
          (np.array(["zzz", "xzx"]), "dtype <U3"), (np.array([True, False]), "dtype bool"),
          (np.array([1 + 2j, 0.5]), "dtype complex128"),
          (np.array(["2020-01-01", "2020-01-02"], dtype="M8[D]"), "dtype datetime64[D]")],
-        ids=["list", "tuple", "object", "str", "bool", "complex", "datetime"],
+        ids=["list", "object", "str", "bool", "complex", "datetime"],
     )
     def test_non_numeric_column_raises(self, tmp_path, column, got):
-        # a column is a float or integer array; other entries with one value
-        # per row are refused, not printed cell by cell
+        # a column is a float or integer array or a (values, index) pair;
+        # other entries with one value per row are refused, not printed cell
+        # by cell
         good = ["a", np.arange(2.0), np.arange(2)]
         msg = (
             "^block 1 field 'x': a column must be a float or integer NumPy array, "

@@ -25,6 +25,7 @@ from cpfsim.propagator import volterra_trapezoid
 from cpfsim.errors import (
     ConditioningImpossibleError,
     CoarseStepWarning,
+    InternalConsistencyError,
     KernelRangeError,
     PropagatorZeroCrossingError,
     ValidationError,
@@ -152,6 +153,15 @@ class TestVolterraSolver:
 
 
 class TestTwoTime:
+    @pytest.mark.parametrize(
+        "gamma, t, message",
+        [(0.0, 1.0, "gamma and tau_c must be > 0"), (1.0, -1.0, "t and tau must be >= 0")],
+        ids=["gamma-zero", "negative-t"],
+    )
+    def test_closed_form_validation(self, gamma, t, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            lorentzian_G_two_time(gamma, 1.0, t, 1.0)
+
     def test_closed_form_values(self):
         assert lorentzian_G_two_time(1.0, 1.0, 0.0, 2.0) == 0.0
         assert lorentzian_G_two_time(1.0, 1.0, 2.0, 0.0) == 0.0
@@ -494,6 +504,13 @@ class TestRates:
             rates_from_G(np.asarray(lorentzian_G(1.0, tau_c, ts), dtype=complex), h)
         assert abs(excinfo.value.t - 3 * np.pi / 2) < 0.02
 
+    def test_exact_zero_is_a_crossing(self):
+        # a sample of exactly 0 is refused where it lies, before any sign test
+        with pytest.raises(PropagatorZeroCrossingError) as excinfo:
+            rates_from_G([1.0, 0.5, 0.0, -0.5], 0.1)
+        assert excinfo.value.index == 2
+        assert excinfo.value.t == pytest.approx(0.2)
+
     def test_complex_G_phase_unwrapped(self):
         # G = e^{-t/2 - 3 i t} winds through the branch cut of the principal
         # log several times; the rates must stay gamma = 1/2, omega = 3
@@ -568,6 +585,11 @@ class TestBackflow:
     def test_conditioning_impossible(self):
         with pytest.raises(ConditioningImpossibleError):
             backflow_probabilities(1.0, 0.0)
+
+    def test_reexcitation_above_one_raises(self):
+        # |G2|^2 / (1 - |G|^2) = 0.81 / 0.75 = 1.08 breaks the amplitude bound
+        with pytest.raises(InternalConsistencyError, match="^re-excitation probability 1.08 > 1"):
+            backflow_probabilities(0.5, 0.9)
 
 
 class TestGridTypes:
