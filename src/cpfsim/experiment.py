@@ -27,31 +27,23 @@ seed, n and k, so studies are exactly reproducible.
 
 The model is array code over tables of shape (..., 4) in ``_CELLS`` order:
 :func:`degrade_probs`, :func:`draw_counts`, :func:`estimate_block` and
-:func:`predicted_std`. :func:`run_noise_study` ties them together and
-returns its statistics as a record array, one record per time. It takes
-the per-point blocks of the stream in chunks of points and estimates and
-reduces the replicas of a whole chunk per NumPy call; the stream, and so
-every statistic, is the same as drawing and reducing point by point.
+:func:`predicted_std`. :func:`run_noise_study` ties them together on the
+exact tables and P(y) of its caller and returns its statistics as a
+record array, one record per time. It takes the per-point blocks of the
+stream in chunks of points and estimates and reduces the replicas of a
+whole chunk per NumPy call; the stream, and so every statistic, is the
+same as drawing and reducing point by point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cpf import (
-    _CELLS,
-    InitialState,
-    MeasurementScheme,
-    closed_values,
-    conditioning_probability,
-    table_correlation,
-    table_probs,
-)
+from .cpf import _CELLS, MeasurementScheme, table_correlation
 from .errors import ValidationError
-from .propagator import propagators
 
 RNG_CONTRACT = "rng v2 per-point-block"
 # the outcomes z and x of each cell, in _CELLS order
@@ -147,25 +139,26 @@ def predicted_std(probs: np.ndarray, budget) -> np.ndarray:
 
 
 def run_noise_study(
-    state: InitialState,
     scheme: MeasurementScheme,
-    kernel,
+    probs: np.ndarray,
+    p_y: np.ndarray,
     times: Sequence[float],
     cfg: ExperimentConfig,
     y: int = -1,
-    t_step: Optional[float] = None,
 ) -> np.recarray:
-    """Monte Carlo study of the estimator along the equal-times diagonal.
+    """Monte Carlo study of the estimator on the exact tables ``probs``, one
+    per t in ``times``, of ``scheme`` conditioned on ``y`` of probability ``p_y``.
 
-    Returns a record array with one record per t in ``times``: ``t``, the
-    ``ideal`` correlation, the visibility-``degraded_ideal``, ``mc_mean``
-    and ``mc_std`` of the finite-count estimates over ``cfg.replicas``
-    replicas drawn by :func:`draw_counts`, the first-order
-    ``predicted_std`` (:func:`predicted_std`), ``n_replicas``, the number
-    of replicas with data, and ``flagged``. Replicas without a coincidence
-    are dropped; points where conditioning is impossible or every replica
-    starves are flagged (NaN statistics). A point with one replica of data
-    has no sample stddev: its ``mc_std`` is NaN.
+    Returns a record array with one record per t: ``t``, the ``ideal``
+    correlation (for y = +1 exactly 0 where P(y) > 0: the past decouples
+    from the future), the visibility-``degraded_ideal``, ``mc_mean`` and
+    ``mc_std`` of the estimates over ``cfg.replicas`` replicas drawn by
+    :func:`draw_counts` at the budgets ``cfg.total_counts * p_y``, the
+    first-order ``predicted_std`` (:func:`predicted_std`), ``n_replicas``,
+    the number of replicas with data, and ``flagged``. Replicas without a
+    coincidence are dropped; points where conditioning is impossible or
+    every replica starves are flagged (NaN statistics). A point with one
+    replica of data has no sample stddev: its ``mc_std`` is NaN.
 
     The statistics are computed per chunk of points (:data:`_CHUNK_COUNTS`
     cell counts, at least one point): one :func:`estimate_block` call per
@@ -175,13 +168,18 @@ def run_noise_study(
     reduction does, so the results are the same to the bit.
     """
     times = np.asarray(times, dtype=float)
-    g_vals, _, g2_vals = propagators(kernel, times, times, t_step)
-    probs = table_probs(scheme, state, y, g_vals, g_vals, g2_vals)
+    probs, p_y = np.asarray(probs, dtype=float), np.asarray(p_y, dtype=float)
+    if y not in (-1, +1):
+        raise ValidationError(f"y must be +1 or -1, got {y!r}")
+    n = times.size
+    for name, value, shape in (("times", times, (n,)), ("probs", probs, (n, 4)), ("p_y", p_y, (n,))):
+        if value.shape != shape:
+            raise ValidationError(f"{name} must have shape {shape}, got {value.shape}")
     degraded = degrade_probs(probs, cfg.visibility, scheme)
     ideal, degraded_ideal = table_correlation(probs), table_correlation(degraded)
-    if y == +1:  # the past decouples from the future exactly
-        ideal = degraded_ideal = closed_values(scheme, state, g_vals, g2_vals, y=y)
-    budget = cfg.total_counts * conditioning_probability(scheme, state, y, g_vals)
+    if y == +1:
+        ideal = degraded_ideal = np.where(p_y > 0.0, 0.0, np.nan)
+    budget = cfg.total_counts * p_y
     mc_mean, mc_std = np.full(times.size, np.nan), np.full(times.size, np.nan)
     n_replicas = np.zeros(times.size, dtype=int)
     draws = draw_counts(degraded, budget, cfg.replicas, cfg.seed)

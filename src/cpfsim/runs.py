@@ -2,13 +2,14 @@
 
 Each runner takes a :class:`RunConfig` and an output directory and writes
 one CSV file (see :mod:`cpfsim.io` for the deterministic dialect). Every
-runner takes its times from :func:`_grid`; ``figure2`` and ``appendix-d``
-run each parameter set as cfg restricted to it (:func:`_preset`).
-:func:`_curves` builds the correlation blocks of ``figure2``, ``sweep`` and
-``witness`` from one :func:`~cpfsim.propagator.propagators` call, with both
-routes side by side: ``cpf_closed`` from the reduced closed forms and
-``cpf_table`` from the eight-entry probability tables; they must agree to
-1e-9 in every row.
+runner takes its times, G and tables from one block builder,
+:func:`_curves`, the only runner code that chooses the integration step and
+calls :func:`~cpfsim.propagator.propagators`; ``figure2`` and
+``appendix-d`` run each parameter set as cfg restricted to it
+(:func:`_preset`). Its blocks hold ``cpf_closed`` from the reduced closed
+forms and ``cpf_table`` from the eight-entry probability tables, which must
+agree to 1e-9 in every row; ``appendix-d`` hands the tables to
+:func:`~cpfsim.experiment.run_noise_study` instead.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .cpf import (
     InitialState,
     MeasurementScheme,
     closed_values,
+    conditioning_probability,
     cpf_closed_form,
     cpf_from_table,
     table_correlation,
@@ -55,21 +57,18 @@ def _appendix_d_blocks(cfg: RunConfig):
     return blocks
 
 
-def _grid(cfg: RunConfig) -> tuple[np.ndarray, float, float]:
+def _grid(cfg: RunConfig) -> tuple[np.ndarray, float]:
     """The output times of every runner (``cfg.points`` of them up to
-    t_max_gamma / gamma), their step h, and the integration step of a
-    tabulated kernel: a substep of h no coarser than the default
-    1/(100 gamma). No other code makes output times."""
+    t_max_gamma / gamma) and their step h, refused if h in units of the
+    default integration step 1/(100 gamma) is beyond the float range."""
     gamma = cfg.bath.gamma
     n = cfg.points - 1
     h = cfg.t_max_gamma / gamma / n
-    substeps = h * 100.0 * gamma
-    if not np.isfinite(substeps):
+    if not np.isfinite(h * 100.0 * gamma):
         raise ValidationError(
             f"config: grid.t_max_gamma: time step beyond the float range at gamma = {gamma:g}"
         )
-    refine = max(1, int(np.ceil(substeps)))
-    return np.arange(n + 1) * h, h, h / refine
+    return np.arange(n + 1) * h, h
 
 
 def _preset(cfg: RunConfig, scheme: MeasurementScheme, ratio, p, y) -> RunConfig:
@@ -82,13 +81,16 @@ def _preset(cfg: RunConfig, scheme: MeasurementScheme, ratio, p, y) -> RunConfig
     )
 
 
-def _curves(cfg: RunConfig) -> tuple[np.ndarray, float, np.ndarray, list]:
+def _curves(cfg: RunConfig) -> tuple[np.ndarray, float, np.ndarray, list, list]:
     """G and G2 from one propagators call on the (t, tau) pairs of the grid,
-    tau fastest (the diagonal if ``cfg.equal_times``, else the plane), and
-    one ``CURVE_FIELDS`` block per scheme of cfg, conditioned on ``cfg.y``,
-    with its t and tau columns as (output times, grid index) pairs.
-    Returns the output times, their step h, G at those times and the blocks."""
-    times, h, step = _grid(cfg)
+    tau fastest (the diagonal if ``cfg.equal_times``, else the plane), at
+    the runners' one integration step: for a tabulated kernel, a substep of
+    h no coarser than the default 1/(100 gamma). Returns the output times,
+    their step h, G at those times, each scheme's (pairs, 4) ``table_probs``
+    table conditioned on ``cfg.y``, and its ``CURVE_FIELDS`` block, with
+    the t and tau columns as (output times, grid index) pairs."""
+    times, h = _grid(cfg)
+    step = h / max(1, int(np.ceil(h * 100.0 * cfg.bath.gamma)))
     if cfg.equal_times:
         i = j = np.arange(times.size)
     else:
@@ -97,18 +99,18 @@ def _curves(cfg: RunConfig) -> tuple[np.ndarray, float, np.ndarray, list]:
         g_t, g_tau, g2 = propagators(cfg.bath.make_kernel(), times[i], times[j], step)
     except KernelRangeError as exc:  # a kernel file that ends before the grid
         raise KernelRangeError(f"config: bath.{cfg.bath.form}: {cfg.bath.value}: {exc}") from None
+    tables = [table_probs(scheme, cfg.state, cfg.y, g_t, g_tau, g2) for scheme in cfg.schemes]
     p_label = abs(cfg.state.a) ** 2
     t = times * cfg.bath.gamma
     blocks = [
         (
             scheme.value, cfg.y, p_label, cfg.bath.gamma_tau_c, (t, i), (t, j),
-            closed_values(scheme, cfg.state, g_t, g2, y=cfg.y),
-            table_correlation(table_probs(scheme, cfg.state, cfg.y, g_t, g_tau, g2)),
+            closed_values(scheme, cfg.state, g_t, g2, y=cfg.y), table_correlation(table),
         )
-        for scheme in cfg.schemes
+        for scheme, table in zip(cfg.schemes, tables)
     ]
     # the first times.size pairs are (0, tau) for every output tau
-    return times, h, g_tau[: times.size], blocks
+    return times, h, g_tau[: times.size], tables, blocks
 
 
 def run_figure2(cfg: RunConfig, out_dir: Path) -> Path:
@@ -127,11 +129,10 @@ def run_appendix_d(cfg: RunConfig, out_dir: Path) -> Path:
     blocks = []
     for scheme, ratio, p, y, visibility in _appendix_d_blocks(cfg):
         preset = _preset(cfg, scheme, ratio, p, y)
-        times, _, step = _grid(preset)
+        times, _, g, (probs,), _ = _curves(preset)
+        p_y = conditioning_probability(scheme, preset.state, y, g)
         noise = dataclasses.replace(cfg.noise, visibility=visibility)
-        study = run_noise_study(
-            preset.state, scheme, preset.bath.make_kernel(), times, noise, y=y, t_step=step
-        )
+        study = run_noise_study(scheme, probs, p_y, times, noise, y)
         blocks.append((
             scheme.value, y, p, ratio, noise.total_counts, visibility, study.t * preset.bath.gamma,
             study.ideal, study.degraded_ideal, study.mc_mean, study.mc_std,
@@ -159,7 +160,7 @@ def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
             f"stencils, got {cfg.points}"
         )
     both = (MeasurementScheme.ZZZ, MeasurementScheme.XZX)
-    times, h, g, blocks = _curves(dataclasses.replace(cfg, schemes=both, y=-1, equal_times=True))
+    times, h, g, _, blocks = _curves(dataclasses.replace(cfg, schemes=both, y=-1, equal_times=True))
     warning = ""
     try:
         gamma_t, _ = rates_from_G(g, h)

@@ -256,9 +256,13 @@ def test_criterion_09_noise_study_reproduction():
         state = InitialState.from_population(1.0)
         times = np.linspace(0.25, 5.0, 12) / gamma
         cfg = ExperimentConfig(total_counts=10000, visibility=1.0, replicas=300, seed=2024)
-        points = run_noise_study(
-            state, MeasurementScheme.XZX, LorentzianKernel(gamma, TAU_C), times, cfg
+        g_t = lorentzian_G(gamma, TAU_C, times)
+        probs = table_probs(
+            MeasurementScheme.XZX, state, -1, g_t, g_t,
+            lorentzian_G_two_time(gamma, TAU_C, times, times),
         )
+        p_y = conditioning_probability(MeasurementScheme.XZX, state, -1, g_t)
+        points = run_noise_study(MeasurementScheme.XZX, probs, p_y, times, cfg)
         z_max = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * len(points)))
         for pt in points:
             stderr = pt.mc_std / np.sqrt(pt.n_replicas)
@@ -270,14 +274,7 @@ def test_criterion_09_noise_study_reproduction():
 
         # the per-replica estimates of the study's own block draw (V = 1, so
         # the degraded tables are the ideal ones)
-        g_t = lorentzian_G(gamma, TAU_C, times)
-        probs = table_probs(
-            MeasurementScheme.XZX, state, -1, g_t, g_t,
-            lorentzian_G_two_time(gamma, TAU_C, times, times),
-        )
-        budget = cfg.total_counts * conditioning_probability(
-            MeasurementScheme.XZX, state, -1, g_t
-        )
+        budget = cfg.total_counts * p_y
         estimates = [estimate_block(c) for c in draw_counts(probs, budget, cfg.replicas, cfg.seed)]
         for pt, est in zip(points, estimates):
             assert np.mean(est) == pytest.approx(pt.mc_mean, rel=1e-12, abs=1e-15)
@@ -294,10 +291,14 @@ def test_criterion_09_noise_study_reproduction():
         weak_state = InitialState.from_population(0.8)
         weak_gamma = 0.1 / TAU_C
         weak_times = np.linspace(0.05, 5.0, 100) / weak_gamma
+        weak_g = lorentzian_G(weak_gamma, TAU_C, weak_times)
         weak_points = run_noise_study(
-            weak_state,
             MeasurementScheme.ZZZ,
-            LorentzianKernel(weak_gamma, TAU_C),
+            table_probs(
+                MeasurementScheme.ZZZ, weak_state, -1, weak_g, weak_g,
+                lorentzian_G_two_time(weak_gamma, TAU_C, weak_times, weak_times),
+            ),
+            conditioning_probability(MeasurementScheme.ZZZ, weak_state, -1, weak_g),
             weak_times,
             cfg,
         )

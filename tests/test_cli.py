@@ -44,6 +44,12 @@ def write_config(tmp_path, overrides=None, name="run.json"):
     return path
 
 
+def child_env(src):
+    """The whole environment of a ``python`` child that imports the package
+    from ``src``: it writes no bytecode into the tree under test."""
+    return {"PYTHONPATH": str(src), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"}
+
+
 def read_rows(path):
     lines = path.read_text(encoding="utf-8").split("\n")
     assert lines[0].startswith("# cpfsim ")
@@ -358,7 +364,7 @@ class TestConfig:
         src = Path(__import__("cpfsim").__file__).resolve().parents[1]
         result = subprocess.run(
             [sys.executable, "-m", "cpfsim", "sweep", "--config", str(cfg), "--out", str(out)],
-            env={"PYTHONPATH": str(src), "PATH": ""},
+            env=child_env(src),
             capture_output=True,
             text=True,
         )
@@ -883,9 +889,9 @@ class TestSweep:
 
 
 class TestOneSweepPath:
-    """figure2, sweep and witness take their times from one grid and their
-    correlation columns from one block builder, so one parameter set gives
-    the same rows whichever runner writes it."""
+    """figure2, sweep, witness and appendix-d take their times and tables
+    from one block builder, so one parameter set gives the same rows
+    whichever runner writes it."""
 
     @pytest.mark.parametrize(
         "scheme, ratio, p, points",
@@ -926,6 +932,32 @@ class TestOneSweepPath:
             closed = [(r["t"], r["cpf_closed"]) for r in sweep if r["scheme"] == scheme]
             assert len(closed) == 21
             assert [(r["t"], r[f"cpf_{scheme}"]) for r in witness] == closed[: len(witness)]
+
+    def test_appendix_d_ideal_is_the_figure2_table_column(self, tmp_path):
+        # appendix-d's y = -1 blocks read the tables that figure2 writes for
+        # the same preset: one x-z-x block per visibility and two z-z-z ones
+        presets = [("xzx", 1.0, 1.0), ("zzz", 1.0, 0.8), ("zzz", 0.1, 0.8)]
+        combos = [{"scheme": s, "gamma_tau_c": r, "p": p} for s, r, p in presets]
+        noise = {"total_counts": 1000, "replicas": 2}
+        cfg = write_config(tmp_path, {"combos": combos, "noise": noise})
+        for cmd in ("appendix-d", "figure2"):
+            assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd)]) == 0
+        _, studies = read_rows(tmp_path / "appendix-d" / "appendix_d.csv")
+        _, curves = read_rows(tmp_path / "figure2" / "figure2.csv")
+        tables, ideals = {}, {}
+        for r in curves:
+            tables.setdefault((r["scheme"], r["gamma_tau_c"], r["p"]), []).append(
+                (r["t"], r["cpf_table"])
+            )
+        for r in studies:
+            if r["y"] == "-1":
+                ideals.setdefault((r["scheme"], r["gamma_tau_c"], r["p"], r["V"]), []).append(
+                    (r["t"], r["ideal"])
+                )
+        assert len(tables) == 3 and len(ideals) == 5
+        for (*preset, _), rows in ideals.items():
+            assert len(rows) == 21
+            assert rows == tables[tuple(preset)], preset
 
 
 class TestTimeUnit:
@@ -1098,7 +1130,7 @@ else:
 """
     result = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PYTHONPATH": str(src), "PATH": ""},
+        env=child_env(src),
         capture_output=True,
         text=True,
     )
@@ -1123,7 +1155,7 @@ def test_python_m_writes_the_bytes_of_main(tmp_path, monkeypatch, perfbench_work
     src = Path(__import__("cpfsim").__file__).resolve().parents[1]
     result = subprocess.run(
         [sys.executable, "-m", "cpfsim", "sweep", "--config", config, "--out", "launched"],
-        env={"PYTHONPATH": str(src), "PATH": ""},
+        env=child_env(src),
         capture_output=True,
         text=True,
     )

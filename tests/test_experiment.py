@@ -19,17 +19,11 @@ from cpfsim import (
 )
 from cpfsim import experiment
 from cpfsim.config import load_config
-from cpfsim.cpf import (
-    _CELLS,
-    closed_values,
-    conditioning_probability,
-    table_correlation,
-    table_probs,
-)
+from cpfsim.cpf import _CELLS, conditioning_probability, table_correlation, table_probs
 from cpfsim.errors import ValidationError
 from cpfsim.experiment import degrade_probs, draw_counts, estimate_block, predicted_std
 from cpfsim.propagator import propagators
-from cpfsim.runs import _appendix_d_blocks, _grid, _preset
+from cpfsim.runs import _appendix_d_blocks, _curves, _preset
 
 ZZZ, XZX = MeasurementScheme.ZZZ, MeasurementScheme.XZX
 
@@ -37,6 +31,15 @@ ZZZ, XZX = MeasurementScheme.ZZZ, MeasurementScheme.XZX
 def xzx_table(p=1.0, g_t=0.5, g2=0.3, y=-1):
     """One x-z-x table: four entries in _CELLS order."""
     return table_probs(XZX, InitialState.from_population(p), y, g_t, g_t, g2)
+
+
+def study_args(state, scheme, kernel, times, cfg, y=-1, t_step=None):
+    """The run_noise_study arguments of a study of the kernel along the
+    equal-times diagonal: the exact tables and P(y) at ``times``."""
+    times = np.asarray(times, dtype=float)
+    g, _, g2 = propagators(kernel, times, times, t_step)
+    probs = table_probs(scheme, state, y, g, g, g2)
+    return scheme, probs, conditioning_probability(scheme, state, y, g), times, cfg, y
 
 
 class TestVisibility:
@@ -172,7 +175,7 @@ class TestNoiseStudy:
         state = InitialState.from_population(1.0)
         times = np.linspace(0.25, 5.0, 12)
         cfg = ExperimentConfig(total_counts=10000, visibility=1.0, replicas=300, seed=2024)
-        points = run_noise_study(state, MeasurementScheme.XZX, self.kernel(), times, cfg)
+        points = run_noise_study(*study_args(state, XZX, self.kernel(), times, cfg))
         z_max = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * len(points)))
         for pt in points:
             assert not pt.flagged
@@ -183,16 +186,14 @@ class TestNoiseStudy:
         state = InitialState.from_population(1.0)
         times = np.array([np.pi])
         cfg = ExperimentConfig(total_counts=10000, visibility=0.9, replicas=2, seed=5)
-        (pt,) = run_noise_study(state, MeasurementScheme.XZX, self.kernel(), times, cfg)
+        (pt,) = run_noise_study(*study_args(state, XZX, self.kernel(), times, cfg))
         assert pt.degraded_ideal == pytest.approx(0.9 * pt.ideal, abs=1e-12)
 
     def test_y_plus_mean_null_and_growing_std(self):
         state = InitialState.from_population(1.0)
         times = np.linspace(0.5, 4.0, 6)
         cfg = ExperimentConfig(total_counts=10000, replicas=200, seed=31)
-        points = run_noise_study(
-            state, MeasurementScheme.XZX, self.kernel(), times, cfg, y=+1
-        )
+        points = run_noise_study(*study_args(state, XZX, self.kernel(), times, cfg, y=+1))
         for pt in points:
             assert pt.ideal == 0.0
             stderr = pt.mc_std / np.sqrt(pt.n_replicas)
@@ -205,9 +206,7 @@ class TestNoiseStudy:
         state = InitialState.from_population(1.0)
         times = np.array([3 * np.pi / 2])
         cfg = ExperimentConfig(total_counts=1000, replicas=20, seed=8)
-        (pt,) = run_noise_study(
-            state, MeasurementScheme.XZX, self.kernel(), times, cfg, y=+1
-        )
+        (pt,) = run_noise_study(*study_args(state, XZX, self.kernel(), times, cfg, y=+1))
         assert pt.flagged
         assert np.isnan(pt.mc_mean)
 
@@ -217,7 +216,7 @@ class TestNoiseStudy:
         stds = []
         for n in (1e3, 1e4, 1e5):
             cfg = ExperimentConfig(total_counts=n, replicas=400, seed=17)
-            (pt,) = run_noise_study(state, MeasurementScheme.XZX, self.kernel(), times, cfg)
+            (pt,) = run_noise_study(*study_args(state, XZX, self.kernel(), times, cfg))
             stds.append(pt.mc_std)
         assert stds[0] / stds[1] == pytest.approx(np.sqrt(10), rel=0.2)
         assert stds[1] / stds[2] == pytest.approx(np.sqrt(10), rel=0.2)
@@ -233,7 +232,7 @@ class TestNoiseStudy:
             state = InitialState.from_population(0.8)
             times = np.linspace(0.25, 5.0, 20) / gamma
             points = run_noise_study(
-                state, MeasurementScheme.ZZZ, LorentzianKernel(gamma, 1.0), times, cfg
+                *study_args(state, ZZZ, LorentzianKernel(gamma, 1.0), times, cfg)
             )
             peak = max(points, key=lambda pt: pt.ideal)
             return peak.ideal / peak.mc_std
@@ -247,8 +246,8 @@ class TestNoiseStudy:
         state = InitialState.from_population(1.0)
         times = np.linspace(0.5, 3.0, 4)
         cfg = ExperimentConfig(total_counts=5000, replicas=50, seed=99)
-        a = run_noise_study(state, MeasurementScheme.XZX, self.kernel(), times, cfg)
-        b = run_noise_study(state, MeasurementScheme.XZX, self.kernel(), times, cfg)
+        a = run_noise_study(*study_args(state, XZX, self.kernel(), times, cfg))
+        b = run_noise_study(*study_args(state, XZX, self.kernel(), times, cfg))
         assert a.dtype == b.dtype
         for name in a.dtype.names:
             assert a[name].tolist() == b[name].tolist()
@@ -257,7 +256,7 @@ class TestNoiseStudy:
         state = InitialState.from_population(1.0)
         times = np.array([0.0, 1.0, 3 * np.pi / 2])
         cfg = ExperimentConfig(total_counts=1000, replicas=20, seed=8)
-        study = run_noise_study(state, MeasurementScheme.XZX, self.kernel(), times, cfg, y=+1)
+        study = run_noise_study(*study_args(state, XZX, self.kernel(), times, cfg, y=+1))
         assert study.dtype.names == (
             "t", "ideal", "degraded_ideal", "mc_mean", "mc_std", "predicted_std",
             "n_replicas", "flagged",
@@ -267,6 +266,25 @@ class TestNoiseStudy:
         assert study.flagged.tolist() == (study.n_replicas == 0).tolist() == [False, False, True]
         # G(3 pi / 2) = 0: y = +1 cannot occur, so nothing is estimated there
         assert np.isnan([study.ideal[2], study.mc_mean[2], study.predicted_std[2]]).all()
+
+    @pytest.mark.parametrize(
+        "times, probs, p_y, y, message",
+        [
+            (np.ones((2, 3)), np.ones((6, 4)), np.ones(6), -1, r"times must have shape \(6,\), got \(2, 3\)"),
+            (np.ones(3), np.ones((3, 8)), np.ones(3), -1, r"probs must have shape \(3, 4\), got \(3, 8\)"),
+            (np.ones(3), np.ones((3, 4)), np.ones((3, 1)), -1, r"p_y must have shape \(3,\), got \(3, 1\)"),
+            (np.ones(3), np.ones((3, 4)), np.ones(3), 0, r"y must be \+1 or -1, got 0"),
+            (np.ones(3), np.ones((3, 4)), np.ones(3), None, r"y must be \+1 or -1, got None"),
+        ],
+        ids=["times", "probs", "p_y", "y-zero", "y-none"],
+    )
+    def test_malformed_inputs_rejected(self, times, probs, p_y, y, message):
+        # a 2-D times failed inside NumPy: "The truth value of an array with
+        # more than one element is ambiguous"; y selects the y = +1 rule and,
+        # as in the table builders, must be an outcome
+        cfg = ExperimentConfig(total_counts=1000, replicas=2)
+        with pytest.raises(ValidationError, match=message):
+            run_noise_study(XZX, probs, p_y, times, cfg, y)
 
     def test_tabulated_kernel_path(self):
         from cpfsim import TabulatedKernel, eval_kernel_grid
@@ -280,19 +298,10 @@ class TestNoiseStudy:
         state = InitialState.from_population(0.8)
         times = np.array([1.0, 2.0, 3.0])
         cfg = ExperimentConfig(total_counts=5000, replicas=10, seed=3)
-        points = run_noise_study(
-            state, MeasurementScheme.ZZZ, tab, times, cfg, t_step=h
-        )
-        analytic = run_noise_study(
-            state, MeasurementScheme.ZZZ, self.kernel(), times, cfg
-        )
+        points = run_noise_study(*study_args(state, ZZZ, tab, times, cfg, t_step=h))
+        analytic = run_noise_study(*study_args(state, ZZZ, self.kernel(), times, cfg))
         for pt_tab, pt_ana in zip(points, analytic):
             assert pt_tab.ideal == pytest.approx(pt_ana.ideal, abs=1e-4)
-        for bad in ([-1.0, 2.0], [1.0, 2.01]):
-            with pytest.raises(ValidationError, match="integration grid"):
-                run_noise_study(
-                    state, MeasurementScheme.ZZZ, tab, np.array(bad), cfg, t_step=h
-                )
 
 
 class TestBlockDraw:
@@ -304,17 +313,16 @@ class TestBlockDraw:
         # RNG contract and must be versioned in the appendix-d header
         state = InitialState.from_population(1.0)
         times = np.array([1.0, 2.0])
-        kernel = LorentzianKernel(1.0, 1.0)
         g = lorentzian_G(1.0, 1.0, times)
         probs = table_probs(XZX, state, -1, g, g, lorentzian_G_two_time(1.0, 1.0, times, times))
-        budget = 1000 * conditioning_probability(XZX, state, -1, g)
-        counts = np.stack(list(draw_counts(probs, budget, 3, 2024)))
+        p_y = conditioning_probability(XZX, state, -1, g)
+        counts = np.stack(list(draw_counts(probs, 1000 * p_y, 3, 2024)))
         assert counts.tolist() == [
             [[128, 192, 198, 119], [116, 189, 212, 127], [140, 205, 222, 140]],
             [[152, 242, 267, 188], [192, 237, 259, 176], [166, 280, 265, 145]],
         ]
         cfg = ExperimentConfig(total_counts=1000, replicas=3, seed=2024)
-        points = run_noise_study(state, XZX, kernel, times, cfg)
+        points = run_noise_study(XZX, probs, p_y, times, cfg)
         for pt, est in zip(points, estimate_block(counts)):
             assert pt.mc_mean == pytest.approx(np.mean(est), rel=1e-14)
             assert pt.mc_std == pytest.approx(np.std(est, ddof=1), rel=1e-12)
@@ -340,18 +348,16 @@ class TestBlockDraw:
         assert np.isnan(predicted_std(np.stack([probs, probs]), np.array([0.0, np.nan]))).all()
 
 
-def _run_noise_study_reference(state, scheme, kernel, times, cfg, y=-1, t_step=None):
+def _run_noise_study_reference(scheme, probs, p_y, times, cfg, y=-1):
     """run_noise_study with its statistics computed one point per Python
     iteration, as before they were computed per chunk of points: the
     reference the chunked statistics must match to the bit."""
     times = np.asarray(times, dtype=float)
-    g_vals, _, g2_vals = propagators(kernel, times, times, t_step)
-    probs = table_probs(scheme, state, y, g_vals, g_vals, g2_vals)
     degraded = degrade_probs(probs, cfg.visibility, scheme)
     ideal, degraded_ideal = table_correlation(probs), table_correlation(degraded)
     if y == +1:  # the past decouples from the future exactly
-        ideal = degraded_ideal = closed_values(scheme, state, g_vals, g2_vals, y=y)
-    budget = cfg.total_counts * conditioning_probability(scheme, state, y, g_vals)
+        ideal = degraded_ideal = np.where(p_y > 0.0, 0.0, np.nan)
+    budget = cfg.total_counts * p_y
     mc_mean, mc_std = np.full(times.size, np.nan), np.full(times.size, np.nan)
     n_replicas = np.zeros(times.size, dtype=int)
     for k, counts in enumerate(draw_counts(degraded, budget, cfg.replicas, cfg.seed)):
@@ -380,13 +386,13 @@ def _exact(column):
 def _appendix_d_studies(seed):
     """The run_noise_study arguments of the appendix-d blocks of the
     benchmark's noise_study config at ``seed``, as ``runs.run_appendix_d``
-    builds them: each block's preset config and its grid."""
+    builds them: each block's tables and P(y) from its preset's curves."""
     cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench/workloads/noise_study.json")
     for scheme, ratio, p, y, visibility in _appendix_d_blocks(cfg):
         preset = _preset(cfg, scheme, ratio, p, y)
-        times, _, step = _grid(preset)
+        times, _, g, (probs,), _ = _curves(preset)
         noise = dataclasses.replace(cfg.noise, visibility=visibility, seed=seed)
-        yield preset.state, scheme, preset.bath.make_kernel(), times, noise, y, step
+        yield scheme, probs, conditioning_probability(scheme, preset.state, y, g), times, noise, y
 
 
 class TestChunkedStatistics:
@@ -410,13 +416,12 @@ class TestChunkedStatistics:
     def test_appendix_d_blocks_match_per_point_loop(self, monkeypatch, seed, points):
         # 101 points per block, so 100 is n - 1: one full chunk and one point
         partial = 0
-        for state, scheme, kernel, times, cfg, y, step in _appendix_d_studies(seed):
+        for args in _appendix_d_studies(seed):
+            *_, times, cfg, _ = args
             assert times.size == 101 and cfg.replicas == 200
             self.set_chunk_points(monkeypatch, points, cfg.replicas)
-            args = (state, scheme, kernel, times, cfg)
-            study = run_noise_study(*args, y=y, t_step=step)
-            reference = _run_noise_study_reference(*args, y=y, t_step=step)
-            self.assert_same_statistics(study, reference)
+            study = run_noise_study(*args)
+            self.assert_same_statistics(study, _run_noise_study_reference(*args))
             partial += np.sum((0 < study.n_replicas) & (study.n_replicas < cfg.replicas))
         # the count-starved y = +1 block drops replicas at some points
         assert partial > 0
@@ -429,14 +434,14 @@ class TestChunkedStatistics:
         times = np.linspace(0.0, 5.0, 30)
         cfg = ExperimentConfig(total_counts=30, replicas=replicas, seed=4)
         self.set_chunk_points(monkeypatch, points, replicas)
-        args = (state, XZX, LorentzianKernel(1.0, 1.0), times, cfg)
-        study = run_noise_study(*args, y=+1)
-        self.assert_same_statistics(study, _run_noise_study_reference(*args, y=+1))
+        args = study_args(state, XZX, LorentzianKernel(1.0, 1.0), times, cfg, y=+1)
+        study = run_noise_study(*args)
+        self.assert_same_statistics(study, _run_noise_study_reference(*args))
         assert set(study.n_replicas.tolist()) == set(range(replicas + 1))
 
     def test_empty_times(self):
-        args = (InitialState.from_population(1.0), XZX, LorentzianKernel(1.0, 1.0),
-                np.array([]), ExperimentConfig(total_counts=100, replicas=3))
+        args = study_args(InitialState.from_population(1.0), XZX, LorentzianKernel(1.0, 1.0),
+                          np.array([]), ExperimentConfig(total_counts=100, replicas=3))
         study = run_noise_study(*args)
         assert study.shape == (0,)
         self.assert_same_statistics(study, _run_noise_study_reference(*args))
@@ -444,8 +449,8 @@ class TestChunkedStatistics:
     def test_working_memory_is_one_chunk(self):
         # 101 points x 200 replicas: the chunked statistics hold ~0.6 MB at
         # their peak, stacking the whole study's counts at once ~2 MB
-        args = (InitialState.from_population(0.8), ZZZ, LorentzianKernel(1.0, 1.0),
-                np.linspace(0.0, 5.0, 101), ExperimentConfig(total_counts=1e4, replicas=200))
+        args = study_args(InitialState.from_population(0.8), ZZZ, LorentzianKernel(1.0, 1.0),
+                          np.linspace(0.0, 5.0, 101), ExperimentConfig(total_counts=1e4, replicas=200))
         run_noise_study(*args)  # warm-up: lazy imports and caches
         tracemalloc.start()
         try:

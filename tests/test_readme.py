@@ -22,7 +22,12 @@ def test_library_example_runs_and_agrees():
     assert abs(ns["exact"] - ns["table"]) <= 1e-12
     assert abs(ns["exact"] - ns["oracle"]) <= 1e-12
     # the grid evaluation of the same closed form and tables
-    assert np.allclose(ns["closed"], ns["tables"], rtol=0.0, atol=1e-12, equal_nan=True)
+    assert np.allclose(ns["closed"], ns["from_tables"], rtol=0.0, atol=1e-12, equal_nan=True)
+    # the noise study of those tables: one record per time, their ideal
+    study = ns["study"]
+    assert study.t.tolist() == ns["ts"].tolist()
+    assert np.array_equal(study.ideal, ns["from_tables"], equal_nan=True)
+    assert not study.flagged.any()
     # the quadrature agrees with g and g2s to ~1e-5
     assert np.max(np.abs(ns["g_num"] - ns["g"])) <= 1e-5
     assert np.max(np.abs(ns["g2_num"] - ns["g2s"])) <= 1e-5

@@ -31,12 +31,16 @@ SRC = Path(cpfsim.__file__).resolve().parents[1]
 
 def launch(argv, cwd):
     """``python -m cpfsim *argv`` in cwd, under a hash seed other than this
-    process's: a fixed one, so it differs from a random one all but surely."""
+    process's: a fixed one, so it differs from a random one all but surely.
+    The child writes no bytecode into the tree under test."""
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     result = subprocess.run(
         [sys.executable, "-m", "cpfsim", *argv],
         cwd=cwd,
-        env={"PYTHONPATH": str(SRC), "PATH": "", "PYTHONHASHSEED": seed},
+        env={
+            "PYTHONPATH": str(SRC), "PATH": "", "PYTHONHASHSEED": seed,
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
         capture_output=True,
         text=True,
     )
