@@ -32,7 +32,3 @@ class PropagatorZeroCrossingError(CpfsimError, ValueError):
 class InternalConsistencyError(CpfsimError, RuntimeError):
     """A quantity that is analytically guaranteed (e.g. a probability
     bound) was violated beyond numerical tolerance."""
-
-
-class CoarseStepWarning(UserWarning):
-    """Integration step too coarse to resolve the kernel correlation time."""

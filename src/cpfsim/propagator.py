@@ -34,7 +34,6 @@ by kernel type, and is the only code that drives the quadrature kernel.
 """
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -42,7 +41,6 @@ import numpy as np
 from .bath import LorentzianKernel, eval_kernel_grid
 from .errors import (
     ConditioningImpossibleError,
-    CoarseStepWarning,
     InternalConsistencyError,
     PropagatorZeroCrossingError,
     ValidationError,
@@ -51,6 +49,7 @@ from .errors import (
 _ABS_TOL = 1e-9  # allowed |G| overshoot above 1 (amplitude of a normalized component)
 _CHI_SQ_TOL = 1e-10  # |chi|^2 below this uses the analytic chi -> 0 limit
 _MAX_INDEX = np.iinfo(np.intp).max // 2  # largest grid index of a time
+_MAX_STEPS = 2**22  # longest quadrature solve: ~130 B and 1.6 us a step
 
 
 # volterra_trapezoid: trapezoidal product integration of
@@ -241,13 +240,12 @@ def propagators(
     right-hand side. Empty or all-zero times need no solve, since G(0) = 1
     and G2(0, 0) = 0.
 
-    A step coarser than a quarter of the kernel's 1/e decay time (its
-    ``decay_time()``) cannot resolve the kernel: the caller
-    gets a :class:`CoarseStepWarning`. A non-finite time, a ``t_step`` that
-    is not a finite number > 0 or a solved |G| above 1 raise
-    :class:`ValidationError`. A t + tau beyond a tabulated kernel's last
-    sample raises :class:`cpfsim.errors.KernelRangeError` before the kernel
-    is sampled.
+    A non-finite time, a ``t_step`` that is not a finite number > 0 or a
+    solved |G| above 1 raise :class:`ValidationError`, and so do, before the
+    kernel is sampled, a step that cannot resolve it (coarser than a quarter
+    of its 1/e time ``decay_time()``, unless None) and a solve of more than
+    2**22 steps. A t + tau beyond a tabulated kernel's last sample raises
+    :class:`cpfsim.errors.KernelRangeError`, also before it is sampled.
     """
     t = np.asarray(t, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -273,18 +271,19 @@ def propagators(
     idx = np.asarray(np.rint(times / t_step), dtype=int)
     if np.min(idx) < 0 or np.max(np.abs(idx * t_step - times)) > 1e-9 * max(1.0, t_max):
         raise off_grid
-    decay = kernel.decay_time()
-    if decay is not None and t_step > decay / 4:
-        warnings.warn(
-            f"t_step = {t_step:g} > {decay / 4:g}, a quarter of the time in which "
-            "|f| falls by 1/e: step too coarse to resolve the kernel",
-            CoarseStepWarning,
-            stacklevel=2,
-        )
     i, j = idx
     n = int(np.max(i + j))
-    # the kernel's range check on the last sample time, before the n + 1
-    # sample times are allocated
+    if n > _MAX_STEPS:
+        raise ValidationError(
+            f"t_step = {t_step:g} needs a solve of {n} steps, more than {_MAX_STEPS}"
+        )
+    decay = kernel.decay_time()
+    if decay is not None and t_step > decay / 4:
+        raise ValidationError(
+            f"t_step = {t_step:g} > {decay / 4:g}, a quarter of the time in which "
+            "|f| falls by 1/e: step too coarse to resolve the kernel"
+        )
+    # the kernel's range check on the last sample time, before n + 1 are allocated
     eval_kernel_grid(kernel, n * t_step)
     g = volterra_trapezoid(eval_kernel_grid(kernel, np.arange(n + 1) * t_step), t_step)
     if np.max(np.abs(g)) > 1.0 + _ABS_TOL:

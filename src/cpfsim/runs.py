@@ -34,7 +34,7 @@ from .cpf import (
 from .errors import KernelRangeError, PropagatorZeroCrossingError, ValidationError
 from .experiment import RNG_CONTRACT, run_noise_study
 from .io import write_dataset
-from .propagator import lorentzian_G, lorentzian_G_two_time, propagators, rates_from_G
+from .propagator import _MAX_STEPS, lorentzian_G, lorentzian_G_two_time, propagators, rates_from_G
 
 CURVE_FIELDS = ["scheme", "y", "p", "gamma_tau_c", "t", "tau", "cpf_closed", "cpf_table"]
 NOISE_FIELDS = [
@@ -84,21 +84,26 @@ def _preset(cfg: RunConfig, scheme: MeasurementScheme, ratio, p, y) -> RunConfig
 def _curves(cfg: RunConfig) -> tuple[np.ndarray, float, np.ndarray, list, list]:
     """G and G2 from one propagators call on the (t, tau) pairs of the grid,
     tau fastest (the diagonal if ``cfg.equal_times``, else the plane), at
-    the runners' one integration step: for a tabulated kernel, a substep of
-    h no coarser than the default 1/(100 gamma). Returns the output times,
-    their step h, G at those times, each scheme's (pairs, 4) ``table_probs``
-    table conditioned on ``cfg.y``, and its ``CURVE_FIELDS`` block, with
-    the t and tau columns as (output times, grid index) pairs."""
+    the runners' one integration step h / refine, an integer refine: no
+    coarser than 1/(100 gamma) nor, on the quadrature, than the kernel's
+    ``decay_time()`` / 25. Returns the output times, their step h, G at
+    those times, each scheme's (pairs, 4) ``table_probs`` table conditioned
+    on ``cfg.y``, and its ``CURVE_FIELDS`` block, with the t and tau columns
+    as (output times, grid index) pairs."""
     times, h = _grid(cfg)
-    step = h / max(1, int(np.ceil(h * 100.0 * cfg.bath.gamma)))
+    kernel = cfg.bath.make_kernel()
+    refine = max(1.0, np.ceil(h * 100.0 * cfg.bath.gamma))  # a float, never an int overflow
+    decay = None if isinstance(kernel, LorentzianKernel) else kernel.decay_time()
+    if decay is not None:  # capped: a solve of more steps is refused anyway
+        refine = min(max(refine, np.ceil(25.0 * h / decay)), _MAX_STEPS)
     if cfg.equal_times:
         i = j = np.arange(times.size)
     else:
         i, j = np.indices((times.size, times.size)).reshape(2, -1)
     try:
-        g_t, g_tau, g2 = propagators(cfg.bath.make_kernel(), times[i], times[j], step)
-    except KernelRangeError as exc:  # a kernel file that ends before the grid
-        raise KernelRangeError(f"config: bath.{cfg.bath.form}: {cfg.bath.value}: {exc}") from None
+        g_t, g_tau, g2 = propagators(kernel, times[i], times[j], h / refine)
+    except (KernelRangeError, ValidationError) as exc:  # this kernel refused on this grid
+        raise type(exc)(f"config: bath.{cfg.bath.form}: {cfg.bath.value}: {exc}") from None
     tables = [table_probs(scheme, cfg.state, cfg.y, g_t, g_tau, g2) for scheme in cfg.schemes]
     p_label = abs(cfg.state.a) ** 2
     t = times * cfg.bath.gamma

@@ -15,12 +15,20 @@ import numpy as np
 import pytest
 
 import cpfsim.cli
-from cpfsim import lorentzian_G, lorentzian_G_two_time
+import cpfsim.propagator
+import cpfsim.runs
+from cpfsim import lorentzian_G, lorentzian_G_two_time, propagators
 from cpfsim.cli import main
 from cpfsim.config import DEFAULT_VISIBILITIES, FIGURE2_COMBOS, load_config, parse_config
-from cpfsim.cpf import InitialState, MeasurementScheme, conditioning_probability, table_probs
+from cpfsim.cpf import (
+    InitialState,
+    MeasurementScheme,
+    closed_values,
+    conditioning_probability,
+    table_probs,
+)
 from cpfsim.experiment import degrade_probs
-from cpfsim.errors import CoarseStepWarning, ValidationError
+from cpfsim.errors import ValidationError
 
 BASE_CONFIG = {
     "bath": {"gamma": 1.0, "tau_c": 1.0},
@@ -853,37 +861,88 @@ class TestSweep:
         taus = {r["tau"] for r in rows}
         assert len(taus) == 5
 
-    def test_tabulated_kernel_near_markov_limit_warns(self, tmp_path):
-        # gamma tau_c = 0.01: the default step 1/(100 gamma) is tau_c, four
-        # times the quarter of the kernel's 1/e time that resolves it
-        tau_c = 0.01
-        ts = np.arange(2001) * 0.001
-        kpath = tmp_path / "kernel.csv"
-        kpath.write_text(
-            "t,re\n"
-            + "".join(f"{t:.17g},{0.5 / tau_c * np.exp(-t / tau_c):.17g}\n" for t in ts)
+    @staticmethod
+    def markov_limit_sweep(tmp_path, tau_c):
+        """``sweep`` on tests/configs/tabulated_markov_limit.json: 101 equal
+        times to gamma t = 5 at p = 0.8, with its kernel file written as the
+        CI bytes report writes it (there at tau_c = 0.01), the gamma = 1
+        Lorentzian sampled every tau_c / 10 up to t = 10.5. Returns the exit
+        code."""
+        ts = np.arange(round(105 / tau_c) + 1) * (tau_c / 10)
+        f = 0.5 / tau_c * np.exp(-ts / tau_c)
+        (tmp_path / "markov_limit_kernel.csv").write_text(
+            "t,re\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(ts, f))
         )
-        cfg = write_config(
-            tmp_path,
-            {
-                "bath": {"gamma": 1.0, "kernel_csv": str(kpath)},
-                "grid": {"t_max_gamma": 1.0, "points": 11, "equal_times": True},
-            },
-        )
-        with pytest.warns(CoarseStepWarning, match="t_step = 0.01 > 0.0025"):
-            rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert rc == 0
+        config = Path(__file__).resolve().parent / "configs" / "tabulated_markov_limit.json"
+        return main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
 
-    def test_benchmark_tabulated_config_does_not_warn(
+    @pytest.mark.parametrize("tau_c", [0.1, 0.01, 1e-3])
+    def test_tabulated_kernel_near_markov_limit(self, tmp_path, monkeypatch, capsys, tau_c):
+        # The step resolves tau_c at every gamma tau_c, so the CPF matches the
+        # closed forms. Error model, fixed before measuring: linear
+        # interpolation between samples dt = tau_c / 10 apart raises the
+        # kernel's first moment, which sets G2 near the Born-Markov limit, by
+        # dt^2 / (12 tau_c^2) = 8e-4; x-z-x carries G2 once and z-z-z twice
+        # (1.7e-3), and the quadrature at tau_c / 25 adds ~5e-4 of the peak.
+        # At the old step 1/(100 gamma), gamma tau_c = 0.01 and 1e-3 were
+        # 0.34 and 190 times the peak off.
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.markov_limit_sweep(tmp_path, tau_c) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_rows(tmp_path / "out" / "sweep.csv")
+        state = InitialState.from_population(0.8)
+        for scheme in (MeasurementScheme.ZZZ, MeasurementScheme.XZX):
+            block = [r for r in rows if r["scheme"] == scheme.value]
+            t = np.arange(101) * 0.05
+            assert np.allclose([float(r["t"]) for r in block], t, rtol=1e-12, atol=0)
+            closed = closed_values(
+                scheme, state, lorentzian_G(1.0, tau_c, t), lorentzian_G_two_time(1.0, tau_c, t, t)
+            )
+            peak = np.nanmax(np.abs(closed))
+            for column in ("cpf_closed", "cpf_table"):
+                values = np.array([float(r[column]) for r in block])
+                assert np.array_equal(np.isnan(values), np.isnan(closed))
+                assert np.nanmax(np.abs(values - closed)) <= 5e-3 * peak, (scheme, column)
+
+    @pytest.mark.parametrize("tiny", ["1e-9", "5e-324"])
+    def test_kernel_too_short_to_resolve_exits_2(self, tmp_path, monkeypatch, capsys, tiny):
+        # |f| falls by 1/e within the second sample time: the step rule asks
+        # for ~4e11 steps at 1e-9, and at 5e-324 its refine overflows a
+        # float. Refused by the step count before a kernel sample is taken
+        kernel = tmp_path / "kernel.csv"
+        kernel.write_text(f"t,re\n0,1\n{tiny},0\n1,0\n20,0\n")
+        cfg = write_config(tmp_path, {"bath": {"gamma": 1.0, "kernel_csv": str(kernel)}})
+        monkeypatch.setattr(cpfsim.propagator, "eval_kernel_grid", None)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            f"error: config: bath.kernel_csv: {re.escape(str(kernel))}: "
+            r"t_step = \S+ needs a solve of \d+ steps, more than 4194304\n",
+            err,
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_benchmark_tabulated_config_takes_its_step(
         self, tmp_path, monkeypatch, perfbench_workloads
     ):
-        # the perfbench tabulated_sweep workload: tau_c = 0.5, step 0.01
+        # the perfbench tabulated_sweep workload: tau_c = 0.5 resolved at the
+        # old step 0.01 (h = 0.1, refine 10), so its datasets keep their bytes
         perfbench_workloads.write_kernel_csv(tmp_path)
         monkeypatch.chdir(tmp_path)
+        steps = []
+
+        def spy(kernel, t, tau, t_step=None):
+            steps.append(t_step)
+            return propagators(kernel, t, tau, t_step)
+
+        monkeypatch.setattr(cpfsim.runs, "propagators", spy)
         config = perfbench_workloads.WORKLOADS["tabulated_sweep"].config_path
         with warnings.catch_warnings():
-            warnings.simplefilter("error", CoarseStepWarning)
+            warnings.simplefilter("error")
             assert main(["sweep", "--config", str(config), "--out", "out"]) == 0
+        assert steps == [0.01]
         _, rows = read_rows(tmp_path / "out" / "sweep.csv")
         assert len(rows) == 2 * 151
 

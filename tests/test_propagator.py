@@ -24,7 +24,6 @@ from cpfsim.cpf import closed_values
 from cpfsim.propagator import volterra_trapezoid
 from cpfsim.errors import (
     ConditioningImpossibleError,
-    CoarseStepWarning,
     InternalConsistencyError,
     KernelRangeError,
     PropagatorZeroCrossingError,
@@ -115,30 +114,48 @@ class TestVolterraSolver:
         G, _, _ = propagators(tab, ts, 0.0, h)
         assert np.max(np.abs(G - lorentzian_G(gamma, tau_c, ts))) < 1e-5
 
-    def test_coarse_step_warns_or_rejects(self):
-        # the warning names the caller's line, so the default filter shows
-        # it once per calling line, not once per process for all callers
-        tab = tabulated_lorentzian(10.0)
-        with pytest.warns(CoarseStepWarning) as record:
-            propagators(tab, 5.0, 0.0, 0.5)
-        assert [w.filename for w in record] == [__file__]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CoarseStepWarning)
-            with pytest.raises(CoarseStepWarning):
-                propagators(tab, 5.0, 0.0, 0.5)
-
-    def test_coarse_step_warns_for_tabulated_kernel(self):
+    def test_coarse_step_refused(self, monkeypatch):
         # the Lorentzian tau_c/4 rule, read off the samples: |f| falls by 1/e
-        # in tau_c = 1
+        # in tau_c = 1. Refused from any pair, before the kernel is sampled
         tab = tabulated_lorentzian(10.0)
-        with pytest.warns(CoarseStepWarning, match="t_step = 0.5 > 0.25"):
+        monkeypatch.setattr(propagator, "eval_kernel_grid", None)
+        with pytest.raises(ValidationError, match=r"t_step = 0\.5 > 0\.25, a quarter"):
             propagators(tab, 5.0, 0.0, 0.5)
+        with pytest.raises(ValidationError, match=r"t_step = 0\.5 > 0\.25"):
+            propagators(tab, [0.5, 1.0], [1.0, 0.5], 0.5)
+
+    def test_resolving_steps_not_refused(self):
+        # a step of exactly a quarter of the 1/e time, any step for a kernel
+        # without one, and any step for the closed forms, warning-free
+        tab = tabulated_lorentzian(10.0)
+        quarter = tab.decay_time() / 4
+        assert quarter == pytest.approx(0.25, abs=1e-4)
+        ts = np.arange(0, 5.0 + 1e-9, 0.01)
+        slow = TabulatedKernel(times=ts, values=0.01 * np.exp(-ts / 10.0))
+        assert slow.decay_time() is None
+        lorentzian = LorentzianKernel(1.0, 0.01)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", CoarseStepWarning)
-            propagators(tab, 5.0, 0.0, 0.2)
+            warnings.simplefilter("error")
+            g, _, _ = propagators(tab, np.arange(5) * quarter, 0.0, quarter)
             propagators(tab, [0.2, 1.0], [1.0, 0.2], 0.2)
-            with pytest.raises(CoarseStepWarning):
-                propagators(tab, [0.5, 1.0], [1.0, 0.5], 0.5)
+            g_slow, _, _ = propagators(slow, [0.0, 1.0, 2.0], 0.0, 1.0)
+            closed = [propagators(lorentzian, 5.0, 2.5, h) for h in (1e-3, 0.5, 2.5, 1e6)]
+        assert np.max(np.abs(g - lorentzian_G(1.0, 1.0, np.arange(5) * quarter))) < 1e-2
+        assert np.all(np.abs(g_slow) <= 1.0)
+        want = (lorentzian_G(1.0, 0.01, 5.0), lorentzian_G(1.0, 0.01, 2.5))
+        assert all(c[:2] == want for c in closed)
+
+    def test_solve_beyond_the_step_bound_refused(self, monkeypatch):
+        # 2**22 steps are the longest solve; one more is refused by its
+        # count, before the kernel is sampled
+        tab = tabulated_lorentzian(10.0)
+        h = 2.0**-20
+        monkeypatch.setattr(propagator, "eval_kernel_grid", None)
+        bound = f"needs a solve of {2**22 + 1} steps, more than {2**22}$"
+        with pytest.raises(ValidationError, match=bound):
+            propagators(tab, 2.0 + h, 2.0, h)
+        with pytest.raises(ValidationError, match="t_step = 1e-09 needs a solve of 4000000000 "):
+            propagators(tab, 2.0, 2.0, 1e-9)
 
     def test_grid_validation(self):
         tab = tabulated_lorentzian(2.0)

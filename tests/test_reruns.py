@@ -4,7 +4,7 @@ Each case writes one dataset twice: through ``cli.main`` in this process,
 and through ``python -m cpfsim`` in a child under another hash seed, so
 output that depends on the process (its id, its hash seed, a frozen
 collector) shows as a byte difference. The configs are the benchmark's and
-the two in ``tests/configs``:
+two of those in ``tests/configs``:
 
 - ``preset_edge.json``: figure2 combos and appendix-d blocks run as
   tau_c = 1 Lorentzian sweeps on the shared grid. The benchmark configs
