@@ -21,10 +21,10 @@ from .cpf import (
 from .experiment import ExperimentConfig, run_noise_study
 from .propagator import (
     backflow_probabilities,
+    decay_rates,
     lorentzian_G,
     lorentzian_G_two_time,
     propagators,
-    rates_from_G,
 )
 
 __version__ = "0.1.0"
@@ -58,12 +58,12 @@ __all__ = [
     "conditional_table",
     "cpf_closed_form",
     "cpf_from_table",
+    "decay_rates",
     "eval_kernel_grid",
     "load_kernel_csv",
     "lorentzian_G",
     "lorentzian_G_two_time",
     "propagators",
-    "rates_from_G",
     "run_noise_study",
     "simulate_sequence",
 ]

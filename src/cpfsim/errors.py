@@ -17,18 +17,6 @@ class ConditioningImpossibleError(CpfsimError, ValueError):
     """The conditioning outcome has (numerically) zero probability."""
 
 
-class PropagatorZeroCrossingError(CpfsimError, ValueError):
-    """The propagator crosses zero on the grid; decay rates diverge there."""
-
-    def __init__(self, index: int, t: float):
-        self.index = index
-        self.t = t
-        super().__init__(
-            f"propagator crosses zero near grid index {index} (t = {t:g}); "
-            "rates are undefined from there on, restrict t_max"
-        )
-
-
 class InternalConsistencyError(CpfsimError, RuntimeError):
     """A quantity that is analytically guaranteed (e.g. a probability
     bound) was violated beyond numerical tolerance."""

@@ -30,7 +30,8 @@ Numerical quadrature is trapezoidal product integration of G with a fixed
 step (second order), by one kernel on an array of kernel samples; G2 follows
 from the solved G by the identity above, on the same grid. Callers get G and
 G2 from :func:`propagators`, which picks the closed forms or the quadrature
-by kernel type, and is the only code that drives the quadrature kernel.
+by kernel type, and is the only code that drives the quadrature kernel;
+:func:`decay_rates` takes the same route for G'.
 """
 from __future__ import annotations
 
@@ -42,7 +43,6 @@ from .bath import LorentzianKernel, eval_kernel_grid
 from .errors import (
     ConditioningImpossibleError,
     InternalConsistencyError,
-    PropagatorZeroCrossingError,
     ValidationError,
 )
 
@@ -213,9 +213,18 @@ def lorentzian_G_two_time(gamma: float, tau_c: float, t, tau) -> np.ndarray | fl
     return out if out.ndim else float(out)
 
 
-def _check_step(t_step) -> None:
-    if not 0 < t_step < np.inf:  # False for NaN too
-        raise ValidationError(f"t_step must be a finite number > 0, got {t_step}")
+def _lorentzian_dG(gamma: float, tau_c: float, t: np.ndarray) -> np.ndarray:
+    """dG/dt = -(gamma/chi) e^{-x} sinh(chi x), x = t / 2 tau_c, of
+    :func:`lorentzian_G`, in the same three chi regimes."""
+    x = t / (2.0 * tau_c)
+    chi_sq = 1.0 - 2.0 * gamma * tau_c
+    if abs(chi_sq) < _CHI_SQ_TOL:
+        return -gamma * x * np.exp(-x)
+    if chi_sq > 0:
+        chi = np.sqrt(chi_sq)
+        return -(gamma / (2.0 * chi)) * (np.exp(-x * (1.0 - chi)) - np.exp(-x * (1.0 + chi)))
+    w = np.sqrt(-chi_sq)
+    return -(gamma / w) * np.exp(-x) * np.sin(x * w)
 
 
 def propagators(
@@ -247,13 +256,13 @@ def propagators(
     2**22 steps. A t + tau beyond a tabulated kernel's last sample raises
     :class:`cpfsim.errors.KernelRangeError`, also before it is sampled.
     """
+    if t_step is not None and not 0 < t_step < np.inf:  # False for NaN too
+        raise ValidationError(f"t_step must be a finite number > 0, got {t_step}")
     t = np.asarray(t, dtype=float)
     tau = np.asarray(tau, dtype=float)
     for name, times in (("t", t), ("tau", tau)):
         if not np.all(np.isfinite(times)):
             raise ValidationError(f"{name} must be finite")
-    if t_step is not None:
-        _check_step(t_step)
     t, tau = np.broadcast_arrays(t, tau)
     if isinstance(kernel, LorentzianKernel):
         gtc = kernel.gamma, kernel.tau_c
@@ -291,38 +300,26 @@ def propagators(
     return g[i], g[j], g[i] * g[j] - g[i + j]
 
 
-def rates_from_G(values, t_step: float) -> tuple[np.ndarray, np.ndarray]:
+def decay_rates(kernel, t, t_step: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
     """Decay rate gamma(t) and frequency shift omega(t), defined by
-    gamma(t) + i omega(t) = -(d/dt) ln G(t), of G sampled at t_k = k t_step.
-
-    Finite differences of -ln G: central in the interior, second-order
-    one-sided stencils at the endpoints. Raises
-    :class:`PropagatorZeroCrossingError` at the first grid index where G
-    vanishes or (for real-valued samples) changes sign: the rates diverge
-    there and everything after it is meaningless.
+    gamma(t) + i omega(t) = -G'(t) / G(t), by the route :func:`propagators`
+    takes for G: the closed-form G' for a Lorentzian kernel (exact), else
+    a central difference of G from one :func:`propagators` call at
+    |t - t_step|, t and t + t_step (error O(t_step^2), as G's; exactly 0 at
+    t = 0, where G' = 0). That call's refusals apply; a zero of G is not
+    one of them, and the rates diverge there.
     """
-    _check_step(t_step)
-    v = np.asarray(values, dtype=complex)
-    if v.ndim != 1 or v.size < 3:
-        raise ValidationError("need a 1-D array of at least 3 grid points for rate stencils")
-    tiny = np.abs(v) <= 1e-12
-    if np.any(tiny):
-        idx = int(np.argmax(tiny))
-        raise PropagatorZeroCrossingError(index=idx, t=idx * t_step)
-    if np.max(np.abs(v.imag)) <= 1e-12:
-        sign_change = v.real[:-1] * v.real[1:] < 0
-        if np.any(sign_change):
-            idx = int(np.argmax(sign_change)) + 1
-            raise PropagatorZeroCrossingError(index=idx, t=idx * t_step)
-    log_g = np.log(v)
-    # the principal log jumps by 2 pi across the branch cut; unwrap only the
-    # phase so a rotating complex G gives a finite frequency shift
-    log_g = log_g.real + 1j * np.unwrap(log_g.imag)
-    d = np.empty_like(log_g)
-    d[1:-1] = (log_g[2:] - log_g[:-2]) / (2.0 * t_step)
-    d[0] = (-3.0 * log_g[0] + 4.0 * log_g[1] - log_g[2]) / (2.0 * t_step)
-    d[-1] = (3.0 * log_g[-1] - 4.0 * log_g[-2] + log_g[-3]) / (2.0 * t_step)
-    return -d.real, -d.imag
+    t = np.asarray(t, dtype=float)
+    if isinstance(kernel, LorentzianKernel):
+        g = lorentzian_G(kernel.gamma, kernel.tau_c, t)
+        minus_dg = -_lorentzian_dG(kernel.gamma, kernel.tau_c, t)
+    else:
+        s = 0.0 if t_step is None else t_step  # propagators refuses None and a bad step
+        times = np.stack([np.abs(t - s), t, t + s])
+        (g_back, g, g_fwd), _, _ = propagators(kernel, times, 0.0, t_step)
+        minus_dg = (g_back - g_fwd) / (2.0 * t_step)
+    rate = minus_dg / g
+    return rate.real, rate.imag
 
 
 def backflow_probabilities(G_t: complex, G_two: complex) -> tuple[float, float]:

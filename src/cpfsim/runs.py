@@ -9,7 +9,9 @@ calls :func:`~cpfsim.propagator.propagators`; ``figure2`` and
 (:func:`_preset`). Its blocks hold ``cpf_closed`` from the reduced closed
 forms and ``cpf_table`` from the eight-entry probability tables, which must
 agree to 1e-9 in every row; ``appendix-d`` hands the tables to
-:func:`~cpfsim.experiment.run_noise_study` instead.
+:func:`~cpfsim.experiment.run_noise_study` instead, and ``witness`` takes
+its decay rate from :func:`~cpfsim.propagator.decay_rates` at the kernel and
+step that :func:`_curves` returns.
 """
 from __future__ import annotations
 
@@ -31,10 +33,10 @@ from .cpf import (
     table_correlation,
     table_probs,
 )
-from .errors import KernelRangeError, PropagatorZeroCrossingError, ValidationError
+from .errors import KernelRangeError, ValidationError
 from .experiment import RNG_CONTRACT, run_noise_study
 from .io import write_dataset
-from .propagator import _MAX_STEPS, lorentzian_G, lorentzian_G_two_time, propagators, rates_from_G
+from .propagator import _MAX_STEPS, decay_rates, lorentzian_G, lorentzian_G_two_time, propagators
 
 CURVE_FIELDS = ["scheme", "y", "p", "gamma_tau_c", "t", "tau", "cpf_closed", "cpf_table"]
 NOISE_FIELDS = [
@@ -81,15 +83,17 @@ def _preset(cfg: RunConfig, scheme: MeasurementScheme, ratio, p, y) -> RunConfig
     )
 
 
-def _curves(cfg: RunConfig) -> tuple[np.ndarray, float, np.ndarray, list, list]:
+def _curves(
+    cfg: RunConfig,
+) -> tuple[np.ndarray, LorentzianKernel | TabulatedKernel, float, np.ndarray, list, list]:
     """G and G2 from one propagators call on the (t, tau) pairs of the grid,
     tau fastest (the diagonal if ``cfg.equal_times``, else the plane), at
     the runners' one integration step h / refine, an integer refine: no
     coarser than 1/(100 gamma) nor, on the quadrature, than the kernel's
-    ``decay_time()`` / 25. Returns the output times, their step h, G at
-    those times, each scheme's (pairs, 4) ``table_probs`` table conditioned
-    on ``cfg.y``, and its ``CURVE_FIELDS`` block, with the t and tau columns
-    as (output times, grid index) pairs."""
+    ``decay_time()`` / 25. Returns the output times, the kernel, that
+    integration step, G at the output times, each scheme's (pairs, 4)
+    ``table_probs`` table conditioned on ``cfg.y``, and its ``CURVE_FIELDS``
+    block, with the t and tau columns as (output times, grid index) pairs."""
     times, h = _grid(cfg)
     kernel = cfg.bath.make_kernel()
     refine = max(1.0, np.ceil(h * 100.0 * cfg.bath.gamma))  # a float, never an int overflow
@@ -100,8 +104,9 @@ def _curves(cfg: RunConfig) -> tuple[np.ndarray, float, np.ndarray, list, list]:
         i = j = np.arange(times.size)
     else:
         i, j = np.indices((times.size, times.size)).reshape(2, -1)
+    step = h / refine
     try:
-        g_t, g_tau, g2 = propagators(kernel, times[i], times[j], h / refine)
+        g_t, g_tau, g2 = propagators(kernel, times[i], times[j], step)
     except (KernelRangeError, ValidationError) as exc:  # this kernel refused on this grid
         raise type(exc)(f"config: bath.{cfg.bath.form}: {cfg.bath.value}: {exc}") from None
     tables = [table_probs(scheme, cfg.state, cfg.y, g_t, g_tau, g2) for scheme in cfg.schemes]
@@ -115,7 +120,7 @@ def _curves(cfg: RunConfig) -> tuple[np.ndarray, float, np.ndarray, list, list]:
         for scheme, table in zip(cfg.schemes, tables)
     ]
     # the first times.size pairs are (0, tau) for every output tau
-    return times, h, g_tau[: times.size], tables, blocks
+    return times, kernel, step, g_tau[: times.size], tables, blocks
 
 
 def run_figure2(cfg: RunConfig, out_dir: Path) -> Path:
@@ -134,7 +139,7 @@ def run_appendix_d(cfg: RunConfig, out_dir: Path) -> Path:
     blocks = []
     for scheme, ratio, p, y, visibility in _appendix_d_blocks(cfg):
         preset = _preset(cfg, scheme, ratio, p, y)
-        times, _, g, (probs,), _ = _curves(preset)
+        times, _, _, g, (probs,), _ = _curves(preset)
         p_y = conditioning_probability(scheme, preset.state, y, g)
         noise = dataclasses.replace(cfg.noise, visibility=visibility)
         study = run_noise_study(scheme, probs, p_y, times, noise, y)
@@ -154,32 +159,25 @@ def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
     operational CPF(t, t) of z-z-z and x-z-x conditioned on y = -1, for
     analytic or tabulated baths.
 
-    If G crosses zero inside the grid the rate stencils are undefined
-    beyond it; the grid is truncated there and the last emitted row says so
-    in the warning column. A grid of fewer than three output times, which
-    the stencils need, and a crossing within the first three are refused.
+    The rate is :func:`~cpfsim.propagator.decay_rates` at the integration
+    step, exact for a Lorentzian bath and second order in the step for a
+    kernel file, which it solves once more, up to the last time and a step.
+    It diverges where G crosses zero, so the grid stops at the first output
+    time where |G| <= 1e-12 or, for a real G, where G changes sign; the last
+    emitted row says so in the warning column.
     """
-    if cfg.points < 3:
-        raise ValidationError(
-            "config: grid.points: witness needs at least 3 output times for its rate "
-            f"stencils, got {cfg.points}"
-        )
     both = (MeasurementScheme.ZZZ, MeasurementScheme.XZX)
-    times, h, g, _, blocks = _curves(dataclasses.replace(cfg, schemes=both, y=-1, equal_times=True))
+    witness = dataclasses.replace(cfg, schemes=both, y=-1, equal_times=True)
+    times, kernel, step, g, _, blocks = _curves(witness)
+    stop = np.abs(g) <= 1e-12
+    if np.max(np.abs(np.imag(g))) <= 1e-12:
+        stop[1:] |= np.real(g[:-1]) * np.real(g[1:]) < 0
+    keep = int(np.argmax(stop)) if np.any(stop) else times.size
     warning = ""
-    try:
-        gamma_t, _ = rates_from_G(g, h)
-        keep = times.size
-    except PropagatorZeroCrossingError as exc:
-        near = f"G(t) crosses zero near gamma*t = {exc.t * cfg.bath.gamma:.6g}"
-        if exc.index < 3:  # the rate stencils need three times before it
-            raise ValidationError(
-                f"config: grid.points: {near}, within the first 3 output times; "
-                "raise grid.points or lower grid.t_max_gamma"
-            ) from None
-        keep = exc.index
-        gamma_t, _ = rates_from_G(g[:keep], h)
-        warning = f"truncated: {near}"
+    if keep < times.size:
+        near = times[keep] * cfg.bath.gamma
+        warning = f"truncated: G(t) crosses zero near gamma*t = {near:.6g}"
+    gamma_t, _ = decay_rates(kernel, times[:keep], step)
     cpf = [closed[:keep] for *_, closed, _ in blocks]
     columns = (times[:keep] * cfg.bath.gamma, gamma_t, np.abs(g[:keep]) ** 2, *cpf)
     # the warning is a scalar: "" in a block of every row but the last, and

@@ -642,28 +642,104 @@ class TestWitness:
         reported = float(warning.rsplit("=", 1)[1])
         assert reported == pytest.approx(3 * np.pi / 2, abs=0.15)
 
-    def test_zero_crossing_within_the_first_three_times_exits_2(self, tmp_path, capsys):
+    def test_zero_crossing_detected_with_index(self, tmp_path):
+        # gamma tau_c = 1: G crosses zero at t = 3 pi/2 tau_c; on an output
+        # step of 0.01 the warning names the first time past it, and the
+        # rows stop one step before
+        grid = {"t_max_gamma": 6.0, "points": 601}
+        cfg = write_config(tmp_path, {"bath": {"gamma": 1.0, "tau_c": 1.0}, "grid": grid})
+        assert main(["witness", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_rows(tmp_path / "out" / "witness.csv")
+        reported = float(rows[-1]["warning"].rsplit("=", 1)[1])
+        assert reported == pytest.approx(3 * np.pi / 2, abs=0.01)
+        assert len(rows) == round(reported / 0.01)
+        assert all(np.isfinite(float(r["rate_gamma"])) for r in rows)
+
+    def test_exact_zero_is_a_crossing(self, tmp_path, monkeypatch):
+        # a G of exactly 0 stops the rows where it lies, with no sign change
+        # around it: G = 1, 0.5, 0, -0.5 at gamma t = 0, 0.1, 0.2, 0.3
+        curves = cpfsim.runs._curves
+
+        def with_a_zero(cfg):
+            times, kernel, step, g, tables, blocks = curves(cfg)
+            return times, kernel, step, np.array([1.0, 0.5, 0.0, -0.5]), tables, blocks
+
+        monkeypatch.setattr(cpfsim.runs, "_curves", with_a_zero)
+        grid = {"t_max_gamma": 0.3, "points": 4}
+        cfg = write_config(tmp_path, {"grid": grid})
+        assert main(["witness", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_rows(tmp_path / "out" / "witness.csv")
+        assert [r["t"] for r in rows] == ["0", "0.1"]
+        assert rows[-1]["warning"] == "truncated: G(t) crosses zero near gamma*t = 0.2"
+
+    def test_zero_crossing_at_the_third_time_truncates_to_two_rows(self, tmp_path):
         # gamma tau_c = 5: G crosses zero near gamma t = 6.3, here at the
-        # third output time, and the rate stencils need three before it. The
-        # error named t in units of 1/gamma and no config key ("t_max")
+        # third output time; the rate needs no output times before it
         grid = {"t_max_gamma": 20.0, "points": 5}
         cfg = write_config(tmp_path, {"bath": {"gamma": 5.0, "tau_c": 1.0}, "grid": grid})
-        assert main(["witness", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            "error: config: grid.points: G(t) crosses zero near gamma*t = 10, within the "
-            "first 3 output times; raise grid.points or lower grid.t_max_gamma\n"
-        )
-        assert not (tmp_path / "out").exists()
+        assert main(["witness", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_rows(tmp_path / "out" / "witness.csv")
+        assert [r["t"] for r in rows] == ["0", "5"]
+        assert rows[-1]["warning"] == "truncated: G(t) crosses zero near gamma*t = 10"
 
-    def test_fewer_than_three_times_exits_2(self, tmp_path, capsys):
-        # the rate stencils' own error named no config field
-        cfg = write_config(tmp_path, {"bath": {"gamma": 1, "tau_c": 1}, "grid": {"points": 2}})
-        assert main(["witness", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            "error: config: grid.points: witness needs at least 3 output times for its rate "
-            "stencils, got 2\n"
-        )
-        assert not (tmp_path / "out").exists()
+    def test_two_output_times_give_exact_rates(self, tmp_path):
+        # gamma tau_c = 1/2: gamma(t) = (1/2 tau_c) x/(1+x), x = t/2 tau_c
+        cfg = write_config(tmp_path, {"bath": {"gamma": 1, "tau_c": 0.5}, "grid": {"points": 2}})
+        assert main(["witness", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_rows(tmp_path / "out" / "witness.csv")
+        assert [r["t"] for r in rows] == ["0", "5"]
+        assert rows[0]["rate_gamma"] == "0"
+        assert float(rows[1]["rate_gamma"]) == pytest.approx(5 / 6, rel=1e-11)
+        assert all(r["warning"] == "" for r in rows)
+
+    def test_rates_exact_near_the_markov_limit(self, tmp_path):
+        # gamma tau_c = 0.01 on the default grid: the closed-form rate
+        # gamma tanh(chi x)/(chi + tanh(chi x)) rises from 0 at t = 0 to
+        # near its plateau (1 - chi)/(2 tau_c) within the first output step
+        gamma, tau_c = 1.0, 0.01
+        cfg = write_config(tmp_path, {"bath": {"gamma": gamma, "tau_c": tau_c}, "grid": None})
+        assert main(["witness", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_rows(tmp_path / "out" / "witness.csv")
+        assert len(rows) == 101
+        chi = np.sqrt(1 - 2 * gamma * tau_c)
+        for row in rows[:2]:
+            th = np.tanh(chi * float(row["t"]) / gamma / (2 * tau_c))
+            exact = gamma * th / (chi + th)
+            assert abs(float(row["rate_gamma"]) - exact) <= 1e-6
+        assert rows[0]["rate_gamma"] == "0"
+
+    @pytest.mark.parametrize("tau_c", [0.01, 1e-3])
+    def test_kernel_file_rate_near_the_markov_limit(self, tmp_path, monkeypatch, tau_c):
+        # the Lorentzian sampled every tau_c / 10: linear interpolation
+        # raises the rate's plateau ~1/2 by dt^2 / (12 tau_c^2) = 8e-4 of it,
+        # and the difference at tau_c / 25 adds less
+        monkeypatch.chdir(tmp_path)
+        assert TestSweep.markov_limit_run(tmp_path, tau_c, "witness") == 0
+        _, rows = read_rows(tmp_path / "out" / "witness.csv")
+        t = np.array([float(r["t"]) for r in rows])
+        assert np.allclose(t, np.arange(101) * 0.05, rtol=1e-12, atol=0)
+        chi = np.sqrt(1 - 2 * tau_c)
+        th = np.tanh(chi * t / (2 * tau_c))
+        exact = th / (chi + th)
+        assert rows[0]["rate_gamma"] == "0"
+        rate = np.array([float(r["rate_gamma"]) for r in rows])
+        assert np.max(np.abs(rate - exact)) <= 1e-3
+
+    def test_rate_next_to_a_zero_crossing(self, tmp_path):
+        # tests/configs/truncated_witness.json, gamma tau_c = 5: one output
+        # step before G's zero the rate is (gamma/w) tan(w x)/(1 + tan(w x)/w),
+        # w = 3, x = t/2 tau_c
+        config = Path(__file__).resolve().parent / "configs" / "truncated_witness.json"
+        assert main(["witness", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_rows(tmp_path / "out" / "witness.csv")
+        row = rows[-1]
+        assert row["t"] == "6.3"
+        assert row["warning"] == "truncated: G(t) crosses zero near gamma*t = 6.4"
+        gamma, w = 5.0, 3.0
+        tan = np.tan(w * 6.3 / gamma / 2)
+        exact = (gamma / w) * tan / (1 + tan / w)
+        assert exact == pytest.approx(589.454, rel=1e-6)
+        assert float(row["rate_gamma"]) == pytest.approx(exact, rel=1e-6)
 
     def test_zero_crossing_at_the_fourth_time_truncates_to_three_rows(self, tmp_path):
         grid = {"t_max_gamma": 20.0, "points": 9}
@@ -862,8 +938,8 @@ class TestSweep:
         assert len(taus) == 5
 
     @staticmethod
-    def markov_limit_sweep(tmp_path, tau_c):
-        """``sweep`` on tests/configs/tabulated_markov_limit.json: 101 equal
+    def markov_limit_run(tmp_path, tau_c, command="sweep"):
+        """``command`` on tests/configs/tabulated_markov_limit.json: 101 equal
         times to gamma t = 5 at p = 0.8, with its kernel file written as the
         CI bytes report writes it (there at tau_c = 0.01), the gamma = 1
         Lorentzian sampled every tau_c / 10 up to t = 10.5. Returns the exit
@@ -874,7 +950,7 @@ class TestSweep:
             "t,re\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(ts, f))
         )
         config = Path(__file__).resolve().parent / "configs" / "tabulated_markov_limit.json"
-        return main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+        return main([command, "--config", str(config), "--out", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("tau_c", [0.1, 0.01, 1e-3])
     def test_tabulated_kernel_near_markov_limit(self, tmp_path, monkeypatch, capsys, tau_c):
@@ -889,7 +965,7 @@ class TestSweep:
         monkeypatch.chdir(tmp_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert self.markov_limit_sweep(tmp_path, tau_c) == 0
+            assert self.markov_limit_run(tmp_path, tau_c) == 0
         assert capsys.readouterr().err == ""
         _, rows = read_rows(tmp_path / "out" / "sweep.csv")
         state = InitialState.from_population(0.8)

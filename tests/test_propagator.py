@@ -13,11 +13,11 @@ from cpfsim import (
     MeasurementScheme,
     TabulatedKernel,
     backflow_probabilities,
+    decay_rates,
     eval_kernel_grid,
     lorentzian_G,
     lorentzian_G_two_time,
     propagators,
-    rates_from_G,
 )
 from cpfsim import propagator
 from cpfsim.cpf import closed_values
@@ -26,7 +26,6 @@ from cpfsim.errors import (
     ConditioningImpossibleError,
     InternalConsistencyError,
     KernelRangeError,
-    PropagatorZeroCrossingError,
     ValidationError,
 )
 from quadrature import tabulated_lorentzian, tabulated_surface, two_time_trapezoid, volterra
@@ -488,63 +487,99 @@ class TestG2Identity:
 
 class TestRates:
     def test_exponential_gives_constant_rate(self):
-        # weak-coupling G = e^{-gamma t/2}: -(d/dt) ln G is gamma/2, constant
-        gamma = 0.7
-        h = 0.01
-        ts = np.arange(0, 5 + h / 2, h)
-        gamma_t, omega_t = rates_from_G(np.exp(-gamma * ts / 2).astype(complex), h)
-        assert np.max(np.abs(gamma_t - gamma / 2)) < 1e-6
-        assert np.max(np.abs(omega_t)) < 1e-9
+        # gamma tau_c = 0.1: once G's faster pole has decayed, G is the
+        # exponential of its slowest pole and the rate the constant
+        # (1 - chi)/(2 tau_c); G is real, so omega = 0
+        tau_c = 1.0
+        limit = (1 - np.sqrt(0.8)) / (2 * tau_c)
+        ts = np.arange(100, 200 + 0.05, 0.1) * tau_c
+        gamma_t, omega_t = decay_rates(LorentzianKernel(0.1 / tau_c, tau_c), ts)
+        assert np.max(np.abs(gamma_t - limit)) < 1e-12
+        assert np.max(np.abs(omega_t)) == 0.0
+
+    @pytest.mark.parametrize("ratio", [0.1, 0.5])
+    def test_rate_positive_and_tends_to_the_pole_rate(self, ratio):
+        # the propagator-based witness reads Markovian here: the rate is
+        # positive at every t > 0 and rises to (1 - chi)/(2 tau_c)
+        tau_c = 1.0
+        limit = (1 - np.sqrt(1 - 2 * ratio)) / (2 * tau_c)
+        ts = np.arange(0, 200 + 0.05, 0.1) * tau_c
+        gamma_t, _ = decay_rates(LorentzianKernel(ratio / tau_c, tau_c), ts)
+        assert np.all(gamma_t[1:] > 0)
+        assert np.all(np.diff(gamma_t) >= -1e-15)
+        assert np.all(gamma_t <= limit)
+        assert gamma_t[-1] == pytest.approx(limit, rel=0.01)
 
     def test_chi_zero_analytic_rate(self):
-        # gamma tau_c = 1/2: gamma(t) = (1/2 tau_c) x/(1+x), x = t/2 tau_c
+        # gamma tau_c = 1/2: gamma(t) = (1/2 tau_c) x/(1+x), x = t/2 tau_c;
+        # exact by the closed form, to O(h^2) by the quadrature
         tau_c = 1.0
         h = 0.005
         ts = np.arange(0, 8 + h / 2, h)
-        gamma_t, _ = rates_from_G(np.asarray(lorentzian_G(0.5, tau_c, ts), dtype=complex), h)
         x = ts / (2 * tau_c)
         expected = (1 / (2 * tau_c)) * x / (1 + x)
-        assert np.max(np.abs(gamma_t - expected)) < 1e-4
-        assert np.all(gamma_t >= -1e-12)
+        for kernel, bound in (
+            (LorentzianKernel(0.5, tau_c), 1e-12),
+            (tabulated_lorentzian(16 + 2 * h, h, 0.5, tau_c), 1e-4),
+        ):
+            gamma_t, _ = decay_rates(kernel, ts, h)
+            assert np.max(np.abs(gamma_t - expected)) < bound
+            assert np.all(gamma_t >= -1e-12)
+
+    def test_closed_form_is_the_derivative_of_lorentzian_G(self):
+        # -rate G = G', against a 1e-6 central difference of lorentzian_G in
+        # all three chi regimes
+        tau_c = 1.0
+        ts = np.linspace(1e-6, 20.0, 2001)
+        d = 1e-6
+        for ratio in (1e-3, 0.01, 0.5, 2.0):
+            gamma_t, _ = decay_rates(LorentzianKernel(ratio, tau_c), ts)
+            dg = (lorentzian_G(ratio, tau_c, ts + d) - lorentzian_G(ratio, tau_c, ts - d)) / (2 * d)
+            assert np.max(np.abs(-gamma_t * lorentzian_G(ratio, tau_c, ts) - dg)) < 1e-9, ratio
+
+    def test_rate_at_t0_is_zero(self):
+        # G'(0) = 0: the closed form and the quadrature's difference over
+        # |0 - h| and 0 + h give exactly 0
+        for ratio in (1e-3, 0.01, 0.5, 2.0):
+            assert decay_rates(LorentzianKernel(ratio, 1.0), 0.0) == (0.0, 0.0)
+            gamma_0, omega_0 = decay_rates(tabulated_lorentzian(1.0, 0.01, ratio, 1.0), 0.0, 0.01)
+            assert (gamma_0, omega_0) == (0.0, 0.0)
+            assert not np.signbit(gamma_0)
 
     def test_real_G_zero_frequency(self):
-        _, G = volterra(LorentzianKernel(0.4, 1.0), 5.0, 0.01)
-        _, omega_t = rates_from_G(G, 0.01)
+        ts = np.arange(501) * 0.01
+        _, omega_t = decay_rates(tabulated_lorentzian(10.1, 0.01, 0.4, 1.0), ts, 0.01)
         assert np.max(np.abs(omega_t)) < 1e-9
 
-    def test_zero_crossing_detected_with_index(self):
-        # gamma tau_c = 1 crosses zero at t = 3 pi/2 tau_c
+    @pytest.mark.parametrize("ratio, t_end", [(0.1, 5.0), (2.0, 2.0)])
+    def test_quadrature_rate_error_falls_fourfold(self, ratio, t_end):
+        # second order: halving the step from tau_c/25 quarters the error
+        # against the closed form (gamma tau_c = 2 stops before G's first
+        # zero near t = 2.42 tau_c)
         tau_c = 1.0
-        h = 0.01
-        ts = np.arange(0, 6 + h / 2, h)
-        with pytest.raises(PropagatorZeroCrossingError) as excinfo:
-            rates_from_G(np.asarray(lorentzian_G(1.0, tau_c, ts), dtype=complex), h)
-        assert abs(excinfo.value.t - 3 * np.pi / 2) < 0.02
-
-    def test_exact_zero_is_a_crossing(self):
-        # a sample of exactly 0 is refused where it lies, before any sign test
-        with pytest.raises(PropagatorZeroCrossingError) as excinfo:
-            rates_from_G([1.0, 0.5, 0.0, -0.5], 0.1)
-        assert excinfo.value.index == 2
-        assert excinfo.value.t == pytest.approx(0.2)
-
-    def test_complex_G_phase_unwrapped(self):
-        # G = e^{-t/2 - 3 i t} winds through the branch cut of the principal
-        # log several times; the rates must stay gamma = 1/2, omega = 3
-        h = 0.01
-        ts = np.arange(0, 5 + h / 2, h)
-        gamma_t, omega_t = rates_from_G(np.exp(-ts / 2 - 3j * ts), h)
-        assert np.max(np.abs(gamma_t - 0.5)) < 1e-9
-        assert np.max(np.abs(omega_t - 3.0)) < 1e-9
+        ts = np.arange(round(t_end * 25) + 1) * (tau_c / 25)
+        exact, _ = decay_rates(LorentzianKernel(ratio / tau_c, tau_c), ts)
+        errors = []
+        for h in (tau_c / 25, tau_c / 50):
+            gamma_t, _ = decay_rates(tabulated_lorentzian(t_end + 1.0, h, ratio / tau_c, tau_c), ts, h)
+            errors.append(np.max(np.abs(gamma_t - exact)))
+        assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.5)
 
     def test_bad_input_rejected(self):
-        G = np.exp(-np.arange(10) * 0.01)
-        for t_step in (0.0, np.nan):
+        # decay_rates refuses what the propagators call it makes refuses
+        tab = tabulated_lorentzian(1.0)
+        ts = np.arange(10) * 0.01
+        for t_step in (0.0, -0.01, np.nan, np.inf):
             with pytest.raises(ValidationError, match="t_step"):
-                rates_from_G(G, t_step)
-        for values in (G[:2], G.reshape(2, 5)):
-            with pytest.raises(ValidationError, match="3 grid points"):
-                rates_from_G(values, 0.01)
+                decay_rates(tab, ts, t_step)
+        with pytest.raises(ValidationError, match="explicit t_step"):
+            decay_rates(tab, ts)
+        with pytest.raises(ValidationError, match="integration grid"):
+            decay_rates(tab, ts + 0.005, 0.01)
+        with pytest.raises(KernelRangeError):
+            decay_rates(tab, ts + 1.0, 0.01)
+        with pytest.raises(ValidationError, match="t must be >= 0"):
+            decay_rates(LorentzianKernel(1.0, 1.0), -ts)
 
     def test_rate_round_trip(self):
         # integrate gamma(t) + i omega(t) back to G, gamma tau_c = 0.4
@@ -552,13 +587,31 @@ class TestRates:
         h = 0.002
         ts = np.arange(0, 5 + h / 2, h)
         G = np.asarray(lorentzian_G(gamma, tau_c, ts), dtype=complex)
-        gamma_t, omega_t = rates_from_G(G, h)
+        gamma_t, omega_t = decay_rates(LorentzianKernel(gamma, tau_c), ts)
         integrand = gamma_t + 1j * omega_t
         cumulative = np.concatenate(
             ([0.0], np.cumsum((integrand[1:] + integrand[:-1]) / 2) * h)
         )
         reconstructed = np.exp(-cumulative)
         assert np.max(np.abs(reconstructed - G)) < 1e-4
+
+    def test_complex_G_phase_unwrapped(self):
+        # f = e^{-(1 + 2i) t} / 2: G turns through the branch cut of the
+        # principal log; the integral of gamma(t) + i omega(t) gives back
+        # propagators' G to O(h^2) all the same
+        t_end = 25.0
+        for h in (0.02, 0.01):
+            ts = np.arange(round(2 * t_end / h) + 1) * h
+            kernel = TabulatedKernel(ts, 0.5 * np.exp(-(1 + 2j) * ts))
+            ts = ts[: round(t_end / h) + 1]
+            gamma_t, omega_t = decay_rates(kernel, ts, h)
+            G, _, _ = propagators(kernel, ts, 0.0, h)
+            assert np.max(np.abs(np.diff(np.angle(G)))) > np.pi
+            integrand = gamma_t + 1j * omega_t
+            cumulative = np.concatenate(
+                ([0.0], np.cumsum((integrand[1:] + integrand[:-1]) / 2) * h)
+            )
+            assert np.max(np.abs(np.exp(-cumulative) - G)) < 0.2 * h * h
 
 
 class TestBackflow:
