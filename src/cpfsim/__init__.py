@@ -11,6 +11,7 @@ Lorentzian closed forms), operationally (channel-map enumeration), and
 experimentally (finite-count and visibility noise simulation).
 """
 from .bath import LorentzianKernel, TabulatedKernel, eval_kernel_grid, load_kernel_csv
+from .channel import angles_from_propagator, conditional_table, simulate_sequence
 from .cpf import (
     CpfResult,
     InitialState,
@@ -28,23 +29,6 @@ from .propagator import (
 )
 
 __version__ = "0.1.0"
-
-# The channel-map oracle is imported on first use (PEP 562): only `validate`
-# and the tests need it, so the other subcommands start without it.
-_CHANNEL_NAMES = frozenset({
-    "angles_from_propagator",
-    "conditional_table",
-    "simulate_sequence",
-})
-
-
-def __getattr__(name):
-    if name in _CHANNEL_NAMES:
-        from . import channel
-
-        return getattr(channel, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "CpfResult",

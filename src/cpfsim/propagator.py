@@ -302,16 +302,16 @@ def propagators(
 
 def decay_rates(kernel, t, t_step: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
     """Decay rate gamma(t) and frequency shift omega(t), defined by
-    gamma(t) + i omega(t) = -G'(t) / G(t), by the route :func:`propagators`
-    takes for G: the closed-form G' for a Lorentzian kernel (exact), else
-    a central difference of G from one :func:`propagators` call at
-    |t - t_step|, t and t + t_step (error O(t_step^2), as G's; exactly 0 at
-    t = 0, where G' = 0). That call's refusals apply; a zero of G is not
-    one of them, and the rates diverge there.
+    gamma(t) + i omega(t) = -G'(t) / G(t), with G from :func:`propagators`
+    and by the route it takes: the closed-form G' for a Lorentzian kernel
+    (exact), else a central difference of G from one :func:`propagators`
+    call at |t - t_step|, t and t + t_step (error O(t_step^2), as G's;
+    exactly 0 at t = 0, where G' = 0). On both routes that call's refusals
+    apply; a zero of G is not one of them, and the rates diverge there.
     """
     t = np.asarray(t, dtype=float)
     if isinstance(kernel, LorentzianKernel):
-        g = lorentzian_G(kernel.gamma, kernel.tau_c, t)
+        g, _, _ = propagators(kernel, t, 0.0, t_step)
         minus_dg = -_lorentzian_dG(kernel.gamma, kernel.tau_c, t)
     else:
         s = 0.0 if t_step is None else t_step  # propagators refuses None and a bad step

@@ -2,26 +2,28 @@
 
 Each runner takes a :class:`RunConfig` and an output directory and writes
 one CSV file (see :mod:`cpfsim.io` for the deterministic dialect). Every
-runner takes its times, G and tables from one block builder,
-:func:`_curves`, the only runner code that chooses the integration step and
-calls :func:`~cpfsim.propagator.propagators`; ``figure2`` and
-``appendix-d`` run each parameter set as cfg restricted to it
-(:func:`_preset`). Its blocks hold ``cpf_closed`` from the reduced closed
-forms and ``cpf_table`` from the eight-entry probability tables, which must
-agree to 1e-9 in every row; ``appendix-d`` hands the tables to
-:func:`~cpfsim.experiment.run_noise_study` instead, and ``witness`` takes
-its decay rate from :func:`~cpfsim.propagator.decay_rates` at the kernel and
-step that :func:`_curves` returns.
+runner takes its times, G and G2 from one builder, :func:`_curves`, the
+only runner code that chooses the integration step and calls
+:func:`~cpfsim.propagator.propagators`, and builds from them only the
+columns it writes; ``figure2`` and ``appendix-d`` run each parameter set
+as cfg restricted to it (:func:`_preset`). The ``figure2`` and ``sweep``
+blocks (:func:`_cpf_blocks`) hold ``cpf_closed`` from the reduced closed
+forms and ``cpf_table`` from the eight-entry probability tables, which
+must agree to 1e-9 in every row; ``appendix-d`` hands each block's one
+table to :func:`~cpfsim.experiment.run_noise_study` instead, and
+``witness`` writes the closed forms next to the decay rate from
+:func:`~cpfsim.propagator.decay_rates` at the kernel and step that
+:func:`_curves` returns.
 """
 from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from .bath import LorentzianKernel, TabulatedKernel, eval_kernel_grid
+from .channel import angles_from_propagator, conditional_table, simulate_sequence
 from .config import BathConfig, RunConfig
 from .cpf import (
     InitialState,
@@ -59,20 +61,6 @@ def _appendix_d_blocks(cfg: RunConfig):
     return blocks
 
 
-def _grid(cfg: RunConfig) -> tuple[np.ndarray, float]:
-    """The output times of every runner (``cfg.points`` of them up to
-    t_max_gamma / gamma) and their step h, refused if h in units of the
-    default integration step 1/(100 gamma) is beyond the float range."""
-    gamma = cfg.bath.gamma
-    n = cfg.points - 1
-    h = cfg.t_max_gamma / gamma / n
-    if not np.isfinite(h * 100.0 * gamma):
-        raise ValidationError(
-            f"config: grid.t_max_gamma: time step beyond the float range at gamma = {gamma:g}"
-        )
-    return np.arange(n + 1) * h, h
-
-
 def _preset(cfg: RunConfig, scheme: MeasurementScheme, ratio, p, y) -> RunConfig:
     """cfg restricted to one parameter set of figure2 or appendix-d: a
     tau_c = 1 Lorentzian bath at gamma tau_c = ratio, the state of excited
@@ -85,19 +73,26 @@ def _preset(cfg: RunConfig, scheme: MeasurementScheme, ratio, p, y) -> RunConfig
 
 def _curves(
     cfg: RunConfig,
-) -> tuple[np.ndarray, LorentzianKernel | TabulatedKernel, float, np.ndarray, list, list]:
+) -> tuple[np.ndarray, LorentzianKernel | TabulatedKernel, float, tuple, tuple]:
     """G and G2 from one propagators call on the (t, tau) pairs of the grid,
-    tau fastest (the diagonal if ``cfg.equal_times``, else the plane), at
-    the runners' one integration step h / refine, an integer refine: no
-    coarser than 1/(100 gamma) nor, on the quadrature, than the kernel's
-    ``decay_time()`` / 25. Returns the output times, the kernel, that
-    integration step, G at the output times, each scheme's (pairs, 4)
-    ``table_probs`` table conditioned on ``cfg.y``, and its ``CURVE_FIELDS``
-    block, with the t and tau columns as (output times, grid index) pairs."""
-    times, h = _grid(cfg)
+    tau fastest (the diagonal if ``cfg.equal_times``, else the plane). The
+    output times are ``cfg.points`` of them up to t_max_gamma / gamma, at a
+    step h refused if h in units of 1/(100 gamma) is beyond the float range;
+    the integration step is h / refine, an integer refine: no coarser than
+    1/(100 gamma) nor than the kernel's ``decay_time()`` / 25. Returns the
+    output times, the kernel, that integration step, the grid indices
+    (i, j) of the pairs and propagators' (G(t), G(tau), G2) on them."""
+    gamma = cfg.bath.gamma
+    n = cfg.points - 1
+    h = cfg.t_max_gamma / gamma / n
+    if not np.isfinite(h * 100.0 * gamma):
+        raise ValidationError(
+            f"config: grid.t_max_gamma: time step beyond the float range at gamma = {gamma:g}"
+        )
+    times = np.arange(n + 1) * h
     kernel = cfg.bath.make_kernel()
-    refine = max(1.0, np.ceil(h * 100.0 * cfg.bath.gamma))  # a float, never an int overflow
-    decay = None if isinstance(kernel, LorentzianKernel) else kernel.decay_time()
+    refine = max(1.0, np.ceil(h * 100.0 * gamma))  # a float, never an int overflow
+    decay = kernel.decay_time()
     if decay is not None:  # capped: a solve of more steps is refused anyway
         refine = min(max(refine, np.ceil(25.0 * h / decay)), _MAX_STEPS)
     if cfg.equal_times:
@@ -106,27 +101,33 @@ def _curves(
         i, j = np.indices((times.size, times.size)).reshape(2, -1)
     step = h / refine
     try:
-        g_t, g_tau, g2 = propagators(kernel, times[i], times[j], step)
+        g = propagators(kernel, times[i], times[j], step)
     except (KernelRangeError, ValidationError) as exc:  # this kernel refused on this grid
         raise type(exc)(f"config: bath.{cfg.bath.form}: {cfg.bath.value}: {exc}") from None
-    tables = [table_probs(scheme, cfg.state, cfg.y, g_t, g_tau, g2) for scheme in cfg.schemes]
+    return times, kernel, step, (i, j), g
+
+
+def _cpf_blocks(cfg: RunConfig) -> list:
+    """The ``CURVE_FIELDS`` blocks of cfg, one per scheme, conditioned on
+    ``cfg.y``, with the t and tau columns as (output times, grid index)
+    pairs; each scheme's table is built and reduced before the next one."""
+    times, _, _, (i, j), (g_t, g_tau, g2) = _curves(cfg)
     p_label = abs(cfg.state.a) ** 2
     t = times * cfg.bath.gamma
-    blocks = [
+    return [
         (
             scheme.value, cfg.y, p_label, cfg.bath.gamma_tau_c, (t, i), (t, j),
-            closed_values(scheme, cfg.state, g_t, g2, y=cfg.y), table_correlation(table),
+            closed_values(scheme, cfg.state, g_t, g2, y=cfg.y),
+            table_correlation(table_probs(scheme, cfg.state, cfg.y, g_t, g_tau, g2)),
         )
-        for scheme, table in zip(cfg.schemes, tables)
+        for scheme in cfg.schemes
     ]
-    # the first times.size pairs are (0, tau) for every output tau
-    return times, kernel, step, g_tau[: times.size], tables, blocks
 
 
 def run_figure2(cfg: RunConfig, out_dir: Path) -> Path:
     """Equal-times correlation curves for the reference (scheme, bath, state)
     combinations, conditioned on ``cfg.y``, over gamma*t in [0, t_max_gamma]."""
-    blocks = [b for combo in cfg.combos for b in _curves(_preset(cfg, *combo, cfg.y))[-1]]
+    blocks = [b for combo in cfg.combos for b in _cpf_blocks(_preset(cfg, *combo, cfg.y))]
     return write_dataset(out_dir / "figure2.csv", CURVE_FIELDS, blocks, cfg.echo())
 
 
@@ -139,8 +140,9 @@ def run_appendix_d(cfg: RunConfig, out_dir: Path) -> Path:
     blocks = []
     for scheme, ratio, p, y, visibility in _appendix_d_blocks(cfg):
         preset = _preset(cfg, scheme, ratio, p, y)
-        times, _, _, g, (probs,), _ = _curves(preset)
-        p_y = conditioning_probability(scheme, preset.state, y, g)
+        times, _, _, _, (g_t, g_tau, g2) = _curves(preset)
+        probs = table_probs(scheme, preset.state, y, g_t, g_tau, g2)
+        p_y = conditioning_probability(scheme, preset.state, y, g_t)
         noise = dataclasses.replace(cfg.noise, visibility=visibility)
         study = run_noise_study(scheme, probs, p_y, times, noise, y)
         blocks.append((
@@ -166,9 +168,7 @@ def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
     time where |G| <= 1e-12 or, for a real G, where G changes sign; the last
     emitted row says so in the warning column.
     """
-    both = (MeasurementScheme.ZZZ, MeasurementScheme.XZX)
-    witness = dataclasses.replace(cfg, schemes=both, y=-1, equal_times=True)
-    times, kernel, step, g, _, blocks = _curves(witness)
+    times, kernel, step, _, (g, _, g2) = _curves(dataclasses.replace(cfg, equal_times=True))
     stop = np.abs(g) <= 1e-12
     if np.max(np.abs(np.imag(g))) <= 1e-12:
         stop[1:] |= np.real(g[:-1]) * np.real(g[1:]) < 0
@@ -178,7 +178,8 @@ def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
         near = times[keep] * cfg.bath.gamma
         warning = f"truncated: G(t) crosses zero near gamma*t = {near:.6g}"
     gamma_t, _ = decay_rates(kernel, times[:keep], step)
-    cpf = [closed[:keep] for *_, closed, _ in blocks]
+    both = (MeasurementScheme.ZZZ, MeasurementScheme.XZX)
+    cpf = [closed_values(scheme, cfg.state, g[:keep], g2[:keep], y=-1) for scheme in both]
     columns = (times[:keep] * cfg.bath.gamma, gamma_t, np.abs(g[:keep]) ** 2, *cpf)
     # the warning is a scalar: "" in a block of every row but the last, and
     # a one-row block of the last row
@@ -186,15 +187,13 @@ def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
     return write_dataset(out_dir / "witness.csv", WITNESS_FIELDS, blocks, cfg.echo())
 
 
-def run_validation(writer: Callable[[str], None] = print) -> bool:
+def run_validation() -> bool:
     """Quick invariant suite behind the ``validate`` subcommand.
 
     A curated subset of the package's property checks, one pass/fail line
     each; returns True when everything holds. The full acceptance suite
     lives in the test tree.
     """
-    from .channel import angles_from_propagator, conditional_table, simulate_sequence
-
     checks: list[tuple[str, bool]] = []
     tau_c = 1.0
 
@@ -249,15 +248,13 @@ def run_validation(writer: Callable[[str], None] = print) -> bool:
     viol = float(np.max(np.abs(surface) ** 2 - (1.0 - np.abs(g) ** 2)))
     checks.append((f"probability bound |G2|^2 <= 1 - |G|^2 (excess {viol:.2e} <= 1e-9)", viol <= 1e-9))
 
-    ok = True
     for label, passed in checks:
-        writer(f"{'PASS' if passed else 'FAIL'}  {label}")
-        ok = ok and passed
-    return ok
+        print(f"{'PASS' if passed else 'FAIL'}  {label}")
+    return all(passed for _, passed in checks)
 
 
 def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
     """Generic sweep over the configured schemes and grid, for analytic or
     tabulated baths. Tabulated baths run through the numerical pipeline
     (one Volterra solve, G2 from G) on the same grid."""
-    return write_dataset(out_dir / "sweep.csv", CURVE_FIELDS, _curves(cfg)[-1], cfg.echo())
+    return write_dataset(out_dir / "sweep.csv", CURVE_FIELDS, _cpf_blocks(cfg), cfg.echo())

@@ -661,8 +661,8 @@ class TestWitness:
         curves = cpfsim.runs._curves
 
         def with_a_zero(cfg):
-            times, kernel, step, g, tables, blocks = curves(cfg)
-            return times, kernel, step, np.array([1.0, 0.5, 0.0, -0.5]), tables, blocks
+            times, kernel, step, pairs, (_, g_tau, g2) = curves(cfg)
+            return times, kernel, step, pairs, (np.array([1.0, 0.5, 0.0, -0.5]), g_tau, g2)
 
         monkeypatch.setattr(cpfsim.runs, "_curves", with_a_zero)
         grid = {"t_max_gamma": 0.3, "points": 4}
@@ -1024,9 +1024,34 @@ class TestSweep:
 
 
 class TestOneSweepPath:
-    """figure2, sweep, witness and appendix-d take their times and tables
-    from one block builder, so one parameter set gives the same rows
-    whichever runner writes it."""
+    """figure2, sweep, witness and appendix-d take their times, G and G2
+    from one builder, so one parameter set gives the same rows whichever
+    runner writes it; each runner builds only the columns it writes."""
+
+    @pytest.mark.parametrize(
+        "command, workload, counts",
+        [
+            ("sweep", "sweep_grid", (3, 3, 3)),
+            ("figure2", "sweep_grid", (4, 4, 4)),
+            ("witness", "sweep_grid", (0, 2, 0)),
+            ("appendix-d", "noise_study", (6, 0, 0)),
+        ],
+    )
+    def test_each_runner_builds_what_it_writes(
+        self, tmp_path, monkeypatch, perfbench_workloads, command, workload, counts
+    ):
+        # table_probs, closed_values and table_correlation calls of one run:
+        # a table or column per scheme and preset that the dataset holds
+        calls = dict.fromkeys(("table_probs", "closed_values", "table_correlation"), 0)
+        for name in calls:
+            def spy(*args, _name=name, _build=getattr(cpfsim.runs, name), **kwargs):
+                calls[_name] += 1
+                return _build(*args, **kwargs)
+
+            monkeypatch.setattr(cpfsim.runs, name, spy)
+        config = perfbench_workloads.WORKLOADS[workload].config_path
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert tuple(calls.values()) == counts
 
     @pytest.mark.parametrize(
         "scheme, ratio, p, points",
@@ -1239,19 +1264,15 @@ class TestValidate:
         assert lines[4].startswith("PASS  probability bound |G2|^2 <= 1 - |G|^2 (excess ")
 
 
-def test_channel_oracle_loads_on_first_use():
-    # no subcommand but validate imports the channel-map oracle at start-up;
-    # the package still exports its names
+def test_package_exports_and_lazy_difflib():
+    # the package exports every name of __all__ and refuses an unknown
+    # one; the unknown-key hint imports difflib on the error path only
     src = Path(__import__("cpfsim").__file__).resolve().parents[1]
     code = """
 import sys
 import cpfsim.cli
-assert "cpfsim.channel" not in sys.modules, "imported at start-up"
-# the unknown-key hint imports difflib on the error path only
 assert "difflib" not in sys.modules, "difflib imported at start-up"
 import cpfsim
-assert cpfsim.simulate_sequence.__module__ == "cpfsim.channel"
-assert "cpfsim.channel" in sys.modules
 ns = {}
 exec("from cpfsim import *", ns)
 missing = [name for name in cpfsim.__all__ if name not in ns]

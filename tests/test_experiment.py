@@ -386,13 +386,14 @@ def _exact(column):
 def _appendix_d_studies(seed):
     """The run_noise_study arguments of the appendix-d blocks of the
     benchmark's noise_study config at ``seed``, as ``runs.run_appendix_d``
-    builds them: each block's tables and P(y) from its preset's curves."""
+    builds them: each block's table and P(y) from its preset's curves."""
     cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench/workloads/noise_study.json")
     for scheme, ratio, p, y, visibility in _appendix_d_blocks(cfg):
         preset = _preset(cfg, scheme, ratio, p, y)
-        times, _, _, g, (probs,), _ = _curves(preset)
+        times, _, _, _, (g_t, g_tau, g2) = _curves(preset)
+        probs = table_probs(scheme, preset.state, y, g_t, g_tau, g2)
         noise = dataclasses.replace(cfg.noise, visibility=visibility, seed=seed)
-        yield scheme, probs, conditioning_probability(scheme, preset.state, y, g), times, noise, y
+        yield scheme, probs, conditioning_probability(scheme, preset.state, y, g_t), times, noise, y
 
 
 class TestChunkedStatistics:

@@ -580,6 +580,9 @@ class TestRates:
             decay_rates(tab, ts + 1.0, 0.01)
         with pytest.raises(ValidationError, match="t must be >= 0"):
             decay_rates(LorentzianKernel(1.0, 1.0), -ts)
+        for t in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="t must be finite"):
+                decay_rates(LorentzianKernel(1.0, 1.0), t)
 
     def test_rate_round_trip(self):
         # integrate gamma(t) + i omega(t) back to G, gamma tau_c = 0.4
