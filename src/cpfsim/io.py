@@ -46,7 +46,7 @@ def format_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return "nan" if np.isnan(v) else f"{float(v):.12g}"
+        return f"{float(v):.12g}"
     return str(v)
 
 

@@ -6,12 +6,18 @@ G(t) solves the convoluted (Volterra) evolution
     dG/dt = -int_0^t f(t - t') G(t') dt',    G(0) = 1,
 
 driven by the bath correlation f. For a Lorentzian kernel the solution has
-the closed form (chi = sqrt(1 - 2 gamma tau_c))
+a closed form in x = t / 2 tau_c and chi = sqrt(1 - 2 gamma tau_c): with
 
-    G(t) = e^{-t/2tau_c} [cosh(t chi / 2 tau_c) + sinh(t chi / 2 tau_c)/chi],
+    C(t) = e^{-x} cosh(chi x),    S(t) = e^{-x} sinh(chi x) / chi,
 
-evaluated through trigonometric identities when chi is imaginary and through
-the analytic chi -> 0 limit e^{-t/2tau_c}(1 + t/2tau_c) at gamma tau_c = 1/2.
+both entire in chi^2 (so real for imaginary chi as well),
+
+    G(t) = C(t) + S(t),    G'(t) = -gamma S(t)
+
+(Breuer & Petruccione, The Theory of Open Quantum Systems, sec. 10.1).
+One helper evaluates the pair in two branches, real chi and imaginary chi,
+both accurate to rounding at every gamma tau_c, gamma tau_c = 1/2 (chi = 0)
+included.
 
 The memory object governing conditional past-future correlations is not
 G(t) itself but the double convolution
@@ -19,8 +25,7 @@ G(t) itself but the double convolution
     G2(t, tau) = int_0^t dt' int_0^tau dtau'
                  f(tau' + t') G(t - t') G(tau - tau'),
 
-with Lorentzian closed form
-(2 gamma tau_c / chi^2) e^{-(t+tau)/2tau_c} sinh(t chi/2tau_c) sinh(tau chi/2tau_c).
+with Lorentzian closed form 2 gamma tau_c S(t) S(tau).
 It vanishes when f approaches a delta function, i.e. exactly in the
 Born-Markov regime, even where G(t) decays monotonically. For any kernel it
 equals G(t) G(tau) - G(t + tau) (see :func:`propagators`): how far G is from
@@ -47,8 +52,6 @@ from .errors import (
 )
 
 _ABS_TOL = 1e-9  # allowed |G| overshoot above 1 (amplitude of a normalized component)
-_CHI_SQ_TOL = 1e-10  # |chi|^2 below this uses the analytic chi -> 0 limit
-_MAX_INDEX = np.iinfo(np.intp).max // 2  # largest grid index of a time
 _MAX_STEPS = 2**22  # longest quadrature solve: ~130 B and 1.6 us a step
 
 
@@ -154,77 +157,55 @@ def volterra_trapezoid(f: np.ndarray, h: float) -> np.ndarray:
     return G
 
 
-def lorentzian_G(gamma: float, tau_c: float, t) -> np.ndarray | float:
-    """Closed-form propagator for the Lorentzian kernel; real-valued.
+def _lorentzian_cs(gamma: float, tau_c: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C, S) = (e^{-x} cosh(chi x), e^{-x} sinh(chi x) / chi) at
+    x = t / 2 tau_c, chi^2 = 1 - 2 gamma tau_c: the pair every Lorentzian
+    closed form is built from."""
+    x = t / (2.0 * tau_c)
+    chi_sq = 1.0 - 2.0 * gamma * tau_c
+    if chi_sq > 0:
+        # e^{-x(1 - chi)} = slow and e^{-x(1 + chi)} = slow (1 - r): both
+        # decay, so nothing overflows at large t, and r / chi does not
+        # cancel as chi -> 0
+        chi = np.sqrt(chi_sq)
+        slow = np.exp(-x * (1.0 - chi))
+        r = -np.expm1(-2.0 * chi * x)
+        return slow * (1.0 - 0.5 * r), slow * r / (2.0 * chi)
+    # chi = i w: cosh(i w x) = cos(w x), sinh(i w x) / (i w) = sin(w x) / w
+    w = np.sqrt(-chi_sq)
+    decay = np.exp(-x)
+    return decay * np.cos(w * x), decay * (np.sin(w * x) / w if w > 0 else x)
 
-    Accepts scalar or array t >= 0 and handles all three chi regimes,
-    including the chi = 0 boundary at gamma tau_c = 1/2.
+
+def lorentzian_G(gamma: float, tau_c: float, t) -> np.ndarray | float:
+    """Closed-form propagator C + S for the Lorentzian kernel; real-valued.
+
+    Accepts scalar or array t >= 0, at any gamma tau_c, the chi = 0
+    boundary gamma tau_c = 1/2 included.
     """
     if not (gamma > 0 and tau_c > 0):
         raise ValidationError("gamma and tau_c must be > 0")
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValidationError("t must be >= 0")
-    x = t / (2.0 * tau_c)
-    chi_sq = 1.0 - 2.0 * gamma * tau_c
-    if abs(chi_sq) < _CHI_SQ_TOL:
-        out = np.exp(-x) * (1.0 + x)
-    elif chi_sq > 0:
-        chi = np.sqrt(chi_sq)
-        # e^{-x} [cosh(x chi) + sinh(x chi)/chi] expanded into decaying
-        # exponentials: safe from cosh overflow at large t
-        out = 0.5 * (
-            (1.0 + 1.0 / chi) * np.exp(-x * (1.0 - chi))
-            + (1.0 - 1.0 / chi) * np.exp(-x * (1.0 + chi))
-        )
-    else:
-        w = np.sqrt(-chi_sq)
-        out = np.exp(-x) * (np.cos(x * w) + np.sin(x * w) / w)
+    c, s = _lorentzian_cs(gamma, tau_c, t)
+    out = c + s
     return out if out.ndim else float(out)
 
 
 def lorentzian_G_two_time(gamma: float, tau_c: float, t, tau) -> np.ndarray | float:
-    """Closed-form two-time memory object for the Lorentzian kernel."""
+    """Closed-form two-time memory object 2 gamma tau_c S(t) S(tau) for the
+    Lorentzian kernel."""
     if not (gamma > 0 and tau_c > 0):
         raise ValidationError("gamma and tau_c must be > 0")
     t = np.asarray(t, dtype=float)
     tau = np.asarray(tau, dtype=float)
     if np.any(t < 0) or np.any(tau < 0):
         raise ValidationError("t and tau must be >= 0")
-    xt = t / (2.0 * tau_c)
-    xu = tau / (2.0 * tau_c)
-    chi_sq = 1.0 - 2.0 * gamma * tau_c
-    if abs(chi_sq) < _CHI_SQ_TOL:
-        out = 2.0 * gamma * tau_c * xt * xu * np.exp(-(xt + xu))
-    elif chi_sq > 0:
-        chi = np.sqrt(chi_sq)
-        st = 0.5 * (np.exp(-xt * (1.0 - chi)) - np.exp(-xt * (1.0 + chi)))
-        su = 0.5 * (np.exp(-xu * (1.0 - chi)) - np.exp(-xu * (1.0 + chi)))
-        out = (2.0 * gamma * tau_c / chi_sq) * st * su
-    else:
-        w = np.sqrt(-chi_sq)
-        # sinh(i w x) = i sin(w x); the two factors of i cancel chi^2 = -w^2
-        out = (
-            (2.0 * gamma * tau_c / (w * w))
-            * np.exp(-(xt + xu))
-            * np.sin(xt * w)
-            * np.sin(xu * w)
-        )
+    _, s_t = _lorentzian_cs(gamma, tau_c, t)
+    _, s_tau = _lorentzian_cs(gamma, tau_c, tau)
+    out = 2.0 * gamma * tau_c * s_t * s_tau
     return out if out.ndim else float(out)
-
-
-def _lorentzian_dG(gamma: float, tau_c: float, t: np.ndarray) -> np.ndarray:
-    """dG/dt = -(gamma/chi) e^{-x} sinh(chi x), x = t / 2 tau_c, of
-    :func:`lorentzian_G`, in the same three chi regimes."""
-    x = t / (2.0 * tau_c)
-    chi_sq = 1.0 - 2.0 * gamma * tau_c
-    if abs(chi_sq) < _CHI_SQ_TOL:
-        return -gamma * x * np.exp(-x)
-    if chi_sq > 0:
-        chi = np.sqrt(chi_sq)
-        return -(gamma / (2.0 * chi)) * (np.exp(-x * (1.0 - chi)) - np.exp(-x * (1.0 + chi)))
-    w = np.sqrt(-chi_sq)
-    return -(gamma / w) * np.exp(-x) * np.sin(x * w)
 
 
 def propagators(
@@ -274,18 +255,21 @@ def propagators(
         return np.ones(t.shape, complex), np.ones(t.shape, complex), np.zeros(t.shape, complex)
     t_max = float(np.max(times))
     off_grid = ValidationError("times must be >= 0 and lie on the integration grid")
-    # times / t_step must fit an index, and i + j too, before the cast
-    if np.max(np.abs(times)) > _MAX_INDEX * float(t_step):
+    if np.min(times) < 0:
         raise off_grid
-    idx = np.asarray(np.rint(times / t_step), dtype=int)
-    if np.min(idx) < 0 or np.max(np.abs(idx * t_step - times)) > 1e-9 * max(1.0, t_max):
-        raise off_grid
-    i, j = idx
-    n = int(np.max(i + j))
+    # the step count in floats, before the cast to int: one beyond the float
+    # range is inf
+    with np.errstate(over="ignore"):
+        idx = np.rint(times / t_step)
+        n = float(np.max(idx[0] + idx[1]))
     if n > _MAX_STEPS:
         raise ValidationError(
-            f"t_step = {t_step:g} needs a solve of {n} steps, more than {_MAX_STEPS}"
+            f"t_step = {t_step:g} needs a solve of {n:.15g} steps, more than {_MAX_STEPS}"
         )
+    if np.max(np.abs(idx * t_step - times)) > 1e-9 * max(1.0, t_max):
+        raise off_grid
+    i, j = idx.astype(int)
+    n = int(n)
     decay = kernel.decay_time()
     if decay is not None and t_step > decay / 4:
         raise ValidationError(
@@ -312,7 +296,7 @@ def decay_rates(kernel, t, t_step: Optional[float] = None) -> tuple[np.ndarray, 
     t = np.asarray(t, dtype=float)
     if isinstance(kernel, LorentzianKernel):
         g, _, _ = propagators(kernel, t, 0.0, t_step)
-        minus_dg = -_lorentzian_dG(kernel.gamma, kernel.tau_c, t)
+        minus_dg = kernel.gamma * _lorentzian_cs(kernel.gamma, kernel.tau_c, t)[1]
     else:
         s = 0.0 if t_step is None else t_step  # propagators refuses None and a bad step
         times = np.stack([np.abs(t - s), t, t + s])

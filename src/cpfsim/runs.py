@@ -79,7 +79,8 @@ def _curves(
     output times are ``cfg.points`` of them up to t_max_gamma / gamma, at a
     step h refused if h in units of 1/(100 gamma) is beyond the float range;
     the integration step is h / refine, an integer refine: no coarser than
-    1/(100 gamma) nor than the kernel's ``decay_time()`` / 25. Returns the
+    1/(100 gamma) nor than the kernel's ``decay_time()`` / 25, unless that
+    takes a refine above 2**22, where a solve is refused anyway. Returns the
     output times, the kernel, that integration step, the grid indices
     (i, j) of the pairs and propagators' (G(t), G(tau), G2) on them."""
     gamma = cfg.bath.gamma
@@ -93,8 +94,9 @@ def _curves(
     kernel = cfg.bath.make_kernel()
     refine = max(1.0, np.ceil(h * 100.0 * gamma))  # a float, never an int overflow
     decay = kernel.decay_time()
-    if decay is not None:  # capped: a solve of more steps is refused anyway
-        refine = min(max(refine, np.ceil(25.0 * h / decay)), _MAX_STEPS)
+    if decay is not None:
+        refine = max(refine, np.ceil(25.0 * h / decay))
+    refine = min(refine, _MAX_STEPS)  # a solve of more steps is refused anyway
     if cfg.equal_times:
         i = j = np.arange(times.size)
     else:

@@ -1000,6 +1000,30 @@ class TestSweep:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "samples", ["0,1\n1e301,1\n", "0,1\n1,0\n1e301,0\n"], ids=["flat", "decaying"]
+    )
+    def test_overlong_grid_refused_by_its_step_count(self, tmp_path, monkeypatch, capsys, samples):
+        # gamma t up to 1e300 in one step: refine capped at 2**22 whether or
+        # not the kernel has a 1/e time (the first file has none), so the
+        # solve to t + tau = 2e300 takes 2**23 steps and is refused by that
+        # count, before a kernel sample is taken
+        kernel = tmp_path / "kernel.csv"
+        kernel.write_text(f"t,re\n{samples}")
+        cfg = write_config(tmp_path, {
+            "bath": {"gamma": 1.0, "kernel_csv": str(kernel)},
+            "grid": {"t_max_gamma": 1e300, "points": 2},
+        })
+        monkeypatch.setattr(cpfsim.propagator, "eval_kernel_grid", None)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            f"error: config: bath.kernel_csv: {re.escape(str(kernel))}: "
+            r"t_step = \S+ needs a solve of 8388608 steps, more than 4194304\n",
+            err,
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_benchmark_tabulated_config_takes_its_step(
         self, tmp_path, monkeypatch, perfbench_workloads
     ):

@@ -1,5 +1,6 @@
 """Propagator layer: Volterra solver vs closed forms, two-time object,
 rates, backflow."""
+import math
 import tracemalloc
 import warnings
 
@@ -40,6 +41,21 @@ TWO_OVER_E = 0.7357588823428846          # 2 e^{-1}
 P_REEXCITE = 0.007807148399647461
 
 
+def _series_cs(chi_sq, x):
+    """(C, S) = (e^{-x} cosh(chi x), e^{-x} sinh(chi x) / chi) at one x from
+    their power series in chi^2, e^{-x} sum_k chi^{2k} x^{2k + m} / (2k + m)!
+    for m = 0 and 1, each summed by fsum until its terms vanish."""
+    sums = []
+    for m in (0, 1):
+        terms, term, k = [], x**m, m
+        while term:
+            terms.append(term)
+            term *= chi_sq * x * x / ((k + 1) * (k + 2))
+            k += 2
+        sums.append(math.exp(-x) * math.fsum(terms))
+    return sums
+
+
 class TestLorentzianClosedForm:
     def test_initial_condition(self):
         for ratio in (0.1, 0.5, 1.0, 2.0):
@@ -62,6 +78,24 @@ class TestLorentzianClosedForm:
         above = lorentzian_G(0.5 + 1e-7, 1.0, t)
         assert np.max(np.abs(below - at)) < 1e-6
         assert np.max(np.abs(above - at)) < 1e-6
+
+    @pytest.mark.parametrize(
+        "ratio", [0.5 * (1 - 2e-10), 0.5 * (1 - 1e-11), 0.5, 0.5 * (1 + 1e-11), 0.5 * (1 + 2e-10)]
+    )
+    def test_rounding_accuracy_near_chi_zero(self, ratio):
+        # gamma = 1, gamma tau_c = ratio, on both sides of chi = 0: G = C + S,
+        # G2 = 2 gamma tau_c S(t) S(tau) and G' = -gamma S against the
+        # chi^2 power series of C and S, to rounding
+        tau_c = ratio
+        chi_sq = 1.0 - 2.0 * tau_c  # exact for tau_c in [1/4, 1]
+        ts = np.linspace(0.0, 10.0, 201)
+        c, s = np.array([_series_cs(chi_sq, t / (2.0 * tau_c)) for t in ts]).T
+        g = lorentzian_G(1.0, tau_c, ts)
+        assert np.max(np.abs(g - (c + s))) < 1e-14
+        g2 = lorentzian_G_two_time(1.0, tau_c, ts[:, None], ts[None, :])
+        assert np.max(np.abs(g2 - 2.0 * tau_c * s[:, None] * s[None, :])) < 1e-14
+        rate, _ = decay_rates(LorentzianKernel(1.0, tau_c), ts)
+        assert np.max(np.abs(rate * g - s)) < 1e-14
 
     def test_weak_coupling_is_exponential(self):
         t = np.linspace(0, 20, 200)
@@ -300,12 +334,23 @@ class TestTwoTime:
 
     @pytest.mark.parametrize(
         "t, tau, t_step",
-        [(1e300, 1e300, 0.01), (1.0, -1e300, 0.01), (1e17, 0.0, 0.01), (1.0, 1.0, 1e-300)],
+        [
+            (1e300, 1e300, 0.01),
+            (1.0, -1e300, 0.01),
+            (1e17, 0.0, 0.01),
+            (1.0, 1.0, 1e-300),
+            (1e308, 1e308, 1.0),  # t + tau overflows to inf
+        ],
     )
     def test_times_beyond_the_index_range_rejected(self, t, tau, t_step):
         # no grid index holds t / t_step: refused before the cast to int,
-        # which would warn (an error under the suite's filter)
-        with pytest.raises(ValidationError, match="integration grid"):
+        # which would warn (an error under the suite's filter), a negative
+        # time as off the grid and any other by its step count
+        if min(t, tau) < 0:
+            match = "integration grid"
+        else:
+            match = r"^t_step = \S+ needs a solve of \S+ steps, more than 4194304$"
+        with pytest.raises(ValidationError, match=match):
             propagators(tabulated_lorentzian(2.0), t, tau, t_step)
 
     def test_markov_limit_vanishes_monotonically(self):
