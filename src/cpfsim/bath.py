@@ -36,6 +36,8 @@ class LorentzianKernel:
             raise ValidationError(f"gamma must be > 0, got {self.gamma}")
         if not (self.tau_c > 0):
             raise ValidationError(f"tau_c must be > 0, got {self.tau_c}")
+        if 2.0 * float(self.gamma) * float(self.tau_c) == np.inf:  # chi^2 = -inf: NaN closed forms
+            raise ValidationError(f"2 gamma tau_c is beyond the float range at {self}")
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
         """f at the float times ``ts``, of either sign (via |t|)."""

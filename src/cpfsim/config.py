@@ -103,7 +103,15 @@ def _fraction(value, field: str) -> float:
     return number
 
 
-def _kernel_file(value, field: str) -> str:
+def _tau_c(value, field: str, gamma: float) -> float:
+    tau_c = _positive(value, field)
+    try:
+        return LorentzianKernel(gamma, tau_c).tau_c
+    except ValidationError as exc:  # 2 gamma tau_c beyond the float range
+        _fail(field, str(exc))
+
+
+def _kernel_file(value, field: str, _gamma=None) -> str:
     if not isinstance(value, str):
         _fail(field, f"expected a file path, got {value!r}")
     path = Path(value)
@@ -112,10 +120,10 @@ def _kernel_file(value, field: str) -> str:
     return str(path)
 
 
-# The bath forms by config key: (parser of the value at a field, the gamma
-# tau_c label of its datasets and its kernel, both of gamma and the value).
+# The bath forms by config key: (parser of the value at a field and gamma, the
+# gamma tau_c label of its datasets and its kernel, both of gamma and the value).
 _FORMS = {
-    "tau_c": (_positive, lambda gamma, tau_c: gamma * tau_c, LorentzianKernel),
+    "tau_c": (_tau_c, lambda gamma, tau_c: gamma * tau_c, LorentzianKernel),
     "kernel_csv": (_kernel_file, lambda *_: None, lambda _, path: load_kernel_csv(path)),
 }
 
@@ -180,7 +188,7 @@ def _parse_bath(block, field: str) -> BathConfig:
         _fail(f"{field}.time_unit", f"must be 'seconds', got {block['time_unit']!r}")
     gamma = _positive(_require(block, "gamma", field), f"{field}.gamma")
     form = forms[0]
-    return BathConfig(gamma, form, _FORMS[form][0](block[form], f"{field}.{form}"))
+    return BathConfig(gamma, form, _FORMS[form][0](block[form], f"{field}.{form}", gamma))
 
 
 def _parse_state(block, field: str) -> InitialState:
@@ -239,6 +247,7 @@ def _parse_combos(value, field: str) -> tuple[tuple[MeasurementScheme, float, fl
         _block(item, where, ("scheme", "gamma_tau_c", "p"))
         scheme = _scheme(_require(item, "scheme", where), f"{where}.scheme")
         ratio = _positive(_require(item, "gamma_tau_c", where), f"{where}.gamma_tau_c")
+        _tau_c(1.0, f"{where}.gamma_tau_c", ratio)  # the tau_c = 1 bath of its preset
         p = _fraction(_require(item, "p", where), f"{where}.p")
         combos.append((scheme, ratio, p))
     return tuple(combos)

@@ -28,31 +28,29 @@ G(t) itself but the double convolution
 with Lorentzian closed form 2 gamma tau_c S(t) S(tau).
 It vanishes when f approaches a delta function, i.e. exactly in the
 Born-Markov regime, even where G(t) decays monotonically. For any kernel it
-equals G(t) G(tau) - G(t + tau) (see :func:`propagators`): how far G is from
-a semigroup.
+equals G(t) G(tau) - G(t + tau) (see :meth:`Solved.G2`): how far G is
+from a semigroup.
 
 Numerical quadrature is trapezoidal product integration of G with a fixed
 step (second order), by one kernel on an array of kernel samples; G2 follows
-from the solved G by the identity above, on the same grid. Callers get G and
-G2 from :func:`propagators`, which picks the closed forms or the quadrature
-by kernel type, and is the only code that drives the quadrature kernel;
-:func:`decay_rates` takes the same route for G'.
+from the solved G by the identity above, on the same grid. :func:`solve`, the
+only code that drives the quadrature kernel, picks it or the closed forms by
+kernel type and returns the solved propagator as one value, from which
+:func:`propagators` and :func:`decay_rates` read G, G2 and G'.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .bath import LorentzianKernel, eval_kernel_grid
-from .errors import (
-    ConditioningImpossibleError,
-    InternalConsistencyError,
-    ValidationError,
-)
+from .errors import ConditioningImpossibleError, InternalConsistencyError, ValidationError
 
 _ABS_TOL = 1e-9  # allowed |G| overshoot above 1 (amplitude of a normalized component)
 _MAX_STEPS = 2**22  # longest quadrature solve: ~130 B and 1.6 us a step
+_OFF_GRID = "times must be >= 0 and lie on the integration grid"
 
 
 # volterra_trapezoid: trapezoidal product integration of
@@ -161,8 +159,11 @@ def _lorentzian_cs(gamma: float, tau_c: float, t: np.ndarray) -> tuple[np.ndarra
     """(C, S) = (e^{-x} cosh(chi x), e^{-x} sinh(chi x) / chi) at
     x = t / 2 tau_c, chi^2 = 1 - 2 gamma tau_c: the pair every Lorentzian
     closed form is built from."""
-    x = t / (2.0 * tau_c)
+    if np.any(t < 0):
+        raise ValidationError("t must be >= 0")
+    LorentzianKernel(gamma, tau_c)  # refuses a 2 gamma tau_c beyond the float range
     chi_sq = 1.0 - 2.0 * gamma * tau_c
+    x = t / (2.0 * tau_c)
     if chi_sq > 0:
         # e^{-x(1 - chi)} = slow and e^{-x(1 + chi)} = slow (1 - r): both
         # decay, so nothing overflows at large t, and r / chi does not
@@ -185,10 +186,7 @@ def lorentzian_G(gamma: float, tau_c: float, t) -> np.ndarray | float:
     """
     if not (gamma > 0 and tau_c > 0):
         raise ValidationError("gamma and tau_c must be > 0")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValidationError("t must be >= 0")
-    c, s = _lorentzian_cs(gamma, tau_c, t)
+    c, s = _lorentzian_cs(gamma, tau_c, np.asarray(t, dtype=float))
     out = c + s
     return out if out.ndim else float(out)
 
@@ -208,68 +206,32 @@ def lorentzian_G_two_time(gamma: float, tau_c: float, t, tau) -> np.ndarray | fl
     return out if out.ndim else float(out)
 
 
-def propagators(
-    kernel, t, tau, t_step: Optional[float] = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """G(t), G(tau) and G2(t, tau) over broadcast time arrays.
-
-    The one place that chooses how they are computed: a Lorentzian kernel
-    uses the closed forms (real values), any other kernel the quadrature on
-    the grid of step ``t_step`` (complex values, error O(t_step^2)), on
-    which every time must lie. There the kernel is sampled once, up to the
-    largest t + tau, G is solved once over that whole range and
-
-        G2(t, tau) = G(t) G(tau) - G(t + tau).
-
-    This holds for any kernel. Write G^(s) for the Laplace transform of G;
-    the Volterra equation gives G^(s) = 1/(s + f^(s)). The double transform
-    (t -> s, tau -> p) of f(t + tau) is (f^(s) - f^(p))/(p - s), that of
-    G(t + tau) is (G^(s) - G^(p))/(p - s), so the double transform of G2 is
-    G^(s) G^(p) (f^(s) - f^(p))/(p - s). Substituting f^ = 1/G^ - s turns
-    it into G^(s) G^(p) - (G^(s) - G^(p))/(p - s), the transform of the
-    right-hand side. Empty or all-zero times need no solve, since G(0) = 1
-    and G2(0, 0) = 0.
-
-    A non-finite time, a ``t_step`` that is not a finite number > 0 or a
-    solved |G| above 1 raise :class:`ValidationError`, and so do, before the
-    kernel is sampled, a step that cannot resolve it (coarser than a quarter
-    of its 1/e time ``decay_time()``, unless None) and a solve of more than
-    2**22 steps. A t + tau beyond a tabulated kernel's last sample raises
-    :class:`cpfsim.errors.KernelRangeError`, also before it is sampled.
-    """
+def solve(kernel, t_end: float, t_step: Optional[float] = None) -> Solved:
+    """The solved propagator of ``kernel`` up to ``t_end``; the one place that
+    chooses how G is computed: a Lorentzian kernel's closed forms, real at any
+    t >= 0, else G solved once on the grid of step ``t_step`` (complex, error
+    O(t_step^2)), or not at all if t_end <= 0. A ``t_step`` that is not a finite
+    number > 0 or a solved |G| above 1 raise :class:`ValidationError`, and so
+    do, before the kernel is sampled, a solve of over 2**22 steps, a ``t_end``
+    off the grid and a step coarser than a quarter of the kernel's 1/e time
+    ``decay_time()``; a ``t_end`` beyond a tabulated kernel raises
+    :class:`cpfsim.errors.KernelRangeError`."""
     if t_step is not None and not 0 < t_step < np.inf:  # False for NaN too
         raise ValidationError(f"t_step must be a finite number > 0, got {t_step}")
-    t = np.asarray(t, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    for name, times in (("t", t), ("tau", tau)):
-        if not np.all(np.isfinite(times)):
-            raise ValidationError(f"{name} must be finite")
-    t, tau = np.broadcast_arrays(t, tau)
     if isinstance(kernel, LorentzianKernel):
-        gtc = kernel.gamma, kernel.tau_c
-        return lorentzian_G(*gtc, t), lorentzian_G(*gtc, tau), lorentzian_G_two_time(*gtc, t, tau)
+        return Solved(kernel)
     if t_step is None:
         raise ValidationError("tabulated kernels need an explicit t_step")
-    times = np.stack([t, tau])
-    if not np.any(times):
-        return np.ones(t.shape, complex), np.ones(t.shape, complex), np.zeros(t.shape, complex)
-    t_max = float(np.max(times))
-    off_grid = ValidationError("times must be >= 0 and lie on the integration grid")
-    if np.min(times) < 0:
-        raise off_grid
-    # the step count in floats, before the cast to int: one beyond the float
-    # range is inf
-    with np.errstate(over="ignore"):
-        idx = np.rint(times / t_step)
-        n = float(np.max(idx[0] + idx[1]))
+    if not t_end > 0:
+        return Solved(kernel, t_step, np.ones(1, dtype=complex))
+    with np.errstate(over="ignore"):  # a count beyond the float range is inf
+        n = float(np.rint(t_end / t_step))
     if n > _MAX_STEPS:
         raise ValidationError(
             f"t_step = {t_step:g} needs a solve of {n:.15g} steps, more than {_MAX_STEPS}"
         )
-    if np.max(np.abs(idx * t_step - times)) > 1e-9 * max(1.0, t_max):
-        raise off_grid
-    i, j = idx.astype(int)
-    n = int(n)
+    if abs(n * t_step - t_end) > 1e-9 * max(1.0, t_end):
+        raise ValidationError(_OFF_GRID)
     decay = kernel.decay_time()
     if decay is not None and t_step > decay / 4:
         raise ValidationError(
@@ -278,32 +240,94 @@ def propagators(
         )
     # the kernel's range check on the last sample time, before n + 1 are allocated
     eval_kernel_grid(kernel, n * t_step)
-    g = volterra_trapezoid(eval_kernel_grid(kernel, np.arange(n + 1) * t_step), t_step)
+    g = volterra_trapezoid(eval_kernel_grid(kernel, np.arange(int(n) + 1) * t_step), t_step)
     if np.max(np.abs(g)) > 1.0 + _ABS_TOL:
         raise ValidationError("|G| exceeds 1 beyond tolerance; not a propagator")
-    return g[i], g[j], g[i] * g[j] - g[i + j]
+    return Solved(kernel, t_step, g)
+
+
+def _finite(t, name: str) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValidationError(f"{name} must be finite")
+    return t
+
+
+@dataclass(frozen=True, eq=False)
+class Solved:
+    """A Lorentzian ``kernel``'s closed forms (``g`` None), or ``g``, G at the
+    grid times i ``step``, i = 0..n. Its lookups refuse a time that is not
+    finite or is negative, and on the grid one off it or beyond the solve."""
+
+    kernel: object
+    step: Optional[float] = None
+    g: Optional[np.ndarray] = None
+
+    def _index(self, t, name: str) -> np.ndarray:
+        t = _finite(t, name)
+        with np.errstate(over="ignore"):
+            i = np.rint(t / self.step)  # float indices, cast once known to be <= n
+        tol = 1e-9 * max(1.0, (self.g.size - 1) * self.step)
+        if np.any(t < 0) or np.any(np.abs(i * self.step - t) > tol):
+            raise ValidationError(_OFF_GRID)
+        return i
+
+    def _at(self, i: np.ndarray, name: str):
+        n = self.g.size - 1
+        if np.any(i > n):
+            raise ValidationError(f"{name} beyond the solve, which ends at t = {n * self.step:g}")
+        return self.g[i.astype(int)]
+
+    def G(self, t):
+        if self.g is None:
+            return lorentzian_G(self.kernel.gamma, self.kernel.tau_c, _finite(t, "t"))
+        return self._at(self._index(t, "t"), "t")
+
+    def G2(self, t, tau):
+        """The closed form, or on the grid G(t) G(tau) - G(t + tau), true for any
+        kernel. With G^ the Laplace transform of G, the Volterra equation gives
+        G^(s) = 1/(s + f^(s)). The double transform (t -> s, tau -> p) of f(t + tau)
+        is (f^(s) - f^(p))/(p - s), that of G(t + tau) is (G^(s) - G^(p))/(p - s),
+        so that of G2 is G^(s) G^(p) (f^(s) - f^(p))/(p - s). Substituting
+        f^ = 1/G^ - s turns it into G^(s) G^(p) - (G^(s) - G^(p))/(p - s)."""
+        if self.g is None:
+            gtc = self.kernel.gamma, self.kernel.tau_c
+            return lorentzian_G_two_time(*gtc, _finite(t, "t"), _finite(tau, "tau"))
+        i, j = self._index(t, "t"), self._index(tau, "tau")
+        return self._at(i, "t") * self._at(j, "tau") - self._at(i + j, "t + tau")
+
+    def rates(self, t):
+        """(gamma(t), omega(t)): exact from the closed form G' = -gamma S, or from
+        a central difference of G at the indices |i - 1| and i + 1, error
+        O(step^2) as G's and exactly 0 at t = 0, where G' = 0."""
+        if self.g is None:
+            c, s = _lorentzian_cs(self.kernel.gamma, self.kernel.tau_c, _finite(t, "t"))
+            rate = self.kernel.gamma * s / (c + s)
+        else:
+            i = self._index(t, "t")
+            g_fwd = self._at(i + 1, "t + t_step")
+            rate = (self._at(np.abs(i - 1), "t") - g_fwd) / (2.0 * self.step) / self._at(i, "t")
+        return rate.real, rate.imag
+
+
+def propagators(
+    kernel, t, tau, t_step: Optional[float] = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G(t), G(tau) and G2(t, tau) over broadcast finite time arrays, from
+    one :func:`solve` up to the largest t + tau; its refusals apply."""
+    t, tau = np.broadcast_arrays(_finite(t, "t"), _finite(tau, "tau"))
+    with np.errstate(over="ignore"):  # a t + tau beyond the float range: inf steps, refused
+        t_end = float(np.max(t + tau, initial=0.0))
+    solved = solve(kernel, t_end, t_step)
+    g2 = solved.G2(t, tau)  # first: it checks both times before it reads G at any
+    return solved.G(t), solved.G(tau), g2
 
 
 def decay_rates(kernel, t, t_step: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Decay rate gamma(t) and frequency shift omega(t), defined by
-    gamma(t) + i omega(t) = -G'(t) / G(t), with G from :func:`propagators`
-    and by the route it takes: the closed-form G' for a Lorentzian kernel
-    (exact), else a central difference of G from one :func:`propagators`
-    call at |t - t_step|, t and t + t_step (error O(t_step^2), as G's;
-    exactly 0 at t = 0, where G' = 0). On both routes that call's refusals
-    apply; a zero of G is not one of them, and the rates diverge there.
-    """
-    t = np.asarray(t, dtype=float)
-    if isinstance(kernel, LorentzianKernel):
-        g, _, _ = propagators(kernel, t, 0.0, t_step)
-        minus_dg = kernel.gamma * _lorentzian_cs(kernel.gamma, kernel.tau_c, t)[1]
-    else:
-        s = 0.0 if t_step is None else t_step  # propagators refuses None and a bad step
-        times = np.stack([np.abs(t - s), t, t + s])
-        (g_back, g, g_fwd), _, _ = propagators(kernel, times, 0.0, t_step)
-        minus_dg = (g_back - g_fwd) / (2.0 * t_step)
-    rate = minus_dg / g
-    return rate.real, rate.imag
+    """Decay rate gamma(t) and frequency shift omega(t), gamma + i omega = -G'/G,
+    from one :func:`solve` to the last t and a step; they diverge, unrefused, at a zero of G."""
+    t = _finite(t, "t")
+    return solve(kernel, float(np.max(t, initial=0.0)) + (t_step or 0.0), t_step).rates(t)
 
 
 def backflow_probabilities(G_t: complex, G_two: complex) -> tuple[float, float]:

@@ -4,16 +4,15 @@ Each runner takes a :class:`RunConfig` and an output directory and writes
 one CSV file (see :mod:`cpfsim.io` for the deterministic dialect). Every
 runner takes its times, G and G2 from one builder, :func:`_curves`, the
 only runner code that chooses the integration step and calls
-:func:`~cpfsim.propagator.propagators`, and builds from them only the
-columns it writes; ``figure2`` and ``appendix-d`` run each parameter set
-as cfg restricted to it (:func:`_preset`). The ``figure2`` and ``sweep``
+:func:`~cpfsim.propagator.solve`, and builds from them only the columns it
+writes; ``figure2`` and ``appendix-d`` run each parameter set as cfg
+restricted to it (:func:`_preset`). The ``figure2`` and ``sweep``
 blocks (:func:`_cpf_blocks`) hold ``cpf_closed`` from the reduced closed
 forms and ``cpf_table`` from the eight-entry probability tables, which
 must agree to 1e-9 in every row; ``appendix-d`` hands each block's one
 table to :func:`~cpfsim.experiment.run_noise_study` instead, and
-``witness`` writes the closed forms next to the decay rate from
-:func:`~cpfsim.propagator.decay_rates` at the kernel and step that
-:func:`_curves` returns.
+``witness`` writes the closed forms next to the decay rate from the
+``rates`` lookup of the solved propagator that :func:`_curves` returns.
 """
 from __future__ import annotations
 
@@ -38,7 +37,7 @@ from .cpf import (
 from .errors import KernelRangeError, ValidationError
 from .experiment import RNG_CONTRACT, run_noise_study
 from .io import write_dataset
-from .propagator import _MAX_STEPS, decay_rates, lorentzian_G, lorentzian_G_two_time, propagators
+from .propagator import _MAX_STEPS, lorentzian_G, lorentzian_G_two_time, propagators, solve
 
 CURVE_FIELDS = ["scheme", "y", "p", "gamma_tau_c", "t", "tau", "cpf_closed", "cpf_table"]
 NOISE_FIELDS = [
@@ -71,18 +70,16 @@ def _preset(cfg: RunConfig, scheme: MeasurementScheme, ratio, p, y) -> RunConfig
     )
 
 
-def _curves(
-    cfg: RunConfig,
-) -> tuple[np.ndarray, LorentzianKernel | TabulatedKernel, float, tuple, tuple]:
-    """G and G2 from one propagators call on the (t, tau) pairs of the grid,
-    tau fastest (the diagonal if ``cfg.equal_times``, else the plane). The
-    output times are ``cfg.points`` of them up to t_max_gamma / gamma, at a
-    step h refused if h in units of 1/(100 gamma) is beyond the float range;
-    the integration step is h / refine, an integer refine: no coarser than
-    1/(100 gamma) nor than the kernel's ``decay_time()`` / 25, unless that
-    takes a refine above 2**22, where a solve is refused anyway. Returns the
-    output times, the kernel, that integration step, the grid indices
-    (i, j) of the pairs and propagators' (G(t), G(tau), G2) on them."""
+def _curves(cfg: RunConfig) -> tuple:
+    """G and G2 from one :func:`~cpfsim.propagator.solve`, up to 2 t_max, on
+    the (t, tau) pairs of the grid, tau fastest (the diagonal if
+    ``cfg.equal_times``, else the plane): ``cfg.points`` output times up to
+    t_max = t_max_gamma / gamma, at a step h refused if h in units of
+    1/(100 gamma) is beyond the float range. The integration step is
+    h / refine, an integer refine: no coarser than 1/(100 gamma) nor than the
+    kernel's ``decay_time()`` / 25, unless that takes a refine above 2**22,
+    where a solve is refused anyway. Returns the times, the solved propagator,
+    the pairs' grid indices (i, j) and its (G(t), G(tau), G2) on them."""
     gamma = cfg.bath.gamma
     n = cfg.points - 1
     h = cfg.t_max_gamma / gamma / n
@@ -101,19 +98,19 @@ def _curves(
         i = j = np.arange(times.size)
     else:
         i, j = np.indices((times.size, times.size)).reshape(2, -1)
-    step = h / refine
     try:
-        g = propagators(kernel, times[i], times[j], step)
+        solved = solve(kernel, 2.0 * times[-1], h / refine)
+        g = solved.G(times[i]), solved.G(times[j]), solved.G2(times[i], times[j])
     except (KernelRangeError, ValidationError) as exc:  # this kernel refused on this grid
         raise type(exc)(f"config: bath.{cfg.bath.form}: {cfg.bath.value}: {exc}") from None
-    return times, kernel, step, (i, j), g
+    return times, solved, (i, j), g
 
 
 def _cpf_blocks(cfg: RunConfig) -> list:
     """The ``CURVE_FIELDS`` blocks of cfg, one per scheme, conditioned on
     ``cfg.y``, with the t and tau columns as (output times, grid index)
     pairs; each scheme's table is built and reduced before the next one."""
-    times, _, _, (i, j), (g_t, g_tau, g2) = _curves(cfg)
+    times, _, (i, j), (g_t, g_tau, g2) = _curves(cfg)
     p_label = abs(cfg.state.a) ** 2
     t = times * cfg.bath.gamma
     return [
@@ -142,7 +139,7 @@ def run_appendix_d(cfg: RunConfig, out_dir: Path) -> Path:
     blocks = []
     for scheme, ratio, p, y, visibility in _appendix_d_blocks(cfg):
         preset = _preset(cfg, scheme, ratio, p, y)
-        times, _, _, _, (g_t, g_tau, g2) = _curves(preset)
+        times, _, _, (g_t, g_tau, g2) = _curves(preset)
         probs = table_probs(scheme, preset.state, y, g_t, g_tau, g2)
         p_y = conditioning_probability(scheme, preset.state, y, g_t)
         noise = dataclasses.replace(cfg.noise, visibility=visibility)
@@ -163,14 +160,14 @@ def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
     operational CPF(t, t) of z-z-z and x-z-x conditioned on y = -1, for
     analytic or tabulated baths.
 
-    The rate is :func:`~cpfsim.propagator.decay_rates` at the integration
-    step, exact for a Lorentzian bath and second order in the step for a
-    kernel file, which it solves once more, up to the last time and a step.
-    It diverges where G crosses zero, so the grid stops at the first output
-    time where |G| <= 1e-12 or, for a real G, where G changes sign; the last
-    emitted row says so in the warning column.
+    The rate is the ``rates`` lookup of the solved propagator that gives
+    the other columns, exact for a Lorentzian bath and second order in the
+    integration step for a kernel file. It diverges where G crosses zero,
+    so the grid stops at the first output time where |G| <= 1e-12 or, for a
+    real G, where G changes sign; the last emitted row says so in the
+    warning column.
     """
-    times, kernel, step, _, (g, _, g2) = _curves(dataclasses.replace(cfg, equal_times=True))
+    times, solved, _, (g, _, g2) = _curves(dataclasses.replace(cfg, equal_times=True))
     stop = np.abs(g) <= 1e-12
     if np.max(np.abs(np.imag(g))) <= 1e-12:
         stop[1:] |= np.real(g[:-1]) * np.real(g[1:]) < 0
@@ -179,7 +176,7 @@ def run_witness_comparison(cfg: RunConfig, out_dir: Path) -> Path:
     if keep < times.size:
         near = times[keep] * cfg.bath.gamma
         warning = f"truncated: G(t) crosses zero near gamma*t = {near:.6g}"
-    gamma_t, _ = decay_rates(kernel, times[:keep], step)
+    gamma_t, _ = solved.rates(times[:keep])
     both = (MeasurementScheme.ZZZ, MeasurementScheme.XZX)
     cpf = [closed_values(scheme, cfg.state, g[:keep], g2[:keep], y=-1) for scheme in both]
     columns = (times[:keep] * cfg.bath.gamma, gamma_t, np.abs(g[:keep]) ** 2, *cpf)

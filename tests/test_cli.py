@@ -17,7 +17,7 @@ import pytest
 import cpfsim.cli
 import cpfsim.propagator
 import cpfsim.runs
-from cpfsim import lorentzian_G, lorentzian_G_two_time, propagators
+from cpfsim import lorentzian_G, lorentzian_G_two_time
 from cpfsim.cli import main
 from cpfsim.config import DEFAULT_VISIBILITIES, FIGURE2_COMBOS, load_config, parse_config
 from cpfsim.cpf import (
@@ -301,6 +301,31 @@ class TestConfig:
         rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert f"error: config: {field}: must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, overrides, field",
+        [
+            ("sweep", {"bath": {"gamma": 1e300, "tau_c": 1e300}}, "bath.tau_c"),
+            ("witness", {"bath": {"gamma": 1e300, "tau_c": 1e300}}, "bath.tau_c"),
+            (
+                "figure2",
+                {"combos": [{"scheme": "zzz", "gamma_tau_c": 1e308, "p": 0.8}]},
+                "combos[0].gamma_tau_c",
+            ),
+        ],
+    )
+    def test_two_gamma_tau_c_beyond_the_float_range_exits_2(
+        self, tmp_path, capsys, command, overrides, field
+    ):
+        # chi^2 = 1 - 2 gamma tau_c = -inf made every value NaN, with exit 0
+        cfg = write_config(tmp_path, {**overrides, "grid": {"points": 3}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        message = f"error: config: {field}: 2 gamma tau_c is beyond the float range"
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("y", [True, 1.0, -1.0])
@@ -661,8 +686,8 @@ class TestWitness:
         curves = cpfsim.runs._curves
 
         def with_a_zero(cfg):
-            times, kernel, step, pairs, (_, g_tau, g2) = curves(cfg)
-            return times, kernel, step, pairs, (np.array([1.0, 0.5, 0.0, -0.5]), g_tau, g2)
+            times, solved, pairs, (_, g_tau, g2) = curves(cfg)
+            return times, solved, pairs, (np.array([1.0, 0.5, 0.0, -0.5]), g_tau, g2)
 
         monkeypatch.setattr(cpfsim.runs, "_curves", with_a_zero)
         grid = {"t_max_gamma": 0.3, "points": 4}
@@ -671,6 +696,27 @@ class TestWitness:
         _, rows = read_rows(tmp_path / "out" / "witness.csv")
         assert [r["t"] for r in rows] == ["0", "0.1"]
         assert rows[-1]["warning"] == "truncated: G(t) crosses zero near gamma*t = 0.2"
+
+    def test_kernel_file_solved_once(self, tmp_path, monkeypatch):
+        # the rate column comes from the solve that gives the CPF and |G|^2
+        # columns: output step 1 and integration step 1/100 to 2 t_max = 8,
+        # so one solve of 801 samples and none more to the last time and a step
+        from cpfsim import propagator
+
+        calls = []
+        solve = propagator.volterra_trapezoid
+
+        def spy(f, h):
+            calls.append((len(f), h))
+            return solve(f, h)
+
+        monkeypatch.setattr(propagator, "volterra_trapezoid", spy)
+        grid = {"t_max_gamma": 4.0, "points": 5}
+        cfg = write_config(tmp_path, {"bath": TestSweep.lorentzian_kernel_csv(tmp_path), "grid": grid})
+        assert main(["witness", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_rows(tmp_path / "out" / "witness.csv")
+        assert len(rows) == 5
+        assert calls == [(801, 0.01)]
 
     def test_zero_crossing_at_the_third_time_truncates_to_two_rows(self, tmp_path):
         # gamma tau_c = 5: G crosses zero near gamma t = 6.3, here at the
@@ -1032,12 +1078,13 @@ class TestSweep:
         perfbench_workloads.write_kernel_csv(tmp_path)
         monkeypatch.chdir(tmp_path)
         steps = []
+        solve = cpfsim.runs.solve
 
-        def spy(kernel, t, tau, t_step=None):
+        def spy(kernel, t_end, t_step=None):
             steps.append(t_step)
-            return propagators(kernel, t, tau, t_step)
+            return solve(kernel, t_end, t_step)
 
-        monkeypatch.setattr(cpfsim.runs, "propagators", spy)
+        monkeypatch.setattr(cpfsim.runs, "solve", spy)
         config = perfbench_workloads.WORKLOADS["tabulated_sweep"].config_path
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -390,7 +390,7 @@ def _appendix_d_studies(seed):
     cfg = load_config(Path(__file__).resolve().parents[1] / "perfbench/workloads/noise_study.json")
     for scheme, ratio, p, y, visibility in _appendix_d_blocks(cfg):
         preset = _preset(cfg, scheme, ratio, p, y)
-        times, _, _, _, (g_t, g_tau, g2) = _curves(preset)
+        times, _, _, (g_t, g_tau, g2) = _curves(preset)
         probs = table_probs(scheme, preset.state, y, g_t, g_tau, g2)
         noise = dataclasses.replace(cfg.noise, visibility=visibility, seed=seed)
         yield scheme, probs, conditioning_probability(scheme, preset.state, y, g_t), times, noise, y

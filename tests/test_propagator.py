@@ -111,6 +111,70 @@ class TestLorentzianClosedForm:
         with pytest.raises(ValidationError):
             lorentzian_G(1.0, 1.0, -0.5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "closed_form",
+        [
+            lambda: lorentzian_G(1e300, 1e300, [0.0, 1.0]),
+            lambda: lorentzian_G(1e308, 1.0, 0.0),
+            lambda: lorentzian_G(np.float64(1e300), np.float64(1e300), 0.0),
+            lambda: lorentzian_G_two_time(1e308, 1.0, 0.0, 1.0),
+            lambda: LorentzianKernel(1e300, 1e300),
+            lambda: LorentzianKernel(np.float64(1e308), np.float64(1.0)),
+        ],
+    )
+    def test_two_gamma_tau_c_beyond_the_float_range_refused(self, closed_form):
+        # chi^2 = 1 - 2 gamma tau_c = -inf would make every value NaN, G(0)
+        # included; refused with no RuntimeWarning
+        with pytest.raises(ValidationError, match="^2 gamma tau_c is beyond the float range"):
+            closed_form()
+
+    def test_largest_two_gamma_tau_c_still_evaluated(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lorentzian_G(8e307, 1.0, 0.0) == 1.0
+            assert lorentzian_G_two_time(8e307, 1.0, 0.0, 1.0) == 0.0
+
+
+class TestDominantPole:
+    """Once the fast mode has decayed, the closed forms are the dominant
+    pole's: an analysis of G and G2 at gamma tau_c < 1/2, never a route to
+    them."""
+
+    @staticmethod
+    def pole(ratio, tau_c=1.0):
+        """chi, the residue Z0 = (1 + 1/chi)/2 and the pole s0 = -(1 - chi)/2 tau_c,
+        1 - chi written as 2 gamma tau_c / (1 + chi) so that it does not cancel."""
+        chi = math.sqrt(1.0 - 2.0 * ratio)
+        return chi, (1.0 + 1.0 / chi) / 2.0, -2.0 * ratio / (1.0 + chi) / (2.0 * tau_c)
+
+    @pytest.mark.parametrize("ratio", [1e-3, 1e-2, 0.1, 0.4])
+    def test_slow_mode_amplitudes(self, ratio):
+        # the fast mode's weight relative to the slow one is e^{-chi t / tau_c}:
+        # below 1e-13 from chi t / tau_c = 13 ln 10 on
+        tau_c = 1.0
+        chi, z0, s0 = self.pole(ratio, tau_c)
+        t = np.linspace(1.0, 3.0, 41) * 13 * math.log(10) * tau_c / chi
+        assert np.max(np.exp(-chi * t / tau_c)) < 1e-13
+        g = lorentzian_G(ratio / tau_c, tau_c, t)
+        assert np.max(np.abs(g / (z0 * np.exp(s0 * t)) - 1)) <= 1e-12
+        tau = t[::-1]
+        g2 = lorentzian_G_two_time(ratio / tau_c, tau_c, t, tau)
+        amplitude = ratio / (2 * chi**2)
+        assert z0 * (z0 - 1) == pytest.approx(amplitude, rel=1e-12)
+        assert np.max(np.abs(g2 / (amplitude * np.exp(s0 * (t + tau))) - 1)) <= 1e-12
+
+    @pytest.mark.parametrize("ratio", [1e-3, 1e-2, 0.1])
+    def test_memory_amplitude_is_the_first_moment(self, ratio):
+        # (Z0 - 1) / (gamma tau_c / 2), the memory amplitude over the kernel's
+        # first moment, is 2 / (chi (1 + chi)) = 1 + 1.5 gamma tau_c
+        # + 2.5 (gamma tau_c)^2 + ...: within 2 gamma tau_c of 1 for
+        # gamma tau_c <= 0.1 (3.09 at 0.4)
+        _, z0, _ = self.pole(ratio)
+        assert abs((z0 - 1) / (ratio / 2) - 1) <= 2 * ratio
+        assert (z0 - 1) / (ratio / 2) == pytest.approx(1 + 1.5 * ratio, abs=4 * ratio**2)
+        assert (self.pole(0.4)[1] - 1) / 0.2 == pytest.approx(3.09, abs=0.01)
+
 
 class TestVolterraSolver:
     @pytest.mark.parametrize("ratio", [0.1, 0.5, 1.0, 2.0])
@@ -717,6 +781,97 @@ class TestGridTypes:
         tab = TabulatedKernel(times=ts, values=-np.ones(ts.size))
         with pytest.raises(ValidationError, match="not a propagator"):
             propagators(tab, 2.0, 0.0, 0.01)
+
+
+class TestSolved:
+    """solve's value and its lookups G, G2 and rates, which propagators and
+    decay_rates read."""
+
+    KERNELS = {
+        "closed": lambda: LorentzianKernel(1.0, 1.0),
+        "grid": lambda: tabulated_lorentzian(2.0),
+    }
+
+    @pytest.mark.parametrize("route", KERNELS)
+    def test_wrappers_equal_the_lookups_bitwise(self, route):
+        kernel = self.KERNELS[route]()
+        t = np.arange(0, 51, 5)[:, None] * 0.01
+        tau = np.arange(0, 51, 10) * 0.01
+        solved = propagator.solve(kernel, 1.0, 0.01)
+        for got, want in zip(
+            propagators(kernel, t, tau, 0.01), (solved.G(t), solved.G(tau), solved.G2(t, tau))
+        ):
+            assert np.array_equal(got, np.broadcast_to(want, got.shape))
+        # decay_rates solves to the last time and a step
+        rates = propagator.solve(kernel, 0.51, 0.01).rates(t.ravel())
+        for got, want in zip(decay_rates(kernel, t.ravel(), 0.01), rates):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("route", KERNELS)
+    def test_rates_exactly_zero_at_t0(self, route):
+        solved = propagator.solve(self.KERNELS[route](), 0.5, 0.01)
+        gamma_0, omega_0 = solved.rates(0.0)
+        assert (gamma_0, omega_0) == (0.0, 0.0)
+        assert not np.signbit(gamma_0)
+
+    @pytest.mark.parametrize("route", KERNELS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_times_refused(self, route, bad):
+        solved = propagator.solve(self.KERNELS[route](), 1.0, 0.01)
+        for lookup in (solved.G, solved.rates, lambda t: solved.G2(t, 0.5)):
+            with pytest.raises(ValidationError, match="^t must be finite$"):
+                lookup([0.5, bad])
+        with pytest.raises(ValidationError, match="^tau must be finite$"):
+            solved.G2(0.5, [0.5, bad])
+
+    def test_negative_times_refused(self):
+        closed = propagator.solve(LorentzianKernel(1.0, 1.0), 1.0)
+        for lookup in (closed.G, closed.rates):
+            with pytest.raises(ValidationError, match="^t must be >= 0$"):
+                lookup([0.5, -0.5])
+        with pytest.raises(ValidationError, match="^t and tau must be >= 0$"):
+            closed.G2(0.5, -0.5)
+        grid = propagator.solve(tabulated_lorentzian(2.0), 1.0, 0.01)
+        for lookup in (grid.G, grid.rates, lambda t: grid.G2(t, 0.5), lambda t: grid.G2(0.5, t)):
+            with pytest.raises(ValidationError, match="integration grid"):
+                lookup([0.5, -0.01])
+            with pytest.raises(ValidationError, match="integration grid"):
+                lookup(-1e-12)  # within the off-grid tolerance of t = 0
+
+    def test_off_the_grid_and_beyond_the_solve_refused(self):
+        solved = propagator.solve(tabulated_lorentzian(2.0), 1.0, 0.01)
+        assert solved.g.shape == (101,)
+        for lookup in (solved.G, solved.rates, lambda t: solved.G2(t, 0.0)):
+            with pytest.raises(ValidationError, match="integration grid"):
+                lookup([0.5, 0.505])
+        # G to t = 1 itself; G2 and the rate read G at t + tau and t + step
+        assert solved.G(1.0) == solved.g[100]
+        beyond = "beyond the solve, which ends at t = 1$"
+        with pytest.raises(ValidationError, match=f"^t {beyond}"):
+            solved.G(1.01)
+        with pytest.raises(ValidationError, match=f"^t \\+ tau {beyond}"):
+            solved.G2(0.6, 0.5)
+        with pytest.raises(ValidationError, match=f"^t \\+ t_step {beyond}"):
+            solved.rates(1.0)
+        with pytest.raises(ValidationError, match=f"^t {beyond}"):
+            solved.G(1e300)
+
+    def test_closed_forms_take_any_time(self):
+        # no grid and no end: t_end and the step are not read by the lookups
+        kernel = LorentzianKernel(1.0, 1.0)
+        solved = propagator.solve(kernel, 0.0, 0.5)
+        assert solved.g is None
+        assert solved.G(np.pi) == lorentzian_G(1.0, 1.0, np.pi)
+        assert solved.G2(np.pi, 0.123) == lorentzian_G_two_time(1.0, 1.0, np.pi, 0.123)
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0])
+    def test_no_solve_below_the_first_step(self, monkeypatch, t_end):
+        # G(0) = 1 needs no kernel sample and no solve
+        monkeypatch.setattr(propagator, "volterra_trapezoid", None)
+        monkeypatch.setattr(propagator, "eval_kernel_grid", None)
+        solved = propagator.solve(tabulated_lorentzian(2.0), t_end, 0.5)
+        assert solved.G([0.0, 0.0]).tolist() == [1.0, 1.0]
+        assert solved.G2(0.0, 0.0) == 0.0
 
 
 def test_short_inputs():
