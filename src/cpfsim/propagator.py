@@ -155,15 +155,27 @@ def volterra_trapezoid(f: np.ndarray, h: float) -> np.ndarray:
     return G
 
 
-def _lorentzian_cs(gamma: float, tau_c: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(C, S) = (e^{-x} cosh(chi x), e^{-x} sinh(chi x) / chi) at
-    x = t / 2 tau_c, chi^2 = 1 - 2 gamma tau_c: the pair every Lorentzian
-    closed form is built from."""
-    if np.any(t < 0):
-        raise ValidationError("t must be >= 0")
-    LorentzianKernel(gamma, tau_c)  # refuses a 2 gamma tau_c beyond the float range
-    chi_sq = 1.0 - 2.0 * gamma * tau_c
-    x = t / (2.0 * tau_c)
+def _finite(t, name: str, negative: Optional[str] = None) -> np.ndarray:
+    """``t`` as floats, refused unless finite and, with a ``negative`` message, >= 0."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValidationError(f"{name} must be finite")
+    if negative and np.any(t < 0):
+        raise ValidationError(negative)
+    return t
+
+
+def _closed_kernel(gamma: float, tau_c: float) -> LorentzianKernel:
+    if not (gamma > 0 and tau_c > 0):
+        raise ValidationError("gamma and tau_c must be > 0")
+    return LorentzianKernel(gamma, tau_c)  # refuses a 2 gamma tau_c beyond the float range
+
+
+def _lorentzian_cs(kernel: LorentzianKernel, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C, S) = (e^{-x} cosh(chi x), e^{-x} sinh(chi x) / chi) at x = t / 2 tau_c,
+    chi^2 = 1 - 2 gamma tau_c: the pair every Lorentzian closed form is built from."""
+    chi_sq = 1.0 - 2.0 * kernel.gamma * kernel.tau_c
+    x = t / (2.0 * kernel.tau_c)
     if chi_sq > 0:
         # e^{-x(1 - chi)} = slow and e^{-x(1 + chi)} = slow (1 - r): both
         # decay, so nothing overflows at large t, and r / chi does not
@@ -178,32 +190,30 @@ def _lorentzian_cs(gamma: float, tau_c: float, t: np.ndarray) -> tuple[np.ndarra
     return decay * np.cos(w * x), decay * (np.sin(w * x) / w if w > 0 else x)
 
 
-def lorentzian_G(gamma: float, tau_c: float, t) -> np.ndarray | float:
-    """Closed-form propagator C + S for the Lorentzian kernel; real-valued.
-
-    Accepts scalar or array t >= 0, at any gamma tau_c, the chi = 0
-    boundary gamma tau_c = 1/2 included.
-    """
-    if not (gamma > 0 and tau_c > 0):
-        raise ValidationError("gamma and tau_c must be > 0")
-    c, s = _lorentzian_cs(gamma, tau_c, np.asarray(t, dtype=float))
+def _closed_G(kernel: LorentzianKernel, t) -> np.ndarray | float:
+    c, s = _lorentzian_cs(kernel, _finite(t, "t", "t must be >= 0"))
     out = c + s
     return out if out.ndim else float(out)
 
 
+def _closed_G2(kernel: LorentzianKernel, t, tau) -> np.ndarray | float:
+    negative = "t and tau must be >= 0"
+    t, tau = _finite(t, "t", negative), _finite(tau, "tau", negative)
+    (_, s_t), (_, s_tau) = _lorentzian_cs(kernel, t), _lorentzian_cs(kernel, tau)
+    out = 2.0 * kernel.gamma * kernel.tau_c * s_t * s_tau
+    return out if out.ndim else float(out)
+
+
+def lorentzian_G(gamma: float, tau_c: float, t) -> np.ndarray | float:
+    """Closed-form propagator C + S for the Lorentzian kernel; real-valued.
+    At finite t >= 0 and any gamma tau_c, the chi = 0 boundary 1/2 included."""
+    return _closed_G(_closed_kernel(gamma, tau_c), t)
+
+
 def lorentzian_G_two_time(gamma: float, tau_c: float, t, tau) -> np.ndarray | float:
     """Closed-form two-time memory object 2 gamma tau_c S(t) S(tau) for the
-    Lorentzian kernel."""
-    if not (gamma > 0 and tau_c > 0):
-        raise ValidationError("gamma and tau_c must be > 0")
-    t = np.asarray(t, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if np.any(t < 0) or np.any(tau < 0):
-        raise ValidationError("t and tau must be >= 0")
-    _, s_t = _lorentzian_cs(gamma, tau_c, t)
-    _, s_tau = _lorentzian_cs(gamma, tau_c, tau)
-    out = 2.0 * gamma * tau_c * s_t * s_tau
-    return out if out.ndim else float(out)
+    Lorentzian kernel, at finite t, tau >= 0."""
+    return _closed_G2(_closed_kernel(gamma, tau_c), t, tau)
 
 
 def solve(kernel, t_end: float, t_step: Optional[float] = None) -> Solved:
@@ -246,13 +256,6 @@ def solve(kernel, t_end: float, t_step: Optional[float] = None) -> Solved:
     return Solved(kernel, t_step, g)
 
 
-def _finite(t, name: str) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValidationError(f"{name} must be finite")
-    return t
-
-
 @dataclass(frozen=True, eq=False)
 class Solved:
     """A Lorentzian ``kernel``'s closed forms (``g`` None), or ``g``, G at the
@@ -280,7 +283,7 @@ class Solved:
 
     def G(self, t):
         if self.g is None:
-            return lorentzian_G(self.kernel.gamma, self.kernel.tau_c, _finite(t, "t"))
+            return _closed_G(self.kernel, t)
         return self._at(self._index(t, "t"), "t")
 
     def G2(self, t, tau):
@@ -291,8 +294,7 @@ class Solved:
         so that of G2 is G^(s) G^(p) (f^(s) - f^(p))/(p - s). Substituting
         f^ = 1/G^ - s turns it into G^(s) G^(p) - (G^(s) - G^(p))/(p - s)."""
         if self.g is None:
-            gtc = self.kernel.gamma, self.kernel.tau_c
-            return lorentzian_G_two_time(*gtc, _finite(t, "t"), _finite(tau, "tau"))
+            return _closed_G2(self.kernel, t, tau)
         i, j = self._index(t, "t"), self._index(tau, "tau")
         return self._at(i, "t") * self._at(j, "tau") - self._at(i + j, "t + tau")
 
@@ -301,7 +303,7 @@ class Solved:
         a central difference of G at the indices |i - 1| and i + 1, error
         O(step^2) as G's and exactly 0 at t = 0, where G' = 0."""
         if self.g is None:
-            c, s = _lorentzian_cs(self.kernel.gamma, self.kernel.tau_c, _finite(t, "t"))
+            c, s = _lorentzian_cs(self.kernel, _finite(t, "t", "t must be >= 0"))
             rate = self.kernel.gamma * s / (c + s)
         else:
             i = self._index(t, "t")
@@ -336,14 +338,17 @@ def backflow_probabilities(G_t: complex, G_two: complex) -> tuple[float, float]:
     Returns (P(up, t | up, 0), P(up, t+tau | down, t; up, 0)) =
     (|G(t)|^2, |G2(t, tau)|^2 / (1 - |G(t)|^2)). The second one is the
     operational backflow witness: it vanishes exactly in the Markovian
-    limit, whatever G(t) does.
+    limit, whatever G(t) does. Amplitudes that are not finite are refused.
     """
-    p_survive = abs(complex(G_t)) ** 2
+    G_t, G_two = complex(G_t), complex(G_two)
+    if not np.all(np.isfinite([G_t, G_two])):
+        raise ValidationError(f"G(t) = {G_t} and G2 = {G_two} must be finite")
+    p_survive = abs(G_t) ** 2
     if p_survive >= 1.0:
         raise ConditioningImpossibleError(
             "|G(t)| >= 1: the system cannot have been found decayed at t"
         )
-    p_reexcite = abs(complex(G_two)) ** 2 / (1.0 - p_survive)
+    p_reexcite = abs(G_two) ** 2 / (1.0 - p_survive)
     if p_reexcite > 1.0 + _ABS_TOL:
         raise InternalConsistencyError(
             f"re-excitation probability {p_reexcite:g} > 1 violates the "

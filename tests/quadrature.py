@@ -1,14 +1,15 @@
 """Test-side references for the quadrature route of :func:`cpfsim.propagators`.
 
-``volterra`` solves for G on the grid t_k = k h with the package's
-``volterra_trapezoid``, without the grid checks. ``two_time_trapezoid`` is
-G2 from its definition as a double convolution: the one reference the
-package's G2 = G(t) G(tau) - G(t + tau) is checked against.
-``tabulated_lorentzian`` samples a Lorentzian kernel into a
-:class:`cpfsim.TabulatedKernel`, which has no closed forms, so
-``propagators`` takes it through the quadrature route that ``sweep`` and
-``witness`` run on a kernel file; ``tabulated_surface`` is G and G2 over a
-grid on that route, for the tests to check against the closed forms."""
+``two_time_trapezoid`` is G2 from its definition as a double convolution,
+the ``double_convolution`` route of tests/test_routes.py: it and its helper
+``_weighted_reversed`` take kernel samples and G as arrays and use nothing of
+the package, which that module's import rule checks. The other helpers do
+use it: ``volterra`` solves for G on the grid t_k = k h with the package's
+``volterra_trapezoid``, without the grid checks; ``tabulated_lorentzian``
+samples a Lorentzian kernel into a :class:`cpfsim.TabulatedKernel`, which
+has no closed forms, so ``propagators`` takes it through the quadrature route
+that ``sweep`` and ``witness`` run on a kernel file; ``tabulated_surface`` is
+G and G2 over a grid on that route."""
 import numpy as np
 
 from cpfsim import LorentzianKernel, TabulatedKernel, eval_kernel_grid, propagators

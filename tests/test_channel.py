@@ -1,23 +1,18 @@
-"""Channel-map statevector oracle: amplitude checks, enumeration, and
-equivalence with the analytic tables and closed forms, for real and complex
-propagators."""
+"""Channel-map statevector oracle: amplitude checks and enumeration. Its
+equivalence with the tables and closed forms is in test_routes.py."""
 import numpy as np
 import pytest
 
 from cpfsim import (
     InitialState,
     MeasurementScheme,
-    TabulatedKernel,
     angles_from_propagator,
     conditional_table,
     cpf_closed_form,
     cpf_from_table,
-    lorentzian_G,
-    lorentzian_G_two_time,
-    propagators,
     simulate_sequence,
 )
-from cpfsim.cpf import closed_values, conditioning_probability, table_probs
+from cpfsim.cpf import conditioning_probability
 from cpfsim.errors import ConditioningImpossibleError, InternalConsistencyError
 
 ZZZ, XZX, YZY = MeasurementScheme.ZZZ, MeasurementScheme.XZX, MeasurementScheme.YZY
@@ -42,18 +37,6 @@ def random_amplitudes(rng):
 def y_minus_cpf(state, scheme, amplitudes):
     joint = simulate_sequence(state, scheme, amplitudes)
     return cpf_from_table(conditional_table(joint, scheme, -1)).value
-
-
-@pytest.fixture(scope="module")
-def detuned_lorentzian():
-    """G, G(tau) and G2 of the detuned Lorentzian kernel
-    f(t) = (gamma / 2 tau_c) e^{-t / tau_c} e^{-2 i t / tau_c}, tabulated at
-    h = 0.01 and solved by the quadrature, on t, tau in {1, ..., 5} tau_c."""
-    h, gamma, tau_c = 0.01, 1.0, 1.0
-    ts = np.arange(1001) * h
-    kernel = TabulatedKernel(ts, gamma / (2 * tau_c) * np.exp(-ts / tau_c - 2j * ts / tau_c))
-    grid = np.arange(1, 6) * tau_c
-    return propagators(kernel, grid[:, None], grid[None, :], h)
 
 
 class TestAmplitudes:
@@ -136,77 +119,6 @@ class TestSequence:
         assert sum(joint.values()) == pytest.approx(1.0, abs=1e-12)
         assert all(v >= 0 for v in joint.values())
 
-    @pytest.mark.parametrize("scheme", list(MeasurementScheme))
-    def test_oracle_matches_tables_and_closed_forms(self, scheme):
-        gamma = tau_c = 1.0
-        ts = np.linspace(0, 2 * np.pi, 6)[1:] * tau_c
-        for p in (1.0, 0.8, 0.5):
-            state = InitialState.from_population(p)
-            for t in ts:
-                for tau in ts:
-                    g_t = float(lorentzian_G(gamma, tau_c, t))
-                    g_tau = float(lorentzian_G(gamma, tau_c, tau))
-                    g2 = float(lorentzian_G_two_time(gamma, tau_c, t, tau))
-                    joint = simulate_sequence(
-                        state, scheme, angles_from_propagator(g_t, g_tau, g2)
-                    )
-                    for y in (+1, -1):
-                        expected = table_probs(scheme, state, y, g_t, g_tau, g2)
-                        enumerated = conditional_table(joint, scheme, y)
-                        assert enumerated.shape == (4,)
-                        assert enumerated == pytest.approx(expected, abs=1e-10)
-                    closed = cpf_closed_form(scheme, state, g_t, g2).value
-                    oracle = cpf_from_table(conditional_table(joint, scheme, -1)).value
-                    assert oracle == pytest.approx(closed, abs=1e-9)
-
-    @pytest.mark.parametrize("scheme", list(MeasurementScheme))
-    def test_oracle_matches_tables_random_complex(self, scheme):
-        # complex G, G(tau) and G2 and complex states: each table entry and
-        # each closed form, for both outcomes y
-        rng = np.random.default_rng(23)
-        for _ in range(200):
-            state = random_state(rng)
-            g_t, g_tau, g2 = random_amplitudes(rng)
-            joint = simulate_sequence(state, scheme, angles_from_propagator(g_t, g_tau, g2))
-            for y in (+1, -1):
-                enumerated = conditional_table(joint, scheme, y)
-                assert enumerated == pytest.approx(
-                    table_probs(scheme, state, y, g_t, g_tau, g2), abs=1e-12
-                )
-                closed = float(closed_values(scheme, state, g_t, g2, y=y))
-                assert cpf_from_table(enumerated).value == pytest.approx(closed, abs=1e-12)
-
-    @pytest.mark.parametrize("y", [+1, -1])
-    @pytest.mark.parametrize("scheme", list(MeasurementScheme))
-    def test_oracle_matches_detuned_tabulated_bath(self, detuned_lorentzian, scheme, y):
-        # a detuned bath gives G2 far from real: the oracle, the tables and
-        # the closed forms agree on the quadrature's complex propagators
-        g, g_tau, g2 = detuned_lorentzian
-        assert np.max(np.abs(g2.imag) / np.abs(g2)) > 0.99
-        for p in (1.0, 0.8, 0.5):
-            state = InitialState.from_population(p)
-            for k in np.ndindex(g.shape):
-                amplitudes = angles_from_propagator(g[k], g_tau[k], g2[k])
-                enumerated = conditional_table(simulate_sequence(state, scheme, amplitudes), scheme, y)
-                assert enumerated == pytest.approx(
-                    table_probs(scheme, state, y, g[k], g_tau[k], g2[k]), abs=1e-9
-                )
-                closed = float(closed_values(scheme, state, g[k], g2[k], y=y))
-                assert cpf_from_table(enumerated).value == pytest.approx(closed, abs=1e-9)
-
-    def test_y_plus_cpf_null_through_enumeration(self):
-        gamma = tau_c = 1.0
-        amplitudes = angles_from_propagator(
-            float(lorentzian_G(gamma, tau_c, 1.7)),
-            float(lorentzian_G(gamma, tau_c, 2.4)),
-            float(lorentzian_G_two_time(gamma, tau_c, 1.7, 2.4)),
-        )
-        for scheme in MeasurementScheme:
-            for p in (1.0, 0.8, 0.5):
-                joint = simulate_sequence(InitialState.from_population(p), scheme, amplitudes)
-                value = cpf_from_table(conditional_table(joint, scheme, +1)).value
-                assert abs(value) <= 1e-12
-
     def test_G_tau_does_not_enter_y_minus(self):
         state = InitialState.from_population(0.8)
         for scheme in MeasurementScheme:
@@ -235,24 +147,6 @@ class TestSequence:
         xzx_adopted = y_minus_cpf(state, XZX, adopted)
         assert xzx_adopted == pytest.approx(-y_minus_cpf(state, XZX, flipped), abs=1e-12)
         assert xzx_adopted == pytest.approx(cpf_closed_form(XZX, state, 0.5, 0.3).value, abs=1e-12)
-
-    def test_oracle_matches_closed_forms_complex_state(self):
-        # complex amplitudes exercise the Im(ab*) prefactor of the y-z-y
-        # closed form and the Re(ab*) one of x-z-x against the enumeration
-        state = InitialState(0.6 * np.exp(0.7j), 0.8 * np.exp(-0.3j))
-        gamma = tau_c = 1.0
-        for t, tau in [(0.8, 1.9), (2.4, 2.4), (np.pi, 0.7)]:
-            g_t = float(lorentzian_G(gamma, tau_c, t))
-            g_tau = float(lorentzian_G(gamma, tau_c, tau))
-            g2 = float(lorentzian_G_two_time(gamma, tau_c, t, tau))
-            amplitudes = angles_from_propagator(g_t, g_tau, g2)
-            for scheme in MeasurementScheme:
-                joint = simulate_sequence(state, scheme, amplitudes)
-                oracle = cpf_from_table(conditional_table(joint, scheme, -1)).value
-                closed = cpf_closed_form(scheme, state, g_t, g2).value
-                assert oracle == pytest.approx(closed, abs=1e-12)
-                plus = cpf_from_table(conditional_table(joint, scheme, +1)).value
-                assert abs(plus) <= 1e-12
 
     def test_conditioning_impossible_from_enumeration(self):
         # p=1 at t=0: the system cannot be found decayed

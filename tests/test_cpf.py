@@ -287,16 +287,6 @@ class TestClosedFormValues:
 
 
 class TestStructure:
-    def test_boundary_vanishing(self):
-        state = InitialState.from_population(0.8)
-        gamma = tau_c = 1.0
-        for t, tau in [(0.0, 2.0), (2.0, 0.0), (0.0, 0.0)]:
-            g_t = float(lorentzian_G(gamma, tau_c, t))
-            g2 = float(lorentzian_G_two_time(gamma, tau_c, t, tau))
-            assert abs(cpf_closed_form(ZZZ, state, g_t, g2).value) <= 1e-12
-            assert abs(cpf_closed_form(XZX, state, g_t, g2).value) <= 1e-12
-            assert abs(cpf_closed_form(YZY, state, g_t, g2).value) <= 1e-12
-
     def test_sign_structure(self):
         # zzz >= 0 always; xzx <= 0 wherever Re G2 >= 0
         rng = np.random.default_rng(12)
