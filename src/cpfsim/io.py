@@ -6,19 +6,18 @@ further deterministic run facts, such as the RNG contract, so a rerun with
 an identical config is byte-identical. Dialect: comma separator,
 '.' decimal point, one header row, UTF-8, LF line endings.
 
-``format_value`` defines the text of each cell. ``write_dataset`` writes the
-same bytes faster: each block becomes one printf row template, and each
-chunk of ``_BLOCK_ROWS`` rows is written by one printf of that template
+``format_value`` defines the text of each cell, and no cell is quoted: a
+text cell holding ',', '"', CR or LF is refused. ``write_dataset`` writes
+every cell through printf: each block becomes one printf row template, and
+each chunk of ``_BLOCK_ROWS`` rows is written by one printf of that template
 repeated once per row. A column given as a (values, index) pair, such as
 the time columns of a 2-D sweep, has each of its values formatted once.
 """
 from __future__ import annotations
 
-import csv
 import json
 import os
 from collections.abc import Iterable, Mapping, Sequence
-from io import StringIO
 from pathlib import Path
 from typing import Union
 
@@ -35,35 +34,26 @@ _BLOCK_ROWS = 4096
 
 
 def format_value(v) -> str:
-    """The text of one cell. This is the definition of the dataset bytes;
-    the column fast paths of :func:`write_dataset` must match it."""
+    """The text of one cell, never quoted: ``v`` is None, text without ',',
+    '"', CR or LF, an integer (not a bool) or a float, else ``ValueError``.
+    This is the definition of the dataset bytes; the column fast paths of
+    :func:`write_dataset` must match it."""
     if v is None:
         return ""
     if isinstance(v, str):
+        if any(c in v for c in ',"\r\n'):
+            raise ValueError(f"text {v!r} holds ',', '\"', CR or LF")
         return v
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return f"{float(v):.12g}"
-    return str(v)
+    raise ValueError(f"a scalar must be None, text, an integer or a float, got {type(v).__name__}")
 
 
-def _csv_cell(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it in one cell of a row of several
-    fields. The csv module of the running Python decides the quoting, whose
-    rules differ between versions (3.11 leaves a bare '\\r' unquoted)."""
-    buf = StringIO()
-    # a second, empty field keeps an empty text from being quoted
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
-
-
-def _column(index: int, name: str, entry):
+def _column(where: str, entry):
     """(printf conversion, function of (start, stop) that gives its
     arguments for rows [start, stop), number of rows) of a column entry."""
-    where = f"block {index} field {name!r}"
     if isinstance(entry, tuple):
         values, rows = entry if len(entry) == 2 else (None, None)
         if not (isinstance(values, np.ndarray) and isinstance(rows, np.ndarray)
@@ -74,7 +64,7 @@ def _column(index: int, name: str, entry):
         if rows.size and (rows.min() < 0 or rows.max() >= values.size):
             bad = rows.min() if rows.min() < 0 else rows.max()
             raise ValueError(f"{where}: index {bad} outside [0, {values.size})")
-        # each value formatted once; float text needs no csv quoting
+        # each value formatted once
         texts = np.array(["%.12g" % v for v in values.tolist()], dtype=object)
         return "%s", lambda start, stop: texts[rows[start:stop]].tolist(), rows.size
     if not isinstance(entry, np.ndarray) or entry.dtype.kind not in "fiu":
@@ -103,16 +93,18 @@ def _block_layout(index: int, block: Sequence, fieldnames: Sequence[str]):
         )
     parts, columns, n_rows = [], [], None
     for name, entry in zip(fieldnames, block):
+        where = f"block {index} field {name!r}"
         if not isinstance(entry, (np.ndarray, Sequence)) or isinstance(entry, (str, bytes)):
-            parts.append(_csv_cell(format_value(entry)).replace("%", "%%"))
+            try:
+                parts.append(format_value(entry).replace("%", "%%"))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             continue
-        conversion, column, length = _column(index, name, entry)
+        conversion, column, length = _column(where, entry)
         if n_rows is None:
             n_rows = length
         elif length != n_rows:
-            raise ValueError(
-                f"block {index} field {name!r} has {length} values, expected {n_rows}"
-            )
+            raise ValueError(f"{where} has {length} values, expected {n_rows}")
         parts.append(conversion)
         columns.append(column)
     if n_rows is None:
@@ -138,8 +130,10 @@ def write_dataset(
     length, and a block has at least one. A block that breaks this, or has
     an array of another dtype, a list, a tuple that is not such a pair or
     an index out of range as an entry, raises ``ValueError`` naming the
-    block and the field. Cells are the text of ``format_value``, a
-    scalar's quoted as ``csv.writer`` quotes it.
+    block and the field, and so does a scalar that ``format_value`` refuses
+    (a bool, a complex number, any other object) or whose text holds ',',
+    '"', CR or LF. Cells are the text of ``format_value``, never quoted,
+    and the header row is the field names joined by ','.
 
     The file is written to a temporary file beside ``path`` and renamed
     onto ``path`` only when complete: on any error the temporary file is
@@ -166,7 +160,7 @@ def _write(fh, fieldnames, blocks, config_echo, comments) -> None:
         + "\n"
     )
     fh.writelines(f"# {line}\n" for line in comments)
-    csv.writer(fh, lineterminator="\n").writerow(fieldnames)
+    fh.write(",".join(fieldnames) + "\n")
     for index, block in enumerate(blocks):
         template, n_rows, columns = _block_layout(index, block, fieldnames)
         width = len(columns)

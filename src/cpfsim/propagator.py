@@ -178,10 +178,10 @@ def _lorentzian_cs(kernel: LorentzianKernel, t: np.ndarray) -> tuple[np.ndarray,
     x = t / (2.0 * kernel.tau_c)
     if chi_sq > 0:
         # e^{-x(1 - chi)} = slow and e^{-x(1 + chi)} = slow (1 - r): both
-        # decay, so nothing overflows at large t, and r / chi does not
-        # cancel as chi -> 0
+        # decay, so nothing overflows at large t; r / chi does not cancel
+        # as chi -> 0, nor 1 - chi = 2 gamma tau_c / (1 + chi) as chi -> 1
         chi = np.sqrt(chi_sq)
-        slow = np.exp(-x * (1.0 - chi))
+        slow = np.exp(-x * (2.0 * kernel.gamma * kernel.tau_c / (1.0 + chi)))
         r = -np.expm1(-2.0 * chi * x)
         return slow * (1.0 - 0.5 * r), slow * r / (2.0 * chi)
     # chi = i w: cosh(i w x) = cos(w x), sinh(i w x) / (i w) = sin(w x) / w

@@ -9,9 +9,11 @@ writes; ``figure2`` and ``appendix-d`` run each parameter set as cfg
 restricted to it (:func:`_preset`). The ``figure2`` and ``sweep``
 blocks (:func:`_cpf_blocks`) hold ``cpf_closed`` from the reduced closed
 forms and ``cpf_table`` from the eight-entry probability tables, which
-must agree to 1e-9 in every row; ``appendix-d`` hands each block's one
-table to :func:`~cpfsim.experiment.run_noise_study` instead, and
-``witness`` writes the closed forms next to the decay rate from the
+must agree to 1e-9 in every row. No package code checks this: the tests
+(``tests/test_cli.py`` on written rows, ``tests/test_routes.py`` on the
+functions) and the benchmark's output check do. ``appendix-d`` hands each
+block's one table to :func:`~cpfsim.experiment.run_noise_study` instead,
+and ``witness`` writes the closed forms next to the decay rate from the
 ``rates`` lookup of the solved propagator that :func:`_curves` returns.
 """
 from __future__ import annotations

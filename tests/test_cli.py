@@ -17,7 +17,7 @@ import pytest
 import cpfsim.cli
 import cpfsim.propagator
 import cpfsim.runs
-from cpfsim import lorentzian_G, lorentzian_G_two_time
+from cpfsim import TabulatedKernel, lorentzian_G, lorentzian_G_two_time
 from cpfsim.cli import main
 from cpfsim.config import DEFAULT_VISIBILITIES, FIGURE2_COMBOS, load_config, parse_config
 from cpfsim.cpf import (
@@ -787,6 +787,17 @@ class TestWitness:
         assert exact == pytest.approx(589.454, rel=1e-6)
         assert float(row["rate_gamma"]) == pytest.approx(exact, rel=1e-6)
 
+    def test_g_deep_in_the_born_markov_regime(self, tmp_path):
+        # tests/configs/born_markov_witness.json, gamma tau_c = 1e-6: |G|^2 to
+        # 50 digits is 0.904838277633001 at gamma t = 0.1 and
+        # 2.0611350721214e-9 at gamma t = 20; a slow rate formed as 1 - chi
+        # cancels and writes ...636 and 2.0611350737e-09
+        config = Path(__file__).resolve().parent / "configs" / "born_markov_witness.json"
+        assert main(["witness", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_rows(tmp_path / "out" / "witness.csv")
+        assert (rows[1]["t"], rows[1]["g_abs2"]) == ("0.1", "0.904838277633")
+        assert (rows[-1]["t"], rows[-1]["g_abs2"]) == ("20", "2.06113507212e-09")
+
     def test_zero_crossing_at_the_fourth_time_truncates_to_three_rows(self, tmp_path):
         grid = {"t_max_gamma": 20.0, "points": 9}
         cfg = write_config(tmp_path, {"bath": {"gamma": 5.0, "tau_c": 1.0}, "grid": grid})
@@ -1270,8 +1281,12 @@ class TestConfigEcho:
             ("figure2", "preset_edge"),
             ("appendix-d", "preset_edge"),
             ("witness", "truncated_witness"),
+            ("witness", "born_markov_witness"),
         ],
-        ids=["preset-edge-figure2", "preset-edge-appendix-d", "truncated-witness"],
+        ids=[
+            "preset-edge-figure2", "preset-edge-appendix-d", "truncated-witness",
+            "born-markov-witness",
+        ],
     )
     def test_ci_headers_round_trip(self, tmp_path, command, name):
         # the edge configs of tests/configs, which the CI bytes report runs
@@ -1334,15 +1349,35 @@ class TestValidate:
         assert lines[1].endswith(" <= 1e-5)")
         assert lines[4].startswith("PASS  probability bound |G2|^2 <= 1 - |G|^2 (excess ")
 
+    def test_validate_can_fail(self, capsys, monkeypatch):
+        # G of every tabulated solve scaled by 1 + 1e-3: the two checks that
+        # read it fail, the three that do not pass, and the exit code is 1
+        propagators = cpfsim.runs.propagators
+
+        def scaled(kernel, *args):
+            g_t, g_tau, g2 = propagators(kernel, *args)
+            if isinstance(kernel, TabulatedKernel):
+                g_t = g_t * (1 + 1e-3)
+            return g_t, g_tau, g2
+
+        monkeypatch.setattr(cpfsim.runs, "propagators", scaled)
+        assert main(["validate"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["FAIL", "PASS", "PASS", "PASS", "FAIL"]
+        assert lines[0].startswith("FAIL  volterra vs closed form (max err ")
+        assert lines[4].startswith("FAIL  probability bound |G2|^2 <= 1 - |G|^2 (excess ")
+
 
 def test_package_exports_and_lazy_difflib():
     # the package exports every name of __all__ and refuses an unknown
-    # one; the unknown-key hint imports difflib on the error path only
+    # one; the unknown-key hint imports difflib on the error path only, and
+    # no dataset byte goes through the csv module
     src = Path(__import__("cpfsim").__file__).resolve().parents[1]
     code = """
 import sys
 import cpfsim.cli
 assert "difflib" not in sys.modules, "difflib imported at start-up"
+assert "csv" not in sys.modules, "csv imported at start-up"
 import cpfsim
 ns = {}
 exec("from cpfsim import *", ns)

@@ -1,4 +1,5 @@
-"""The block CSV writer writes the bytes of the per-cell reference."""
+"""The block CSV writer writes the bytes of the per-cell reference, and
+refuses every scalar that would need quoting or has no text of its own."""
 import csv
 import json
 import re
@@ -22,19 +23,28 @@ SWEEP_GRID = Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "
 NAN_PAYLOAD = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0])
 REPEATED = [0.0, -0.0, float("nan"), -float("nan"), NAN_PAYLOAD, float("inf"), -float("inf"),
             5e-324, -5e-324, 0.1, 1 / 3, 1e16]
-# every scalar type a runner writes, and text that csv must quote or that a
-# printf template must escape
+# every scalar type a cell takes, and text that a printf template must escape
 SCALARS = [
-    None, True, False, np.bool_(True), np.bool_(False), 0, -7, 10**20, np.int64(2**62),
-    np.int32(-3), 0.1, -0.0, float("nan"), np.float64(2.5), np.float32(0.1),
-    "zzz", "a,b", 'say "hi"', "two\nlines", "cr\ronly", " leading space", "100%",
-    "%s%%d%", "",
+    None, 0, -7, 10**20, np.int64(2**62), np.int32(-3), 0.1, -0.0, float("nan"),
+    np.float64(2.5), np.float32(0.1), "zzz", np.str_("xzx"), " leading space", "100%",
+    "%s%%d%", "", "tab\tand 'single' quotes",
+]
+# text that would need quoting, and scalars with no text of their own
+QUOTED = ["a,b", 'say "hi"', "two\nlines", "cr\ronly", "\r\n", ","]
+UNTYPED = [
+    pytest.param(True, "bool", id="True"), pytest.param(False, "bool", id="False"),
+    pytest.param(np.bool_(True), "bool", id="np.bool_"),
+    pytest.param(1 + 2j, "complex", id="complex"),
+    pytest.param(np.complex128(0.5), "complex128", id="np.complex128"),
+    pytest.param(b"zzz", "bytes", id="bytes"), pytest.param(object(), "object", id="object"),
+    pytest.param(np.datetime64("2020-01-01"), "datetime64", id="np.datetime64"),
 ]
 
 
 def _write_dataset_reference(path, fieldnames, rows, config_echo, comments=()):
     """The per-row loop the block writer replaced: one ``format_value``
-    call per cell."""
+    call per cell, each cell quoted as ``csv.writer`` quotes it; a cell
+    that ``format_value`` takes needs no quoting."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -96,7 +106,7 @@ class TestSameBytes:
                 block[field] = x
                 blocks.append(block)
         data = _assert_same_bytes(tmp_path, FIELDS, blocks)
-        assert b',"a,b",' in data and b",100%," in data and b",%s%%d%," in data
+        assert b",100%," in data and b",%s%%d%," in data and b", leading space," in data
 
     def test_uniform_columns(self, tmp_path):
         # one float or integer array dtype per column
@@ -119,7 +129,7 @@ class TestSameBytes:
 
     def test_generator_rows_and_comments(self, tmp_path):
         blocks = (
-            ("s", np.arange(k, k + 5), np.arange(5) / 7, None, True, float(k)) for k in range(4)
+            ("s", np.arange(k, k + 5), np.arange(5) / 7, None, -k, float(k)) for k in range(4)
         )
         data = _assert_same_bytes(tmp_path, FIELDS, blocks, comments=["rng v2 per-point-block"])
         assert b"\n# rng v2 per-point-block\n" in data
@@ -139,7 +149,7 @@ class TestSameBytes:
         blocks = [
             columns,
             ["zzz", *columns[1:3], np.arange(n_rows), np.arange(n_rows) / 3, 0.25],
-            [None, "%", True, 3, np.arange(n_rows + 2) / 7, np.arange(n_rows + 2) * 1.5],
+            [None, "%", np.int8(-1), 3, np.arange(n_rows + 2) / 7, np.arange(n_rows + 2) * 1.5],
         ]
         _assert_same_bytes(tmp_path, FIELDS, blocks)
 
@@ -198,9 +208,9 @@ class TestPairColumns:
 
     def test_percent_scalar_beside_a_pair(self, tmp_path, small_chunks):
         pair = _pair(REPEATED, 2 * len(REPEATED))
-        blocks = [["100%", pair, "%s%%d%", pair, 'a,"%d"']]
+        blocks = [["100%", pair, "%s%%d%", pair, "a'%d'"]]
         data = _assert_same_bytes(tmp_path, ["a", "x", "b", "y", "c"], blocks)
-        assert b'100%,0,%s%%d%,0,"a,""%d"""\n' in data
+        assert b"100%,0,%s%%d%,0,a'%d'\n" in data
 
     def test_sweep_grid_blocks(self, tmp_path, monkeypatch):
         # the blocks run_sweep writes for the benchmark's 2-D grid: t and tau
@@ -285,7 +295,7 @@ class TestRaggedRows:
     def test_wrong_length_raises(self, tmp_path, monkeypatch, bad):
         monkeypatch.setattr(io, "_BLOCK_ROWS", 3)
         name, column = bad
-        good = ["a", np.arange(1, 4), np.ones(3), None, True, np.full(3, 0.5)]
+        good = ["a", np.arange(1, 4), np.ones(3), None, 7, np.full(3, 0.5)]
         broken = list(good)
         broken[FIELDS.index(name)] = column
         n_rows = len(column[1] if isinstance(column, tuple) else column)  # a pair's index rows
@@ -299,7 +309,7 @@ class TestRaggedRows:
          (7, "block 1 has 7 entries for 6 fields: 1 beyond the last field")],
     )
     def test_wrong_width_raises(self, tmp_path, width, msg):
-        good = ["a", 1, 2.0, None, True, np.arange(4.0)]
+        good = ["a", 1, 2.0, None, 7, np.arange(4.0)]
         broken = [*good[:5], np.arange(4.0), "extra"][:width]
         with pytest.raises(ValueError, match=msg):
             write_dataset(tmp_path / "out.csv", FIELDS, [good, broken], ECHO)
@@ -335,6 +345,30 @@ class TestRaggedRows:
                 tmp_path / "out.csv", ["s", "x", "k"], [good, ["b", column, np.arange(2)]], ECHO
             )
         assert list(tmp_path.iterdir()) == []
+
+
+class TestRefusedScalars:
+    """A scalar entry is None, text, an integer or a float, and no cell is
+    quoted: text that would need quoting and any other scalar raise, naming
+    the block and the field, and leave no file."""
+
+    def _refused(self, tmp_path, scalar, msg):
+        good = ["a", np.arange(2.0), 1]
+        with pytest.raises(ValueError, match=msg):
+            write_dataset(
+                tmp_path / "out.csv", ["s", "x", "k"], [good, ["b", np.arange(2.0), scalar]], ECHO
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text", QUOTED)
+    def test_text_that_needs_quoting_raises(self, tmp_path, text):
+        msg = rf"^block 1 field 'k': text {re.escape(repr(text))} holds ',', '\"', CR or LF$"
+        self._refused(tmp_path, text, msg)
+
+    @pytest.mark.parametrize("scalar, got", UNTYPED)
+    def test_scalar_of_another_type_raises(self, tmp_path, scalar, got):
+        msg = f"^block 1 field 'k': a scalar must be None, text, an integer or a float, got {got}$"
+        self._refused(tmp_path, scalar, msg)
 
 
 class TestAtomicWrite:

@@ -186,6 +186,21 @@ class TestDominantPole:
         assert z0 * (z0 - 1) == pytest.approx(amplitude, rel=1e-12)
         assert np.max(np.abs(g2 / (amplitude * np.exp(s0 * (t + tau))) - 1)) <= 1e-12
 
+    @pytest.mark.parametrize("ratio", [1e-8, 1e-6, 1e-4])
+    def test_born_markov_regime_to_rounding(self, ratio):
+        # deep in the paper's regime, from t = 40 tau_c (the fast mode below
+        # e^-40) to gamma t = 20: a slow rate formed as 1 - chi cancels and
+        # reads up to 4e-10 off here
+        tau_c = 1.0
+        chi, z0, s0 = self.pole(ratio, tau_c)
+        t = np.linspace(40.0 * tau_c, 20.0 * tau_c / ratio, 101)
+        g = lorentzian_G(ratio / tau_c, tau_c, t)
+        assert np.max(np.abs(g / (z0 * np.exp(s0 * t)) - 1)) <= 1e-14
+        tau = t[::-1]
+        g2 = lorentzian_G_two_time(ratio / tau_c, tau_c, t, tau)
+        amplitude = ratio / (2 * chi**2)
+        assert np.max(np.abs(g2 / (amplitude * np.exp(s0 * (t + tau))) - 1)) <= 1e-14
+
     @pytest.mark.parametrize("ratio", [1e-3, 1e-2, 0.1])
     def test_memory_amplitude_is_the_first_moment(self, ratio):
         # (Z0 - 1) / (gamma tau_c / 2), the memory amplitude over the kernel's

@@ -4,7 +4,7 @@ Each case writes one dataset twice: through ``cli.main`` in this process,
 and through ``python -m cpfsim`` in a child under another hash seed, so
 output that depends on the process (its id, its hash seed, a frozen
 collector) shows as a byte difference. The configs are the benchmark's and
-two of those in ``tests/configs``:
+three of those in ``tests/configs``:
 
 - ``preset_edge.json``: figure2 combos and appendix-d blocks run as
   tau_c = 1 Lorentzian sweeps on the shared grid. The benchmark configs
@@ -12,6 +12,8 @@ two of those in ``tests/configs``:
   its times does not show; this config covers preset ratios where it does.
 - ``truncated_witness.json``: a bath whose G crosses zero inside the grid,
   so witness truncates the grid there and warns in its last row only.
+- ``born_markov_witness.json``: gamma tau_c = 1e-6, deep in the paper's
+  Born-Markov regime, on the Lorentzian closed forms.
 """
 import json
 import os
@@ -57,6 +59,7 @@ def launch(argv, cwd):
         ("figure2", CONFIGS / "preset_edge.json"),
         ("appendix-d", CONFIGS / "preset_edge.json"),
         ("witness", CONFIGS / "truncated_witness.json"),
+        ("witness", CONFIGS / "born_markov_witness.json"),
         ("sweep", WORKLOADS / "tabulated_sweep.json"),
         ("witness", WORKLOADS / "tabulated_sweep.json"),
     ],

@@ -207,7 +207,7 @@ class Route:
 
 
 ROUTES = {  # most exact first: a bath's amplitudes come from the first that accepts it
-    "closed": Route(closed, attrgetter("lorentzian"), rounding=5e-14),
+    "closed": Route(closed, attrgetter("lorentzian"), rounding=1e-14),
     "closed_identity": Route(closed_identity, attrgetter("lorentzian"), "closed", 1e-14),
     "exact_sum": Route(exact_sum, attrgetter("terms"), rounding=5e-14),
     "sum_identity": Route(sum_identity, attrgetter("terms"), "exact_sum", 1e-13),
