@@ -9,7 +9,8 @@ represented. A kernel family is one class with ``sample`` and ``decay_time``:
   canonical instance with closed-form propagators.
 * ``TabulatedKernel``: complex samples on an ascending time grid starting
   at 0, evaluated by linear interpolation. Extrapolation is refused: a
-  silently extrapolated memory kernel corrupts convolutions invisibly.
+  silently extrapolated memory kernel corrupts convolutions invisibly. A
+  time beyond the last sample by rounding only reads the last sample.
 
 Kernels are immutable value types, safe for concurrent reads.
 """
@@ -22,6 +23,10 @@ from typing import NoReturn, Optional, Union
 import numpy as np
 
 from .errors import KernelRangeError, ValidationError
+
+# a time beyond a tabulated kernel's last sample by at most this, relative,
+# is that time rounded: n * step of a grid ending on it can exceed it by an ulp
+_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,12 +67,12 @@ class TabulatedKernel:
             raise ValidationError("times and values must be 1-D arrays of equal length")
         if times.size < 2:
             raise ValidationError("tabulated kernel needs at least 2 samples")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values.view(float)))):
+            raise ValidationError("tabulated kernel samples must be finite")
         if times[0] != 0.0:
             raise ValidationError(f"tabulated times must start at 0, got {times[0]}")
         if np.any(np.diff(times) <= 0):
             raise ValidationError("tabulated times must be strictly ascending")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values.view(float)))):
-            raise ValidationError("tabulated kernel samples must be finite")
         times.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -78,10 +83,11 @@ class TabulatedKernel:
         return float(self.times[-1])
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
-        """f at the float times ``ts`` in [0, t_max], interpolated linearly."""
+        """f at the float times ``ts`` in [0, t_max], interpolated linearly; a
+        time beyond t_max by rounding, at most 1e-12 relative, reads f(t_max)."""
         if np.any(ts < 0):
             raise KernelRangeError("tabulated kernel is only defined for t >= 0")
-        if np.any(ts > self.t_max):
+        if np.any(ts > self.t_max * (1.0 + _ROUNDING)):
             raise KernelRangeError(
                 f"t = {float(np.max(ts)):g} beyond last sample t_max = {self.t_max:g}; "
                 "refusing to extrapolate"
@@ -147,15 +153,14 @@ def load_kernel_csv(path: Union[str, Path]) -> TabulatedKernel:
         _raise_first_bad_row(path, lines, head + 1)
     try:
         cells = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, quotechar='"')
-    except ValueError:
+        if cells.shape[1] not in (2, 3):
+            raise ValueError("expected 2 or 3 columns")
+        im = cells[:, 2] if cells.shape[1] == 3 else np.zeros(len(cells))
+        with np.errstate(invalid="ignore"):  # an inf cell: NaN, refused by the kernel
+            values = cells[:, 1] + 1j * im
+        return TabulatedKernel(times=cells[:, 0].copy(), values=values)
+    except ValueError:  # a ValidationError of the kernel's is one too
         _raise_first_bad_row(path, lines, head + 1)
-    if len(cells) < 2 or cells.shape[1] not in (2, 3) or not np.isfinite(cells).all():
-        _raise_first_bad_row(path, lines, head + 1)
-    if cells[0, 0] != 0 or np.any(np.diff(cells[:, 0]) <= 0):
-        _raise_first_bad_row(path, lines, head + 1)
-    im = cells[:, 2] if cells.shape[1] == 3 else np.zeros(len(cells))
-    # every cell is finite, so 1j * im multiplies no inf
-    return TabulatedKernel(times=cells[:, 0].copy(), values=cells[:, 1] + 1j * im)
 
 
 def _cell_value(cell: str) -> Optional[float]:

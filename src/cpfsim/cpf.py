@@ -65,6 +65,11 @@ class MeasurementScheme(Enum):
     YZY = "yzy"
 
 
+# Phase u of the past and future axis of a coherent scheme in the xy plane:
+# its +1 outcome projects on (|up> + u* |down>) / sqrt(2).
+_AXIS_PHASE = {MeasurementScheme.XZX: 1, MeasurementScheme.YZY: -1j}
+
+
 @dataclass(frozen=True)
 class InitialState:
     """Qubit amplitudes (a, b) on (|up>, |down>); normalized."""
@@ -183,11 +188,11 @@ def table_probs(
     z-z-z: for y = +1 the past is pinned to x = +1 and the future entries
     are |G(tau)|^2 and 1 - |G(tau)|^2; for y = -1 all entries share the
     normalization D = P(y = -1).
-    x-z-x and y-z-y: the past outcome carries weight w(x) = P(x), which is
-    |a + x b|^2 / 2 for x-z-x and |a - i x b|^2 / 2 = (1 - 2 x Im(a b*)) / 2
-    for y-z-y, independent of y. For y = +1 the table is the z-independent
-    w(x)/2; for y = -1 it is w(x) [1 - zx kappa] / 2 with the interference
-    term kappa = 2 Re G2 / (2 - |G(t)|^2).
+    x-z-x and y-z-y, one formula: the past axis has phase u in the xy plane
+    (``_AXIS_PHASE``: 1 for x, -i for y), and the past outcome carries the
+    weight w(x) = P(x) = |a + x u b|^2 / 2, independent of y. For y = +1 the
+    table is the z-independent w(x)/2; for y = -1 it is w(x) [1 - zx kappa] / 2
+    with the interference term kappa = 2 Re G2 / (2 - |G(t)|^2).
     """
     denom = conditioning_probability(scheme, state, y, G_t)  # checks y
     where = f"{scheme.value} y={y:+d}"
@@ -207,20 +212,11 @@ def table_probs(
             b2 / denom,
         )
         return _entries(where, cells, shape, possible)
-    if scheme is MeasurementScheme.XZX:
-        weights = {x: abs(state.a + x * state.b) ** 2 / 2.0 for x in _OUTCOMES}
-    else:
-        weights = {x: abs(state.a - 1j * x * state.b) ** 2 / 2.0 for x in _OUTCOMES}
+    u = _AXIS_PHASE[scheme]
+    weights = {x: abs(state.a + x * u * state.b) ** 2 / 2.0 for x in _OUTCOMES}
     if y == +1:
         return _entries(where, [weights[x] / 2.0 for _, x in _CELLS], shape, possible)
-    g_t2, interference = np.broadcast_arrays(np.abs(G_t) ** 2, 2.0 * np.real(G_two))
-    excess = np.abs(interference) > 2.0 - g_t2 + _ENTRY_TOL
-    if np.any(excess):
-        raise InternalConsistencyError(
-            f"|2 Re G2| = {abs(interference[excess][0]):g} exceeds "
-            f"2 - |G|^2 = {2.0 - g_t2[excess][0]:g}"
-        )
-    kappa = interference / (2.0 - g_t2)
+    kappa = 2.0 * np.real(G_two) / (2.0 - np.abs(G_t) ** 2)
     cells = [weights[x] * (1.0 - z * x * kappa) / 2.0 for z, x in _CELLS]
     return _entries(where, cells, shape, possible)
 
@@ -232,9 +228,10 @@ def closed_values(
     values; NaN where y has zero probability.
 
     y = -1. z-z-z: 4 |a|^2 |b|^2 |G2|^2 / D^2 with D = P(y = -1);
-    non-negative, quadratic in G2. x-z-x: -(1 - (2 Re(a b*))^2) Re G2 /
-    (1 - |G(t)|^2 / 2), linear in Re G2 with opposite sign, and the
-    denominator never falls below 1/2. y-z-y: as x-z-x with Im(a b*).
+    non-negative, quadratic in G2. x-z-x and y-z-y: -(1 - (2c)^2) Re G2 /
+    (1 - |G(t)|^2 / 2) with the coherence c = Re(a (u b)*) along the past
+    axis of phase u (``_AXIS_PHASE``), linear in Re G2 with opposite sign;
+    the denominator never falls below 1/2, and c enters only squared.
     y = +1 re-prepares the excited product state, so the past decouples
     from the future exactly: 0 for every scheme and every parameter value.
     """
@@ -245,8 +242,7 @@ def closed_values(
         a2 = abs(state.a) ** 2
         b2 = abs(state.b) ** 2
         return _bounded((4.0 * a2 * b2 / denom**2) * np.abs(G_two) ** 2)
-    overlap = state.a * np.conj(state.b)
-    coherence = overlap.real if scheme is MeasurementScheme.XZX else overlap.imag
+    coherence = (state.a * np.conj(_AXIS_PHASE[scheme] * state.b)).real
     prefactor = 1.0 - (2.0 * coherence) ** 2
     return _bounded(-(prefactor / denom) * np.real(G_two))
 

@@ -57,6 +57,8 @@ _X = np.array([x for _, x in _CELLS], dtype=float)
 _CHUNK_COUNTS = 2**14
 # the largest count budget: below NumPy's largest Poisson mean (~9.2e18)
 _MAX_COUNTS = 1e18
+# the most replicas: one point's (replicas, 4) int64 block is then 128 MB
+_MAX_REPLICAS = 2**22
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,8 @@ class ExperimentConfig:
             raise ValidationError(f"visibility must lie in [0, 1], got {self.visibility}")
         if not _is_int(self.replicas) or self.replicas < 1:
             raise ValidationError(f"replicas must be an integer >= 1, got {self.replicas!r}")
+        if self.replicas > _MAX_REPLICAS:
+            raise ValidationError(f"replicas must be <= {_MAX_REPLICAS}, got {self.replicas!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
 

@@ -165,12 +165,6 @@ def _finite(t, name: str, negative: Optional[str] = None) -> np.ndarray:
     return t
 
 
-def _closed_kernel(gamma: float, tau_c: float) -> LorentzianKernel:
-    if not (gamma > 0 and tau_c > 0):
-        raise ValidationError("gamma and tau_c must be > 0")
-    return LorentzianKernel(gamma, tau_c)  # refuses a 2 gamma tau_c beyond the float range
-
-
 def _lorentzian_cs(kernel: LorentzianKernel, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(C, S) = (e^{-x} cosh(chi x), e^{-x} sinh(chi x) / chi) at x = t / 2 tau_c,
     chi^2 = 1 - 2 gamma tau_c: the pair every Lorentzian closed form is built from."""
@@ -207,13 +201,13 @@ def _closed_G2(kernel: LorentzianKernel, t, tau) -> np.ndarray | float:
 def lorentzian_G(gamma: float, tau_c: float, t) -> np.ndarray | float:
     """Closed-form propagator C + S for the Lorentzian kernel; real-valued.
     At finite t >= 0 and any gamma tau_c, the chi = 0 boundary 1/2 included."""
-    return _closed_G(_closed_kernel(gamma, tau_c), t)
+    return _closed_G(LorentzianKernel(gamma, tau_c), t)
 
 
 def lorentzian_G_two_time(gamma: float, tau_c: float, t, tau) -> np.ndarray | float:
     """Closed-form two-time memory object 2 gamma tau_c S(t) S(tau) for the
     Lorentzian kernel, at finite t, tau >= 0."""
-    return _closed_G2(_closed_kernel(gamma, tau_c), t, tau)
+    return _closed_G2(LorentzianKernel(gamma, tau_c), t, tau)
 
 
 def solve(kernel, t_end: float, t_step: Optional[float] = None) -> Solved:
@@ -224,8 +218,8 @@ def solve(kernel, t_end: float, t_step: Optional[float] = None) -> Solved:
     number > 0 or a solved |G| above 1 raise :class:`ValidationError`, and so
     do, before the kernel is sampled, a solve of over 2**22 steps, a ``t_end``
     off the grid and a step coarser than a quarter of the kernel's 1/e time
-    ``decay_time()``; a ``t_end`` beyond a tabulated kernel raises
-    :class:`cpfsim.errors.KernelRangeError`."""
+    ``decay_time()``; a ``t_end`` beyond a tabulated kernel's last sample by more
+    than rounding raises :class:`cpfsim.errors.KernelRangeError`."""
     if t_step is not None and not 0 < t_step < np.inf:  # False for NaN too
         raise ValidationError(f"t_step must be a finite number > 0, got {t_step}")
     if isinstance(kernel, LorentzianKernel):

@@ -11,7 +11,11 @@ blocks (:func:`_cpf_blocks`) hold ``cpf_closed`` from the reduced closed
 forms and ``cpf_table`` from the eight-entry probability tables, which
 must agree to 1e-9 in every row. No package code checks this: the tests
 (``tests/test_cli.py`` on written rows, ``tests/test_routes.py`` on the
-functions) and the benchmark's output check do. ``appendix-d`` hands each
+functions) and the benchmark's output check do. ``cpf_table`` is exact to
+about 1e-16 absolute, not relative, the rounding of its table subtraction:
+where the CPF is small, its last printed digits are rounding (preset-edge
+figure2 at gamma tau_c = 0.01, t = tau = 4.967: 7.77444775224e-10 against a
+``cpf_closed`` of 7.77444790294e-10). ``appendix-d`` hands each
 block's one table to :func:`~cpfsim.experiment.run_noise_study` instead,
 and ``witness`` writes the closed forms next to the decay rate from the
 ``rates`` lookup of the solved propagator that :func:`_curves` returns.
@@ -47,6 +51,7 @@ NOISE_FIELDS = [
     "ideal", "degraded_ideal", "mc_mean", "mc_std", "predicted_std", "n_replicas", "seed",
 ]
 WITNESS_FIELDS = ["t", "rate_gamma", "g_abs2", "cpf_zzz", "cpf_xzx", "warning"]
+_MAX_PAIRS = 2**22  # (t, tau) pairs of a run: ~244 B each, a 2048^2 plane of ~1 GB
 
 
 def _appendix_d_blocks(cfg: RunConfig):
@@ -81,7 +86,13 @@ def _curves(cfg: RunConfig) -> tuple:
     h / refine, an integer refine: no coarser than 1/(100 gamma) nor than the
     kernel's ``decay_time()`` / 25, unless that takes a refine above 2**22,
     where a solve is refused anyway. Returns the times, the solved propagator,
-    the pairs' grid indices (i, j) and its (G(t), G(tau), G2) on them."""
+    the pairs' grid indices (i, j) and its (G(t), G(tau), G2) on them. A run
+    of more than ``_MAX_PAIRS`` pairs is refused before anything is allocated."""
+    pairs = cfg.points if cfg.equal_times else cfg.points**2
+    if pairs > _MAX_PAIRS:
+        raise ValidationError(
+            f"config: grid.points: {cfg.points} points make more than {_MAX_PAIRS} (t, tau) pairs"
+        )
     gamma = cfg.bath.gamma
     n = cfg.points - 1
     h = cfg.t_max_gamma / gamma / n

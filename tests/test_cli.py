@@ -7,6 +7,7 @@ import re
 import runpy
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from statistics import NormalDist
@@ -240,6 +241,43 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("error: config: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "grid",
+        [{"points": 10**20}, {"points": 2049, "equal_times": False}],
+        ids=["1e20-points", "2049-squared-plane"],
+    )
+    def test_too_many_pairs_exit_2_before_allocating(self, tmp_path, capsys, monkeypatch, grid):
+        # 10**20 points died in np.arange with a traceback, and a plane of
+        # some tens of thousands of points tried to allocate tens of GB
+        def solve(*_):
+            raise AssertionError("a run of too many pairs reached the solve")
+
+        monkeypatch.setattr(cpfsim.runs, "solve", solve)
+        cfg = write_config(tmp_path, {"grid": grid})
+        tracemalloc.start()
+        try:
+            rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: config: grid.points: {grid['points']} points make more than 4194304 "
+            "(t, tau) pairs\n"
+        )
+        assert peak < 2**20
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_plane_is_accepted(self, monkeypatch):
+        # a 2048^2 plane is 2**22 pairs, the most a run takes: it reaches the solve
+        def solve(*_):
+            raise AssertionError("solve reached")
+
+        monkeypatch.setattr(cpfsim.runs, "solve", solve)
+        cfg = parse_config({**BASE_CONFIG, "grid": {"points": 2048, "equal_times": False}})
+        with pytest.raises(AssertionError, match="^solve reached$"):
+            cpfsim.runs.run_sweep(cfg, Path("unwritten"))
+
     def test_top_level_must_be_an_object_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text("[1]")
@@ -355,6 +393,33 @@ class TestConfig:
         assert capsys.readouterr().err == (
             f"error: config: bath.kernel_csv: {kernel}: t = 10 beyond last sample "
             "t_max = 0.1; refusing to extrapolate\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "witness"])
+    def test_kernel_file_that_exactly_covers_the_grid_runs(
+        self, tmp_path, monkeypatch, exact_coverage_kernel, command
+    ):
+        # the solve's last time, 220 steps of 0.01, rounds to 2.2000000000000006,
+        # one ulp beyond the last sample at 2.2, and was refused as extrapolation
+        exact_coverage_kernel(tmp_path)
+        monkeypatch.chdir(tmp_path)  # the kernel path is relative
+        config = str(Path(__file__).resolve().parent / "configs" / "exact_coverage.json")
+        assert main([command, "--config", config, "--out", "out"]) == 0
+        _, rows = read_rows(tmp_path / "out" / f"{command}.csv")
+        assert rows[-1]["t"] == "1.1"
+
+    @pytest.mark.parametrize("command", ["sweep", "witness"])
+    def test_kernel_file_one_sample_short_exits_2(
+        self, tmp_path, capsys, monkeypatch, exact_coverage_kernel, command
+    ):
+        exact_coverage_kernel(tmp_path, samples=220)
+        monkeypatch.chdir(tmp_path)
+        config = str(Path(__file__).resolve().parent / "configs" / "exact_coverage.json")
+        assert main([command, "--config", config, "--out", "out"]) == 2
+        assert capsys.readouterr().err == (
+            "error: config: bath.kernel_csv: exact_coverage_kernel.csv: t = 2.2 beyond last "
+            "sample t_max = 2.19; refusing to extrapolate\n"
         )
         assert not (tmp_path / "out").exists()
 
@@ -597,9 +662,13 @@ class TestAppendixD:
             ({"seed": -1}, [], "error: config: noise: seed must be an integer >= 0"),
             ({"seed": True}, [], "error: config: noise: seed must be an integer >= 0"),
             ({"replicas": 2.5}, [], "error: config: noise: replicas must be an integer >= 1"),
+            ({"replicas": 10**20}, [], "error: config: noise: replicas must be <= 4194304"),
             ({"total_counts": 1e19}, [], "error: config: noise: total_counts must be a finite"),
         ],
-        ids=["flag-seed", "config-seed", "config-seed-bool", "config-replicas", "config-total_counts"],
+        ids=[
+            "flag-seed", "config-seed", "config-seed-bool", "config-replicas",
+            "config-replicas-1e20", "config-total_counts",
+        ],
     )
     def test_values_numpy_rejects_exit_2(self, tmp_path, capsys, noise, flags, message):
         # a negative seed and a budget beyond NumPy's largest Poisson mean

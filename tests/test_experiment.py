@@ -110,6 +110,10 @@ class TestCounts:
             ExperimentConfig(total_counts=100, visibility=1.5)
         with pytest.raises(ValidationError):
             ExperimentConfig(total_counts=100, replicas=0)
+        # one point's (replicas, 4) int64 block is at most 128 MB
+        assert ExperimentConfig(total_counts=100, replicas=2**22).replicas == 2**22
+        with pytest.raises(ValidationError, match="^replicas must be <= 4194304, got 4194305$"):
+            ExperimentConfig(total_counts=100, replicas=2**22 + 1)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -121,6 +125,7 @@ class TestCounts:
             ("replicas", 2.5),
             ("replicas", True),
             ("replicas", 2.0),
+            pytest.param("replicas", 10**20, id="replicas-10**20"),
             ("seed", -1),
             ("seed", 1.5),
             ("seed", True),
@@ -128,8 +133,9 @@ class TestCounts:
     )
     def test_config_rejects_what_numpy_would(self, field, value):
         # each value used to pass the config and fail inside NumPy's sampler
-        # (lam value too large, TypeError, expected non-negative integer) or
-        # to draw with a bool as the replica count or seed
+        # (lam value too large, TypeError, expected non-negative integer,
+        # maximum allowed dimension exceeded) or to draw with a bool as the
+        # replica count or seed
         with pytest.raises(ValidationError, match=field):
             ExperimentConfig(**{"total_counts": 100, field: value})
 

@@ -297,7 +297,7 @@ class TestVolterraSolver:
 class TestTwoTime:
     @pytest.mark.parametrize(
         "gamma, t, message",
-        [(0.0, 1.0, "gamma and tau_c must be > 0"), (1.0, -1.0, "t and tau must be >= 0")],
+        [(0.0, 1.0, "gamma must be > 0, got 0.0"), (1.0, -1.0, "t and tau must be >= 0")],
         ids=["gamma-zero", "negative-t"],
     )
     def test_closed_form_validation(self, gamma, t, message):

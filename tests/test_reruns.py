@@ -4,7 +4,7 @@ Each case writes one dataset twice: through ``cli.main`` in this process,
 and through ``python -m cpfsim`` in a child under another hash seed, so
 output that depends on the process (its id, its hash seed, a frozen
 collector) shows as a byte difference. The configs are the benchmark's and
-three of those in ``tests/configs``:
+four of those in ``tests/configs``:
 
 - ``preset_edge.json``: figure2 combos and appendix-d blocks run as
   tau_c = 1 Lorentzian sweeps on the shared grid. The benchmark configs
@@ -14,6 +14,8 @@ three of those in ``tests/configs``:
   so witness truncates the grid there and warns in its last row only.
 - ``born_markov_witness.json``: gamma tau_c = 1e-6, deep in the paper's
   Born-Markov regime, on the Lorentzian closed forms.
+- ``exact_coverage.json``: a kernel file whose last sample is the last time
+  the solve reaches, which the solve's grid overshoots by one ulp.
 """
 import json
 import os
@@ -60,14 +62,19 @@ def launch(argv, cwd):
         ("appendix-d", CONFIGS / "preset_edge.json"),
         ("witness", CONFIGS / "truncated_witness.json"),
         ("witness", CONFIGS / "born_markov_witness.json"),
+        ("sweep", CONFIGS / "exact_coverage.json"),
+        ("witness", CONFIGS / "exact_coverage.json"),
         ("sweep", WORKLOADS / "tabulated_sweep.json"),
         ("witness", WORKLOADS / "tabulated_sweep.json"),
     ],
     ids=lambda value: value.stem if isinstance(value, Path) else value,
 )
-def test_rerun_writes_the_same_bytes(tmp_path, monkeypatch, perfbench_workloads, command, config):
+def test_rerun_writes_the_same_bytes(
+    tmp_path, monkeypatch, perfbench_workloads, exact_coverage_kernel, command, config
+):
     perfbench_workloads.write_kernel_csv(tmp_path)
-    monkeypatch.chdir(tmp_path)  # the tabulated kernel path is relative
+    exact_coverage_kernel(tmp_path)
+    monkeypatch.chdir(tmp_path)  # the tabulated kernel paths are relative
     argv = [command, "--config", str(config), "--out"]
     assert main([*argv, "in_process"]) == 0
     launch([*argv, "launched"], tmp_path)
