@@ -89,7 +89,7 @@ class TabulatedKernel:
             raise KernelRangeError("tabulated kernel is only defined for t >= 0")
         if np.any(ts > self.t_max * (1.0 + _ROUNDING)):
             raise KernelRangeError(
-                f"t = {float(np.max(ts)):g} beyond last sample t_max = {self.t_max:g}; "
+                f"t = {float(np.max(ts))!r} beyond last sample t_max = {self.t_max!r}; "
                 "refusing to extrapolate"
             )
         re = np.interp(ts, self.times, self.values.real)

@@ -103,12 +103,17 @@ def _fraction(value, field: str) -> float:
     return number
 
 
-def _tau_c(value, field: str, gamma: float) -> float:
-    tau_c = _positive(value, field)
+def _owned(field: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, the type that owns the facts of the value at
+    ``field``; its :class:`ValidationError` is re-raised naming that field."""
     try:
-        return LorentzianKernel(gamma, tau_c).tau_c
-    except ValidationError as exc:  # 2 gamma tau_c beyond the float range
+        return make(*args, **kwargs)
+    except ValidationError as exc:
         _fail(field, str(exc))
+
+
+def _tau_c(value, field: str, gamma: float) -> float:
+    return _owned(field, LorentzianKernel, gamma, _number(value, field)).tau_c
 
 
 def _kernel_file(value, field: str, _gamma=None) -> str:
@@ -194,7 +199,7 @@ def _parse_bath(block, field: str) -> BathConfig:
 def _parse_state(block, field: str) -> InitialState:
     keys = set(_block(block, field, ("p", "a", "b")))
     if keys == {"p"}:
-        return InitialState.from_population(_fraction(block["p"], f"{field}.p"))
+        return _owned(f"{field}.p", InitialState.from_population, _number(block["p"], f"{field}.p"))
     if keys == {"a", "b"}:
 
         def as_complex(v, name):
@@ -204,12 +209,8 @@ def _parse_state(block, field: str) -> InitialState:
                 return complex(_number(v[0], name), _number(v[1], name))
             _fail(name, f"expected a number or [re, im] pair, got {v!r}")
 
-        a = as_complex(block["a"], f"{field}.a")
-        b = as_complex(block["b"], f"{field}.b")
-        try:
-            return InitialState(a=a, b=b)
-        except ValidationError as exc:
-            _fail(field, str(exc))
+        a, b = as_complex(block["a"], f"{field}.a"), as_complex(block["b"], f"{field}.b")
+        return _owned(field, InitialState, a, b)
     _fail(field, "expected either {'p': ...} or {'a': ..., 'b': ...}")
 
 
@@ -222,8 +223,7 @@ def _nonempty_list(value, field: str, items: str) -> list:
 
 
 def _parse_schemes(value, field: str) -> tuple[MeasurementScheme, ...]:
-    if not isinstance(value, list) or not value:
-        _fail(field, "expected a non-empty list of scheme names")
+    value = _nonempty_list(value, field, "scheme names")
     schemes = tuple(_scheme(name, f"{field}[{k}]") for k, name in enumerate(value))
     for k, scheme in enumerate(schemes):
         if scheme in schemes[:k]:
@@ -248,7 +248,8 @@ def _parse_combos(value, field: str) -> tuple[tuple[MeasurementScheme, float, fl
         scheme = _scheme(_require(item, "scheme", where), f"{where}.scheme")
         ratio = _positive(_require(item, "gamma_tau_c", where), f"{where}.gamma_tau_c")
         _tau_c(1.0, f"{where}.gamma_tau_c", ratio)  # the tau_c = 1 bath of its preset
-        p = _fraction(_require(item, "p", where), f"{where}.p")
+        p = _number(_require(item, "p", where), f"{where}.p")
+        _owned(f"{where}.p", InitialState.from_population, p)  # the state of its preset
         combos.append((scheme, ratio, p))
     return tuple(combos)
 
@@ -264,14 +265,10 @@ def _parse_noise(block, field: str) -> ExperimentConfig:
     block = _block(block, field, ("total_counts", "replicas", "seed", "visibility"))
     total = _number(_require(block, "total_counts", field), f"{field}.total_counts")
     _fraction(block.get("visibility", 1.0), f"{field}.visibility")  # read by no run
-    try:
-        return ExperimentConfig(
-            total_counts=total,
-            replicas=block.get("replicas", 1),
-            seed=block.get("seed", 0),
-        )
-    except ValidationError as exc:
-        _fail(field, str(exc))
+    return _owned(
+        field, ExperimentConfig, total_counts=total, replicas=block.get("replicas", 1),
+        seed=block.get("seed", 0),
+    )
 
 
 def parse_config(document: dict) -> RunConfig:

@@ -214,14 +214,17 @@ def solve(kernel, t_end: float, t_step: Optional[float] = None) -> Solved:
     """The solved propagator of ``kernel`` up to ``t_end``; the one place that
     chooses how G is computed: a Lorentzian kernel's closed forms, real at any
     t >= 0, else G solved once on the grid of step ``t_step`` (complex, error
-    O(t_step^2)), or not at all if t_end <= 0. A ``t_step`` that is not a finite
-    number > 0 or a solved |G| above 1 raise :class:`ValidationError`, and so
-    do, before the kernel is sampled, a solve of over 2**22 steps, a ``t_end``
-    off the grid and a step coarser than a quarter of the kernel's 1/e time
-    ``decay_time()``; a ``t_end`` beyond a tabulated kernel's last sample by more
-    than rounding raises :class:`cpfsim.errors.KernelRangeError`."""
+    O(t_step^2)), or not at all if t_end <= 0. A NaN ``t_end``, a ``t_step``
+    that is not a finite number > 0 or a solved |G| above 1 raise
+    :class:`ValidationError`, and so do, before the kernel is sampled, a solve
+    of over 2**22 steps, a ``t_end`` off the grid and a step coarser than a
+    quarter of the kernel's 1/e time ``decay_time()``; a ``t_end`` beyond a
+    tabulated kernel's last sample by more than rounding raises
+    :class:`cpfsim.errors.KernelRangeError`."""
     if t_step is not None and not 0 < t_step < np.inf:  # False for NaN too
         raise ValidationError(f"t_step must be a finite number > 0, got {t_step}")
+    if np.isnan(t_end):  # not > 0, so it would read as no solve
+        raise ValidationError(f"t_end must be a number, got {t_end}")
     if isinstance(kernel, LorentzianKernel):
         return Solved(kernel)
     if t_step is None:
@@ -272,7 +275,7 @@ class Solved:
     def _at(self, i: np.ndarray, name: str):
         n = self.g.size - 1
         if np.any(i > n):
-            raise ValidationError(f"{name} beyond the solve, which ends at t = {n * self.step:g}")
+            raise ValidationError(f"{name} beyond the solve, which ends at t = {n * self.step!r}")
         return self.g[i.astype(int)]
 
     def G(self, t):

@@ -8,14 +8,24 @@ only runner code that chooses the integration step and calls
 writes; ``figure2`` and ``appendix-d`` run each parameter set as cfg
 restricted to it (:func:`_preset`). The ``figure2`` and ``sweep``
 blocks (:func:`_cpf_blocks`) hold ``cpf_closed`` from the reduced closed
-forms and ``cpf_table`` from the eight-entry probability tables, which
-must agree to 1e-9 in every row. No package code checks this: the tests
-(``tests/test_cli.py`` on written rows, ``tests/test_routes.py`` on the
-functions) and the benchmark's output check do. ``cpf_table`` is exact to
-about 1e-16 absolute, not relative, the rounding of its table subtraction:
-where the CPF is small, its last printed digits are rounding (preset-edge
-figure2 at gamma tau_c = 0.01, t = tau = 4.967: 7.77444775224e-10 against a
-``cpf_closed`` of 7.77444790294e-10). ``appendix-d`` hands each
+forms and ``cpf_table`` from the eight-entry probability tables, both from
+the same G and G2. A table cell is a numerator over P(y), the probability
+of the conditioning outcome, and each numerator is formed to within
+eps = 2.2e-16 absolute: the z-z-z y = -1 cell (1 - |G2|^2 - |G|^2) |a|^2
+loses the part of |G2|^2 below eps in 1 - |G2|^2. So a cell is off by up
+to eps / P(y), and the cells' sum from 1 by as much, while the covariance
+moves by at most 3 per unit of a cell (|zx - z<x> - <z>x| <= 3). With the
+rounding of the covariance and of the closed form, the two columns agree
+within eps (3 / P(y) + 20) in every row before each is printed to 12
+significant digits, an absolute bound: 5e-15 where P(y) is near 1, as in
+every coherent scheme (P(y = -1) >= 1/2), but 6.7e-4 at P(y) = 1e-12,
+below which a row is NaN. Only z-z-z with |a|^2 near 1 reaches such a
+P(y): at p = 1 and y = -1, where P(y) = 1 - |G(t)|^2 and the CPF is
+exactly 0, ``cpf_table`` reads 5.0e-9 at P(y) = 5e-9. No package code
+checks the bound: the tests do (``tests/test_cli.py`` and
+``tests/test_fuzz.py`` on written rows, ``tests/test_routes.py`` on the
+functions), and so does the benchmark's output check, to 1e-9 on its
+configs, whose P(y = -1) is at least 0.2. ``appendix-d`` hands each
 block's one table to :func:`~cpfsim.experiment.run_noise_study` instead,
 and ``witness`` writes the closed forms next to the decay rate from the
 ``rates`` lookup of the solved propagator that :func:`_curves` returns.

@@ -97,6 +97,18 @@ def test_tabulated_refuses_extrapolation_and_negative_t():
         eval_kernel_grid(k, -0.1)
 
 
+def test_range_error_prints_both_times_exactly():
+    # with %g, a time 1e-10 relative beyond the last sample read as equal to
+    # it: "t = 2.2 beyond last sample t_max = 2.2"
+    k = TabulatedKernel(times=np.array([0.0, 2.2]), values=np.array([1.0, 0.5]))
+    t = 2.2 * (1 + 1e-10)
+    with pytest.raises(KernelRangeError) as exc:
+        eval_kernel_grid(k, t)
+    assert str(exc.value) == f"t = {t!r} beyond last sample t_max = 2.2; refusing to extrapolate"
+    printed = re.fullmatch(r"t = (\S+) beyond last sample t_max = (\S+); .*", str(exc.value))
+    assert (float(printed[1]), float(printed[2])) == (t, 2.2)
+
+
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize(
     "kernel",

@@ -339,14 +339,14 @@ class TestTwoTime:
         g_t, _, g2 = propagators(tabulated_lorentzian(11.0), t, tau, 0.01)
         assert np.max(np.abs(g_t - lorentzian_G(1.0, 1.0, t))) <= 1e-5
         assert np.max(np.abs(g2 - lorentzian_G_two_time(1.0, 1.0, t, tau))) <= 1e-5
-        with pytest.raises(KernelRangeError, match="t = 11 "):
+        with pytest.raises(KernelRangeError, match=r"^t = 11\.0 "):
             propagators(tabulated_lorentzian(10.9), t, tau, 0.01)
 
     def test_range_checked_before_sampling(self):
         # t = 1000 on a kernel tabulated to t = 2 is refused before the 10^6
         # sample times up to it are allocated (16 MiB with their kernel values)
         tab = tabulated_lorentzian(2.0)
-        message = "^t = 1000 beyond last sample t_max = 2; refusing to extrapolate$"
+        message = r"^t = 1000\.0 beyond last sample t_max = 2\.0; refusing to extrapolate$"
         tracemalloc.start()
         try:
             with pytest.raises(KernelRangeError, match=message):
@@ -779,7 +779,7 @@ class TestSolved:
                 lookup([0.5, 0.505])
         # G to t = 1 itself; G2 and the rate read G at t + tau and t + step
         assert solved.G(1.0) == solved.g[100]
-        beyond = "beyond the solve, which ends at t = 1$"
+        beyond = r"beyond the solve, which ends at t = 1\.0$"
         with pytest.raises(ValidationError, match=f"^t {beyond}"):
             solved.G(1.01)
         with pytest.raises(ValidationError, match=f"^t \\+ tau {beyond}"):
@@ -796,6 +796,15 @@ class TestSolved:
         assert solved.g is None
         assert solved.G(np.pi) == lorentzian_G(1.0, 1.0, np.pi)
         assert solved.G2(np.pi, 0.123) == lorentzian_G_two_time(1.0, 1.0, np.pi, 0.123)
+
+    @pytest.mark.parametrize(
+        "kernel", [tabulated_lorentzian(2.0), LorentzianKernel(1.0, 1.0)], ids=["grid", "closed"]
+    )
+    def test_nan_end_refused(self, kernel):
+        # NaN is not > 0, so it read as no solve: a one-point grid whose next
+        # lookup failed with "beyond the solve, which ends at t = 0"
+        with pytest.raises(ValidationError, match="^t_end must be a number, got nan$"):
+            propagator.solve(kernel, float("nan"), 0.01)
 
     @pytest.mark.parametrize("t_end", [0.0, -1.0])
     def test_no_solve_below_the_first_step(self, monkeypatch, t_end):

@@ -27,6 +27,7 @@ import pytest
 
 import cpfsim
 from cpfsim.cli import main
+from kernels import exact_coverage_kernel
 
 CONFIGS = Path(__file__).resolve().parent / "configs"
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
@@ -69,9 +70,7 @@ def launch(argv, cwd):
     ],
     ids=lambda value: value.stem if isinstance(value, Path) else value,
 )
-def test_rerun_writes_the_same_bytes(
-    tmp_path, monkeypatch, perfbench_workloads, exact_coverage_kernel, command, config
-):
+def test_rerun_writes_the_same_bytes(tmp_path, monkeypatch, perfbench_workloads, command, config):
     perfbench_workloads.write_kernel_csv(tmp_path)
     exact_coverage_kernel(tmp_path)
     monkeypatch.chdir(tmp_path)  # the tabulated kernel paths are relative
